@@ -3,7 +3,8 @@
 Verbs: params, pack, cover, construct, verify, probe. Machine-readable
 JSON goes to stdout (one compact object per line); human summaries go to
 stderr. Exit codes: 0 success/YES, 1 NO or probe violation, 2 input error,
-3 precondition error, 4 budget exhausted.
+3 precondition error, 4 budget exhausted, enumeration cap hit or
+certificate rejected (no answer).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import extremal, probes
+from .coloring import EnumerationCapError
 from .graphs import (
     GraphFormatError,
     PreconditionError,
@@ -69,10 +71,14 @@ def cmd_pack(args) -> int:
     g = _load_graph(args.graph)
     h = _load_graph(args.packing_graph)
     result = has_perfect_packing(g, h, args.budget)
-    print(result.verdict.value.upper())
     _note(f"packing search explored {result.nodes} nodes")
-    if args.find and result.verdict is Verdict.YES:
-        assert verify_packing(g, h, result.certificate)
+    find = args.find and result.verdict is Verdict.YES
+    if find and not verify_packing(g, h, result.certificate):
+        _note("internal error: the packing certificate failed verification")
+        print(Verdict.UNKNOWN.value.upper())
+        return EXIT_UNKNOWN
+    print(result.verdict.value.upper())
+    if find:
         _emit(result.to_json_dict())
     if result.verdict is Verdict.YES:
         return EXIT_OK
@@ -288,6 +294,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         _note(f"precondition error: {exc}")
         return EXIT_PRECONDITION
+    except EnumerationCapError as exc:
+        _note(f"no answer: {exc}")
+        return EXIT_UNKNOWN
 
 
 def run() -> None:

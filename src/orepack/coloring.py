@@ -1,17 +1,19 @@
 """Exact chromatic computations.
 
-The chromatic number is found by iterative deepening on k-colorability,
-starting from a greedy clique lower bound. Optimal colorings (proper
-partitions into exactly chi classes) are enumerated exhaustively with a
-first-use color rule, so each partition appears exactly once regardless of
-color names; partitions are then canonicalized by sorting classes on their
-minimum vertex.
+Every coloring search of the package runs on one backtracking kernel,
+``_color_search``, which the colour extension search in ``parameters``
+shares. The chromatic number is found by iterative deepening on
+k-colorability, starting from a greedy clique lower bound. Optimal
+colorings (proper partitions into exactly chi classes) are enumerated
+exhaustively with a first-use color rule, so each partition appears
+exactly once regardless of color names; partitions are then canonicalized
+by sorting classes on their minimum vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graphs import Graph, PreconditionError, iter_bits
 
@@ -52,25 +54,44 @@ def _search_order(h: Graph) -> list[int]:
     return sorted(range(h.n), key=lambda v: (-h.degree(v), v))
 
 
-def _k_colorable(h: Graph, k: int) -> bool:
-    order = _search_order(h)
-    class_masks = [0] * k
+def _color_search(
+    h: Graph,
+    order: list[int],
+    classes: list[int],
+    total: int,
+    visit: Callable[[list[int]], bool],
+) -> bool:
+    """Backtrack over the vertices in ``order``, putting each into an
+    existing class of ``classes`` (masks, which may start out pinned) or
+    into the next new class while fewer than ``total`` exist. New classes
+    are interchangeable, so only the next unused one is ever opened.
 
-    def place(i: int, used: int) -> bool:
-        if i == h.n:
-            return True
+    Calls ``visit(classes)`` on every completed coloring and returns True
+    as soon as a call does; False after the whole search.
+    """
+    adj = h.adj
+    end = len(order)
+
+    def place(i: int) -> bool:
+        if i == end:
+            return visit(classes)
         v = order[i]
-        limit = min(used + 1, k)
-        for c in range(limit):
-            if class_masks[c] & h.adj[v]:
+        bit = 1 << v
+        for c in range(len(classes)):
+            if classes[c] & adj[v]:
                 continue
-            class_masks[c] |= 1 << v
-            if place(i + 1, max(used, c + 1)):
+            classes[c] |= bit
+            if place(i + 1):
                 return True
-            class_masks[c] ^= 1 << v
+            classes[c] ^= bit
+        if len(classes) < total:
+            classes.append(bit)
+            if place(i + 1):
+                return True
+            classes.pop()
         return False
 
-    return place(0, 0)
+    return place(0)
 
 
 def chromatic_number(h: Graph) -> int:
@@ -79,8 +100,9 @@ def chromatic_number(h: Graph) -> int:
     if h.edge_count() == 0:
         return 1
     lower = max(2, len(greedy_clique(h)))
+    order = _search_order(h)
     for k in range(lower, h.n + 1):
-        if _k_colorable(h, k):
+        if _color_search(h, order, [], k, lambda _: True):
             return k
     return h.n
 
@@ -115,41 +137,21 @@ def optimal_colorings(h: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Colo
     if h.n == 0:
         raise PreconditionError("cannot color the empty graph")
     r = chromatic_number(h)
-    order = _search_order(h)
-    class_masks = [0] * r
     out: list[ColoringPartition] = []
 
-    def emit() -> None:
+    # no proper coloring has fewer than chi classes, so each one reached
+    # uses all r of them
+    def emit(classes: list[int]) -> bool:
         if len(out) >= cap:
             raise EnumerationCapError(
                 f"more than {cap} optimal colorings; raise the cap to enumerate"
             )
         out.append(
-            ColoringPartition.from_classes(
-                frozenset(iter_bits(m)) for m in class_masks
-            )
+            ColoringPartition.from_classes(frozenset(iter_bits(m)) for m in classes)
         )
+        return False
 
-    def place(i: int, used: int) -> None:
-        if i == h.n:
-            if used == r:
-                emit()
-            return
-        v = order[i]
-        remaining = h.n - i - 1
-        limit = min(used + 1, r)
-        for c in range(limit):
-            new_used = max(used, c + 1)
-            # every class must end up nonempty
-            if new_used + remaining < r:
-                continue
-            if class_masks[c] & h.adj[v]:
-                continue
-            class_masks[c] |= 1 << v
-            place(i + 1, new_used)
-            class_masks[c] ^= 1 << v
-
-    place(0, 0)
+    _color_search(h, _search_order(h), [], r, emit)
     out.sort(key=lambda p: tuple(tuple(sorted(c)) for c in p.classes))
     return out
 

@@ -246,6 +246,23 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return Graph(len(verts), tuple(adj))
 
 
+def components(g: Graph) -> list[int]:
+    """Vertex masks of the connected components, ordered by least vertex."""
+    out = []
+    rest = g.vertex_mask
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            nxt = 0
+            for u in iter_bits(frontier):
+                nxt |= g.adj[u]
+            frontier = nxt & ~comp
+            comp |= nxt
+        out.append(comp)
+        rest &= ~comp
+    return out
+
+
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Apply the vertex bijection ``v -> perm[v]``."""
     if sorted(perm) != list(range(g.n)):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
-from .graphs import Graph, PreconditionError, iter_bits
+from .graphs import Graph, PreconditionError, components, iter_bits
 
 DEFAULT_BUDGET = 10**8
 
@@ -92,24 +92,8 @@ class CoverSearchResult:
 
 def _component_major_order(h: Graph) -> list[int]:
     """Vertices grouped by component, largest components first."""
-    seen = 0
-    comps = []
-    for v in range(h.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= h.adj[u]
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-        comps.append(comp)
-    comps.sort(key=lambda c: (-c.bit_count(), c & -c))
     order = []
-    for comp in comps:
+    for comp in sorted(components(h), key=lambda c: (-c.bit_count(), c & -c)):
         order.extend(iter_bits(comp))
     return order
 
@@ -185,6 +169,7 @@ def _embeddings(
     # each embedding whose image contains the anchor maps exactly one
     # h-vertex there, so iterating that choice emits it exactly once
     for v in range(h.n):
+        budget.spend()
         assignment = [None] * h.n
         assignment[v] = anchor
         yield from _search(g, h, allowed, assignment, 1 << anchor, budget, comp_order)

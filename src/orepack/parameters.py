@@ -6,6 +6,8 @@ number of extra colors (beyond chi) forced on a proper coloring of H that
 is built by first coloring some vertex neighborhood with chi - 2 colors.
 Together with the critical chromatic number and the class-size gcd
 machinery it determines the Ore-type packing threshold coefficient.
+One enumeration of the optimal colorings (``_analyse``) yields every
+invariant but the extension number; the standalone functions read it.
 """
 
 from __future__ import annotations
@@ -13,17 +15,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .coloring import (
     chromatic_number,
-    colour_difference_set,
     optimal_colorings,
     require_edge,
+    _color_search,
     _diff_set_of,
+    _search_order,
     _sigma_of,
 )
-from .graphs import Graph, PreconditionError, induced_subgraph, iter_bits
+from .graphs import Graph, PreconditionError, components
 
 
 @dataclass(frozen=True)
@@ -99,145 +102,75 @@ class ParameterReport:
 # critical chromatic number and gcd machinery
 
 
-def critical_chromatic_number(h: Graph) -> Fraction:
-    """(chi - 1) * |H| / (|H| - sigma), always in (chi - 1, chi]."""
+@dataclass(frozen=True)
+class _Analysis:
+    """The report fields that the optimal colorings of H determine."""
+
+    chi: int
+    sigma: int
+    d_set: tuple[int, ...]
+    hcf_chi: ExtendedNat
+    hcf_c: int
+    hcf_is_one: bool
+    chi_cr: Fraction
+    chi_star: Fraction
+
+
+def _analyse(h: Graph) -> _Analysis:
     require_edge(h)
     parts = optimal_colorings(h)
     chi = len(parts[0].classes)
     sig = _sigma_of(parts)
-    return Fraction((chi - 1) * h.n, h.n - sig)
-
-
-def _gcd_of_diff_set(dset: set[int]) -> ExtendedNat:
+    dset = _diff_set_of(parts)
     if dset == {0}:
-        return ExtendedNat.infinite()
-    g = 0
-    for d in dset:
-        g = math.gcd(g, d)
-    return ExtendedNat.finite(g)
+        hchi = ExtendedNat.infinite()
+    else:
+        hchi = ExtendedNat.finite(math.gcd(*dset))
+    hc = hcf_c(h)
+    # the hcf dispatch on chi (see hcf_is_one)
+    if chi >= 3:
+        hcf1 = hchi.value == 1
+    else:
+        hcf1 = hc == 1 and hchi.is_finite and hchi.value <= 2
+    crit = Fraction((chi - 1) * h.n, h.n - sig)
+    return _Analysis(
+        chi=chi,
+        sigma=sig,
+        d_set=tuple(sorted(dset)),
+        hcf_chi=hchi,
+        hcf_c=hc,
+        hcf_is_one=hcf1,
+        chi_cr=crit,
+        chi_star=crit if hcf1 else Fraction(chi),
+    )
+
+
+def critical_chromatic_number(h: Graph) -> Fraction:
+    """(chi - 1) * |H| / (|H| - sigma), always in (chi - 1, chi]."""
+    return _analyse(h).chi_cr
 
 
 def hcf_chi(h: Graph) -> ExtendedNat:
     """gcd of the class-size difference set; infinite when the set is {0}."""
-    require_edge(h)
-    return _gcd_of_diff_set(colour_difference_set(h))
-
-
-def component_orders(g: Graph) -> list[int]:
-    seen = 0
-    orders = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-        orders.append(comp.bit_count())
-    return orders
+    return _analyse(h).hcf_chi
 
 
 def hcf_c(h: Graph) -> int:
     """gcd of the component orders."""
     if h.n == 0:
         raise PreconditionError("graph must have at least one vertex")
-    g = 0
-    for order in component_orders(h):
-        g = math.gcd(g, order)
-    return g
+    return math.gcd(*(comp.bit_count() for comp in components(h)))
 
 
 def hcf_is_one(h: Graph) -> bool:
     """Dispatch on chi: non-bipartite graphs need gcd 1 of the difference
     set; 2-chromatic graphs need coprime component orders and difference
     gcd at most 2 (an infinite difference gcd fails that test)."""
-    require_edge(h)
-    hx = hcf_chi(h)
-    if chromatic_number(h) >= 3:
-        return hx.is_finite and hx.value == 1
-    return hcf_c(h) == 1 and hx.is_finite and hx.value <= 2
+    return _analyse(h).hcf_is_one
 
 
 # ---------------------------------------------------------------------------
 # color extension number
-
-
-def _independent_partitions(
-    h: Graph, vertices: list[int], max_classes: int
-) -> Iterator[list[int]]:
-    """Partitions of ``vertices`` into at most ``max_classes`` independent
-    classes, one representative per color permutation (first-use rule).
-
-    Yields assignment lists aligned with ``vertices``.
-    """
-    if max_classes < 0:
-        return
-    if not vertices:
-        yield []
-        return
-    assign = [0] * len(vertices)
-    class_masks: list[int] = []
-
-    def rec(i: int) -> Iterator[list[int]]:
-        if i == len(vertices):
-            yield assign.copy()
-            return
-        v = vertices[i]
-        for c in range(len(class_masks)):
-            if class_masks[c] & h.adj[v]:
-                continue
-            assign[i] = c
-            class_masks[c] |= 1 << v
-            yield from rec(i + 1)
-            class_masks[c] ^= 1 << v
-        if len(class_masks) < max_classes:
-            assign[i] = len(class_masks)
-            class_masks.append(1 << v)
-            yield from rec(i + 1)
-            class_masks.pop()
-
-    yield from rec(0)
-
-
-def _extends(h: Graph, color: list[Optional[int]], fixed_colors: int, total: int) -> bool:
-    """Can the partial coloring be completed into a proper coloring of h
-    using at most ``total`` colors overall?
-
-    Colors 0..fixed_colors-1 are pinned to the given vertices; the search
-    may reuse them elsewhere or open fresh ones. Fresh colors are
-    interchangeable, so a vertex may only open the single next unused one.
-    """
-    rest = sorted(
-        (v for v in range(h.n) if color[v] is None),
-        key=lambda v: (-h.degree(v), v),
-    )
-    work = color.copy()
-
-    def place(i: int, used: int) -> bool:
-        if i == len(rest):
-            return True
-        v = rest[i]
-        forbidden = 0
-        for u in iter_bits(h.adj[v]):
-            cu = work[u]
-            if cu is not None:
-                forbidden |= 1 << cu
-        limit = min(used + 1, total)
-        for c in range(limit):
-            if forbidden >> c & 1:
-                continue
-            work[v] = c
-            if place(i + 1, max(used, c + 1)):
-                return True
-            work[v] = None
-        return False
-
-    return place(0, fixed_colors)
 
 
 def colour_extension_number(h: Graph) -> tuple[ExtendedNat, Optional[int]]:
@@ -254,25 +187,25 @@ def colour_extension_number(h: Graph) -> tuple[ExtendedNat, Optional[int]]:
     """
     require_edge(h)
     r = chromatic_number(h)
+    order = _search_order(h)
     eligible = []
     for x in range(h.n):
-        nbrs = h.neighbors(x)
-        chi_nb = chromatic_number(induced_subgraph(h, nbrs)) if nbrs else 0
-        if chi_nb <= r - 2:
-            eligible.append((x, nbrs))
+        nbrs = h.adj[x]
+        inside = [v for v in order if nbrs >> v & 1]
+        if _color_search(h, inside, [], r - 2, lambda _: True):
+            eligible.append((x, inside, [v for v in order if not nbrs >> v & 1]))
     if not eligible:
         return ExtendedNat.infinite(), None
     # Any eligible x extends with r fresh colors on H - N(x), so m <= r - 2:
     # the loop below always terminates with a hit.
     for m in range(r - 1):
-        for x, nbrs in eligible:
-            for assign in _independent_partitions(h, nbrs, r - 2):
-                color: list[Optional[int]] = [None] * h.n
-                for v, c in zip(nbrs, assign):
-                    color[v] = c
-                n_fixed = max(assign) + 1 if assign else 0
-                if _extends(h, color, n_fixed, r + m):
-                    return ExtendedNat.finite(m), x
+        for x, inside, outside in eligible:
+
+            def extends(pinned: list[int]) -> bool:
+                return _color_search(h, outside, list(pinned), r + m, lambda _: True)
+
+            if _color_search(h, inside, [], r - 2, extends):
+                return ExtendedNat.finite(m), x
     raise AssertionError("an eligible vertex must extend within chi - 2 extra colors")
 
 
@@ -282,75 +215,48 @@ def colour_extension_number(h: Graph) -> tuple[ExtendedNat, Optional[int]]:
 
 def chi_star(h: Graph) -> Fraction:
     """Critical chromatic number when the gcd condition holds, else chi."""
-    require_edge(h)
-    if hcf_is_one(h):
-        return critical_chromatic_number(h)
-    return Fraction(chromatic_number(h))
+    return _analyse(h).chi_star
+
+
+def _chi_prime(chi: int, ce: ExtendedNat) -> Fraction:
+    if not ce.is_finite:
+        return Fraction(chi)
+    return chi - Fraction(2, ce.value + 2)
 
 
 def chi_prime_ore(h: Graph) -> Fraction:
     """Threshold parameter for covering a fixed vertex by a copy of H."""
     require_edge(h)
     ce, _ = colour_extension_number(h)
-    chi = chromatic_number(h)
-    if not ce.is_finite:
-        return Fraction(chi)
-    return chi - Fraction(2, ce.value + 2)
+    return _chi_prime(chromatic_number(h), ce)
 
 
 def chi_ore(h: Graph) -> Fraction:
     """Threshold parameter for perfect H-packings under degree-sum
     conditions; equals max(chi_star, chi_prime_ore)."""
-    require_edge(h)
-    ce, _ = colour_extension_number(h)
-    if not hcf_is_one(h) or not ce.is_finite:
-        return Fraction(chromatic_number(h))
-    return max(
-        critical_chromatic_number(h),
-        chromatic_number(h) - Fraction(2, ce.value + 2),
-    )
+    return full_report(h).chi_ore
 
 
 def ore_threshold_coefficient(h: Graph) -> Fraction:
     """Leading coefficient 2 * (1 - 1/chi_ore) of the degree-sum threshold."""
-    return 2 * (1 - 1 / chi_ore(h))
+    return full_report(h).ore_coefficient
 
 
 def full_report(h: Graph) -> ParameterReport:
-    require_edge(h)
-    parts = optimal_colorings(h)
-    chi = len(parts[0].classes)
-    sig = _sigma_of(parts)
-    dset = _diff_set_of(parts)
-    hchi = _gcd_of_diff_set(dset)
-    hc = hcf_c(h)
-    if chi >= 3:
-        hcf1 = hchi.is_finite and hchi.value == 1
-    else:
-        hcf1 = hc == 1 and hchi.is_finite and hchi.value <= 2
+    a = _analyse(h)
     ce, witness = colour_extension_number(h)
-    crit = Fraction((chi - 1) * h.n, h.n - sig)
-    star = crit if hcf1 else Fraction(chi)
-    prime = Fraction(chi) if not ce.is_finite else chi - Fraction(2, ce.value + 2)
-    if not hcf1 or not ce.is_finite:
-        ore = Fraction(chi)
+    prime = _chi_prime(a.chi, ce)
+    if a.hcf_is_one and ce.is_finite:
+        ore = max(a.chi_cr, prime)
     else:
-        ore = max(crit, chi - Fraction(2, ce.value + 2))
-    coeff = 2 * (1 - 1 / ore)
-    assert ore == max(star, prime)
-    assert chi - 1 < crit <= chi
+        ore = Fraction(a.chi)
+    assert ore == max(a.chi_star, prime)
+    assert a.chi - 1 < a.chi_cr <= a.chi
     return ParameterReport(
-        chi=chi,
-        sigma=sig,
-        chi_cr=crit,
-        d_set=tuple(sorted(dset)),
-        hcf_chi=hchi,
-        hcf_c=hc,
-        hcf_is_one=hcf1,
+        **vars(a),
         ce=ce,
-        chi_star=star,
         chi_ore=ore,
         chi_prime_ore=prime,
-        ore_coefficient=coeff,
+        ore_coefficient=2 * (1 - 1 / ore),
         witness_vertex=witness,
     )

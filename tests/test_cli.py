@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import orepack as op
+from orepack import coloring, parameters
 from orepack.cli import main
 
 
@@ -97,6 +100,42 @@ def test_pack_find_prints_verified_certificate(capsys, tmp_path):
     payload = json.loads(lines[1])
     embs = [op.Embedding(tuple(d[str(i)] for i in range(2))) for d in payload["certificate"]]
     assert op.verify_packing(op.cycle_graph(4), op.complete_graph(2), embs)
+
+
+def test_pack_find_rejected_certificate_under_optimize(tmp_path):
+    # the certificate check must survive `python -O`, which strips asserts
+    c4 = graph_file(tmp_path, "c4.g6", op.cycle_graph(4))
+    k2 = graph_file(tmp_path, "k2.g6", op.complete_graph(2))
+    script = (
+        "import sys, orepack.cli as cli\n"
+        "cli.verify_packing = lambda *args: False\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(op.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, "pack", c4, k2, "--find"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode != 0
+    assert "certificate" not in proc.stdout
+    assert "YES" not in proc.stdout
+
+
+def test_params_enumeration_cap_exits_4(capsys, tmp_path, monkeypatch):
+    # 10K2 has 2^9 optimal colorings, more than the lowered cap allows
+    g = op.empty_graph(0)
+    for _ in range(10):
+        g = op.disjoint_union(g, op.complete_graph(2))
+    path = graph_file(tmp_path, "10k2.g6", g)
+    monkeypatch.setattr(
+        parameters, "optimal_colorings", lambda h: coloring.optimal_colorings(h, cap=100)
+    )
+    code, out, err = run_cli(capsys, "params", path)
+    assert code == 4
+    assert out == ""
+    assert "100" in err
 
 
 def test_pack_budget_unknown(capsys, tmp_path):

@@ -58,7 +58,12 @@ def test_optimal_colorings_fdiamond():
 
 
 def test_optimal_colorings_match_brute_force():
-    for name, g in small_corpus().items():
+    graphs = dict(small_corpus())
+    rng = random.Random(41)
+    for i in range(60):
+        g = op.random_graph(rng.randrange(1, 10), rng.random(), rng)
+        graphs[f"random {i} {op.to_graph6(g)}"] = g
+    for name, g in graphs.items():
         got = {p.classes for p in op.optimal_colorings(g)}
         want = {tuple(sorted(p, key=min)) for p in brute_optimal_partitions(g)}
         assert got == want, name

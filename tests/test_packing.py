@@ -75,6 +75,15 @@ def test_copy_covering_budget_unknown():
     assert res.nodes > 50
 
 
+def test_anchor_placements_are_metered():
+    # each K1 copy is one anchor placement and nothing else
+    g = op.empty_graph(128)
+    res = op.has_perfect_packing(g, op.complete_graph(1))
+    assert res.verdict is Verdict.YES and res.nodes == 128
+    res = op.has_perfect_packing(g, op.complete_graph(1), budget=10)
+    assert res.verdict is Verdict.UNKNOWN
+
+
 def test_anchored_completeness_small():
     rng = random.Random(17)
     for _ in range(40):

@@ -91,9 +91,11 @@ def test_colour_extension_oracle_on_random_graphs():
         g = op.random_graph(n, rng.random(), rng)
         if g.edge_count() == 0:
             continue
-        ce, _ = op.colour_extension_number(g)
-        want, _ = brute_colour_extension_number(g)
+        ce, witness = op.colour_extension_number(g)
+        want, want_witness = brute_colour_extension_number(g)
         assert (ce.value if ce.is_finite else None) == want, op.to_graph6(g)
+        # the witness is the least vertex attaining the minimum
+        assert witness == want_witness, op.to_graph6(g)
         done += 1
 
 
@@ -191,6 +193,36 @@ def test_parameter_laws_over_corpus():
             else:
                 assert rep.ce == ExtendedNat.infinite(), name
         assert rep.chi_ore == max(rep.chi_star, rep.chi_prime_ore), name
+        # every standalone function agrees with its report field
+        assert op.chromatic_number(h) == chi, name
+        assert op.sigma(h) == rep.sigma, name
+        assert op.colour_difference_set(h) == set(rep.d_set), name
+        assert op.critical_chromatic_number(h) == rep.chi_cr, name
+        assert op.hcf_chi(h) == rep.hcf_chi, name
+        assert op.hcf_c(h) == rep.hcf_c, name
+        assert op.hcf_is_one(h) == rep.hcf_is_one, name
+        assert op.colour_extension_number(h) == (rep.ce, rep.witness_vertex), name
+        assert op.chi_star(h) == rep.chi_star, name
+        assert op.chi_prime_ore(h) == rep.chi_prime_ore, name
+        assert op.chi_ore(h) == rep.chi_ore, name
+        assert op.ore_threshold_coefficient(h) == rep.ore_coefficient, name
+
+
+def test_full_report_invariant_under_relabel():
+    graphs = dict(corpus())
+    rng = random.Random(53)
+    while len(graphs) < len(corpus()) + 40:
+        g = op.random_graph(rng.randrange(2, 11), rng.random(), rng)
+        if g.edge_count():
+            graphs[f"random {op.to_graph6(g)}"] = g
+    for name, h in graphs.items():
+        perm = list(range(h.n))
+        rng.shuffle(perm)
+        want = op.full_report(h).to_json_dict()
+        got = op.full_report(op.relabel(h, perm)).to_json_dict()
+        # the witness is a vertex name, so only its presence is invariant
+        assert (want.pop("witness_vertex") is None) == (got.pop("witness_vertex") is None), name
+        assert got == want, name
 
 
 def test_multipartite_class_sizes_drive_chi_cr():
