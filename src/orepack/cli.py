@@ -34,6 +34,9 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_UNKNOWN = 4
 
+# construct families beside extremal.BOUNDED_FAMILIES: bare graphs, no bound
+GRAPH_FAMILIES = ("fdiamond", "hdiamond", "multipartite", "blowup")
+
 
 def _emit(obj) -> None:
     print(json.dumps(obj, separators=(",", ":"), sort_keys=False))
@@ -72,13 +75,12 @@ def cmd_pack(args) -> int:
     h = _load_graph(args.packing_graph)
     result = has_perfect_packing(g, h, args.budget)
     _note(f"packing search explored {result.nodes} nodes")
-    find = args.find and result.verdict is Verdict.YES
-    if find and not verify_packing(g, h, result.certificate):
+    if result.verdict is Verdict.YES and not verify_packing(g, h, result.certificate):
         _note("internal error: the packing certificate failed verification")
         print(Verdict.UNKNOWN.value.upper())
         return EXIT_UNKNOWN
     print(result.verdict.value.upper())
-    if find:
+    if args.find and result.verdict is Verdict.YES:
         _emit(result.to_json_dict())
     if result.verdict is Verdict.YES:
         return EXIT_OK
@@ -113,19 +115,10 @@ def _parse_sizes(text: str) -> list[int]:
 
 def cmd_construct(args) -> int:
     family = args.family
-    if family == "prop1":
-        _require(args, "r", "n")
-        inst = extremal.construct_prop1(args.r, args.n)
-        meta = inst.to_json_dict()
-        graph = inst.graph
-    elif family == "prop2":
-        _require(args, "r", "m", "h_order", "t")
-        inst = extremal.construct_prop2(args.r, args.m, args.h_order, args.t)
-        meta = inst.to_json_dict()
-        graph = inst.graph
-    elif family == "prop2-padded":
-        _require(args, "r", "m", "h_order", "n")
-        inst = extremal.construct_prop2_padded(args.r, args.m, args.h_order, args.n)
+    if family in extremal.BOUNDED_FAMILIES:
+        build, flags = extremal.BOUNDED_FAMILIES[family]
+        _require(args, *flags)
+        inst = build(*(getattr(args, flag) for flag in flags))
         meta = inst.to_json_dict()
         graph = inst.graph
     elif family == "fdiamond":
@@ -150,13 +143,11 @@ def cmd_construct(args) -> int:
             "params": {"sizes": sizes},
             "classes": [sorted(c) for c in partition.classes],
         }
-    elif family == "blowup":
+    else:  # blowup
         _require(args, "graph", "t")
         base = _load_graph(args.graph)
         graph = blow_up(base, args.t)
         meta = {"graph6": to_graph6(graph), "family": family, "params": {"t": args.t}}
-    else:  # pragma: no cover - argparse restricts choices
-        raise PreconditionError(f"unknown family {family!r}")
     print(to_graph6(graph))
     _emit(meta)
     _note(f"{family}: {graph.n} vertices, {graph.edge_count()} edges")
@@ -172,6 +163,9 @@ def _require(args, *names: str) -> None:
 def cmd_verify(args) -> int:
     payload = _load_json(args.instance)
     try:
+        params = payload["params"]
+        if not isinstance(params, dict):
+            raise TypeError(f"params {params!r} is not an object")
         inst = extremal.ExtremalInstance(
             graph=parse_graph6(payload["graph6"]),
             w=int(payload["w"]),
@@ -180,9 +174,9 @@ def cmd_verify(args) -> int:
                 int(payload["claimed_bound"]["den"]),
             ),
             family=str(payload["family"]),
-            params={k: int(v) for k, v in payload["params"].items()},
+            params={k: int(v) for k, v in params.items()},
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise GraphFormatError(f"bad instance JSON: {exc}") from None
     h = _load_graph(args.packing_graph)
     report = extremal.verify_lower_bound(inst, h, args.budget)
@@ -243,18 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("construct", help="emit a named construction")
-    p.add_argument(
-        "family",
-        choices=[
-            "prop1",
-            "prop2",
-            "prop2-padded",
-            "fdiamond",
-            "hdiamond",
-            "multipartite",
-            "blowup",
-        ],
-    )
+    p.add_argument("family", choices=[*extremal.BOUNDED_FAMILIES, *GRAPH_FAMILIES])
     p.add_argument("--r", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)

@@ -14,21 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Optional
 
 from .coloring import chromatic_number
 from .graphs import (
     Graph,
-    MAX_VERTICES,
     PreconditionError,
+    _multipartite_adj,
+    iter_bits,
     min_ore_degree_sum,
     to_graph6,
 )
 from .packing import DEFAULT_BUDGET, Verdict, copy_covering_vertex
 from .parameters import colour_extension_number, fraction_json
-
-BOUNDED_FAMILIES = ("prop1", "prop2", "prop2-padded")
-FAMILIES = BOUNDED_FAMILIES + ("fdiamond", "hdiamond")
 
 
 @dataclass(frozen=True)
@@ -42,6 +41,10 @@ class ExtremalInstance:
     def __post_init__(self) -> None:
         if not 0 <= self.w < self.graph.n:
             raise ValueError("distinguished vertex out of range")
+        if self.family in BOUNDED_FAMILIES:
+            missing = [p for p in BOUNDED_FAMILIES[self.family][1] if p not in self.params]
+            if missing:
+                raise ValueError(f"{self.family} params lack {', '.join(missing)}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -53,10 +56,12 @@ class ExtremalInstance:
         }
 
 
-def _balanced_sizes(n: int, r: int) -> list[int]:
-    """r class sizes summing to n, differing by at most 1, ascending."""
-    q, rem = divmod(n, r)
-    return [q] * (r - rem) + [q + 1] * rem
+def _cut(adj: list[int], a: int, b: int) -> None:
+    """Delete every edge between the vertex masks ``a`` and ``b``."""
+    for v in iter_bits(a):
+        adj[v] &= ~b
+    for v in iter_bits(b):
+        adj[v] &= ~a
 
 
 def construct_prop1(r: int, n: int) -> ExtremalInstance:
@@ -75,71 +80,15 @@ def construct_prop1(r: int, n: int) -> ExtremalInstance:
         raise PreconditionError("need r >= 2")
     if n < r:
         raise PreconditionError(f"need n >= r, got n={n}, r={r}")
-    sizes = _balanced_sizes(n, r)
-    clique_size = sizes[0] + sizes[1] - 1
-    # vertex 0 is w; 1..clique_size is the clique class; rest keep classes
-    edges = []
-    clique = range(1, clique_size + 1)
-    for u in clique:
-        for v in clique:
-            if u < v:
-                edges.append((u, v))
-    upper_classes = []
-    start = clique_size + 1
-    for s in sizes[2:]:
-        upper_classes.append(range(start, start + s))
-        start += s
-    for i, cls in enumerate(upper_classes):
-        for v in cls:
-            edges.append((0, v))
-            for u in clique:
-                edges.append((u, v))
-            for other in upper_classes[i + 1:]:
-                for u in other:
-                    edges.append((v, u))
-    graph = Graph.from_edges(n, edges)
+    q, rem = divmod(n, r)
+    sizes = [q] * (r - rem) + [q + 1] * rem
+    # w = 0 shares the first class with the clique 1..sizes[0]+sizes[1]-1
+    adj = _multipartite_adj([sizes[0] + sizes[1]] + sizes[2:])
+    clique = (1 << (sizes[0] + sizes[1])) - 2
+    for v in iter_bits(clique):
+        adj[v] |= clique ^ (1 << v)
     bound = Fraction(2 * (r - 1) * n, r) - 2
-    return ExtremalInstance(graph, 0, bound, "prop1", {"r": r, "n": n})
-
-
-def _prop2_sizes(r: int, m: int, h_order: int, t: int) -> tuple[int, list[int]]:
-    block = (m + 2) * r - 2
-    if 2 * h_order % block != 0:
-        raise PreconditionError(
-            f"divisibility: 2*{h_order} is not a multiple of (m+2)r-2 = {block}"
-        )
-    s = 2 * h_order // block
-    if t <= 0 or t % (block * (r - 2)) != 0:
-        raise PreconditionError(
-            f"divisibility: t={t} is not a positive multiple of "
-            f"((m+2)r-2)(r-2) = {block * (r - 2)}"
-        )
-    big = (h_order * t - (m + 1) * s * t) // (r - 2)
-    sizes = [s * t - 1] + [s * t] * m + [big] * (r - 2)
-    return s, sizes
-
-
-def _prop2_graph(sizes: list[int], m: int) -> tuple[Graph, int]:
-    """Complete multipartite graph on ``sizes`` plus an extra vertex w
-    (index 0) adjacent exactly to the classes after the first m+1."""
-    n = 1 + sum(sizes)
-    if n > MAX_VERTICES:
-        raise PreconditionError(f"order {n} exceeds {MAX_VERTICES}")
-    edges = []
-    classes = []
-    start = 1
-    for s in sizes:
-        classes.append(range(start, start + s))
-        start += s
-    for i, cls in enumerate(classes):
-        for v in cls:
-            for other in classes[i + 1:]:
-                for u in other:
-                    edges.append((v, u))
-    for cls in classes[m + 1:]:
-        for v in cls:
-            edges.append((0, v))
-    return Graph.from_edges(n, edges), n
+    return ExtremalInstance(Graph(n, tuple(adj)), 0, bound, "prop1", {"r": r, "n": n})
 
 
 def construct_prop2(r: int, m: int, h_order: int, t: int) -> ExtremalInstance:
@@ -155,17 +104,7 @@ def construct_prop2(r: int, m: int, h_order: int, t: int) -> ExtremalInstance:
     cover w: its (r-2)-colorable-neighborhood vertices are exactly the ones
     that would need chi + m colors.
     """
-    if r < 3:
-        raise PreconditionError("need r >= 3")
-    if m < 0:
-        raise PreconditionError("need m >= 0")
-    _, sizes = _prop2_sizes(r, m, h_order, t)
-    graph, n = _prop2_graph(sizes, m)
-    assert n == h_order * t
-    bound = 2 * (1 - Fraction(m + 2, (m + 2) * r - 2)) * n - 1
-    return ExtremalInstance(
-        graph, 0, bound, "prop2", {"r": r, "m": m, "h_order": h_order, "t": t}
-    )
+    return _prop2(r, m, h_order, t=t)
 
 
 def construct_prop2_padded(r: int, m: int, h_order: int, n: int) -> ExtremalInstance:
@@ -176,28 +115,51 @@ def construct_prop2_padded(r: int, m: int, h_order: int, n: int) -> ExtremalInst
     still cannot be covered; the degree-sum bound relaxes to
     2(1 - (m+2)/((m+2)r-2)) * n - 2 * h_order**4.
     """
+    return _prop2(r, m, h_order, n=n)
+
+
+def _prop2(
+    r: int, m: int, h_order: int, t: Optional[int] = None, n: Optional[int] = None
+) -> ExtremalInstance:
+    """``construct_prop2`` when given ``t``, ``construct_prop2_padded`` when
+    given ``n``: w = 0 is a class of its own, the st-1 class takes the
+    padding, and w is cut from the m+1 classes after its own."""
     if r < 3:
         raise PreconditionError("need r >= 3")
     if m < 0:
         raise PreconditionError("need m >= 0")
-    if n % h_order != 0:
-        raise PreconditionError(f"divisibility: {h_order} does not divide n={n}")
-    block = ((m + 2) * r - 2) * (r - 2)
-    if n < block * h_order:
+    if h_order < 1:
+        raise PreconditionError("need h_order >= 1")
+    block = (m + 2) * r - 2
+    if 2 * h_order % block != 0:
         raise PreconditionError(
-            f"need n >= ((m+2)r-2)(r-2)*h_order = {block * h_order}"
+            f"divisibility: 2*{h_order} is not a multiple of (m+2)r-2 = {block}"
         )
-    if n > MAX_VERTICES:
-        raise PreconditionError(f"order {n} exceeds {MAX_VERTICES}")
-    t = (n // h_order) // block * block
-    _, sizes = _prop2_sizes(r, m, h_order, t)
-    sizes[0] += n - h_order * t
-    graph, order = _prop2_graph(sizes, m)
-    assert order == n
-    bound = 2 * (1 - Fraction(m + 2, (m + 2) * r - 2)) * n - 2 * h_order**4
-    return ExtremalInstance(
-        graph, 0, bound, "prop2-padded", {"r": r, "m": m, "h_order": h_order, "n": n}
-    )
+    step = block * (r - 2)
+    if n is None:
+        n, slack = h_order * t, 1
+        family, params = "prop2", {"r": r, "m": m, "h_order": h_order, "t": t}
+    else:
+        if n % h_order != 0:
+            raise PreconditionError(f"divisibility: {h_order} does not divide n={n}")
+        if n < step * h_order:
+            raise PreconditionError(
+                f"need n >= ((m+2)r-2)(r-2)*h_order = {step * h_order}"
+            )
+        t, slack = n // h_order // step * step, 2 * h_order**4
+        family, params = "prop2-padded", {"r": r, "m": m, "h_order": h_order, "n": n}
+    if t <= 0 or t % step != 0:
+        raise PreconditionError(
+            f"divisibility: t={t} is not a positive multiple of "
+            f"((m+2)r-2)(r-2) = {step}"
+        )
+    st = 2 * h_order // block * t
+    pad = n - h_order * t
+    big = (h_order * t - (m + 1) * st) // (r - 2)
+    adj = _multipartite_adj([1, st - 1 + pad] + [st] * m + [big] * (r - 2))
+    _cut(adj, 1, (1 << ((m + 1) * st + pad)) - 2)
+    bound = 2 * (1 - Fraction(m + 2, block)) * n - slack
+    return ExtremalInstance(Graph(n, tuple(adj)), 0, bound, family, params)
 
 
 def construct_fdiamond() -> Graph:
@@ -225,35 +187,26 @@ def construct_hdiamond(
         raise PreconditionError(f"need exactly r={r} class sizes")
     if any(s <= k for s in sizes):
         raise PreconditionError(f"every class size must exceed k={k}")
-    n = sum(sizes) + 1
-    if n > MAX_VERTICES:
-        raise PreconditionError(f"order {n} exceeds {MAX_VERTICES}")
-    starts = []
-    pos = 0
-    for s in sizes:
-        starts.append(pos)
-        pos += s
-    apex = pos
-    edges = []
-    deleted = set()
-    for i in range(k):
-        transversal = [starts[j] + i for j in range(k + 1)]
-        for a in range(len(transversal)):
-            for b in range(a + 1, len(transversal)):
-                deleted.add((transversal[a], transversal[b]))
-    for ci in range(r):
-        for cj in range(ci + 1, r):
-            for u in range(starts[ci], starts[ci] + sizes[ci]):
-                for v in range(starts[cj], starts[cj] + sizes[cj]):
-                    if (u, v) not in deleted:
-                        edges.append((u, v))
-    for j in range(k + 1):
-        for i in range(k):
-            edges.append((apex, starts[j] + i))
-    for cj in range(k + 1, r - 1):
-        for v in range(starts[cj], starts[cj] + sizes[cj]):
-            edges.append((apex, v))
-    return Graph.from_edges(n, edges, labels)
+    # the apex is the last vertex, a class of its own
+    adj = _multipartite_adj(list(sizes) + [1])
+    apex = len(adj) - 1
+    starts = list(accumulate(sizes, initial=0))
+    # transversal i takes vertex i of each of the first k+1 classes
+    transversals = [sum(1 << (starts[j] + i) for j in range(k + 1)) for i in range(k)]
+    for clique in transversals:
+        _cut(adj, clique, clique)
+    keep = sum(transversals) | ((1 << starts[r - 1]) - (1 << starts[k + 1]))
+    _cut(adj, 1 << apex, ((1 << apex) - 1) ^ keep)
+    return Graph(apex + 1, tuple(adj), tuple(labels) if labels is not None else None)
+
+
+# bounded family -> (its builder, the parameters the builder takes in
+# order); the CLI reads its flags from here, the verifier its families
+BOUNDED_FAMILIES = {
+    "prop1": (construct_prop1, ("r", "n")),
+    "prop2": (construct_prop2, ("r", "m", "h_order", "t")),
+    "prop2-padded": (construct_prop2_padded, ("r", "m", "h_order", "n")),
+}
 
 
 @dataclass(frozen=True)

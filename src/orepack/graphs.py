@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 128
@@ -180,6 +181,15 @@ def star_graph(leaves: int) -> Graph:
 def complete_multipartite(sizes: Sequence[int]) -> tuple[Graph, VertexSetPartition]:
     """Complete multipartite graph; class ``i`` holds ``sizes[i]`` consecutive
     vertices, in the order given."""
+    adj = _multipartite_adj(sizes)
+    bounds = list(accumulate(sizes, initial=0))
+    classes = tuple(frozenset(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+    return Graph(len(adj), tuple(adj)), VertexSetPartition(classes)
+
+
+def _multipartite_adj(sizes: Sequence[int]) -> list[int]:
+    """Adjacency rows of the complete multipartite graph on ``sizes``, for
+    callers that edit them before building one ``Graph``."""
     if not sizes:
         raise PreconditionError("at least one class size required")
     if any(s <= 0 for s in sizes):
@@ -187,19 +197,11 @@ def complete_multipartite(sizes: Sequence[int]) -> tuple[Graph, VertexSetPartiti
     n = sum(sizes)
     if n > MAX_VERTICES:
         raise PreconditionError(f"order {n} exceeds {MAX_VERTICES}")
-    classes = []
-    start = 0
-    class_masks = []
-    for s in sizes:
-        classes.append(frozenset(range(start, start + s)))
-        class_masks.append(((1 << s) - 1) << start)
-        start += s
     full = (1 << n) - 1
     adj = []
-    for mask in class_masks:
-        for v in iter_bits(mask):
-            adj.append(full ^ mask)
-    return Graph(n, tuple(adj)), VertexSetPartition(tuple(classes))
+    for s in sizes:
+        adj.extend([full ^ (((1 << s) - 1) << len(adj))] * s)
+    return adj
 
 
 def blow_up(g: Graph, t: int) -> Graph:
@@ -359,29 +361,24 @@ def parse_graph6(text: str) -> Graph:
         body = s[4:]
     if n > MAX_VERTICES:
         raise GraphFormatError(f"order {n} exceeds supported maximum {MAX_VERTICES}")
-    need = (n * (n - 1) // 2 + 5) // 6
+    total_bits = n * (n - 1) // 2
+    need = (total_bits + 5) // 6
     if len(body) != need:
         raise GraphFormatError(
             f"body length {len(body)} does not match order {n} (expected {need})"
         )
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    if "1" in bits[total_bits:]:
+        raise GraphFormatError("nonzero padding bits")
     adj = [0] * n
-    bit_index = 0
-    total_bits = n * (n - 1) // 2
-    pairs = ((i, j) for j in range(1, n) for i in range(j))
-    for ch in body:
-        val = ord(ch) - 63
-        for k in range(5, -1, -1):
-            bit = val >> k & 1
-            if bit_index < total_bits:
-                if bit:
-                    i, j = next(pairs)
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                else:
-                    next(pairs)
-            elif bit:
-                raise GraphFormatError("nonzero padding bits")
-            bit_index += 1
+    start = 0
+    for j in range(1, n):
+        # column j holds x_{0j} .. x_{(j-1)j}; reversed, bit i is x_{ij}
+        column = int(bits[start:start + j][::-1], 2)
+        start += j
+        adj[j] |= column
+        for i in iter_bits(column):
+            adj[i] |= 1 << j
     return Graph(n, tuple(adj))
 
 

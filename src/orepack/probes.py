@@ -35,7 +35,6 @@ class ProbeConfig:
     seed: int
     r: Optional[int] = None
     budget: int = DEFAULT_BUDGET
-    p_sweep: tuple[float, ...] = DEFAULT_P_SWEEP
 
     def validate(self) -> None:
         if self.family not in PROBE_FAMILIES:
@@ -95,7 +94,7 @@ def run_probe(config: ProbeConfig) -> ProbeSummary:
     summary = ProbeSummary(samples=config.samples)
     for i in range(config.samples):
         rng = _sample_rng(config.seed, i)
-        p = config.p_sweep[i % len(config.p_sweep)]
+        p = DEFAULT_P_SWEEP[i % len(DEFAULT_P_SWEEP)]
         g = random_graph(config.n, p, rng)
         if config.family == "hajnal-szemeredi":
             _probe_clique_factor(

@@ -103,7 +103,8 @@ def test_pack_find_prints_verified_certificate(capsys, tmp_path):
 
 
 def test_pack_find_rejected_certificate_under_optimize(tmp_path):
-    # the certificate check must survive `python -O`, which strips asserts
+    # the certificate check must survive `python -O`, which strips asserts,
+    # and must run for a plain `pack` as well as for `pack --find`
     c4 = graph_file(tmp_path, "c4.g6", op.cycle_graph(4))
     k2 = graph_file(tmp_path, "k2.g6", op.complete_graph(2))
     script = (
@@ -112,15 +113,15 @@ def test_pack_find_rejected_certificate_under_optimize(tmp_path):
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(op.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script, "pack", c4, k2, "--find"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode != 0
-    assert "certificate" not in proc.stdout
-    assert "YES" not in proc.stdout
+    for extra in (["--find"], []):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, "pack", c4, k2, *extra],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == "UNKNOWN\n"
 
 
 def test_params_enumeration_cap_exits_4(capsys, tmp_path, monkeypatch):
@@ -215,6 +216,12 @@ def test_construct_fdiamond_and_params_pipe(capsys, tmp_path):
     assert json.loads(out)["chi_ore"] == {"num": 14, "den": 5}
 
 
+def test_construct_prop1_order_exits_3(capsys):
+    code, out, err = run_cli(capsys, "construct", "prop1", "--r", "3", "--n", "200")
+    assert (code, out) == (3, "")
+    assert "exceeds 128" in err
+
+
 def test_construct_missing_flag_exits_3(capsys):
     code, _, err = run_cli(capsys, "construct", "prop1", "--r", "3")
     assert code == 3
@@ -242,6 +249,11 @@ def test_verify_mismatch_exits_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", str(path), k4)
     assert code == 3
     assert "mismatch" in err
+    # a family without a bound stays a precondition error
+    path.write_text(json.dumps(dict(inst.to_json_dict(), family="hdiamond", params={})))
+    code, _, err = run_cli(capsys, "verify", str(path), k4)
+    assert code == 3
+    assert "no verifiable bound" in err
 
 
 def test_verify_unknown_exits_4(capsys, tmp_path, fdiamond_file):
@@ -257,6 +269,17 @@ def test_verify_bad_instance_exits_2(capsys, tmp_path, fdiamond_file):
     path.write_text('{"graph6": "A_"}')
     code, _, _ = run_cli(capsys, "verify", str(path), fdiamond_file)
     assert code == 2
+    good = op.construct_prop1(3, 9).to_json_dict()
+    bad = [
+        dict(good, params={"n": 9}),  # a bounded family without "r"
+        dict(good, params=5),  # params not an object
+        dict(good, claimed_bound={"num": 1, "den": 0}),
+    ]
+    for payload in bad:
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "verify", str(path), fdiamond_file)
+        assert (code, out) == (2, "")
+        assert "bad instance JSON" in err
 
 
 def test_probe_cli_and_determinism(capsys):

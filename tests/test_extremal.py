@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -44,6 +45,8 @@ def test_prop1_errors():
         op.construct_prop1(3, 2)
     with pytest.raises(PreconditionError):
         op.construct_prop1(1, 5)
+    with pytest.raises(PreconditionError):
+        op.construct_prop1(3, 129)  # order above 128
 
 
 def test_prop2_shape_3_1_7_7():
@@ -201,3 +204,39 @@ def test_instance_json_round_trip():
     assert payload["claimed_bound"] == {"num": 55, "den": 1}
     assert op.parse_graph6(payload["graph6"]) == inst.graph
     assert payload["params"] == {"r": 3, "m": 1, "h_order": 7, "t": 7}
+
+
+# Parameter grid that reaches every branch of every construction: r = 2
+# (no upper classes), m = 0 and m > 0, padding zero and positive, apex
+# families with and without classes between the (k+1)-st and the last,
+# explicit labels. The digest was taken from the edge-list implementation
+# the mask-edit constructions replaced.
+DIGEST_PROP1 = [(2, 2), (2, 4), (2, 7), (3, 3), (3, 9), (3, 10), (4, 13), (5, 17), (6, 6), (4, 128)]
+DIGEST_PROP2 = [
+    (3, 1, 7, 7), (3, 0, 6, 4), (3, 0, 6, 8), (4, 0, 3, 12), (4, 1, 5, 20), (3, 2, 5, 10),
+    (5, 0, 4, 24),
+]
+DIGEST_PADDED = [(3, 1, 7, 56), (3, 1, 7, 63), (3, 0, 6, 30), (4, 0, 3, 36), (4, 0, 3, 42), (3, 2, 5, 125)]
+DIGEST_HDIAMOND = [
+    (1, 3, [2, 2, 2]), (2, 5, [3] * 5), (2, 4, [3, 4, 7, 7]), (2, 4, [3, 4, 5, 5]),
+    (3, 5, [4, 6, 7, 7, 7]), (1, 4, [2, 3, 4, 5]), (1, 5, [2, 2, 2, 2, 3]), (5, 7, [6] * 7),
+]
+CONSTRUCTION_DIGEST = "af22e81e8485297e817747d6b98328195cbe103554dd78fb055b6952782bc2b8"
+
+
+def test_constructions_match_pinned_digest():
+    digest = hashlib.sha256()
+    instances = (
+        [op.construct_prop1(*a) for a in DIGEST_PROP1]
+        + [op.construct_prop2(*a) for a in DIGEST_PROP2]
+        + [op.construct_prop2_padded(*a) for a in DIGEST_PADDED]
+    )
+    for inst in instances:
+        digest.update((op.to_graph6(inst.graph) + json.dumps(inst.to_json_dict()) + "\n").encode())
+    graphs = [op.construct_hdiamond(*a) for a in DIGEST_HDIAMOND] + [
+        op.construct_hdiamond(1, 3, [2, 2, 2], labels=tuple("abcdefg")),
+        op.construct_fdiamond(),
+    ]
+    for g in graphs:
+        digest.update((op.to_graph6(g) + json.dumps(g.labels) + "\n").encode())
+    assert digest.hexdigest() == CONSTRUCTION_DIGEST
