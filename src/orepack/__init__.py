@@ -31,11 +31,8 @@ from .coloring import (
     ColoringPartition,
     EnumerationCapError,
     chromatic_number,
-    colour_difference_set,
-    every_optimal_coloring_equitable,
     greedy_clique,
     optimal_colorings,
-    sigma,
 )
 from .parameters import (
     ExtendedNat,
@@ -43,13 +40,16 @@ from .parameters import (
     chi_ore,
     chi_prime_ore,
     chi_star,
+    colour_difference_set,
     colour_extension_number,
     critical_chromatic_number,
+    every_optimal_coloring_equitable,
     full_report,
     hcf_c,
     hcf_chi,
     hcf_is_one,
     ore_threshold_coefficient,
+    sigma,
 )
 from .packing import (
     CoverSearchResult,

@@ -271,7 +271,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, OSError, json.JSONDecodeError) as exc:
+    except (GraphFormatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _note(f"input error: {exc}")
         return EXIT_INPUT
     except PreconditionError as exc:

@@ -155,32 +155,3 @@ def optimal_colorings(h: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Colo
     out.sort(key=lambda p: tuple(tuple(sorted(c)) for c in p.classes))
     return out
 
-
-def _sigma_of(partitions: list[ColoringPartition]) -> int:
-    return min(p.sizes_sorted[0] for p in partitions)
-
-
-def _diff_set_of(partitions: list[ColoringPartition]) -> set[int]:
-    out: set[int] = set()
-    for p in partitions:
-        s = p.sizes_sorted
-        out.update(s[i + 1] - s[i] for i in range(len(s) - 1))
-    return out
-
-
-def sigma(h: Graph) -> int:
-    """Smallest color-class size over all optimal colorings."""
-    require_edge(h)
-    return _sigma_of(optimal_colorings(h))
-
-
-def colour_difference_set(h: Graph) -> set[int]:
-    """All differences of consecutive sorted class sizes, over all optimal
-    colorings."""
-    require_edge(h)
-    return _diff_set_of(optimal_colorings(h))
-
-
-def every_optimal_coloring_equitable(h: Graph) -> bool:
-    require_edge(h)
-    return colour_difference_set(h) == {0}

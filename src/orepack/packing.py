@@ -6,7 +6,12 @@ candidate set (a bitset intersection of the images of its already-placed
 neighbors) is smallest; vertices of an untouched component start from all
 unused vertices, components largest-first. The packing search repeatedly
 anchors on a hardest-to-cover uncovered vertex and branches over the
-distinct copy images covering it.
+copies covering it. Whether the uncovered set can be packed depends on
+that set alone, so a set is recorded as failed once its whole branch has
+been refuted, and is never searched again: not as the rest of a repeated
+image, nor when another order of placements reaches it (nogood
+recording). Only complete refutations are recorded, so the search order,
+every verdict and every certificate are those of the plain search.
 
 Search effort is metered in node expansions (candidate assignments tried),
 so identical inputs and budgets always reproduce the same verdict.
@@ -107,8 +112,7 @@ def _search(
     budget: _Budget,
     comp_order: list[int],
 ) -> Iterator[tuple[int, ...]]:
-    placed = [v for v in range(h.n) if assignment[v] is not None]
-    if len(placed) == h.n:
+    if None not in assignment:
         yield tuple(assignment)  # type: ignore[arg-type]
         return
 
@@ -225,21 +229,22 @@ def has_perfect_packing(
     if g.n % h.n != 0:
         return PackingResult(Verdict.NO, None, 0, budget)
     meter = _Budget(budget)
+    # uncovered masks refuted by a complete search; BudgetExhausted skips
+    # the add, so a cut-off search records nothing
+    failed: set[int] = set()
 
     def solve(uncovered: int) -> Optional[list[Embedding]]:
         if not uncovered:
             return []
+        if uncovered in failed:
+            return None
         v = _pick_packing_anchor(g, uncovered)
-        seen_images: set[int] = set()
         for mapping in _embeddings(g, h, uncovered, v, meter):
             emb = Embedding(mapping)
-            mask = emb.image_mask
-            if mask in seen_images:
-                continue
-            seen_images.add(mask)
-            rest = solve(uncovered & ~mask)
+            rest = solve(uncovered & ~emb.image_mask)
             if rest is not None:
                 return [emb] + rest
+        failed.add(uncovered)
         return None
 
     try:

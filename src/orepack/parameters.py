@@ -22,9 +22,7 @@ from .coloring import (
     optimal_colorings,
     require_edge,
     _color_search,
-    _diff_set_of,
     _search_order,
-    _sigma_of,
 )
 from .graphs import Graph, PreconditionError, components
 
@@ -120,8 +118,9 @@ def _analyse(h: Graph) -> _Analysis:
     require_edge(h)
     parts = optimal_colorings(h)
     chi = len(parts[0].classes)
-    sig = _sigma_of(parts)
-    dset = _diff_set_of(parts)
+    sizes = [p.sizes_sorted for p in parts]
+    sig = min(s[0] for s in sizes)
+    dset = {s[i + 1] - s[i] for s in sizes for i in range(chi - 1)}
     if dset == {0}:
         hchi = ExtendedNat.infinite()
     else:
@@ -143,6 +142,21 @@ def _analyse(h: Graph) -> _Analysis:
         chi_cr=crit,
         chi_star=crit if hcf1 else Fraction(chi),
     )
+
+
+def sigma(h: Graph) -> int:
+    """Smallest color-class size over all optimal colorings."""
+    return _analyse(h).sigma
+
+
+def colour_difference_set(h: Graph) -> set[int]:
+    """All differences of consecutive sorted class sizes, over all optimal
+    colorings."""
+    return set(_analyse(h).d_set)
+
+
+def every_optimal_coloring_equitable(h: Graph) -> bool:
+    return _analyse(h).d_set == (0,)
 
 
 def critical_chromatic_number(h: Graph) -> Fraction:

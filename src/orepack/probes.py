@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     PreconditionError,
     average_degree,
@@ -41,8 +42,8 @@ class ProbeConfig:
             raise PreconditionError(f"unknown probe family {self.family!r}")
         if self.samples < 1:
             raise PreconditionError("need at least one sample")
-        if self.n < 1:
-            raise PreconditionError("need n >= 1")
+        if not 1 <= self.n <= MAX_VERTICES:
+            raise PreconditionError(f"need 1 <= n <= {MAX_VERTICES}")
         if self.family in ("hajnal-szemeredi", "kierstead-kostochka"):
             if self.r is None or self.r < 2:
                 raise PreconditionError("packing probes need a clique order r >= 2")

@@ -73,6 +73,14 @@ def test_params_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_params_non_ascii_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "params", str(path))
+    assert (code, out) == (2, "")
+    assert "input error" in err
+
+
 def test_pack_yes_no(capsys, tmp_path):
     c4 = graph_file(tmp_path, "c4.g6", op.cycle_graph(4))
     k2 = graph_file(tmp_path, "k2.g6", op.complete_graph(2))
@@ -282,6 +290,14 @@ def test_verify_bad_instance_exits_2(capsys, tmp_path, fdiamond_file):
         assert "bad instance JSON" in err
 
 
+def test_verify_non_utf8_instance_exits_2(capsys, tmp_path, fdiamond_file):
+    path = tmp_path / "inst.json"
+    path.write_bytes(b'{"graph6": "\xff\xfe"}')
+    code, out, err = run_cli(capsys, "verify", str(path), fdiamond_file)
+    assert (code, out) == (2, "")
+    assert "input error" in err
+
+
 def test_probe_cli_and_determinism(capsys):
     args = [
         "probe", "--family", "kierstead-kostochka",
@@ -301,6 +317,14 @@ def test_probe_bad_config_exits_3(capsys):
         "--samples", "5",
     )
     assert code == 3
+
+
+def test_probe_order_above_128_exits_3(capsys):
+    code, out, err = run_cli(
+        capsys, "probe", "--family", "average-degree", "--n", "129", "--samples", "1",
+    )
+    assert (code, out) == (3, "")
+    assert "precondition error" in err
 
 
 def test_stdin_dash_input(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -165,6 +167,20 @@ def test_matching_oracle_against_networkx():
         assert max_matching_size(g) == ref
 
 
+def _structured_hosts():
+    """K_a + K_b and complete multipartite hosts of order at most 12. Their
+    twin vertices lead the packing search to one uncovered set along many
+    paths, so the failed-set memo cuts branches here."""
+    for a in range(1, 7):
+        for b in range(a, 13 - a):
+            yield op.disjoint_union(op.complete_graph(a), op.complete_graph(b))
+    for sizes in (
+        [2, 2], [3, 5], [4, 4], [5, 7], [1, 2, 3], [2, 2, 2], [2, 3, 4], [3, 4, 5],
+        [1, 1, 4], [2, 2, 5], [3, 3, 3], [2, 2, 2, 2], [1, 2, 3, 4], [3, 3, 3, 3],
+    ):
+        yield op.complete_multipartite(sizes)[0]
+
+
 def test_packing_agrees_with_naive_oracle():
     rng = random.Random(8)
     hs = [K2, K3, op.path_graph(3), op.star_graph(2)]
@@ -176,6 +192,13 @@ def test_packing_agrees_with_naive_oracle():
         g = op.random_graph(n, rng.random(), rng)
         res = op.has_perfect_packing(g, h)
         assert (res.verdict is Verdict.YES) == naive_has_perfect_packing(g, h)
+    for g in _structured_hosts():
+        for h in (K2, K3, op.path_graph(3), op.cycle_graph(4), op.star_graph(3)):
+            if g.n % h.n == 0:
+                res = op.has_perfect_packing(g, h)
+                assert (res.verdict is Verdict.YES) == naive_has_perfect_packing(g, h)
+                if res.verdict is Verdict.YES:
+                    assert op.verify_packing(g, h, res.certificate)
 
 
 def test_isomorphism_invariance_of_verdict():
@@ -201,3 +224,49 @@ def test_budget_never_produces_definite_answers():
     assert full.verdict is Verdict.NO
     tiny = op.copy_covering_vertex(inst.graph, fd, inst.w, budget=10)
     assert tiny.verdict is Verdict.UNKNOWN
+    # a packing search cut off at any node reports UNKNOWN, however many
+    # uncovered sets it has refuted by then
+    g, _ = op.complete_multipartite([3, 4, 5])
+    full = op.has_perfect_packing(g, K3)
+    assert full.verdict is Verdict.NO
+    for budget in range(full.nodes):
+        assert op.has_perfect_packing(g, K3, budget).verdict is Verdict.UNKNOWN
+    assert op.has_perfect_packing(g, K3, full.nodes).verdict is Verdict.NO
+
+
+def test_refutation_node_ceilings():
+    # NO verdicts that need a complete search; without the failed-set memo
+    # they took 1,670,367 and 2,438,216 nodes
+    union = op.disjoint_union(op.complete_graph(13), op.complete_graph(14))
+    res = op.has_perfect_packing(union, K3)
+    assert res.verdict is Verdict.NO and res.nodes <= 100_000
+    k79, _ = op.complete_multipartite([7, 9])
+    res = op.has_perfect_packing(k79, op.cycle_graph(4))
+    assert res.verdict is Verdict.NO and res.nodes <= 300_000
+
+
+# sha256 over the certificates of the YES instances among seeded random
+# hosts and the structured hosts above, taken from the search without the
+# failed-set memo: skipping refuted sets must not change any certificate
+CERTIFICATE_DIGEST = "1870bad913391ad718a3b918fd82ad1746184b5293d825ead7708136a78cbafe"
+
+
+def test_packing_certificates_match_pinned_digest():
+    rng = random.Random(31)
+    hs = [K2, K3, op.path_graph(3), op.cycle_graph(4), op.star_graph(3)]
+    instances = []
+    for _ in range(300):
+        h = rng.choice(hs)
+        g = op.random_graph(h.n * rng.choice([1, 2, 3]), rng.uniform(0.4, 1.0), rng)
+        instances.append((g, h))
+    instances += [(g, h) for g in _structured_hosts() for h in hs if g.n % h.n == 0]
+    digest = hashlib.sha256()
+    yes = 0
+    for g, h in instances:
+        res = op.has_perfect_packing(g, h)
+        if res.verdict is Verdict.YES:
+            yes += 1
+            certificate = json.dumps(res.to_json_dict()["certificate"])
+            digest.update((op.to_graph6(g) + op.to_graph6(h) + certificate + "\n").encode())
+    assert yes > 100
+    assert digest.hexdigest() == CERTIFICATE_DIGEST

@@ -1,0 +1,66 @@
+"""Print the verdict, search nodes and wall time of each Cliff B instance.
+
+    python3 tools/cliffs.py
+
+Cliff B (ROADMAP.md, Baseline) is the set of NO verdicts that only a
+complete search proves: three perfect-packing refutations and the
+covering refutation that `orepack verify` runs for prop2(3,1,7,7)
+against fdiamond. Times are `time.perf_counter` wall times of one run.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+import orepack as op  # noqa: E402
+
+
+def _union(a: int, b: int) -> op.Graph:
+    return op.disjoint_union(op.complete_graph(a), op.complete_graph(b))
+
+
+def _bipartite(a: int, b: int) -> op.Graph:
+    return op.complete_multipartite([a, b])[0]
+
+
+# verify reports whether w is left uncovered; the cover search's verdict
+# is the opposite one
+COVER_VERDICT = {op.Verdict.YES: "NO", op.Verdict.NO: "YES", op.Verdict.UNKNOWN: "UNKNOWN"}
+
+
+def _verify_prop2():
+    inst = op.construct_prop2(3, 1, 7, 7)
+    report = op.verify_lower_bound(inst, op.construct_fdiamond())
+    return COVER_VERDICT[report.no_cover], report.nodes
+
+
+def _pack(g: op.Graph, h: op.Graph):
+    result = op.has_perfect_packing(g, h)
+    return result.verdict.value.upper(), result.nodes
+
+
+CLIFFS = (
+    ("K3 into K13+K14", lambda: _pack(_union(13, 14), op.complete_graph(3))),
+    ("C4 into K13+K15", lambda: _pack(_union(13, 15), op.cycle_graph(4))),
+    ("C4 into K_{7,9}", lambda: _pack(_bipartite(7, 9), op.cycle_graph(4))),
+    ("verify prop2(3,1,7,7) vs fdiamond", _verify_prop2),
+)
+
+
+def main() -> int:
+    width = max(len(name) for name, _ in CLIFFS)
+    print(f"{'instance':<{width}}  verdict      nodes        ms")
+    for name, run in CLIFFS:
+        start = time.perf_counter()
+        verdict, nodes = run()
+        ms = (time.perf_counter() - start) * 1000
+        print(f"{name:<{width}}  {verdict:<7}  {nodes:9d}  {ms:8.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
