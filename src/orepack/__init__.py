@@ -59,6 +59,7 @@ from .packing import (
     copy_covering_vertex,
     enumerate_copies,
     has_perfect_packing,
+    is_copy,
     verify_packing,
 )
 from .extremal import (

@@ -25,7 +25,14 @@ from .graphs import (
     parse_graph_text,
     to_graph6,
 )
-from .packing import DEFAULT_BUDGET, Verdict, copy_covering_vertex, has_perfect_packing, verify_packing
+from .packing import (
+    DEFAULT_BUDGET,
+    Verdict,
+    copy_covering_vertex,
+    has_perfect_packing,
+    is_copy,
+    verify_packing,
+)
 from .parameters import full_report
 
 EXIT_OK = 0
@@ -97,6 +104,10 @@ def cmd_cover(args) -> int:
     result = copy_covering_vertex(g, h, args.w, args.budget)
     _note(f"anchored search explored {result.nodes} nodes")
     if result.verdict is Verdict.YES:
+        if not (is_copy(g, h, result.embedding) and args.w in result.embedding.mapping):
+            _note("internal error: the cover embedding failed verification")
+            print("UNKNOWN")
+            return EXIT_UNKNOWN
         _emit(result.embedding.to_json())
         return EXIT_OK
     if result.verdict is Verdict.NO:

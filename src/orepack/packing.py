@@ -10,8 +10,19 @@ copies covering it. Whether the uncovered set can be packed depends on
 that set alone, so a set is recorded as failed once its whole branch has
 been refuted, and is never searched again: not as the rest of a repeated
 image, nor when another order of placements reaches it (nogood
-recording). Only complete refutations are recorded, so the search order,
-every verdict and every certificate are those of the plain search.
+recording). Only complete refutations are recorded.
+
+Twin vertices (equal neighbourhoods apart from each other, adjacent or
+not) are interchangeable: swapping two unplaced candidates is an
+automorphism of G that fixes every placed vertex and the allowed set, so
+the subtree under a candidate is the image of the subtree under a lower
+twin that is also a candidate, which was searched first. The packing and
+cover searches skip such a candidate and try one vertex per twin class.
+Whether a copy is accepted does not change under the swap, so the first
+accepted copy of the plain search is never skipped: every verdict,
+certificate and cover embedding is that of the plain search; only the
+node count falls. `enumerate_copies` streams every labelled embedding and
+prunes nothing.
 
 Search effort is metered in node expansions (candidate assignments tried),
 so identical inputs and budgets always reproduce the same verdict.
@@ -111,6 +122,7 @@ def _search(
     used: int,
     budget: _Budget,
     comp_order: list[int],
+    below: Sequence[int],
 ) -> Iterator[tuple[int, ...]]:
     if None not in assignment:
         yield tuple(assignment)  # type: ignore[arg-type]
@@ -147,10 +159,25 @@ def _search(
         best_cands = allowed & ~used
 
     for c in iter_bits(best_cands):
+        if below[c] & best_cands:
+            continue  # a lower twin of c is a candidate here
         budget.spend()
         assignment[best_v] = c
-        yield from _search(g, h, allowed, assignment, used | (1 << c), budget, comp_order)
+        yield from _search(g, h, allowed, assignment, used | (1 << c), budget, comp_order, below)
         assignment[best_v] = None
+
+
+def _lower_twins(g: Graph) -> list[int]:
+    """below[v]: mask of the vertices u < v with N(u) - v == N(v) - u."""
+    open_twins: dict[int, int] = {}
+    closed_twins: dict[int, int] = {}
+    below = []
+    for v, nbrs in enumerate(g.adj):
+        closed = nbrs | 1 << v
+        below.append(open_twins.get(nbrs, 0) | closed_twins.get(closed, 0))
+        open_twins[nbrs] = open_twins.get(nbrs, 0) | 1 << v
+        closed_twins[closed] = closed_twins.get(closed, 0) | 1 << v
+    return below
 
 
 def _embeddings(
@@ -159,6 +186,7 @@ def _embeddings(
     allowed: int,
     anchor: Optional[int],
     budget: _Budget,
+    below: Sequence[int],
 ) -> Iterator[tuple[int, ...]]:
     if h.n == 0:
         yield ()
@@ -168,7 +196,7 @@ def _embeddings(
     comp_order = _component_major_order(h)
     if anchor is None:
         assignment: list[Optional[int]] = [None] * h.n
-        yield from _search(g, h, allowed, assignment, 0, budget, comp_order)
+        yield from _search(g, h, allowed, assignment, 0, budget, comp_order, below)
         return
     # each embedding whose image contains the anchor maps exactly one
     # h-vertex there, so iterating that choice emits it exactly once
@@ -176,7 +204,7 @@ def _embeddings(
         budget.spend()
         assignment = [None] * h.n
         assignment[v] = anchor
-        yield from _search(g, h, allowed, assignment, 1 << anchor, budget, comp_order)
+        yield from _search(g, h, allowed, assignment, 1 << anchor, budget, comp_order, below)
 
 
 def enumerate_copies(
@@ -188,7 +216,7 @@ def enumerate_copies(
     if anchor is not None and not 0 <= anchor < g.n:
         raise PreconditionError(f"anchor {anchor} out of range")
     budget = _Budget(None)
-    for mapping in _embeddings(g, h, g.vertex_mask, anchor, budget):
+    for mapping in _embeddings(g, h, g.vertex_mask, anchor, budget, [0] * g.n):
         yield Embedding(mapping)
 
 
@@ -202,7 +230,7 @@ def copy_covering_vertex(
     meter = _Budget(budget)
     try:
         if 0 < h.n <= g.n:
-            for mapping in _embeddings(g, h, g.vertex_mask, w, meter):
+            for mapping in _embeddings(g, h, g.vertex_mask, w, meter, _lower_twins(g)):
                 return CoverSearchResult(Verdict.YES, Embedding(mapping), meter.nodes)
     except BudgetExhausted:
         return CoverSearchResult(Verdict.UNKNOWN, None, meter.nodes)
@@ -232,6 +260,7 @@ def has_perfect_packing(
     # uncovered masks refuted by a complete search; BudgetExhausted skips
     # the add, so a cut-off search records nothing
     failed: set[int] = set()
+    below = _lower_twins(g)
 
     def solve(uncovered: int) -> Optional[list[Embedding]]:
         if not uncovered:
@@ -239,7 +268,7 @@ def has_perfect_packing(
         if uncovered in failed:
             return None
         v = _pick_packing_anchor(g, uncovered)
-        for mapping in _embeddings(g, h, uncovered, v, meter):
+        for mapping in _embeddings(g, h, uncovered, v, meter, below):
             emb = Embedding(mapping)
             rest = solve(uncovered & ~emb.image_mask)
             if rest is not None:
@@ -256,24 +285,24 @@ def has_perfect_packing(
     return PackingResult(Verdict.YES, tuple(cert), meter.nodes, budget)
 
 
+def is_copy(g: Graph, h: Graph, emb: Embedding) -> bool:
+    """True iff emb maps V(h) injectively into V(g) and every edge of h
+    onto an edge of g."""
+    m = emb.mapping
+    return (
+        len(m) == h.n
+        and all(0 <= gv < g.n for gv in m)
+        and len(set(m)) == h.n
+        and all(g.has_edge(m[u], m[v]) for u, v in h.edges())
+    )
+
+
 def verify_packing(g: Graph, h: Graph, cert: Sequence[Embedding]) -> bool:
     """True iff every embedding is a valid copy of h, images are pairwise
     disjoint, and their union is all of V(g)."""
     covered = 0
     for emb in cert:
-        if len(emb.mapping) != h.n:
+        if not is_copy(g, h, emb) or emb.image_mask & covered:
             return False
-        mask = 0
-        for gv in emb.mapping:
-            if not 0 <= gv < g.n:
-                return False
-            mask |= 1 << gv
-        if mask.bit_count() != h.n:
-            return False
-        if mask & covered:
-            return False
-        for u, v in h.edges():
-            if not g.has_edge(emb.mapping[u], emb.mapping[v]):
-                return False
-        covered |= mask
+        covered |= emb.image_mask
     return covered == g.vertex_mask

@@ -110,26 +110,46 @@ def test_pack_find_prints_verified_certificate(capsys, tmp_path):
     assert op.verify_packing(op.cycle_graph(4), op.complete_graph(2), embs)
 
 
+def run_optimized(patch, *argv):
+    """Run the CLI in a `python -O` process, which strips asserts, after
+    executing ``patch`` with ``op`` and ``cli`` imported."""
+    script = (
+        "import sys, orepack as op, orepack.cli as cli\n"
+        f"{patch}\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(op.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script, *argv], capture_output=True, text=True, env=env
+    )
+
+
 def test_pack_find_rejected_certificate_under_optimize(tmp_path):
     # the certificate check must survive `python -O`, which strips asserts,
     # and must run for a plain `pack` as well as for `pack --find`
     c4 = graph_file(tmp_path, "c4.g6", op.cycle_graph(4))
     k2 = graph_file(tmp_path, "k2.g6", op.complete_graph(2))
-    script = (
-        "import sys, orepack.cli as cli\n"
-        "cli.verify_packing = lambda *args: False\n"
-        "sys.exit(cli.main(sys.argv[1:]))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(op.__file__).parents[1]))
     for extra in (["--find"], []):
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script, "pack", c4, k2, *extra],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_optimized("cli.verify_packing = lambda *args: False", "pack", c4, k2, *extra)
         assert proc.returncode == 4
         assert proc.stdout == "UNKNOWN\n"
+
+
+def test_cover_rejected_embedding_under_optimize(tmp_path):
+    # a cover embedding that is no copy of H, or a copy that misses w, gives
+    # no answer, also under `python -O`
+    k4 = graph_file(tmp_path, "k4.g6", op.complete_graph(4))
+    k3 = graph_file(tmp_path, "k3.g6", op.complete_graph(3))
+    patches = (
+        "cli.is_copy = lambda *args: False",
+        "cli.copy_covering_vertex = lambda *args: op.CoverSearchResult("
+        "op.Verdict.YES, op.Embedding((1, 2, 3)), 1)",
+    )
+    for patch in patches:
+        proc = run_optimized(patch, "cover", k4, k3, "0")
+        assert proc.returncode == 4
+        assert proc.stdout == "UNKNOWN\n"
+        assert "failed verification" in proc.stderr
 
 
 def test_params_enumeration_cap_exits_4(capsys, tmp_path, monkeypatch):
@@ -149,9 +169,11 @@ def test_params_enumeration_cap_exits_4(capsys, tmp_path, monkeypatch):
 
 def test_pack_budget_unknown(capsys, tmp_path):
     inst = op.construct_prop2(3, 1, 7, 7)
+    full = op.has_perfect_packing(inst.graph, op.construct_fdiamond())
+    assert full.verdict is op.Verdict.NO
     g = graph_file(tmp_path, "big.g6", inst.graph)
     fd = graph_file(tmp_path, "fd.g6", op.construct_fdiamond())
-    code, out, _ = run_cli(capsys, "pack", g, fd, "--budget", "10")
+    code, out, _ = run_cli(capsys, "pack", g, fd, "--budget", str(full.nodes - 1))
     assert code == 4 and out.splitlines()[0] == "UNKNOWN"
 
 
@@ -175,8 +197,10 @@ def test_cover(capsys, tmp_path, fdiamond_file):
 
 def test_cover_budget_unknown(capsys, tmp_path, fdiamond_file):
     inst = op.construct_prop2(3, 1, 7, 7)
+    full = op.copy_covering_vertex(inst.graph, op.construct_fdiamond(), 0)
     g = graph_file(tmp_path, "big.g6", inst.graph)
-    code, out, _ = run_cli(capsys, "cover", g, fdiamond_file, "0", "--budget", "10")
+    budget = str(full.nodes - 1)
+    code, out, _ = run_cli(capsys, "cover", g, fdiamond_file, "0", "--budget", budget)
     assert code == 4 and out.strip() == "UNKNOWN"
 
 
@@ -266,9 +290,11 @@ def test_verify_mismatch_exits_3(capsys, tmp_path):
 
 def test_verify_unknown_exits_4(capsys, tmp_path, fdiamond_file):
     inst = op.construct_prop2(3, 1, 7, 7)
+    full = op.verify_lower_bound(inst, op.construct_fdiamond())
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(inst.to_json_dict()))
-    code, _, _ = run_cli(capsys, "verify", str(path), fdiamond_file, "--budget", "10")
+    budget = str(full.nodes - 1)
+    code, _, _ = run_cli(capsys, "verify", str(path), fdiamond_file, "--budget", budget)
     assert code == 4
 
 

@@ -191,7 +191,10 @@ def test_verify_lower_bound_mismatch():
 
 def test_verify_lower_bound_unknown_on_budget():
     inst = op.construct_prop2(3, 1, 7, 7)
-    report = op.verify_lower_bound(inst, op.construct_fdiamond(), budget=10)
+    fd = op.construct_fdiamond()
+    full = op.verify_lower_bound(inst, fd)
+    assert full.no_cover is Verdict.YES
+    report = op.verify_lower_bound(inst, fd, budget=full.nodes - 1)
     assert report.no_cover is Verdict.UNKNOWN
     assert not report.all_ok
 

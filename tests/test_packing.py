@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -72,9 +73,13 @@ def test_copy_covering_vertex_examples():
 def test_copy_covering_budget_unknown():
     inst = op.construct_prop2(3, 1, 7, 7)
     fd = op.construct_fdiamond()
-    res = op.copy_covering_vertex(inst.graph, fd, inst.w, budget=50)
-    assert res.verdict is Verdict.UNKNOWN
-    assert res.nodes > 50
+    full = op.copy_covering_vertex(inst.graph, fd, inst.w)
+    assert full.verdict is Verdict.NO
+    for budget in range(full.nodes):
+        res = op.copy_covering_vertex(inst.graph, fd, inst.w, budget=budget)
+        assert res.verdict is Verdict.UNKNOWN
+        assert res.nodes > budget
+    assert op.copy_covering_vertex(inst.graph, fd, inst.w, budget=full.nodes).verdict is Verdict.NO
 
 
 def test_anchor_placements_are_metered():
@@ -222,7 +227,7 @@ def test_budget_never_produces_definite_answers():
     fd = op.construct_fdiamond()
     full = op.copy_covering_vertex(inst.graph, fd, inst.w)
     assert full.verdict is Verdict.NO
-    tiny = op.copy_covering_vertex(inst.graph, fd, inst.w, budget=10)
+    tiny = op.copy_covering_vertex(inst.graph, fd, inst.w, budget=full.nodes - 1)
     assert tiny.verdict is Verdict.UNKNOWN
     # a packing search cut off at any node reports UNKNOWN, however many
     # uncovered sets it has refuted by then
@@ -235,14 +240,20 @@ def test_budget_never_produces_definite_answers():
 
 
 def test_refutation_node_ceilings():
-    # NO verdicts that need a complete search; without the failed-set memo
-    # they took 1,670,367 and 2,438,216 nodes
-    union = op.disjoint_union(op.complete_graph(13), op.complete_graph(14))
-    res = op.has_perfect_packing(union, K3)
-    assert res.verdict is Verdict.NO and res.nodes <= 100_000
-    k79, _ = op.complete_multipartite([7, 9])
-    res = op.has_perfect_packing(k79, op.cycle_graph(4))
-    assert res.verdict is Verdict.NO and res.nodes <= 300_000
+    # NO verdicts that need a complete search. With the failed-set memo but
+    # trying every twin they took 59,628, 434,548, 200,736 and 3,850,336
+    # nodes, and the cover search of verify 164,794
+    cases = [
+        (op.disjoint_union(op.complete_graph(13), op.complete_graph(14)), K3),
+        (op.disjoint_union(op.complete_graph(13), op.complete_graph(15)), op.cycle_graph(4)),
+        (op.complete_multipartite([7, 9])[0], op.cycle_graph(4)),
+        (op.complete_multipartite([9, 11])[0], op.cycle_graph(4)),
+    ]
+    for g, h in cases:
+        res = op.has_perfect_packing(g, h)
+        assert res.verdict is Verdict.NO and res.nodes <= 1_000
+    report = op.verify_lower_bound(op.construct_prop2(3, 1, 7, 7), op.construct_fdiamond())
+    assert report.no_cover is Verdict.YES and report.nodes <= 1_647
 
 
 # sha256 over the certificates of the YES instances among seeded random
@@ -270,3 +281,57 @@ def test_packing_certificates_match_pinned_digest():
             digest.update((op.to_graph6(g) + op.to_graph6(h) + certificate + "\n").encode())
     assert yes > 100
     assert digest.hexdigest() == CERTIFICATE_DIGEST
+
+
+def _twin_rich_hosts(rng, count):
+    """Blow-ups of random quotients on 2-6 classes of 1-4 vertices, each
+    class a clique or an independent set, relabelled; order at most 12."""
+    hosts = []
+    while len(hosts) < count:
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 6))]
+        if sum(sizes) > 12:
+            continue
+        classes, start = [], 0
+        for size in sizes:
+            classes.append(range(start, start + size))
+            start += size
+        p = rng.random()
+        edges = []
+        for i, cls in enumerate(classes):
+            if rng.random() < 0.5:
+                edges += combinations(cls, 2)
+            for other in classes[i + 1:]:
+                if rng.random() < p:
+                    edges += product(cls, other)
+        perm = list(range(start))
+        rng.shuffle(perm)
+        hosts.append(op.relabel(op.Graph.from_edges(start, edges), perm))
+    return hosts
+
+
+# sha256 over the packing certificates and cover embeddings of the hosts
+# below, taken from the search that tried every twin: trying one vertex
+# per twin class must not change any of them
+TWIN_DIGEST = "4b509a8e373f9e70cde16d2b3d0292676d997aefcd4c54673f5cc748c83cf957"
+
+
+def test_twin_rich_hosts_agree_with_oracles():
+    rng = random.Random(41)
+    hs = [K2, K3, op.cycle_graph(4), op.star_graph(3), op.construct_fdiamond()]
+    digest = hashlib.sha256()
+    for g in _twin_rich_hosts(rng, 100):
+        for h in hs:
+            res = op.has_perfect_packing(g, h)
+            assert (res.verdict is Verdict.YES) == naive_has_perfect_packing(g, h)
+            if res.verdict is Verdict.YES:
+                assert op.verify_packing(g, h, res.certificate)
+            covers = [op.copy_covering_vertex(g, h, w).embedding for w in range(g.n)]
+            for w, emb in enumerate(covers):
+                # the first anchored copy of the exhaustive enumeration
+                assert emb == next(op.enumerate_copies(g, h, anchor=w), None)
+            w = rng.randrange(g.n)
+            if h.n <= 4:
+                assert (covers[w] is not None) == naive_copy_covering(g, h, w)
+            record = [res.to_json_dict()["certificate"], [e and e.to_json() for e in covers]]
+            digest.update((op.to_graph6(g) + op.to_graph6(h) + json.dumps(record) + "\n").encode())
+    assert digest.hexdigest() == TWIN_DIGEST

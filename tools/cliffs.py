@@ -3,9 +3,10 @@
     python3 tools/cliffs.py
 
 Cliff B (ROADMAP.md, Baseline) is the set of NO verdicts that only a
-complete search proves: three perfect-packing refutations and the
-covering refutation that `orepack verify` runs for prop2(3,1,7,7)
-against fdiamond. Times are `time.perf_counter` wall times of one run.
+complete search proves: perfect-packing refutations in K_a+K_b, K_{a,b}
+and K_{a,b,c} hosts, and the covering refutation that `orepack verify`
+runs for prop2(3,1,7,7) against fdiamond. Times are `time.perf_counter`
+wall times of one run.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ CLIFFS = (
     ("K3 into K13+K14", lambda: _pack(_union(13, 14), op.complete_graph(3))),
     ("C4 into K13+K15", lambda: _pack(_union(13, 15), op.cycle_graph(4))),
     ("C4 into K_{7,9}", lambda: _pack(_bipartite(7, 9), op.cycle_graph(4))),
+    ("C4 into K_{9,11}", lambda: _pack(_bipartite(9, 11), op.cycle_graph(4))),
+    ("C4 into K_{30,34}", lambda: _pack(_bipartite(30, 34), op.cycle_graph(4))),
+    ("K3 into K40+K41", lambda: _pack(_union(40, 41), op.complete_graph(3))),
+    ("K3 into K_{20,20,23}", lambda: _pack(op.complete_multipartite([20, 20, 23])[0], op.complete_graph(3))),
     ("verify prop2(3,1,7,7) vs fdiamond", _verify_prop2),
 )
 
