@@ -31,6 +31,7 @@ from .coloring import (
     ColoringPartition,
     EnumerationCapError,
     chromatic_number,
+    class_size_profiles,
     greedy_clique,
     optimal_colorings,
 )

@@ -3,7 +3,7 @@
 Verbs: params, pack, cover, construct, verify, probe. Machine-readable
 JSON goes to stdout (one compact object per line); human summaries go to
 stderr. Exit codes: 0 success/YES, 1 NO or probe violation, 2 input error,
-3 precondition error, 4 budget exhausted, enumeration cap hit or
+3 precondition error, 4 budget exhausted, optimal-coloring search cap hit or
 certificate rejected (no answer).
 """
 

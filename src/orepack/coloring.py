@@ -3,30 +3,46 @@
 Every coloring search of the package runs on one backtracking kernel,
 ``_color_search``, which the colour extension search in ``parameters``
 shares. The chromatic number is found by iterative deepening on
-k-colorability, starting from a greedy clique lower bound. Optimal
-colorings (proper partitions into exactly chi classes) are enumerated
-exhaustively with a first-use color rule, so each partition appears
-exactly once regardless of color names; partitions are then canonicalized
-by sorting classes on their minimum vertex.
+k-colorability, starting from a greedy clique lower bound. The kernel
+opens new classes with a first-use rule, so it reaches each partition
+exactly once regardless of color names.
+
+``class_size_profiles`` gives the set of sorted class-size profiles of
+the optimal colorings (proper partitions into exactly chi classes), which
+is all the parameter layer needs. It searches each component on its own
+with up to chi classes, keeps only sorted class sizes, and merges the
+components by matching their classes up in every way. ``optimal_colorings``
+enumerates the partitions themselves, canonicalized by sorting classes on
+their minimum vertex; the tests use it as the oracle for the profiles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Iterator
 
-from .graphs import Graph, PreconditionError, iter_bits
+from .graphs import Graph, PreconditionError, components, iter_bits
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
 
 class EnumerationCapError(RuntimeError):
-    """Raised when optimal-coloring enumeration exceeds its cap.
+    """Raised when a coloring search completes more colorings than its cap.
 
-    Hitting the cap is a hard error rather than a truncated answer: the
-    downstream statistics (sigma, class-size differences) are only correct
-    when the enumeration is complete.
+    The cap counts the kernel's completed colorings: the optimal
+    partitions in ``optimal_colorings``, and the colorings of each
+    component with at most chi classes, summed over the components, in
+    ``class_size_profiles``. Hitting the cap is a hard error rather than a
+    truncated answer: the downstream statistics (sigma, class-size
+    differences) are only correct when the search is complete.
     """
+
+    def __init__(self, cap: int) -> None:
+        super().__init__(
+            f"the coloring search completed more than {cap} colorings; "
+            "raise the cap to finish it"
+        )
 
 
 def require_edge(h: Graph) -> None:
@@ -143,9 +159,7 @@ def optimal_colorings(h: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Colo
     # uses all r of them
     def emit(classes: list[int]) -> bool:
         if len(out) >= cap:
-            raise EnumerationCapError(
-                f"more than {cap} optimal colorings; raise the cap to enumerate"
-            )
+            raise EnumerationCapError(cap)
         out.append(
             ColoringPartition.from_classes(frozenset(iter_bits(m)) for m in classes)
         )
@@ -155,3 +169,64 @@ def optimal_colorings(h: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Colo
     out.sort(key=lambda p: tuple(tuple(sorted(c)) for c in p.classes))
     return out
 
+
+def class_size_profiles(
+    h: Graph, cap: int = DEFAULT_ENUMERATION_CAP
+) -> tuple[int, set[tuple[int, ...]]]:
+    """chi(h) and the sorted class sizes of every optimal coloring of h.
+
+    A partition of V(h) into chi classes restricts to a coloring of each
+    component with at most chi classes, and any such colorings of the
+    components, with their classes matched up, give one. So each
+    component's class sizes, padded with zeros to chi, are collected on
+    their own and then merged by ``_labelled_sums``. Raises
+    EnumerationCapError after more than ``cap`` completed colorings of
+    components.
+    """
+    if h.n == 0:
+        raise PreconditionError("cannot color the empty graph")
+    r = chromatic_number(h)
+    order = _search_order(h)
+    visits = 0
+
+    def collect(classes: list[int]) -> bool:
+        nonlocal visits
+        visits += 1
+        if visits > cap:
+            raise EnumerationCapError(cap)
+        sizes = sorted(m.bit_count() for m in classes)
+        found.add((0,) * (r - len(sizes)) + tuple(sizes))
+        return False
+
+    profiles: set[tuple[int, ...]] | None = None
+    for comp in components(h):
+        found: set[tuple[int, ...]] = set()
+        _color_search(h, [v for v in order if comp >> v & 1], [], r, collect)
+        profiles = found if profiles is None else _labelled_sums(profiles, found)
+    return r, profiles
+
+
+def _labelled_sums(
+    left: set[tuple[int, ...]], right: set[tuple[int, ...]]
+) -> set[tuple[int, ...]]:
+    """{sorted(a + pi(b))} over a in ``left``, b in ``right`` and the
+    distinct permutations pi of b. Sorting a first loses nothing: a
+    permutation of a is absorbed by the permutations of b."""
+    out = set()
+    for b in right:
+        for p in _distinct_permutations(b):
+            out.update(tuple(sorted(map(add, a, p))) for a in left)
+    return out
+
+
+def _distinct_permutations(b: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The distinct orderings of the sorted tuple ``b``; unlike
+    ``itertools.permutations``, once each, so chi equal entries cost one
+    ordering rather than chi!."""
+    if len(b) <= 1:
+        return [b]
+    out = []
+    for i, x in enumerate(b):
+        if i == 0 or b[i - 1] != x:
+            out += [(x,) + rest for rest in _distinct_permutations(b[:i] + b[i + 1:])]
+    return out

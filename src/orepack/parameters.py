@@ -6,8 +6,10 @@ number of extra colors (beyond chi) forced on a proper coloring of H that
 is built by first coloring some vertex neighborhood with chi - 2 colors.
 Together with the critical chromatic number and the class-size gcd
 machinery it determines the Ore-type packing threshold coefficient.
-One enumeration of the optimal colorings (``_analyse``) yields every
-invariant but the extension number; the standalone functions read it.
+Every invariant but the extension number depends only on the set of
+sorted class-size profiles of the optimal colorings; ``_analyse`` reads
+that set once from ``coloring.class_size_profiles``, and the standalone
+functions read ``_analyse``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import Optional
 
 from .coloring import (
     chromatic_number,
-    optimal_colorings,
+    class_size_profiles,
+    optimal_colorings,  # noqa: F401  unused here; perfbench/tracing.py wraps this name
     require_edge,
     _color_search,
     _search_order,
@@ -102,7 +105,8 @@ class ParameterReport:
 
 @dataclass(frozen=True)
 class _Analysis:
-    """The report fields that the optimal colorings of H determine."""
+    """The report fields that the class-size profiles of the optimal
+    colorings of H determine."""
 
     chi: int
     sigma: int
@@ -116,11 +120,9 @@ class _Analysis:
 
 def _analyse(h: Graph) -> _Analysis:
     require_edge(h)
-    parts = optimal_colorings(h)
-    chi = len(parts[0].classes)
-    sizes = [p.sizes_sorted for p in parts]
-    sig = min(s[0] for s in sizes)
-    dset = {s[i + 1] - s[i] for s in sizes for i in range(chi - 1)}
+    chi, profiles = class_size_profiles(h)
+    sig = min(s[0] for s in profiles)
+    dset = {s[i + 1] - s[i] for s in profiles for i in range(chi - 1)}
     if dset == {0}:
         hchi = ExtendedNat.infinite()
     else:

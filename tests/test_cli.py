@@ -153,13 +153,11 @@ def test_cover_rejected_embedding_under_optimize(tmp_path):
 
 
 def test_params_enumeration_cap_exits_4(capsys, tmp_path, monkeypatch):
-    # 10K2 has 2^9 optimal colorings, more than the lowered cap allows
-    g = op.empty_graph(0)
-    for _ in range(10):
-        g = op.disjoint_union(g, op.complete_graph(2))
-    path = graph_file(tmp_path, "10k2.g6", g)
+    # C15 is connected and has 5,461 optimal 3-colorings, each one completed
+    # coloring of the profile search, more than the lowered cap allows
+    path = graph_file(tmp_path, "c15.g6", op.cycle_graph(15))
     monkeypatch.setattr(
-        parameters, "optimal_colorings", lambda h: coloring.optimal_colorings(h, cap=100)
+        parameters, "class_size_profiles", lambda h: coloring.class_size_profiles(h, cap=100)
     )
     code, out, err = run_cli(capsys, "params", path)
     assert code == 4

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 import orepack as op
 from orepack import EnumerationCapError, PreconditionError
+from orepack.coloring import DEFAULT_ENUMERATION_CAP
 
 from fixtures import corpus, k4_minus, small_corpus
 from oracles import brute_chromatic_number, brute_optimal_partitions
@@ -120,3 +123,112 @@ def test_every_optimal_coloring_equitable():
     assert not op.every_optimal_coloring_equitable(k4_minus())
     assert op.every_optimal_coloring_equitable(op.cycle_graph(6))
     assert not op.every_optimal_coloring_equitable(op.path_graph(3))
+
+
+def _random_union(rng, max_n):
+    """A disjoint union of cliques, isolated vertices and random graphs,
+    of order at most ``max_n``, with its vertices shuffled so that the
+    components interleave."""
+    g = op.empty_graph(0)
+    while g.n < max_n and not (g.n and rng.random() < 0.3):
+        size = rng.randint(1, min(max_n - g.n, 5))
+        part = rng.choice(
+            [op.complete_graph(size), op.empty_graph(size), op.random_graph(size, rng.random(), rng)]
+        )
+        g = op.disjoint_union(g, part)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return op.relabel(g, perm)
+
+
+def _enumerated_profiles(g, cap=DEFAULT_ENUMERATION_CAP):
+    parts = op.optimal_colorings(g, cap=cap)
+    return len(parts[0].classes), {p.sizes_sorted for p in parts}
+
+
+def test_class_size_profiles_match_brute_force():
+    graphs = dict(small_corpus(9))
+    rng = random.Random(43)
+    for i in range(40):
+        g = op.random_graph(rng.randrange(1, 10), rng.random(), rng)
+        graphs[f"random {i} {op.to_graph6(g)}"] = g
+    for i in range(60):
+        g = _random_union(rng, 8)
+        graphs[f"union {i} {op.to_graph6(g)}"] = g
+    for name, g in graphs.items():
+        parts = brute_optimal_partitions(g)
+        want = (len(parts[0]), {tuple(sorted(len(c) for c in p)) for p in parts})
+        assert op.class_size_profiles(g) == want, name
+
+
+def test_class_size_profiles_match_enumeration():
+    # unions whose optimal colorings multiply past a few thousand are left
+    # to the brute-force test and to the ceiling test below
+    rng = random.Random(47)
+    checked = 0
+    for _ in range(120):
+        g = _random_union(rng, 14)
+        try:
+            want = _enumerated_profiles(g, cap=3_000)
+        except EnumerationCapError:
+            continue
+        assert op.class_size_profiles(g) == want, op.to_graph6(g)
+        checked += 1
+    assert checked >= 80
+
+
+def _report_digest_graphs():
+    rng = random.Random(2009)
+    graphs = []
+    while len(graphs) < 300:
+        if rng.random() < 0.5:
+            g = op.random_graph(rng.randint(2, 12), rng.random(), rng)
+        else:
+            g = _random_union(rng, 10)
+        if g.edge_count():
+            graphs.append(g)
+    return graphs
+
+
+# sha256 over the parameter reports of seeded random graphs and unions,
+# taken when the reports were computed from the enumerated optimal
+# colorings
+REPORT_DIGEST = "10783a4346e1c895ceece9e15555dfda01e7e63058e3371a66411a90cb4475d7"
+
+
+def test_reports_match_pinned_digest():
+    digest = hashlib.sha256()
+    for g in _report_digest_graphs():
+        report = json.dumps(op.full_report(g).to_json_dict())
+        digest.update((op.to_graph6(g) + report + "\n").encode())
+    assert digest.hexdigest() == REPORT_DIGEST
+
+
+def _copies(g, k):
+    out = op.empty_graph(0)
+    for _ in range(k):
+        out = op.disjoint_union(out, g)
+    return out
+
+
+def test_class_size_profiles_answer_where_enumeration_caps():
+    k2, c5 = op.complete_graph(2), op.cycle_graph(5)
+    cases = [
+        (_copies(k2, 22), (2, {(22, 22)})),
+        (_copies(c5, 4), (3, {(4, 8, 8), (5, 7, 8), (6, 6, 8), (6, 7, 7)})),
+        (op.disjoint_union(_copies(c5, 3), k2), (3, {(3, 7, 7), (4, 6, 7), (5, 5, 7), (5, 6, 6)})),
+    ]
+    for g, want in cases:
+        with pytest.raises(EnumerationCapError):
+            op.optimal_colorings(g, cap=100)
+        assert op.class_size_profiles(g, cap=100) == want
+
+
+def test_class_size_profiles_cap_is_hard_error():
+    # the connected C15 has 5,461 optimal 3-colorings, one kernel visit each
+    c15 = op.cycle_graph(15)
+    with pytest.raises(EnumerationCapError, match="100"):
+        op.class_size_profiles(c15, cap=100)
+    with pytest.raises(EnumerationCapError):
+        op.class_size_profiles(c15, cap=5_460)
+    assert op.class_size_profiles(c15, cap=5_461) == _enumerated_profiles(c15)

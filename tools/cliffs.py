@@ -1,23 +1,47 @@
-"""Print the verdict, search nodes and wall time of each Cliff B instance.
+"""Print the cost of each Cliff A and Cliff B instance.
 
     python3 tools/cliffs.py
 
-Cliff B (ROADMAP.md, Baseline) is the set of NO verdicts that only a
+Cliff A (ROADMAP.md, Baseline) is the class-size profile search of
+`orepack params`: for each instance the table gives chi, the number of
+distinct sorted class-size profiles of the optimal colorings, and the
+wall time of `class_size_profiles`, or CAP when the search ends in
+`EnumerationCapError`. Cliff B is the set of NO verdicts that only a
 complete search proves: perfect-packing refutations in K_a+K_b, K_{a,b}
 and K_{a,b,c} hosts, and the covering refutation that `orepack verify`
-runs for prop2(3,1,7,7) against fdiamond. Times are `time.perf_counter`
-wall times of one run.
+runs for prop2(3,1,7,7) against fdiamond; its table gives the verdict,
+the search nodes and the wall time. Times are `time.perf_counter` wall
+times of one run.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import sys
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 import orepack as op  # noqa: E402
+
+
+def _copies(g: op.Graph, k: int) -> op.Graph:
+    out = op.empty_graph(0)
+    for _ in range(k):
+        out = op.disjoint_union(out, g)
+    return out
+
+
+PROFILE_CLIFFS = (
+    ("16K2", lambda: _copies(op.complete_graph(2), 16)),
+    ("18K2", lambda: _copies(op.complete_graph(2), 18)),
+    ("22K2", lambda: _copies(op.complete_graph(2), 22)),
+    ("3C5", lambda: _copies(op.cycle_graph(5), 3)),
+    ("4C5", lambda: _copies(op.cycle_graph(5), 4)),
+    ("G(20,0.15) from Random(20)", lambda: op.random_graph(20, 0.15, random.Random(20))),
+    ("G(24,0.2) from Random(24)", lambda: op.random_graph(24, 0.2, random.Random(24))),
+)
 
 
 def _union(a: int, b: int) -> op.Graph:
@@ -57,6 +81,19 @@ CLIFFS = (
 
 
 def main() -> int:
+    width = max(len(name) for name, _ in PROFILE_CLIFFS)
+    print(f"{'instance':<{width}}  chi  profiles        ms")
+    for name, build in PROFILE_CLIFFS:
+        g = build()
+        start = time.perf_counter()
+        try:
+            chi, profiles = op.class_size_profiles(g)
+            answer = f"{chi:3d}  {len(profiles):8d}"
+        except op.EnumerationCapError:
+            answer = f"{'CAP':>13}"
+        ms = (time.perf_counter() - start) * 1000
+        print(f"{name:<{width}}  {answer}  {ms:8.1f}")
+    print()
     width = max(len(name) for name, _ in CLIFFS)
     print(f"{'instance':<{width}}  verdict      nodes        ms")
     for name, run in CLIFFS:
