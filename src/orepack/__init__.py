@@ -3,6 +3,7 @@ degree-sum conditions: parameter computation, packing/covering decision
 search, extremal constructions, and randomized theorem probes."""
 
 from .graphs import (
+    BudgetExhausted,
     Graph,
     GraphFormatError,
     MAX_VERTICES,
@@ -29,7 +30,6 @@ from .graphs import (
 )
 from .coloring import (
     ColoringPartition,
-    EnumerationCapError,
     chromatic_number,
     class_size_profiles,
     greedy_clique,

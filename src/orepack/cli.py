@@ -3,8 +3,9 @@
 Verbs: params, pack, cover, construct, verify, probe. Machine-readable
 JSON goes to stdout (one compact object per line); human summaries go to
 stderr. Exit codes: 0 success/YES, 1 NO or probe violation, 2 input error,
-3 precondition error, 4 budget exhausted, optimal-coloring search cap hit or
-certificate rejected (no answer).
+3 precondition error, 4 no answer: a search exhausted its meter (the node
+budget of a packing or cover search, the cap on completed colorings of a
+coloring search) or a certificate was rejected.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import extremal, probes
-from .coloring import EnumerationCapError
 from .graphs import (
+    BudgetExhausted,
     GraphFormatError,
     PreconditionError,
     blow_up,
@@ -40,6 +41,7 @@ EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_UNKNOWN = 4
+EXIT_FOR_VERDICT = {Verdict.YES: EXIT_OK, Verdict.NO: EXIT_NO, Verdict.UNKNOWN: EXIT_UNKNOWN}
 
 # construct families beside extremal.BOUNDED_FAMILIES: bare graphs, no bound
 GRAPH_FAMILIES = ("fdiamond", "hdiamond", "multipartite", "blowup")
@@ -89,11 +91,7 @@ def cmd_pack(args) -> int:
     print(result.verdict.value.upper())
     if args.find and result.verdict is Verdict.YES:
         _emit(result.to_json_dict())
-    if result.verdict is Verdict.YES:
-        return EXIT_OK
-    if result.verdict is Verdict.NO:
-        return EXIT_NO
-    return EXIT_UNKNOWN
+    return EXIT_FOR_VERDICT[result.verdict]
 
 
 def cmd_cover(args) -> int:
@@ -109,12 +107,9 @@ def cmd_cover(args) -> int:
             print("UNKNOWN")
             return EXIT_UNKNOWN
         _emit(result.embedding.to_json())
-        return EXIT_OK
-    if result.verdict is Verdict.NO:
-        print("NONE")
-        return EXIT_NO
-    print("UNKNOWN")
-    return EXIT_UNKNOWN
+    else:
+        print("NONE" if result.verdict is Verdict.NO else "UNKNOWN")
+    return EXIT_FOR_VERDICT[result.verdict]
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -288,7 +283,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         _note(f"precondition error: {exc}")
         return EXIT_PRECONDITION
-    except EnumerationCapError as exc:
+    except BudgetExhausted as exc:
         _note(f"no answer: {exc}")
         return EXIT_UNKNOWN
 

@@ -2,10 +2,11 @@
 
 Every coloring search of the package runs on one backtracking kernel,
 ``_color_search``, which the colour extension search in ``parameters``
-shares. The chromatic number is found by iterative deepening on
-k-colorability, starting from a greedy clique lower bound. The kernel
-opens new classes with a first-use rule, so it reaches each partition
-exactly once regardless of color names.
+shares. The chromatic number is the largest over the components, so it is
+found one component at a time: k starts at a greedy clique lower bound
+and rises while the next component is not k-colorable. The kernel opens
+new classes with a first-use rule, so it reaches each partition exactly
+once regardless of color names.
 
 ``class_size_profiles`` gives the set of sorted class-size profiles of
 the optimal colorings (proper partitions into exactly chi classes), which
@@ -14,6 +15,10 @@ with up to chi classes, keeps only sorted class sizes, and merges the
 components by matching their classes up in every way. ``optimal_colorings``
 enumerates the partitions themselves, canonicalized by sorting classes on
 their minimum vertex; the tests use it as the oracle for the profiles.
+Both count their completed colorings on a ``graphs.Meter`` capped at
+``DEFAULT_ENUMERATION_CAP``; a search past the cap raises BudgetExhausted
+rather than return a truncated answer, since sigma and the class-size
+differences are only correct when the search is complete.
 """
 
 from __future__ import annotations
@@ -22,27 +27,9 @@ from dataclasses import dataclass
 from operator import add
 from typing import Callable, Iterator
 
-from .graphs import Graph, PreconditionError, components, iter_bits
+from .graphs import Graph, Meter, PreconditionError, components, iter_bits
 
 DEFAULT_ENUMERATION_CAP = 10**6
-
-
-class EnumerationCapError(RuntimeError):
-    """Raised when a coloring search completes more colorings than its cap.
-
-    The cap counts the kernel's completed colorings: the optimal
-    partitions in ``optimal_colorings``, and the colorings of each
-    component with at most chi classes, summed over the components, in
-    ``class_size_profiles``. Hitting the cap is a hard error rather than a
-    truncated answer: the downstream statistics (sigma, class-size
-    differences) are only correct when the search is complete.
-    """
-
-    def __init__(self, cap: int) -> None:
-        super().__init__(
-            f"the coloring search completed more than {cap} colorings; "
-            "raise the cap to finish it"
-        )
 
 
 def require_edge(h: Graph) -> None:
@@ -115,12 +102,13 @@ def chromatic_number(h: Graph) -> int:
         raise PreconditionError("chromatic number of the empty graph is undefined")
     if h.edge_count() == 0:
         return 1
-    lower = max(2, len(greedy_clique(h)))
+    k = max(2, len(greedy_clique(h)))
     order = _search_order(h)
-    for k in range(lower, h.n + 1):
-        if _color_search(h, order, [], k, lambda _: True):
-            return k
-    return h.n
+    for comp in components(h):
+        part = [v for v in order if comp >> v & 1]
+        while not _color_search(h, part, [], k, lambda _: True):
+            k += 1
+    return k
 
 
 @dataclass(frozen=True)
@@ -140,26 +128,23 @@ class ColoringPartition:
         sizes = tuple(sorted(len(c) for c in ordered))
         return cls(ordered, sizes)
 
-    def to_json(self) -> list[list[int]]:
-        return [sorted(c) for c in self.classes]
-
 
 def optimal_colorings(h: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[ColoringPartition]:
     """All partitions of V(h) into exactly chi(h) independent classes.
 
     Color permutations are identified: the result holds each partition once.
-    Raises EnumerationCapError if more than ``cap`` partitions exist.
+    Raises BudgetExhausted if more than ``cap`` partitions exist.
     """
     if h.n == 0:
         raise PreconditionError("cannot color the empty graph")
     r = chromatic_number(h)
+    meter = Meter(cap)
     out: list[ColoringPartition] = []
 
     # no proper coloring has fewer than chi classes, so each one reached
     # uses all r of them
     def emit(classes: list[int]) -> bool:
-        if len(out) >= cap:
-            raise EnumerationCapError(cap)
+        meter.spend()
         out.append(
             ColoringPartition.from_classes(frozenset(iter_bits(m)) for m in classes)
         )
@@ -180,20 +165,17 @@ def class_size_profiles(
     components, with their classes matched up, give one. So each
     component's class sizes, padded with zeros to chi, are collected on
     their own and then merged by ``_labelled_sums``. Raises
-    EnumerationCapError after more than ``cap`` completed colorings of
+    BudgetExhausted after more than ``cap`` completed colorings of
     components.
     """
     if h.n == 0:
         raise PreconditionError("cannot color the empty graph")
     r = chromatic_number(h)
     order = _search_order(h)
-    visits = 0
+    meter = Meter(cap)
 
     def collect(classes: list[int]) -> bool:
-        nonlocal visits
-        visits += 1
-        if visits > cap:
-            raise EnumerationCapError(cap)
+        meter.spend()
         sizes = sorted(m.bit_count() for m in classes)
         found.add((0,) * (r - len(sizes)) + tuple(sizes))
         return False

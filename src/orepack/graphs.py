@@ -2,7 +2,9 @@
 
 Graphs are immutable: adjacency is a tuple of per-vertex bitmasks, so
 values can be hashed, compared and shared across threads freely. Every
-operation in this module is a pure function of its inputs.
+graph operation in this module is a pure function of its inputs; the one
+stateful object is ``Meter``, the step counter of the packing, cover
+and optimal-coloring searches.
 
 Two text formats are supported: graph6 (the compact ASCII interchange
 format used by graph corpora) and a line-oriented edge list ("n m" header
@@ -26,6 +28,29 @@ class GraphFormatError(ValueError):
 
 class PreconditionError(ValueError):
     """An operation was called outside its input contract."""
+
+
+class BudgetExhausted(RuntimeError):
+    """A search spent more steps than its meter allows, so it has no answer."""
+
+
+class Meter:
+    """Counts the steps of one search: node expansions in the packing and
+    cover searches, completed colorings in the coloring searches. A step
+    past ``limit`` (None: no limit) raises BudgetExhausted."""
+
+    __slots__ = ("nodes", "limit")
+
+    def __init__(self, limit: int | None = None) -> None:
+        self.nodes = 0
+        self.limit = limit
+
+    def spend(self) -> None:
+        self.nodes += 1
+        if self.limit is not None and self.nodes > self.limit:
+            raise BudgetExhausted(
+                f"the search took more than {self.limit} steps; raise the limit to finish it"
+            )
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -24,8 +24,9 @@ certificate and cover embedding is that of the plain search; only the
 node count falls. `enumerate_copies` streams every labelled embedding and
 prunes nothing.
 
-Search effort is metered in node expansions (candidate assignments tried),
-so identical inputs and budgets always reproduce the same verdict.
+Search effort is metered in node expansions (candidate assignments tried)
+on a ``graphs.Meter``, so identical inputs and budgets always reproduce
+the same verdict; an exhausted meter turns into UNKNOWN.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
-from .graphs import Graph, PreconditionError, components, iter_bits
+from .graphs import BudgetExhausted, Graph, Meter, PreconditionError, components, iter_bits
 
 DEFAULT_BUDGET = 10**8
 
@@ -43,23 +44,6 @@ class Verdict(str, Enum):
     YES = "yes"
     NO = "no"
     UNKNOWN = "unknown"
-
-
-class BudgetExhausted(Exception):
-    pass
-
-
-class _Budget:
-    __slots__ = ("nodes", "limit")
-
-    def __init__(self, limit: Optional[int]):
-        self.nodes = 0
-        self.limit = limit
-
-    def spend(self) -> None:
-        self.nodes += 1
-        if self.limit is not None and self.nodes > self.limit:
-            raise BudgetExhausted
 
 
 @dataclass(frozen=True)
@@ -120,7 +104,7 @@ def _search(
     allowed: int,
     assignment: list[Optional[int]],
     used: int,
-    budget: _Budget,
+    meter: Meter,
     comp_order: list[int],
     below: Sequence[int],
 ) -> Iterator[tuple[int, ...]]:
@@ -161,9 +145,9 @@ def _search(
     for c in iter_bits(best_cands):
         if below[c] & best_cands:
             continue  # a lower twin of c is a candidate here
-        budget.spend()
+        meter.spend()
         assignment[best_v] = c
-        yield from _search(g, h, allowed, assignment, used | (1 << c), budget, comp_order, below)
+        yield from _search(g, h, allowed, assignment, used | (1 << c), meter, comp_order, below)
         assignment[best_v] = None
 
 
@@ -185,7 +169,7 @@ def _embeddings(
     h: Graph,
     allowed: int,
     anchor: Optional[int],
-    budget: _Budget,
+    meter: Meter,
     below: Sequence[int],
 ) -> Iterator[tuple[int, ...]]:
     if h.n == 0:
@@ -196,15 +180,15 @@ def _embeddings(
     comp_order = _component_major_order(h)
     if anchor is None:
         assignment: list[Optional[int]] = [None] * h.n
-        yield from _search(g, h, allowed, assignment, 0, budget, comp_order, below)
+        yield from _search(g, h, allowed, assignment, 0, meter, comp_order, below)
         return
     # each embedding whose image contains the anchor maps exactly one
     # h-vertex there, so iterating that choice emits it exactly once
     for v in range(h.n):
-        budget.spend()
+        meter.spend()
         assignment = [None] * h.n
         assignment[v] = anchor
-        yield from _search(g, h, allowed, assignment, 1 << anchor, budget, comp_order, below)
+        yield from _search(g, h, allowed, assignment, 1 << anchor, meter, comp_order, below)
 
 
 def enumerate_copies(
@@ -215,8 +199,7 @@ def enumerate_copies(
     consuming it to bound work."""
     if anchor is not None and not 0 <= anchor < g.n:
         raise PreconditionError(f"anchor {anchor} out of range")
-    budget = _Budget(None)
-    for mapping in _embeddings(g, h, g.vertex_mask, anchor, budget, [0] * g.n):
+    for mapping in _embeddings(g, h, g.vertex_mask, anchor, Meter(), [0] * g.n):
         yield Embedding(mapping)
 
 
@@ -227,7 +210,7 @@ def copy_covering_vertex(
     complete search, or UNKNOWN on budget exhaustion."""
     if not 0 <= w < g.n:
         raise PreconditionError(f"vertex {w} out of range for order {g.n}")
-    meter = _Budget(budget)
+    meter = Meter(budget)
     try:
         if 0 < h.n <= g.n:
             for mapping in _embeddings(g, h, g.vertex_mask, w, meter, _lower_twins(g)):
@@ -256,7 +239,7 @@ def has_perfect_packing(
         raise PreconditionError("packing graph must have at least one vertex")
     if g.n % h.n != 0:
         return PackingResult(Verdict.NO, None, 0, budget)
-    meter = _Budget(budget)
+    meter = Meter(budget)
     # uncovered masks refuted by a complete search; BudgetExhausted skips
     # the add, so a cut-off search records nothing
     failed: set[int] = set()

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import orepack as op
-from orepack import coloring, parameters
+from orepack import coloring, parameters, probes
 from orepack.cli import main
 
 
@@ -175,6 +175,15 @@ def test_pack_budget_unknown(capsys, tmp_path):
     assert code == 4 and out.splitlines()[0] == "UNKNOWN"
 
 
+def test_pack_empty_h_exits_3(capsys, tmp_path):
+    k2 = graph_file(tmp_path, "k2.g6", op.complete_graph(2))
+    empty = tmp_path / "empty.g6"
+    empty.write_text("?\n")
+    code, out, err = run_cli(capsys, "pack", k2, str(empty))
+    assert (code, out) == (3, "")
+    assert "precondition error" in err
+
+
 def test_cover(capsys, tmp_path, fdiamond_file):
     inst = op.construct_prop1(3, 9)
     g = graph_file(tmp_path, "p1.g6", inst.graph)
@@ -333,6 +342,33 @@ def test_probe_cli_and_determinism(capsys):
     assert payload["violations"] == 0
     code, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_probe_budget_exhausted_exits_4(capsys):
+    code, out, _ = run_cli(
+        capsys, "probe", "--family", "hajnal-szemeredi", "--n", "9", "--r", "3",
+        "--samples", "30", "--seed", "1", "--budget", "1",
+    )
+    payload = json.loads(out)
+    assert (code, payload["violations"], payload["unknowns"]) == (4, 0, 7)
+
+
+def test_probe_violation_exits_1(capsys, monkeypatch):
+    # a NO on a graph that meets the hypothesis contradicts the theorem
+    monkeypatch.setattr(
+        probes,
+        "has_perfect_packing",
+        lambda g, h, budget: op.PackingResult(op.Verdict.NO, None, 0, budget),
+    )
+    code, out, err = run_cli(
+        capsys, "probe", "--family", "kierstead-kostochka",
+        "--n", "6", "--r", "3", "--samples", "60", "--seed", "11",
+    )
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["violations"] == payload["condition_hits"] > 0
+    for g6 in payload["violation_graphs"]:
+        assert f"violation: {g6}" in err.splitlines()
 
 
 def test_probe_bad_config_exits_3(capsys):

@@ -1,12 +1,17 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import orepack as op
-from orepack import EnumerationCapError, PreconditionError
+from orepack import BudgetExhausted, PreconditionError
 from orepack.coloring import DEFAULT_ENUMERATION_CAP
+from orepack.graphs import components, iter_bits
 
 from fixtures import corpus, k4_minus, small_corpus
 from oracles import brute_chromatic_number, brute_optimal_partitions
@@ -28,6 +33,41 @@ def test_chromatic_agrees_with_brute_force():
         n = rng.randrange(1, 9)
         g = op.random_graph(n, rng.random(), rng)
         assert op.chromatic_number(g) == max(1, brute_chromatic_number(g))
+    # unions of paths, cycles and random graphs, shuffled so that the
+    # components interleave in the search order
+    for _ in range(60):
+        g = op.empty_graph(0)
+        for _ in range(rng.randint(1, 8)):
+            size = rng.randint(3, 7)
+            part = rng.choice(
+                [op.path_graph(size), op.cycle_graph(size), op.random_graph(size, rng.random(), rng)]
+            )
+            g = op.disjoint_union(g, part)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = op.relabel(g, perm)
+        want = max(
+            brute_chromatic_number(op.induced_subgraph(g, iter_bits(comp)))
+            for comp in components(g)
+        )
+        assert op.chromatic_number(g) == max(1, want), op.to_graph6(g)
+
+
+def test_chromatic_number_does_not_backtrack_across_components():
+    # a search over the whole vertex order retries every coloring of the 40
+    # paths for each failed 2-coloring of the 5-cycle and does not finish
+    script = (
+        "import orepack as op\n"
+        "g = op.empty_graph(0)\n"
+        "for _ in range(40):\n"
+        "    g = op.disjoint_union(g, op.path_graph(3))\n"
+        "print(op.chromatic_number(op.disjoint_union(g, op.cycle_graph(5))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(op.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert (proc.returncode, proc.stdout) == (0, "3\n")
 
 
 def test_chromatic_at_least_greedy_clique():
@@ -93,7 +133,7 @@ def test_enumeration_cap_is_hard_error():
     # the 8-cycle has many optimal 2-colorings? no - unique; use an
     # edgeless-ish sparse graph with lots of optimal colorings instead
     g = op.disjoint_union(op.complete_graph(2), op.empty_graph(6))
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(BudgetExhausted):
         op.optimal_colorings(g, cap=2)
 
 
@@ -170,7 +210,7 @@ def test_class_size_profiles_match_enumeration():
         g = _random_union(rng, 14)
         try:
             want = _enumerated_profiles(g, cap=3_000)
-        except EnumerationCapError:
+        except BudgetExhausted:
             continue
         assert op.class_size_profiles(g) == want, op.to_graph6(g)
         checked += 1
@@ -219,7 +259,7 @@ def test_class_size_profiles_answer_where_enumeration_caps():
         (op.disjoint_union(_copies(c5, 3), k2), (3, {(3, 7, 7), (4, 6, 7), (5, 5, 7), (5, 6, 6)})),
     ]
     for g, want in cases:
-        with pytest.raises(EnumerationCapError):
+        with pytest.raises(BudgetExhausted):
             op.optimal_colorings(g, cap=100)
         assert op.class_size_profiles(g, cap=100) == want
 
@@ -227,8 +267,8 @@ def test_class_size_profiles_answer_where_enumeration_caps():
 def test_class_size_profiles_cap_is_hard_error():
     # the connected C15 has 5,461 optimal 3-colorings, one kernel visit each
     c15 = op.cycle_graph(15)
-    with pytest.raises(EnumerationCapError, match="100"):
+    with pytest.raises(BudgetExhausted, match="100"):
         op.class_size_profiles(c15, cap=100)
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(BudgetExhausted):
         op.class_size_profiles(c15, cap=5_460)
     assert op.class_size_profiles(c15, cap=5_461) == _enumerated_profiles(c15)

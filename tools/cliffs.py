@@ -6,12 +6,15 @@ Cliff A (ROADMAP.md, Baseline) is the class-size profile search of
 `orepack params`: for each instance the table gives chi, the number of
 distinct sorted class-size profiles of the optimal colorings, and the
 wall time of `class_size_profiles`, or CAP when the search ends in
-`EnumerationCapError`. Cliff B is the set of NO verdicts that only a
-complete search proves: perfect-packing refutations in K_a+K_b, K_{a,b}
-and K_{a,b,c} hosts, and the covering refutation that `orepack verify`
-runs for prop2(3,1,7,7) against fdiamond; its table gives the verdict,
-the search nodes and the wall time. Times are `time.perf_counter` wall
-times of one run.
+`BudgetExhausted`. A second table gives chi and the wall time of
+`chromatic_number` on unions of many paths and a 5-cycle, where a search
+that backtracks across components retries every coloring of the paths.
+Cliff B is the set of NO verdicts that only a complete search proves:
+perfect-packing refutations in K_a+K_b, K_{a,b}, K_{a,b,c} and
+K_{3,...,3,3(k-1)} hosts, and the covering refutation that `orepack
+verify` runs for prop2(3,1,7,7) against fdiamond; its table gives the
+verdict, the search nodes and the wall time. Times are
+`time.perf_counter` wall times of one run.
 """
 
 from __future__ import annotations
@@ -44,12 +47,28 @@ PROFILE_CLIFFS = (
 )
 
 
+def _paths_and_c5(k: int) -> op.Graph:
+    return op.disjoint_union(_copies(op.path_graph(3), k), op.cycle_graph(5))
+
+
+CHROMATIC_CLIFFS = (
+    ("16P3+C5", lambda: _paths_and_c5(16)),
+    ("18P3+C5", lambda: _paths_and_c5(18)),
+)
+
+
 def _union(a: int, b: int) -> op.Graph:
     return op.disjoint_union(op.complete_graph(a), op.complete_graph(b))
 
 
 def _bipartite(a: int, b: int) -> op.Graph:
     return op.complete_multipartite([a, b])[0]
+
+
+def _skewed(k: int) -> op.Graph:
+    """k classes of 3 and one of 3(k-1). Each triangle takes at most one
+    vertex of the large class, so no K3-packing covers it."""
+    return op.complete_multipartite([3] * k + [3 * (k - 1)])[0]
 
 
 # verify reports whether w is left uncovered; the cover search's verdict
@@ -76,6 +95,10 @@ CLIFFS = (
     ("C4 into K_{30,34}", lambda: _pack(_bipartite(30, 34), op.cycle_graph(4))),
     ("K3 into K40+K41", lambda: _pack(_union(40, 41), op.complete_graph(3))),
     ("K3 into K_{20,20,23}", lambda: _pack(op.complete_multipartite([20, 20, 23])[0], op.complete_graph(3))),
+    ("K3 into K_{3,...,3,9}, k=4", lambda: _pack(_skewed(4), op.complete_graph(3))),
+    ("K3 into K_{3,...,3,12}, k=5", lambda: _pack(_skewed(5), op.complete_graph(3))),
+    ("K3 into K_{3,...,3,15}, k=6", lambda: _pack(_skewed(6), op.complete_graph(3))),
+    ("K3 into K_{3,...,3,18}, k=7", lambda: _pack(_skewed(7), op.complete_graph(3))),
     ("verify prop2(3,1,7,7) vs fdiamond", _verify_prop2),
 )
 
@@ -89,10 +112,19 @@ def main() -> int:
         try:
             chi, profiles = op.class_size_profiles(g)
             answer = f"{chi:3d}  {len(profiles):8d}"
-        except op.EnumerationCapError:
+        except op.BudgetExhausted:
             answer = f"{'CAP':>13}"
         ms = (time.perf_counter() - start) * 1000
         print(f"{name:<{width}}  {answer}  {ms:8.1f}")
+    print()
+    width = max(len(name) for name, _ in CHROMATIC_CLIFFS)
+    print(f"{'instance':<{width}}  chi        ms")
+    for name, build in CHROMATIC_CLIFFS:
+        g = build()
+        start = time.perf_counter()
+        chi = op.chromatic_number(g)
+        ms = (time.perf_counter() - start) * 1000
+        print(f"{name:<{width}}  {chi:3d}  {ms:8.1f}")
     print()
     width = max(len(name) for name, _ in CLIFFS)
     print(f"{'instance':<{width}}  verdict      nodes        ms")
