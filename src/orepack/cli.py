@@ -6,6 +6,10 @@ stderr. Exit codes: 0 success/YES, 1 NO or probe violation, 2 input error,
 3 precondition error, 4 no answer: a search exhausted its meter (the node
 budget of a packing or cover search, the cap on completed colorings of a
 coloring search) or a certificate was rejected.
+
+Input files are read by one reader (a path, or '-' for stdin) and decoded
+by the module that writes their format: graph text by ``graphs``, the
+instance JSON of ``verify`` by ``extremal.ExtremalInstance``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import extremal, probes
 from .graphs import (
@@ -22,7 +25,7 @@ from .graphs import (
     PreconditionError,
     blow_up,
     complete_multipartite,
-    parse_graph6,
+    parse_graph6,  # noqa: F401  unused here; perfbench/tracing.py wraps this name
     parse_graph_text,
     to_graph6,
 )
@@ -55,22 +58,16 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _read(path: str, encoding: str) -> str:
+    """The text of the file at ``path``, or of stdin when it is '-'."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path, "r", encoding=encoding) as fh:
+        return fh.read()
+
+
 def _load_graph(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    return parse_graph_text(text)
-
-
-def _load_json(path: str) -> dict:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return json.loads(text)
+    return parse_graph_text(_read(path, "ascii"))
 
 
 def cmd_params(args) -> int:
@@ -167,23 +164,8 @@ def _require(args, *names: str) -> None:
 
 
 def cmd_verify(args) -> int:
-    payload = _load_json(args.instance)
-    try:
-        params = payload["params"]
-        if not isinstance(params, dict):
-            raise TypeError(f"params {params!r} is not an object")
-        inst = extremal.ExtremalInstance(
-            graph=parse_graph6(payload["graph6"]),
-            w=int(payload["w"]),
-            claimed_ore_bound=Fraction(
-                int(payload["claimed_bound"]["num"]),
-                int(payload["claimed_bound"]["den"]),
-            ),
-            family=str(payload["family"]),
-            params={k: int(v) for k, v in params.items()},
-        )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise GraphFormatError(f"bad instance JSON: {exc}") from None
+    payload = json.loads(_read(args.instance, "utf-8"))
+    inst = extremal.ExtremalInstance.from_json_dict(payload)
     h = _load_graph(args.packing_graph)
     report = extremal.verify_lower_bound(inst, h, args.budget)
     _emit(report.to_json_dict())

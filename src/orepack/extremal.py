@@ -2,7 +2,8 @@
 
 Each bounded construction packages a graph, a distinguished vertex w that
 no copy of the target graph H can cover, and the exact degree-sum bound
-the construction is claimed to satisfy. Bounds are kept as exact rationals
+the construction is claimed to satisfy, as an ``ExtremalInstance`` that
+writes and reads itself as one JSON object. Bounds are kept as exact rationals
 and compared against the integer minimum degree sum, so no floor/ceiling
 ambiguity can creep in. The verifier re-checks all three claims: the
 degree-sum bound, the impossibility of covering w (by complete anchored
@@ -20,10 +21,13 @@ from typing import Mapping, Optional
 from .coloring import chromatic_number
 from .graphs import (
     Graph,
+    GraphFormatError,
     PreconditionError,
     _multipartite_adj,
     iter_bits,
     min_ore_degree_sum,
+    parse_graph6,
+    require_order,
     to_graph6,
 )
 from .packing import DEFAULT_BUDGET, Verdict, copy_covering_vertex
@@ -55,6 +59,32 @@ class ExtremalInstance:
             "claimed_bound": fraction_json(self.claimed_ore_bound),
         }
 
+    @classmethod
+    def from_json_dict(cls, payload) -> "ExtremalInstance":
+        """The inverse of ``to_json_dict``. It takes exactly what that
+        writes: strings for graph6 and family, an object for params, and
+        JSON integers for w, the bound and every parameter. Anything else
+        raises GraphFormatError."""
+        try:
+            bound = payload["claimed_bound"]
+            num, den = _exactly(int, bound["num"]), _exactly(int, bound["den"])
+            return cls(
+                graph=parse_graph6(_exactly(str, payload["graph6"])),
+                w=_exactly(int, payload["w"]),
+                claimed_ore_bound=Fraction(num, den),
+                family=_exactly(str, payload["family"]),
+                params={k: _exactly(int, v) for k, v in _exactly(dict, payload["params"]).items()},
+            )
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise GraphFormatError(f"bad instance JSON: {exc}") from None
+
+
+def _exactly(kind: type, value):
+    """``value`` when its type is exactly ``kind``: a bool or a float is no int."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
 
 def _cut(adj: list[int], a: int, b: int) -> None:
     """Delete every edge between the vertex masks ``a`` and ``b``."""
@@ -80,6 +110,7 @@ def construct_prop1(r: int, n: int) -> ExtremalInstance:
         raise PreconditionError("need r >= 2")
     if n < r:
         raise PreconditionError(f"need n >= r, got n={n}, r={r}")
+    require_order(n)  # before the r class sizes are listed
     q, rem = divmod(n, r)
     sizes = [q] * (r - rem) + [q + 1] * rem
     # w = 0 shares the first class with the clique 1..sizes[0]+sizes[1]-1
@@ -153,6 +184,7 @@ def _prop2(
             f"divisibility: t={t} is not a positive multiple of "
             f"((m+2)r-2)(r-2) = {step}"
         )
+    require_order(n)  # before the m + r class sizes are listed
     st = 2 * h_order // block * t
     pad = n - h_order * t
     big = (h_order * t - (m + 1) * st) // (r - 2)

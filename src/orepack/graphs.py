@@ -6,9 +6,11 @@ graph operation in this module is a pure function of its inputs; the one
 stateful object is ``Meter``, the step counter of the packing, cover
 and optimal-coloring searches.
 
-Two text formats are supported: graph6 (the compact ASCII interchange
-format used by graph corpora) and a line-oriented edge list ("n m" header
-followed by one "u v" pair per line, 0-indexed; '#' starts a comment).
+Two text formats are supported, each read by one parser beside its
+writer: graph6 (the compact ASCII interchange format used by graph
+corpora) and a line-oriented edge list ("n m" header followed by one
+"u v" pair per line, 0-indexed; '#' starts a comment). ``parse_graph_text``
+tells them apart by the edge list's header and hands the text over.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ MAX_VERTICES = 128
 
 
 class GraphFormatError(ValueError):
-    """Graph text (graph6 or edge list) could not be decoded."""
+    """Input text (graph6, an edge list or an instance JSON) could not be
+    decoded."""
 
 
 class PreconditionError(ValueError):
@@ -212,6 +215,12 @@ def complete_multipartite(sizes: Sequence[int]) -> tuple[Graph, VertexSetPartiti
     return Graph(len(adj), tuple(adj)), VertexSetPartition(classes)
 
 
+def require_order(n: int) -> None:
+    """Reject a graph to be built on more than MAX_VERTICES vertices."""
+    if n > MAX_VERTICES:
+        raise PreconditionError(f"order {n} exceeds {MAX_VERTICES}")
+
+
 def _multipartite_adj(sizes: Sequence[int]) -> list[int]:
     """Adjacency rows of the complete multipartite graph on ``sizes``, for
     callers that edit them before building one ``Graph``."""
@@ -220,8 +229,7 @@ def _multipartite_adj(sizes: Sequence[int]) -> list[int]:
     if any(s <= 0 for s in sizes):
         raise PreconditionError("class sizes must be positive")
     n = sum(sizes)
-    if n > MAX_VERTICES:
-        raise PreconditionError(f"order {n} exceeds {MAX_VERTICES}")
+    require_order(n)
     full = (1 << n) - 1
     adj = []
     for s in sizes:
@@ -234,8 +242,7 @@ def blow_up(g: Graph, t: int) -> Graph:
     complete bipartite join between the two clone sets."""
     if t < 1:
         raise PreconditionError("blow-up factor must be >= 1")
-    if t * g.n > MAX_VERTICES:
-        raise PreconditionError(f"order {t * g.n} exceeds {MAX_VERTICES}")
+    require_order(t * g.n)
     block = (1 << t) - 1
     adj = []
     for x in range(g.n):
@@ -247,8 +254,7 @@ def blow_up(g: Graph, t: int) -> Graph:
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    if g.n + h.n > MAX_VERTICES:
-        raise PreconditionError(f"order {g.n + h.n} exceeds {MAX_VERTICES}")
+    require_order(g.n + h.n)
     adj = list(g.adj) + [m << g.n for m in h.adj]
     return Graph(g.n + h.n, tuple(adj))
 
@@ -340,27 +346,15 @@ _G6_HEADER = ">>graph6<<"
 
 
 def to_graph6(g: Graph) -> str:
-    out = []
-    if g.n <= 62:
-        out.append(chr(g.n + 63))
+    n = g.n
+    if n <= 62:
+        head = chr(n + 63)
     else:
-        out.append("~")
-        out.append(chr(((g.n >> 12) & 63) + 63))
-        out.append(chr(((g.n >> 6) & 63) + 63))
-        out.append(chr((g.n & 63) + 63))
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = (acc << 1) | (g.adj[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+        head = "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+    # column j is x_{0j} .. x_{(j-1)j}: the bits of adj[j] below j, reversed
+    bits = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(int(bits[i:i + 6], 2) + 63) for i in range(0, len(bits), 6))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -417,61 +411,46 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _content_lines(text: str) -> list[str]:
+    """The lines of ``text`` with '#' comments cut off, stripped, blanks dropped."""
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [line for line in lines if line]
+
+
+def _int_pair(line: str, what: str) -> tuple[int, int]:
+    """The two integers of an "a b" line; anything else is a GraphFormatError."""
+    try:
+        a, b = map(int, line.split())
+    except ValueError:
+        raise GraphFormatError(f"bad {what} {line!r}, expected two integers") from None
+    return a, b
+
+
 def parse_edge_list(text: str) -> Graph:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append(line)
+    rows = _content_lines(text)
     if not rows:
         raise GraphFormatError("empty edge-list input")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise GraphFormatError(f"bad header {rows[0]!r}, expected 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise GraphFormatError(f"non-integer header {rows[0]!r}") from None
+    n, m = _int_pair(rows[0], "header")
     if n < 0 or m < 0:
         raise GraphFormatError("negative counts in header")
     if n > MAX_VERTICES:
         raise GraphFormatError(f"order {n} exceeds supported maximum {MAX_VERTICES}")
     if len(rows) - 1 != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(rows) - 1}")
-    edges = []
-    for row in rows[1:]:
-        parts = row.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"bad edge line {row!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"non-integer edge line {row!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"edge {u}-{v} out of range for n={n}")
-        if u == v:
-            raise GraphFormatError(f"loop at vertex {u}")
-        edges.append((u, v))
+    edges = [_int_pair(row, "edge line") for row in rows[1:]]
     # duplicates are tolerated in hand-authored fixtures; from_edges dedups
-    return Graph.from_edges(n, edges)
+    try:
+        return Graph.from_edges(n, edges)
+    except ValueError as exc:  # an edge out of range, or a loop
+        raise GraphFormatError(str(exc)) from None
 
 
 def parse_graph_text(text: str) -> Graph:
     """Auto-detect the format: an edge list starts with an 'n m' integer
     header (after comment stripping); anything else is treated as graph6."""
-    stripped = text.strip()
-    if stripped.startswith(_G6_HEADER):
-        return parse_graph6(stripped)
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) == 2:
-            try:
-                int(parts[0]), int(parts[1])
-            except ValueError:
-                break
-            return parse_edge_list(text)
-        break
-    return parse_graph6(stripped)
+    lines = _content_lines(text)
+    try:
+        _int_pair(lines[0], "header")
+    except (IndexError, GraphFormatError):
+        return parse_graph6(text)
+    return parse_edge_list(text)

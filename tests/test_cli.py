@@ -310,15 +310,28 @@ def test_verify_bad_instance_exits_2(capsys, tmp_path, fdiamond_file):
     path.write_text('{"graph6": "A_"}')
     code, _, _ = run_cli(capsys, "verify", str(path), fdiamond_file)
     assert code == 2
+    # K3 meets prop1's precondition, so a truncated instance would be checked
+    k3_file = graph_file(tmp_path, "k3.g6", op.complete_graph(3))
     good = op.construct_prop1(3, 9).to_json_dict()
     bad = [
         dict(good, params={"n": 9}),  # a bounded family without "r"
         dict(good, params=5),  # params not an object
         dict(good, claimed_bound={"num": 1, "den": 0}),
+        # graph6 not a string, or w not finite: a traceback before
+        dict(good, graph6=5),
+        dict(good, graph6=None),
+        dict(good, w=float("inf")),
+        # floats and bools are not integers: before, they were truncated
+        # and the truncated instance was checked
+        dict(good, w=0.7),
+        dict(good, claimed_bound={"num": good["claimed_bound"]["num"] + 0.9, "den": 1}),
+        dict(good, params=dict(good["params"], m=1.9)),
+        dict(good, w=True),
+        dict(good, family=5),
     ]
     for payload in bad:
         path.write_text(json.dumps(payload))
-        code, out, err = run_cli(capsys, "verify", str(path), fdiamond_file)
+        code, out, err = run_cli(capsys, "verify", str(path), k3_file)
         assert (code, out) == (2, "")
         assert "bad instance JSON" in err
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,23 @@ def test_prop2_errors():
         op.construct_prop2(2, 1, 7, 7)  # r too small
     with pytest.raises(PreconditionError):
         op.construct_prop2(3, 1, 7, 21)  # order 147 > 128
+
+
+@pytest.mark.parametrize("build,args", [
+    (op.construct_prop1, (10**6, 10**6)),
+    (op.construct_prop2, (3, 10**6, 1500002, 3000004)),
+])
+def test_order_is_checked_before_class_sizes_are_listed(build, args):
+    # r or m near 10^6 passes every other precondition; a list of that many
+    # class sizes would take megabytes before the order check rejects it
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="exceeds 128"):
+            build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_prop2_padded_shape():
@@ -207,6 +225,15 @@ def test_instance_json_round_trip():
     assert payload["claimed_bound"] == {"num": 55, "den": 1}
     assert op.parse_graph6(payload["graph6"]) == inst.graph
     assert payload["params"] == {"r": 3, "m": 1, "h_order": 7, "t": 7}
+
+
+@pytest.mark.parametrize("inst", [
+    op.construct_prop1(3, 9), op.construct_prop2(3, 1, 7, 7), op.construct_prop2_padded(3, 1, 7, 56),
+])
+def test_instance_from_json_dict_inverts_to_json_dict(inst):
+    payload = json.loads(json.dumps(inst.to_json_dict()))
+    back = op.ExtremalInstance.from_json_dict(payload)
+    assert back == inst and back.to_json_dict() == inst.to_json_dict()
 
 
 # Parameter grid that reaches every branch of every construction: r = 2

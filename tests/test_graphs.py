@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -102,8 +104,9 @@ def test_graph6_round_trip_large_orders():
 def test_graph6_matches_reference_implementation():
     nx = pytest.importorskip("networkx")
     rng = random.Random(2024)
-    for _ in range(300):
-        n = rng.randrange(0, 24)
+    small = (rng.randrange(0, 24) for _ in range(300))
+    # 62 and 63 straddle the 1-byte and 4-byte order fields
+    for n in itertools.chain(small, [62, 63, 64, 100, 127, 128]):
         g = op.random_graph(n, rng.random(), rng)
         G = nx.Graph()
         G.add_nodes_from(range(n))
@@ -146,6 +149,56 @@ def test_parse_graph_text_autodetect():
     assert op.parse_graph_text("A_") == op.complete_graph(2)
     assert op.parse_graph_text("2 1\n0 1\n") == op.complete_graph(2)
     assert op.parse_graph_text("# c\n\n3 1\n0 2\n") == Graph.from_edges(3, [(0, 2)])
+
+
+def _reader_corpus():
+    """Seeded graph6 and edge-list texts of graphs on 0-128 vertices, some
+    with comments, a header or duplicate edges, each followed by two
+    copies with one character inserted."""
+    rng = random.Random(11)
+    texts = []
+    for i in range(600):
+        n = rng.randrange(13, 129) if i % 20 == 0 else rng.randrange(0, 13)
+        g = op.random_graph(n, rng.random() * (1 if n < 13 else 0.1), rng)
+        edges = op.to_edge_list(g)
+        if rng.random() < 0.3 and g.edge_count():
+            first = edges.split("\n")[1]
+            edges = edges.replace(f"{g.n} {g.edge_count()}", f"{g.n} {g.edge_count() + 1}", 1)
+            edges = f"# fixture\n{edges}{first}  # dup\n"
+        g6 = op.to_graph6(g)
+        if rng.random() < 0.2:
+            g6 = ">>graph6<<" + g6 + "\n"
+        for text in (g6, edges):
+            texts.append(text)
+            for _ in range(2):
+                at = rng.randrange(len(text) + 1)
+                texts.append(text[:at] + rng.choice("0123456789 \n\t#-+_?@~ABz>{\x7f") + text[at:])
+    return texts
+
+
+def _outcome(read, text):
+    try:
+        return op.to_graph6(read(text))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+# sha256 over what each reader made of every corpus text (the graph6 of
+# the accepted graph, or the exception class), taken from the readers
+# that kept their own comment, header, range and loop rules
+READER_DIGEST = "7ab8b8a939c443f225b22d9a94db79683625dff164ce631a0dbd0f8aa51a544d"
+
+
+def test_readers_match_pinned_digest():
+    digest = hashlib.sha256()
+    accepted = 0
+    for text in _reader_corpus():
+        outcomes = [_outcome(read, text) for read in
+                    (op.parse_graph_text, op.parse_edge_list, op.parse_graph6)]
+        accepted += outcomes[0] != "GraphFormatError"
+        digest.update((repr(text) + " ".join(outcomes) + "\n").encode())
+    assert accepted > 1000
+    assert digest.hexdigest() == READER_DIGEST
 
 
 # ---------------------------------------------------------------------------
