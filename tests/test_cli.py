@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -417,3 +418,69 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == op.to_graph6(op.construct_fdiamond())
+
+
+def _without(argv, flag):
+    """``argv`` with ``flag`` and its value left out."""
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+CONSTRUCT_OK = (
+    ["construct", "prop1", "--r", "3", "--n", "9"],
+    ["construct", "prop2", "--r", "3", "--m", "1", "--h-order", "7", "--t", "7"],
+    ["construct", "prop2-padded", "--r", "3", "--m", "1", "--h-order", "7", "--n", "56"],
+    ["construct", "fdiamond"],
+    ["construct", "hdiamond", "--k", "2", "--r", "4", "--sizes", "3,4,7,7"],
+    ["construct", "multipartite", "--sizes", "2,3,4"],
+    ["construct", "blowup", "--graph", "k3.g6", "--t", "2"],
+)
+
+# every family with valid flags and with each of its flags left out, bad
+# size lists, orders above 128, a missing --graph file, ignored flags, and
+# probe configs that run or are rejected
+CLI_GRID = (
+    list(CONSTRUCT_OK)
+    + [_without(argv, flag) for argv in CONSTRUCT_OK for flag in argv if flag.startswith("--")]
+    + [
+        ["construct", family, *flags, "--sizes", sizes]
+        for family, flags in (("hdiamond", ["--k", "1", "--r", "3"]), ("multipartite", []))
+        for sizes in ("3,x", "", "2,0", "2,2,2,", " 2, 3")
+    ]
+    + [
+        ["construct", "prop1", "--r", "3", "--n", "200"],
+        ["construct", "prop2", "--r", "3", "--m", "1", "--h-order", "7", "--t", "21"],
+        ["construct", "prop2-padded", "--r", "3", "--m", "1", "--h-order", "7", "--n", "133"],
+        ["construct", "hdiamond", "--k", "2", "--r", "4", "--sizes", "40,40,40,40"],
+        ["construct", "hdiamond", "--k", "0", "--r", "4", "--sizes", "3,4,7,7"],
+        ["construct", "multipartite", "--sizes", "100,29"],
+        ["construct", "blowup", "--graph", "k3.g6", "--t", "43"],
+        ["construct", "blowup", "--graph", "missing.g6", "--t", "2"],
+        ["construct", "blowup", "--graph", "missing.g6"],
+        ["construct", "fdiamond", "--r", "5", "--sizes", "2,2"],
+        ["construct", "multipartite", "--sizes", "2,2", "--t", "3"],
+        ["construct", "prop1", "--r", "3", "--n", "9", "--k", "4", "--graph", "missing.g6"],
+        ["probe", "--family", "hajnal-szemeredi", "--n", "6", "--r", "3", "--samples", "20", "--seed", "3"],
+        ["probe", "--family", "kierstead-kostochka", "--n", "7", "--r", "3", "--samples", "5"],
+        ["probe", "--family", "kierstead-kostochka", "--n", "6", "--samples", "5"],
+        ["probe", "--family", "average-degree", "--n", "8", "--samples", "20", "--seed", "2"],
+        ["probe", "--family", "average-degree", "--n", "129", "--samples", "1"],
+    ]
+)
+
+# sha256 over (argv, exit code, stdout, stderr) of every call in CLI_GRID,
+# taken from the construct verb that dispatched each family by hand
+CLI_GRID_DIGEST = "8e502765ee350d1f126249a15d8b9a1f69cb4812c0f63496beb52afe01909f79"
+
+
+def test_construct_and_probe_grid_matches_pinned_digest(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("k3.g6").write_text(op.to_graph6(op.complete_graph(3)) + "\n")
+    digest = hashlib.sha256()
+    codes = set()
+    for argv in CLI_GRID:
+        code, out, err = run_cli(capsys, *argv)
+        codes.add(code)
+        digest.update((json.dumps([argv, code, out, err]) + "\n").encode())
+    assert codes == {0, 2, 3}
+    assert digest.hexdigest() == CLI_GRID_DIGEST
