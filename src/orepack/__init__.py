@@ -8,7 +8,6 @@ from .graphs import (
     GraphFormatError,
     MAX_VERTICES,
     PreconditionError,
-    VertexSetPartition,
     average_degree,
     blow_up,
     complement,

@@ -9,7 +9,9 @@ coloring search) or a certificate was rejected.
 
 Input files are read by one reader (a path, or '-' for stdin) and decoded
 by the module that writes their format: graph text by ``graphs``, the
-instance JSON of ``verify`` by ``extremal.ExtremalInstance``.
+instance JSON of ``verify`` by ``extremal.ExtremalInstance``. ``construct``
+names no family itself: ``extremal.FAMILIES`` gives each family's builder
+and the flags it takes, and one path requires, converts and passes them.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .graphs import (
     BudgetExhausted,
     GraphFormatError,
     PreconditionError,
-    blow_up,
-    complete_multipartite,
     parse_graph6,  # noqa: F401  unused here; perfbench/tracing.py wraps this name
     parse_graph_text,
     to_graph6,
@@ -45,10 +45,6 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_UNKNOWN = 4
 EXIT_FOR_VERDICT = {Verdict.YES: EXIT_OK, Verdict.NO: EXIT_NO, Verdict.UNKNOWN: EXIT_UNKNOWN}
-
-# construct families beside extremal.BOUNDED_FAMILIES: bare graphs, no bound
-GRAPH_FAMILIES = ("fdiamond", "hdiamond", "multipartite", "blowup")
-
 
 def _emit(obj) -> None:
     print(json.dumps(obj, separators=(",", ":"), sort_keys=False))
@@ -109,58 +105,32 @@ def cmd_cover(args) -> int:
     return EXIT_FOR_VERDICT[result.verdict]
 
 
-def _parse_sizes(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise PreconditionError(f"bad size list {text!r}") from None
-
-
 def cmd_construct(args) -> int:
-    family = args.family
-    if family in extremal.BOUNDED_FAMILIES:
-        build, flags = extremal.BOUNDED_FAMILIES[family]
-        _require(args, *flags)
-        inst = build(*(getattr(args, flag) for flag in flags))
-        meta = inst.to_json_dict()
-        graph = inst.graph
-    elif family == "fdiamond":
-        graph = extremal.construct_fdiamond()
-        meta = {"graph6": to_graph6(graph), "family": family, "params": {}}
-    elif family == "hdiamond":
-        _require(args, "k", "r", "sizes")
-        sizes = _parse_sizes(args.sizes)
-        graph = extremal.construct_hdiamond(args.k, args.r, sizes)
-        meta = {
-            "graph6": to_graph6(graph),
-            "family": family,
-            "params": {"k": args.k, "r": args.r, "sizes": sizes},
-        }
-    elif family == "multipartite":
-        _require(args, "sizes")
-        sizes = _parse_sizes(args.sizes)
-        graph, partition = complete_multipartite(sizes)
-        meta = {
-            "graph6": to_graph6(graph),
-            "family": family,
-            "params": {"sizes": sizes},
-            "classes": [sorted(c) for c in partition.classes],
-        }
-    else:  # blowup
-        _require(args, "graph", "t")
-        base = _load_graph(args.graph)
-        graph = blow_up(base, args.t)
-        meta = {"graph6": to_graph6(graph), "family": family, "params": {"t": args.t}}
+    build, flags = extremal.FAMILIES[args.family]
+    for flag in flags:  # all present before any file is read
+        if getattr(args, flag) is None:
+            raise PreconditionError(f"--{flag.replace('_', '-')} is required here")
+    params = {flag: getattr(args, flag) for flag in flags}
+    if "sizes" in params:
+        try:
+            params["sizes"] = [int(part) for part in args.sizes.split(",") if part.strip() != ""]
+        except ValueError:
+            raise PreconditionError(f"bad size list {args.sizes!r}") from None
+    if "graph" in params:
+        params["graph"] = _load_graph(args.graph)
+    built = build(*params.values())
+    if isinstance(built, extremal.ExtremalInstance):
+        graph, meta = built.graph, built.to_json_dict()
+    else:
+        graph, classes = built if isinstance(built, tuple) else (built, None)
+        params.pop("graph", None)
+        meta = {"graph6": to_graph6(graph), "family": args.family, "params": params}
+        if classes is not None:
+            meta["classes"] = [list(c) for c in classes]
     print(to_graph6(graph))
     _emit(meta)
-    _note(f"{family}: {graph.n} vertices, {graph.edge_count()} edges")
+    _note(f"{args.family}: {graph.n} vertices, {graph.edge_count()} edges")
     return EXIT_OK
-
-
-def _require(args, *names: str) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise PreconditionError(f"--{name.replace('_', '-')} is required here")
 
 
 def cmd_verify(args) -> int:
@@ -225,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("construct", help="emit a named construction")
-    p.add_argument("family", choices=[*extremal.BOUNDED_FAMILIES, *GRAPH_FAMILIES])
+    p.add_argument("family", choices=list(extremal.FAMILIES))
     p.add_argument("--r", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)

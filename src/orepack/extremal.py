@@ -24,6 +24,8 @@ from .graphs import (
     GraphFormatError,
     PreconditionError,
     _multipartite_adj,
+    blow_up,
+    complete_multipartite,
     iter_bits,
     min_ore_degree_sum,
     parse_graph6,
@@ -233,11 +235,23 @@ def construct_hdiamond(
 
 
 # bounded family -> (its builder, the parameters the builder takes in
-# order); the CLI reads its flags from here, the verifier its families
+# order); instances and the verifier read their families from here
 BOUNDED_FAMILIES = {
     "prop1": (construct_prop1, ("r", "n")),
     "prop2": (construct_prop2, ("r", "m", "h_order", "t")),
     "prop2-padded": (construct_prop2_padded, ("r", "m", "h_order", "n")),
+}
+
+# every family `orepack construct` builds -> (its builder, the flags the
+# builder takes in order): the bounded families, then bare graphs without
+# a claimed bound. A `sizes` flag is a comma-separated list, a `graph` flag
+# names a graph file; a builder that returns (graph, classes) lists them.
+FAMILIES = {
+    **BOUNDED_FAMILIES,
+    "fdiamond": (construct_fdiamond, ()),
+    "hdiamond": (construct_hdiamond, ("k", "r", "sizes")),
+    "multipartite": (complete_multipartite, ("sizes",)),
+    "blowup": (blow_up, ("graph", "t")),
 }
 
 

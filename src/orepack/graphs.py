@@ -147,35 +147,6 @@ class Graph:
         return sum(m.bit_count() for m in self.adj) // 2
 
 
-@dataclass(frozen=True)
-class VertexSetPartition:
-    """Disjoint nonempty vertex classes covering ``0..n-1``."""
-
-    classes: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        seen = 0
-        for cls in self.classes:
-            if not cls:
-                raise ValueError("empty class in partition")
-            mask = 0
-            for v in cls:
-                mask |= 1 << v
-            if seen & mask:
-                raise ValueError("classes are not disjoint")
-            seen |= mask
-        n = sum(len(c) for c in self.classes)
-        if seen != (1 << n) - 1:
-            raise ValueError("classes do not cover a contiguous vertex range")
-
-    @property
-    def n(self) -> int:
-        return sum(len(c) for c in self.classes)
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
-
-
 # ---------------------------------------------------------------------------
 # generators
 
@@ -206,13 +177,12 @@ def star_graph(leaves: int) -> Graph:
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
-def complete_multipartite(sizes: Sequence[int]) -> tuple[Graph, VertexSetPartition]:
-    """Complete multipartite graph; class ``i`` holds ``sizes[i]`` consecutive
-    vertices, in the order given."""
+def complete_multipartite(sizes: Sequence[int]) -> tuple[Graph, tuple[range, ...]]:
+    """Complete multipartite graph and its classes; class ``i`` is the range
+    of ``sizes[i]`` consecutive vertices, in the order given."""
     adj = _multipartite_adj(sizes)
     bounds = list(accumulate(sizes, initial=0))
-    classes = tuple(frozenset(range(a, b)) for a, b in zip(bounds, bounds[1:]))
-    return Graph(len(adj), tuple(adj)), VertexSetPartition(classes)
+    return Graph(len(adj), tuple(adj)), tuple(map(range, bounds, bounds[1:]))
 
 
 def require_order(n: int) -> None:

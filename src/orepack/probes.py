@@ -23,7 +23,6 @@ from .graphs import (
 )
 from .packing import DEFAULT_BUDGET, Verdict, has_perfect_packing
 
-PROBE_FAMILIES = ("hajnal-szemeredi", "kierstead-kostochka", "average-degree")
 PACKING_PROBE_MAX_N = 24
 DEFAULT_P_SWEEP = (0.5, 0.7, 0.9)
 
@@ -44,7 +43,7 @@ class ProbeConfig:
             raise PreconditionError("need at least one sample")
         if not 1 <= self.n <= MAX_VERTICES:
             raise PreconditionError(f"need 1 <= n <= {MAX_VERTICES}")
-        if self.family in ("hajnal-szemeredi", "kierstead-kostochka"):
+        if PROBE_FAMILIES[self.family] is not None:
             if self.r is None or self.r < 2:
                 raise PreconditionError("packing probes need a clique order r >= 2")
             if self.n % self.r != 0:
@@ -93,20 +92,15 @@ def _sample_rng(seed: int, index: int) -> random.Random:
 def run_probe(config: ProbeConfig) -> ProbeSummary:
     config.validate()
     summary = ProbeSummary(samples=config.samples)
+    hypothesis = PROBE_FAMILIES[config.family]
     for i in range(config.samples):
         rng = _sample_rng(config.seed, i)
         p = DEFAULT_P_SWEEP[i % len(DEFAULT_P_SWEEP)]
         g = random_graph(config.n, p, rng)
-        if config.family == "hajnal-szemeredi":
-            _probe_clique_factor(
-                g, config, summary, hypothesis=_min_degree_hypothesis
-            )
-        elif config.family == "kierstead-kostochka":
-            _probe_clique_factor(
-                g, config, summary, hypothesis=_ore_sum_hypothesis
-            )
-        else:
+        if hypothesis is None:
             _probe_average_degree(g, summary)
+        else:
+            _probe_clique_factor(g, config, summary, hypothesis)
     return summary
 
 
@@ -123,6 +117,15 @@ def _ore_sum_hypothesis(g: Graph, r: int) -> bool:
     if s == float("inf"):
         return True
     return s * r >= 2 * (r - 1) * g.n - r
+
+
+# probe family -> the hypothesis on (G, r) of its clique-factor theorem;
+# None for the average-degree probe, which takes no r
+PROBE_FAMILIES = {
+    "hajnal-szemeredi": _min_degree_hypothesis,
+    "kierstead-kostochka": _ore_sum_hypothesis,
+    "average-degree": None,
+}
 
 
 def _probe_clique_factor(g, config, summary, hypothesis) -> None:

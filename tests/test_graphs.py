@@ -208,10 +208,11 @@ def test_readers_match_pinned_digest():
 def test_complete_multipartite_shapes():
     k3, part = op.complete_multipartite([1, 1, 1])
     assert k3 == op.complete_graph(3)
-    assert part.sizes() == (1, 1, 1)
+    assert tuple(map(len, part)) == (1, 1, 1)
     k222, part2 = op.complete_multipartite([2, 2, 2])
     assert k222.edge_count() == 12
-    assert part2.sizes() == (2, 2, 2)
+    assert tuple(map(len, part2)) == (2, 2, 2)
+    assert part2 == (range(0, 2), range(2, 4), range(4, 6))
     with pytest.raises(PreconditionError):
         op.complete_multipartite([2, 0, 2])
     with pytest.raises(PreconditionError):

@@ -43,6 +43,4 @@ def test_every_workload_builds_its_inputs(perfbench, tmp_path):
         assert tasks, name
         written = {str(p) for p in workdir.iterdir()}
         for task in tasks:
-            assert task.argv[0] in ("params", "pack", "cover", "verify", "probe")
-            paths = [a for a in task.argv if a.startswith(str(workdir))]
-            assert set(paths) <= written, name
+            assert {a for a in task.argv if a.startswith(str(workdir))} <= written, name
