@@ -12,11 +12,17 @@ by the module that writes their format: graph text by ``graphs``, the
 instance JSON of ``verify`` by ``extremal.ExtremalInstance``. ``construct``
 names no family itself: ``extremal.FAMILIES`` gives each family's builder
 and the flags it takes, and one path requires, converts and passes them.
+
+The argparse parser is built once per process, on the first call of
+``main``, and later calls reuse it. Each parse fills a fresh namespace,
+the verb functions look up what they call when they run, and help text is
+wrapped to the terminal width at the time it is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -168,6 +174,7 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orepack",
@@ -225,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphFormatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -2,6 +2,9 @@
 
 Graphs are immutable: adjacency is a tuple of per-vertex bitmasks, so
 values can be hashed, compared and shared across threads freely. Every
+``Graph`` checks its rows on construction. The symmetry check writes each
+row as a bit string and compares the rows with their transpose; only a
+mismatch goes back edge by edge to name the first asymmetric edge. Every
 graph operation in this module is a pure function of its inputs; the one
 stateful object is ``Meter``, the step counter of the packing, cover
 and optimal-coloring searches.
@@ -87,10 +90,13 @@ class Graph:
                 raise ValueError(f"adjacency of vertex {v} mentions vertices >= {self.n}")
             if mask >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
-        for v, mask in enumerate(self.adj):
-            for u in iter_bits(mask):
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric edge {v}-{u}")
+        # row v as a bit string, bit u at position u: symmetric iff the
+        # rows read the same as the columns
+        rows = [format(mask, f"0{self.n}b")[::-1] for mask in self.adj]
+        if rows != ["".join(col) for col in zip(*rows)]:
+            v, u = next((v, u) for v, mask in enumerate(self.adj)
+                        for u in iter_bits(mask) if not self.adj[u] >> v & 1)
+            raise ValueError(f"asymmetric edge {v}-{u}")
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("label count does not match vertex count")
 
@@ -313,6 +319,7 @@ def average_degree(g: Graph) -> Fraction:
 # packed big-endian into 6-bit groups, each offset by 63, zero-padded.
 
 _G6_HEADER = ">>graph6<<"
+_G6_BITS = {c + 63: format(c, "06b") for c in range(64)}  # a body character's six bits
 
 
 def to_graph6(g: Graph) -> str:
@@ -356,19 +363,14 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError(
             f"body length {len(body)} does not match order {n} (expected {need})"
         )
-    bits = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    bits = body.translate(_G6_BITS)
     if "1" in bits[total_bits:]:
         raise GraphFormatError("nonzero padding bits")
-    adj = [0] * n
-    start = 0
-    for j in range(1, n):
-        # column j holds x_{0j} .. x_{(j-1)j}; reversed, bit i is x_{ij}
-        column = int(bits[start:start + j][::-1], 2)
-        start += j
-        adj[j] |= column
-        for i in iter_bits(column):
-            adj[i] |= 1 << j
-    return Graph(n, tuple(adj))
+    # column j holds x_{0j} .. x_{(j-1)j}: padded to length n it is row j
+    # below the diagonal, and the transpose gives each row above it
+    lower = [bits[j * (j - 1) // 2:j * (j + 1) // 2].ljust(n, "0") for j in range(n)]
+    upper = ["".join(col) for col in zip(*lower)]
+    return Graph(n, tuple(int(a[::-1], 2) | int(b[::-1], 2) for a, b in zip(lower, upper)))
 
 
 # ---------------------------------------------------------------------------

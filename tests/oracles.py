@@ -10,6 +10,52 @@ from orepack import Graph
 
 
 # ---------------------------------------------------------------------------
+# adjacency checks and graph6 decoding, edge by edge
+#
+# These are the scans ``Graph`` and ``parse_graph6`` ran before both moved
+# to one transposition of the rows as bit strings.
+
+
+def graph_error_by_scan(n: int, adj) -> str | None:
+    """The ValueError message ``Graph(n, adj)`` must raise, or None when it
+    must accept: the checks in their order, the symmetry check edge by edge."""
+    if not 0 <= n <= 128:
+        return f"vertex count {n} outside 0..128"
+    if len(adj) != n:
+        return "adjacency row count does not match vertex count"
+    for v, mask in enumerate(adj):
+        if mask >> n:
+            return f"adjacency of vertex {v} mentions vertices >= {n}"
+        if mask >> v & 1:
+            return f"loop at vertex {v}"
+    for v, mask in enumerate(adj):
+        for u in range(n):
+            if mask >> u & 1 and not adj[u] >> v & 1:
+                return f"asymmetric edge {v}-{u}"
+    return None
+
+
+def decode_graph6_by_columns(word: str) -> Graph:
+    """The graph of a well-formed graph6 ``word`` (no header), its upper
+    triangle read one column and one bit at a time."""
+    if word[0] == "~":
+        n = ((ord(word[1]) - 63) << 12) | ((ord(word[2]) - 63) << 6) | (ord(word[3]) - 63)
+        body = word[4:]
+    else:
+        n, body = ord(word[0]) - 63, word[1:]
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    adj = [0] * n
+    start = 0
+    for j in range(1, n):
+        for i in range(j):  # column j holds x_{0j} .. x_{(j-1)j}
+            if bits[start + i] == "1":
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        start += j
+    return Graph(n, tuple(adj))
+
+
+# ---------------------------------------------------------------------------
 # set partitions and chromatic brute force
 
 

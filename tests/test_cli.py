@@ -1,19 +1,25 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import orepack as op
 from orepack import coloring, parameters, probes
-from orepack.cli import main
+from orepack.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of one ``main`` call in this process."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors and --help
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -418,6 +424,118 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == op.to_graph6(op.construct_fdiamond())
+
+
+def _fresh_process(argv, cwd, columns):
+    """(exit code, stdout, stderr) of ``argv`` run alone in a new process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(op.__file__).parents[1]), COLUMNS=str(columns))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orepack", *argv], capture_output=True, text=True, env=env, cwd=cwd
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# calls that could leak state between parses of one parser: a usage error,
+# help, a flag given and then left out, a budget given and then left out
+REUSE_SEQUENCE = (
+    ["pack", "c4.g6"],
+    ["params", "--help"],
+    ["pack", "--find", "c4.g6", "k2.g6"],
+    ["pack", "c4.g6", "k2.g6"],
+    ["cover", "--budget", "1", "fd.g6", "k3.g6", "0"],
+    ["cover", "fd.g6", "k3.g6", "0"],
+    ["params", "fd.g6"],
+)
+
+
+def test_one_parser_serves_every_call_as_a_fresh_process_would(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, g in (("c4", op.cycle_graph(4)), ("k2", op.complete_graph(2)),
+                    ("k3", op.complete_graph(3)), ("fd", op.construct_fdiamond())):
+        graph_file(tmp_path, f"{name}.g6", g)
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = [run_cli(capsys, *argv) for argv in REUSE_SEQUENCE]
+    assert build_parser() is build_parser()
+    assert [code for code, _, _ in runs] == [2, 0, 0, 0, 4, 0, 0]
+    assert runs[3][1] == "YES\n"  # the certificate of --find is not printed again
+    for argv, run in zip(REUSE_SEQUENCE, runs):
+        assert run == _fresh_process(argv, tmp_path, 80), argv
+    # help is wrapped to the width of the moment, not the width at build time
+    description = "Exact toolkit for perfect-packing parameters under Ore-type degree conditions"
+    for columns in (40, 120):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        run = run_cli(capsys, "--help")
+        assert run == _fresh_process(["--help"], tmp_path, columns)
+        assert (description in run[1].splitlines()) == (columns == 120)
+
+
+FUZZ_CHARS = "0123456789 \n\t#-+_?@~ABz>{}[]\":,.\x7f\u00e9"
+
+
+def _mutants(rng, text, count):
+    """``text`` and ``count`` copies of it with one to three characters
+    inserted, deleted or replaced."""
+    out = [text]
+    for _ in range(count):
+        t = text
+        for _ in range(rng.randrange(1, 4)):
+            at = rng.randrange(len(t) + 1)
+            kind = rng.choice("idr") if at < len(t) else "i"
+            new = "" if kind == "d" else rng.choice(FUZZ_CHARS)
+            t = t[:at] + new + t[at + (kind != "i"):]
+        out.append(t)
+    return out
+
+
+def _rejected(read, text):
+    """Whether the reader behind the CLI must reject ``text``."""
+    try:
+        read(text)
+    except ValueError:  # GraphFormatError and json.JSONDecodeError
+        return True
+    return False
+
+
+def _graph_rejected(text):
+    # graph files are read as ASCII
+    return not text.isascii() or _rejected(op.parse_graph_text, text)
+
+
+def _instance_rejected(text):
+    return _rejected(lambda t: op.ExtremalInstance.from_json_dict(json.loads(t)), text)
+
+
+def test_fuzzed_inputs_exit_2_exactly_when_rejected(capsys, tmp_path, monkeypatch):
+    # mutated graph6, edge-list and instance texts through params, pack and
+    # verify, thousands of calls on one parser: no traceback, and exit 2
+    # exactly on the texts the format's reader rejects
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(2026)
+    graph_file(tmp_path, "k2.g6", op.complete_graph(2))
+    graph_file(tmp_path, "k3.g6", op.complete_graph(3))
+    graph_file(tmp_path, "k6.g6", op.complete_graph(6))
+    graph_file(tmp_path, "fd.g6", op.construct_fdiamond())
+    cases = []
+    for _ in range(100):
+        g = op.random_graph(rng.randrange(0, 10), rng.random(), rng)
+        for text in (op.to_graph6(g) + "\n", op.to_edge_list(g)):
+            for mutant in _mutants(rng, text, 3):
+                rejected = _graph_rejected(mutant)
+                for argv in (["params", "g.txt"], ["pack", "g.txt", "k2.g6", "--budget", "200"],
+                             ["pack", "k6.g6", "g.txt", "--budget", "200"]):
+                    cases.append(("g.txt", mutant, argv, rejected))
+    for inst, h in ((op.construct_prop1(3, 9), "k3.g6"), (op.construct_prop2(3, 1, 7, 7), "fd.g6")):
+        for mutant in _mutants(rng, json.dumps(inst.to_json_dict()), 150):
+            argv = ["verify", "inst.json", h, "--budget", "200"]
+            cases.append(("inst.json", mutant, argv, _instance_rejected(mutant)))
+    codes = Counter()
+    for path, text, argv, rejected in cases:
+        Path(path).write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, *argv)
+        codes[code] += 1
+        assert (code == 2) == rejected, (argv, text, code, err)
+        assert code in (0, 1, 2, 3, 4) and "Traceback" not in err, (argv, text, err)
+    assert len(cases) > 2000 and min(codes[c] for c in (0, 1, 2, 3)) > 50
 
 
 def _without(argv, flag):

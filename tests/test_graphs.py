@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import orepack as op
 from orepack import Graph, GraphFormatError, PreconditionError
+
+from oracles import decode_graph6_by_columns, graph_error_by_scan
 
 
 def random_graph_strategy(max_n=16):
@@ -27,16 +30,51 @@ def random_graph_strategy(max_n=16):
 
 
 def test_rejects_loops_and_asymmetry():
-    with pytest.raises(ValueError):
-        Graph(2, (0b01, 0b00))  # loop at 0
-    with pytest.raises(ValueError):
-        Graph(2, (0b10, 0b00))  # asymmetric
-    with pytest.raises(ValueError):
-        Graph(1, (0b10,))  # out-of-range bit
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^loop at vertex 0$"):
+        Graph(2, (0b01, 0b00))
+    with pytest.raises(ValueError, match="^asymmetric edge 0-1$"):
+        Graph(2, (0b10, 0b00))
+    with pytest.raises(ValueError, match="^adjacency of vertex 0 mentions vertices >= 1$"):
+        Graph(1, (0b10,))
+    with pytest.raises(ValueError, match="^loop at vertex 0$"):
         Graph.from_edges(3, [(0, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^vertex count 129 outside 0..128$"):
         Graph(129, (0,) * 129)
+    # the first edge v-u, by v and then u, whose reverse u-v is missing
+    with pytest.raises(ValueError, match="^asymmetric edge 0-2$"):
+        Graph(3, (0b110, 0b001, 0b000))
+    with pytest.raises(ValueError, match="^asymmetric edge 2-0$"):
+        Graph(3, (0b000, 0b100, 0b011))
+
+
+def _adjacency_cases():
+    """Seeded (n, adj) pairs of orders 0-128: symmetric ones, and ones with
+    one or two bits flipped, some of them on the diagonal or past n."""
+    rng = random.Random(12)
+    for i in range(2000):
+        n = rng.randrange(0, 129) if i % 10 == 0 else rng.randrange(0, 17)
+        adj = list(op.random_graph(n, rng.random(), rng).adj)
+        for _ in range(rng.choice((0, 1, 1, 2)) if n else 0):
+            v, u = rng.randrange(n), rng.randrange(n + (rng.random() < 0.1))
+            adj[v] ^= 1 << u
+        yield n, tuple(adj)
+
+
+def test_adjacency_check_matches_edge_by_edge_scan():
+    outcomes = Counter()
+    for n, adj in _adjacency_cases():
+        try:
+            Graph(n, adj)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        expected = graph_error_by_scan(n, adj)
+        assert got == expected, (n, adj)
+        outcomes[expected.split(" ")[0] if expected else "accepted"] += 1
+        if expected is None:
+            word = op.to_graph6(Graph(n, adj))
+            assert op.parse_graph6(word) == decode_graph6_by_columns(word)
+    assert min(outcomes[k] for k in ("accepted", "asymmetric", "loop", "adjacency")) > 20
 
 
 def test_structural_equality_ignores_labels():
