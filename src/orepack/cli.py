@@ -174,6 +174,17 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
+def _budget(text: str) -> int:
+    """A node budget: an int of at least 0."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {budget}")
+    return budget
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -191,14 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="host graph G")
     p.add_argument("packing_graph", help="packed graph H")
     p.add_argument("--find", action="store_true", help="print a verified certificate")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("cover", help="find a copy of H covering vertex w of G")
     p.add_argument("graph")
     p.add_argument("packing_graph")
     p.add_argument("w", type=int)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("construct", help="emit a named construction")
@@ -216,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-check a construction against an H")
     p.add_argument("instance", help="instance JSON file, '-' for stdin")
     p.add_argument("packing_graph")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("probe", help="randomized check of a packing theorem")
@@ -225,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_probe)
 
     return parser

@@ -12,7 +12,10 @@ once regardless of color names.
 the optimal colorings (proper partitions into exactly chi classes), which
 is all the parameter layer needs. It searches each component on its own
 with up to chi classes, keeps only sorted class sizes, and merges the
-components by matching their classes up in every way. ``optimal_colorings``
+components by matching their classes up in every way. Given another class
+count r, it gives the profiles of the colorings with at most r classes,
+which the packing layer reads as the copies of H in a complete r-partite
+host. ``optimal_colorings``
 enumerates the partitions themselves, canonicalized by sorting classes on
 their minimum vertex; the tests use it as the oracle for the profiles.
 Both count their completed colorings on a ``graphs.Meter`` capped at
@@ -156,21 +159,23 @@ def optimal_colorings(h: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Colo
 
 
 def class_size_profiles(
-    h: Graph, cap: int = DEFAULT_ENUMERATION_CAP
+    h: Graph, cap: int = DEFAULT_ENUMERATION_CAP, classes: int | None = None
 ) -> tuple[int, set[tuple[int, ...]]]:
-    """chi(h) and the sorted class sizes of every optimal coloring of h.
+    """r and the sorted class sizes, padded with zeros to r, of every
+    coloring of h with at most r classes, where r is ``classes`` or, by
+    default, chi(h): the class sizes of the optimal colorings.
 
-    A partition of V(h) into chi classes restricts to a coloring of each
-    component with at most chi classes, and any such colorings of the
+    A partition of V(h) into r classes restricts to a coloring of each
+    component with at most r classes, and any such colorings of the
     components, with their classes matched up, give one. So each
-    component's class sizes, padded with zeros to chi, are collected on
+    component's class sizes, padded with zeros to r, are collected on
     their own and then merged by ``_labelled_sums``. Raises
     BudgetExhausted after more than ``cap`` completed colorings of
     components.
     """
     if h.n == 0:
         raise PreconditionError("cannot color the empty graph")
-    r = chromatic_number(h)
+    r = chromatic_number(h) if classes is None else classes
     order = _search_order(h)
     meter = Meter(cap)
 

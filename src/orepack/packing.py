@@ -24,6 +24,13 @@ certificate and cover embedding is that of the plain search; only the
 node count falls. `enumerate_copies` streams every labelled embedding and
 prunes nothing.
 
+The open-twin classes also show when G is complete multipartite: each
+class is then joined to all the others. There a copy of H is a proper
+colouring of H with labelled colours, and the packing question is one
+about class sizes alone, which ``_types_refute`` answers by counting
+before the search runs. It only ever refutes: a packing it finds is left
+to the search, so every YES, certificate and node count is the search's.
+
 Search effort is metered in node expansions (candidate assignments tried)
 on a ``graphs.Meter``, so identical inputs and budgets always reproduce
 the same verdict; an exhausted meter turns into UNKNOWN.
@@ -33,11 +40,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
-from .graphs import BudgetExhausted, Graph, Meter, PreconditionError, components, iter_bits
+from .coloring import class_size_profiles
+from .graphs import (
+    BudgetExhausted,
+    Graph,
+    Meter,
+    PreconditionError,
+    components,
+    induced_subgraph,
+    iter_bits,
+)
 
 DEFAULT_BUDGET = 10**8
+# the most colourings of one component of H that the type-count engine
+# enumerates before it leaves a complete multipartite host to the search
+TYPE_ENUMERATION_CAP = 1_000
 
 
 class Verdict(str, Enum):
@@ -151,8 +172,10 @@ def _search(
         assignment[best_v] = None
 
 
-def _lower_twins(g: Graph) -> list[int]:
-    """below[v]: mask of the vertices u < v with N(u) - v == N(v) - u."""
+def _lower_twins(g: Graph) -> tuple[list[int], dict[int, int]]:
+    """below[v]: mask of the vertices u < v with N(u) - v == N(v) - u; and
+    the open-twin classes, as a map from a neighbourhood to the mask of
+    the vertices that have it."""
     open_twins: dict[int, int] = {}
     closed_twins: dict[int, int] = {}
     below = []
@@ -161,34 +184,35 @@ def _lower_twins(g: Graph) -> list[int]:
         below.append(open_twins.get(nbrs, 0) | closed_twins.get(closed, 0))
         open_twins[nbrs] = open_twins.get(nbrs, 0) | 1 << v
         closed_twins[closed] = closed_twins.get(closed, 0) | 1 << v
-    return below
+    return below, open_twins
 
 
-def _embeddings(
-    g: Graph,
-    h: Graph,
-    allowed: int,
-    anchor: Optional[int],
-    meter: Meter,
-    below: Sequence[int],
-) -> Iterator[tuple[int, ...]]:
-    if h.n == 0:
-        yield ()
-        return
-    if h.n > allowed.bit_count():
-        return
+def _embedder(g: Graph, h: Graph, meter: Meter, below: Sequence[int]):
+    """``embeddings(allowed, anchor)``: the embeddings of h into the
+    vertices ``allowed`` of g, only those whose image contains ``anchor``
+    unless it is None. One search makes many calls, which share the
+    component order of h."""
     comp_order = _component_major_order(h)
-    if anchor is None:
-        assignment: list[Optional[int]] = [None] * h.n
-        yield from _search(g, h, allowed, assignment, 0, meter, comp_order, below)
-        return
-    # each embedding whose image contains the anchor maps exactly one
-    # h-vertex there, so iterating that choice emits it exactly once
-    for v in range(h.n):
-        meter.spend()
-        assignment = [None] * h.n
-        assignment[v] = anchor
-        yield from _search(g, h, allowed, assignment, 1 << anchor, meter, comp_order, below)
+
+    def embeddings(allowed: int, anchor: Optional[int]) -> Iterator[tuple[int, ...]]:
+        if h.n == 0:
+            yield ()
+            return
+        if h.n > allowed.bit_count():
+            return
+        if anchor is None:
+            assignment: list[Optional[int]] = [None] * h.n
+            yield from _search(g, h, allowed, assignment, 0, meter, comp_order, below)
+            return
+        # each embedding whose image contains the anchor maps exactly one
+        # h-vertex there, so iterating that choice emits it exactly once
+        for v in range(h.n):
+            meter.spend()
+            assignment = [None] * h.n
+            assignment[v] = anchor
+            yield from _search(g, h, allowed, assignment, 1 << anchor, meter, comp_order, below)
+
+    return embeddings
 
 
 def enumerate_copies(
@@ -199,7 +223,7 @@ def enumerate_copies(
     consuming it to bound work."""
     if anchor is not None and not 0 <= anchor < g.n:
         raise PreconditionError(f"anchor {anchor} out of range")
-    for mapping in _embeddings(g, h, g.vertex_mask, anchor, Meter(), [0] * g.n):
+    for mapping in _embedder(g, h, Meter(), [0] * g.n)(g.vertex_mask, anchor):
         yield Embedding(mapping)
 
 
@@ -213,7 +237,8 @@ def copy_covering_vertex(
     meter = Meter(budget)
     try:
         if 0 < h.n <= g.n:
-            for mapping in _embeddings(g, h, g.vertex_mask, w, meter, _lower_twins(g)):
+            embeddings = _embedder(g, h, meter, _lower_twins(g)[0])
+            for mapping in embeddings(g.vertex_mask, w):
                 return CoverSearchResult(Verdict.YES, Embedding(mapping), meter.nodes)
     except BudgetExhausted:
         return CoverSearchResult(Verdict.UNKNOWN, None, meter.nodes)
@@ -231,19 +256,128 @@ def _pick_packing_anchor(g: Graph, uncovered: int) -> int:
     return best
 
 
+def _types_refute(sizes: Sequence[int], h: Graph, meter: Meter) -> bool:
+    """True iff the complete multipartite graph with class sizes ``sizes``
+    has no perfect h-packing. Raises BudgetExhausted when ``meter`` runs
+    out or a component of h has more than ``TYPE_ENUMERATION_CAP``
+    colourings.
+
+    A copy of h there is a copy of each component of h, placed apart. A
+    copy of a component is a proper colouring of it with at most
+    r = len(sizes) labelled colours; its type is the vector of its class
+    sizes. So a packing exists exactly when ``sizes`` is a sum of types,
+    n/|h| of them for each component. Components with the same types form
+    one kind.
+
+    The search takes types off the class counts, and branches only over
+    types that cover a vertex of a fullest class. Classes with equal
+    counts are interchangeable, so ``_dealt`` tries each sorted type once
+    per way of dealing it out to them. A state is the sorted counts with
+    the copies left of each kind, and each refuted state is recorded. One
+    copy of kind k puts at most ``most[k][j - 1]`` vertices into any j
+    classes, which bounds the sum of the j fullest counts. Each state
+    expanded spends a node on ``meter``."""
+    copies = sum(sizes) // h.n
+    if len(sizes) >= h.n and max(sizes) <= copies:
+        # copies on one vertex of each of the h.n fullest classes leave
+        # every class at most as full as the copies still to place
+        return False
+    kinds: dict[tuple[tuple[int, ...], ...], int] = {}
+    for comp in components(h):
+        part = induced_subgraph(h, iter_bits(comp))
+        # a colouring of part uses at most part.n colours
+        _, profiles = class_size_profiles(
+            part, cap=TYPE_ENUMERATION_CAP, classes=min(len(sizes), part.n)
+        )
+        positive = {tuple(sorted(filter(None, p), reverse=True)) for p in profiles}
+        types = tuple(sorted(positive, reverse=True))
+        kinds[types] = kinds.get(types, 0) + copies
+    most = [[max((sum(t[:j]) for t in types), default=0) for j in range(1, h.n)] for types in kinds]
+    failed: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+
+    def solve(counts: tuple[int, ...], todo: tuple[int, ...]) -> bool:
+        if not counts:
+            return True
+        if (counts, todo) in failed:
+            return False
+        meter.spend()
+        bounds = (sum(map(mul, todo, col)) for col in zip(*most))
+        if all(top <= bound for top, bound in zip(accumulate(counts), bounds)):
+            for k, types in enumerate(kinds):
+                if todo[k]:
+                    rest = todo[:k] + (todo[k] - 1,) + todo[k + 1:]
+                    for t in types:
+                        for child in _dealt(counts, t):
+                            if solve(child, rest):
+                                return True
+        failed.add((counts, todo))
+        return False
+
+    return not solve(tuple(sorted(sizes, reverse=True)), tuple(kinds.values()))
+
+
+def _dealt(counts: tuple[int, ...], t: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The counts left, sorted and positive, by each way of dealing the
+    entries of the type ``t`` out to distinct classes, one of them a
+    fullest class. Both tuples are descending. Classes of equal count form
+    a group that deals to its first free class, and equal entries go to
+    groups in ascending order, so each way of dealing up to the order of
+    the classes inside a group comes once."""
+    starts = [i for i, c in enumerate(counts) if i == 0 or counts[i - 1] != c]
+    ends = starts[1:] + [len(counts)]
+    free = starts[:]
+    left = list(counts)
+    out = []
+
+    def deal(j: int, first: int) -> None:
+        if j == len(t):
+            if free[0]:
+                out.append(tuple(sorted(filter(None, left), reverse=True)))
+            return
+        e = t[j]
+        for i in range(first if j and t[j - 1] == e else 0, len(starts)):
+            if counts[starts[i]] < e:
+                break
+            p = free[i]
+            if p < ends[i]:
+                left[p] -= e
+                free[i] = p + 1
+                deal(j + 1, i)
+                free[i] = p
+                left[p] += e
+
+    deal(0, 0)
+    return out
+
+
 def has_perfect_packing(
     g: Graph, h: Graph, budget: int = DEFAULT_BUDGET
 ) -> PackingResult:
-    """Decide whether vertex-disjoint copies of h cover all of g."""
+    """Decide whether vertex-disjoint copies of h cover all of g.
+
+    When g is complete multipartite, ``_types_refute`` runs first on its
+    own meter; a refutation is the NO. A packing it finds, or a search it
+    cannot finish, leaves the verdict and the certificate to the search
+    below, with the whole budget."""
     if h.n == 0:
         raise PreconditionError("packing graph must have at least one vertex")
     if g.n % h.n != 0:
         return PackingResult(Verdict.NO, None, 0, budget)
+    below, open_twins = _lower_twins(g)
+    # open twins are never adjacent; g is complete multipartite when every
+    # class of them is joined to all the rest
+    if all(nbrs | twins == g.vertex_mask for nbrs, twins in open_twins.items()):
+        meter = Meter(budget)
+        try:
+            if _types_refute([m.bit_count() for m in open_twins.values()], h, meter):
+                return PackingResult(Verdict.NO, None, meter.nodes, budget)
+        except BudgetExhausted:
+            pass
     meter = Meter(budget)
+    embeddings = _embedder(g, h, meter, below)
     # uncovered masks refuted by a complete search; BudgetExhausted skips
     # the add, so a cut-off search records nothing
     failed: set[int] = set()
-    below = _lower_twins(g)
 
     def solve(uncovered: int) -> Optional[list[Embedding]]:
         if not uncovered:
@@ -251,7 +385,7 @@ def has_perfect_packing(
         if uncovered in failed:
             return None
         v = _pick_packing_anchor(g, uncovered)
-        for mapping in _embeddings(g, h, uncovered, v, meter, below):
+        for mapping in embeddings(uncovered, v):
             emb = Embedding(mapping)
             rest = solve(uncovered & ~emb.image_mask)
             if rest is not None:

@@ -407,6 +407,29 @@ def test_probe_order_above_128_exits_3(capsys):
     assert "precondition error" in err
 
 
+# each verb that takes --budget, with the arguments of a call that runs
+BUDGET_CALLS = {
+    "pack": ["pack", "k6.g6", "k3.g6"],
+    "cover": ["cover", "k6.g6", "k3.g6", "0"],
+    "verify": ["verify", "inst.json", "k3.g6"],
+    "probe": ["probe", "--family", "hajnal-szemeredi", "--n", "9", "--r", "3", "--samples", "5"],
+}
+
+
+@pytest.mark.parametrize("verb", list(BUDGET_CALLS))
+def test_negative_budget_exits_2(capsys, tmp_path, monkeypatch, verb):
+    monkeypatch.chdir(tmp_path)
+    graph_file(tmp_path, "k6.g6", op.complete_graph(6))
+    graph_file(tmp_path, "k3.g6", op.complete_graph(3))
+    Path("inst.json").write_text(json.dumps(op.construct_prop1(3, 9).to_json_dict()))
+    argv = BUDGET_CALLS[verb]
+    code, out, err = run_cli(capsys, *argv, "--budget", "-1")
+    assert (code, out) == (2, "")
+    assert "argument --budget: must be at least 0, got -1" in err
+    code, out, _ = run_cli(capsys, *argv, "--budget", "0")
+    assert code != 2 and out != ""
+
+
 def test_stdin_dash_input(capsys, monkeypatch):
     import io
 

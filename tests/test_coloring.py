@@ -14,7 +14,7 @@ from orepack.coloring import DEFAULT_ENUMERATION_CAP
 from orepack.graphs import components, iter_bits
 
 from fixtures import corpus, k4_minus, small_corpus
-from oracles import brute_chromatic_number, brute_optimal_partitions
+from oracles import brute_chromatic_number, brute_optimal_partitions, independent_set_partitions
 
 
 def test_chromatic_examples():
@@ -199,6 +199,18 @@ def test_class_size_profiles_match_brute_force():
         parts = brute_optimal_partitions(g)
         want = (len(parts[0]), {tuple(sorted(len(c) for c in p)) for p in parts})
         assert op.class_size_profiles(g) == want, name
+
+
+def test_class_size_profiles_with_a_given_class_count():
+    # the colorings with at most r classes, r from chi - 1 to chi + 3
+    rng = random.Random(59)
+    graphs = list(small_corpus(7).values()) + [_random_union(rng, 7) for _ in range(30)]
+    for g in graphs:
+        parts = independent_set_partitions(g)
+        chi = min(map(len, parts))
+        for r in range(chi - 1, chi + 4):
+            want = {tuple(sorted([0] * (r - len(p)) + [len(c) for c in p])) for p in parts if len(p) <= r}
+            assert op.class_size_profiles(g, classes=r) == (r, want), (op.to_graph6(g), r)
 
 
 def test_class_size_profiles_match_enumeration():

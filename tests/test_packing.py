@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 import orepack as op
-from orepack import Embedding, PreconditionError, Verdict
+from orepack import Embedding, PreconditionError, Verdict, packing
 
 from oracles import (
     has_perfect_matching,
@@ -254,6 +254,18 @@ def test_refutation_node_ceilings():
         assert res.verdict is Verdict.NO and res.nodes <= 1_000
     report = op.verify_lower_bound(op.construct_prop2(3, 1, 7, 7), op.construct_fdiamond())
     assert report.no_cover is Verdict.YES and report.nodes <= 1_647
+    # complete multipartite hosts, refuted by the type-count engine. The
+    # search alone took 3,564 / 23,166 / 134,466 / 728,496 nodes for
+    # k = 4..7 and 468 / 2,355 / 14,082 / 98,175 for r = 4..7
+    for k in range(4, 11):
+        g, _ = op.complete_multipartite([3] * k + [3 * (k - 1)])
+        res = op.has_perfect_packing(g, K3)
+        assert res.verdict is Verdict.NO and res.nodes <= 1, k
+    for r in range(4, 10):
+        # the space barrier: every copy of K_r takes one vertex per class
+        g, _ = op.complete_multipartite([7, 9] + [8] * (r - 2))
+        res = op.has_perfect_packing(g, op.complete_graph(r))
+        assert res.verdict is Verdict.NO and res.nodes <= 1, r
 
 
 # sha256 over the certificates of the YES instances among seeded random
@@ -335,3 +347,46 @@ def test_twin_rich_hosts_agree_with_oracles():
             record = [res.to_json_dict()["certificate"], [e and e.to_json() for e in covers]]
             digest.update((op.to_graph6(g) + op.to_graph6(h) + json.dumps(record) + "\n").encode())
     assert digest.hexdigest() == TWIN_DIGEST
+
+
+def _multipartite_hosts(rng, count):
+    """Complete multipartite graphs on 2-5 classes of 1-5 vertices, order
+    at most 16, relabelled."""
+    hosts = []
+    while len(hosts) < count:
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(2, 5))]
+        if sum(sizes) <= 16:
+            g, _ = op.complete_multipartite(sizes)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            hosts.append(op.relabel(g, perm))
+    return hosts
+
+
+def test_type_count_engine_agrees_with_search_and_naive_oracle(monkeypatch):
+    # the engine refutes complete multipartite hosts; with it switched off
+    # the search decides alone, and it is the oracle for every pair
+    rng = random.Random(53)
+    p3 = op.path_graph(3)
+    hs = [K2, K3, p3, op.cycle_graph(4), op.star_graph(3), op.cycle_graph(5),
+          op.construct_fdiamond(), op.disjoint_union(K2, p3)]
+    results = []
+    for g in _multipartite_hosts(rng, 200):
+        for h in hs:
+            if g.n % h.n == 0:
+                results.append((g, h, op.has_perfect_packing(g, h)))
+    monkeypatch.setattr(packing, "_types_refute", lambda sizes, h, meter: False)
+    refuted = branched = 0
+    for g, h, res in results:
+        search = op.has_perfect_packing(g, h)
+        if res.verdict is Verdict.YES:
+            # the engine leaves a YES to the search: same certificate and count
+            assert res == search
+            assert op.verify_packing(g, h, res.certificate)
+        else:
+            assert res.verdict is search.verdict is Verdict.NO
+            refuted += 1
+            branched += res.nodes > 1
+        if h.n <= 5:
+            assert (res.verdict is Verdict.YES) == naive_has_perfect_packing(g, h)
+    assert len(results) > 300 and refuted > 50 and branched > 0

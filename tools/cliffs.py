@@ -11,9 +11,10 @@ wall time of `class_size_profiles`, or CAP when the search ends in
 that backtracks across components retries every coloring of the paths.
 Cliff B is the set of NO verdicts that only a complete search proves:
 perfect-packing refutations in K_a+K_b, K_{a,b}, K_{a,b,c} and
-K_{3,...,3,3(k-1)} hosts, and the covering refutation that `orepack
-verify` runs for prop2(3,1,7,7) against fdiamond; its table gives the
-verdict, the search nodes and the wall time. Times are
+K_{3,...,3,3(k-1)} hosts (k = 4..10), the space barriers of K_r
+(r = 4..9), and the covering refutation that `orepack verify` runs for
+prop2(3,1,7,7) against fdiamond; its table gives the verdict, the search
+nodes and the wall time. Times are
 `time.perf_counter` wall times of one run.
 """
 
@@ -71,6 +72,13 @@ def _skewed(k: int) -> op.Graph:
     return op.complete_multipartite([3] * k + [3 * (k - 1)])[0]
 
 
+def _space_barrier(r: int) -> op.Graph:
+    """The r-partite host with classes [t-1, t+1, t, ..., t] at t = 8. Each
+    copy of K_r takes one vertex of every class, so the t copies that the
+    order allows leave a vertex of the class of t+1 uncovered."""
+    return op.complete_multipartite([7, 9] + [8] * (r - 2))[0]
+
+
 # verify reports whether w is left uncovered; the cover search's verdict
 # is the opposite one
 COVER_VERDICT = {op.Verdict.YES: "NO", op.Verdict.NO: "YES", op.Verdict.UNKNOWN: "UNKNOWN"}
@@ -95,10 +103,14 @@ CLIFFS = (
     ("C4 into K_{30,34}", lambda: _pack(_bipartite(30, 34), op.cycle_graph(4))),
     ("K3 into K40+K41", lambda: _pack(_union(40, 41), op.complete_graph(3))),
     ("K3 into K_{20,20,23}", lambda: _pack(op.complete_multipartite([20, 20, 23])[0], op.complete_graph(3))),
-    ("K3 into K_{3,...,3,9}, k=4", lambda: _pack(_skewed(4), op.complete_graph(3))),
-    ("K3 into K_{3,...,3,12}, k=5", lambda: _pack(_skewed(5), op.complete_graph(3))),
-    ("K3 into K_{3,...,3,15}, k=6", lambda: _pack(_skewed(6), op.complete_graph(3))),
-    ("K3 into K_{3,...,3,18}, k=7", lambda: _pack(_skewed(7), op.complete_graph(3))),
+    *(
+        (f"K3 into K_{{3,...,3,{3 * (k - 1)}}}, k={k}", lambda k=k: _pack(_skewed(k), op.complete_graph(3)))
+        for k in range(4, 11)
+    ),
+    *(
+        (f"K{r} space barrier, t=8", lambda r=r: _pack(_space_barrier(r), op.complete_graph(r)))
+        for r in range(4, 10)
+    ),
     ("verify prop2(3,1,7,7) vs fdiamond", _verify_prop2),
 )
 
