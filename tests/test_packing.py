@@ -266,6 +266,49 @@ def test_refutation_node_ceilings():
         g, _ = op.complete_multipartite([7, 9] + [8] * (r - 2))
         res = op.has_perfect_packing(g, op.complete_graph(r))
         assert res.verdict is Verdict.NO and res.nodes <= 1, r
+    # divisibility barriers, which pass the count bound at the root and
+    # only the engine's branching refutes: K_{1,...,1,3} on r classes into
+    # [t+1, t-1, t, ..., t], where each class size must have the parity of
+    # the even number of copies. The search alone took 114 / 1,287 /
+    # 20,376 / 436,363 / 458,648 nodes
+    for r, t, ceiling in ((2, 8, 7), (3, 10, 26), (4, 12, 59), (5, 14, 106), (6, 8, 24)):
+        g, _ = op.complete_multipartite([t + 1, t - 1] + [t] * (r - 2))
+        res = op.has_perfect_packing(g, op.complete_multipartite([1] * (r - 1) + [3])[0])
+        assert res.verdict is Verdict.NO and 1 < res.nodes <= ceiling, r
+
+
+def test_search_alone_on_multipartite_hosts(monkeypatch):
+    # the engine refutes these hosts at the root, so the search's budget
+    # cut-off and twin-rule ceilings are checked with the engine switched
+    # off, on the hosts they were set on
+    _without_engine(monkeypatch)
+    g, _ = op.complete_multipartite([3, 4, 5])
+    full = op.has_perfect_packing(g, K3)
+    assert full.verdict is Verdict.NO and full.nodes > 1
+    for budget in range(full.nodes):
+        assert op.has_perfect_packing(g, K3, budget).verdict is Verdict.UNKNOWN
+    assert op.has_perfect_packing(g, K3, full.nodes).verdict is Verdict.NO
+    for sizes in ([7, 9], [9, 11]):
+        res = op.has_perfect_packing(op.complete_multipartite(sizes)[0], op.cycle_graph(4))
+        assert res.verdict is Verdict.NO and res.nodes <= 1_000
+
+
+def test_engine_cut_off_by_budget_falls_through_to_search(monkeypatch):
+    # the engine refutes in a few nodes what takes the search thousands;
+    # with any smaller budget it runs out, and the call is the search's
+    # with the same budget
+    g, _ = op.complete_multipartite([7, 7, 5, 5])
+    h = op.complete_multipartite([1, 1, 1, 3])[0]
+    full = op.has_perfect_packing(g, h)
+    assert full.verdict is Verdict.NO and 1 < full.nodes < 20
+    cut = [op.has_perfect_packing(g, h, budget) for budget in range(full.nodes)]
+    exact = op.has_perfect_packing(g, h, full.nodes)
+    assert (exact.verdict, exact.nodes) == (Verdict.NO, full.nodes)
+    _without_engine(monkeypatch)
+    assert op.has_perfect_packing(g, h).nodes > 1_000
+    for budget, res in enumerate(cut):
+        assert res.verdict is Verdict.UNKNOWN
+        assert res == op.has_perfect_packing(g, h, budget)
 
 
 # sha256 over the certificates of the YES instances among seeded random
@@ -349,6 +392,10 @@ def test_twin_rich_hosts_agree_with_oracles():
     assert digest.hexdigest() == TWIN_DIGEST
 
 
+def _without_engine(monkeypatch):
+    monkeypatch.setattr(packing, "_types_refute", lambda sizes, h, meter: False)
+
+
 def _multipartite_hosts(rng, count):
     """Complete multipartite graphs on 2-5 classes of 1-5 vertices, order
     at most 16, relabelled."""
@@ -375,7 +422,7 @@ def test_type_count_engine_agrees_with_search_and_naive_oracle(monkeypatch):
         for h in hs:
             if g.n % h.n == 0:
                 results.append((g, h, op.has_perfect_packing(g, h)))
-    monkeypatch.setattr(packing, "_types_refute", lambda sizes, h, meter: False)
+    _without_engine(monkeypatch)
     refuted = branched = 0
     for g, h, res in results:
         search = op.has_perfect_packing(g, h)

@@ -12,7 +12,8 @@ that backtracks across components retries every coloring of the paths.
 Cliff B is the set of NO verdicts that only a complete search proves:
 perfect-packing refutations in K_a+K_b, K_{a,b}, K_{a,b,c} and
 K_{3,...,3,3(k-1)} hosts (k = 4..10), the space barriers of K_r
-(r = 4..9), and the covering refutation that `orepack verify` runs for
+(r = 4..9), the divisibility barriers of K_{1,...,1,3} (r = 2..6
+classes), and the covering refutation that `orepack verify` runs for
 prop2(3,1,7,7) against fdiamond; its table gives the verdict, the search
 nodes and the wall time. Times are
 `time.perf_counter` wall times of one run.
@@ -79,6 +80,23 @@ def _space_barrier(r: int) -> op.Graph:
     return op.complete_multipartite([7, 9] + [8] * (r - 2))[0]
 
 
+def _parity_t(r: int) -> int:
+    """The least even t >= 8 for which r classes of about t vertices take
+    an even number m = rt/(r+2) of copies of K_{1,...,1,3}."""
+    return next(t for t in range(8, 64, 2) if r * t % (2 * (r + 2)) == 0)
+
+
+def _divisibility_barrier(r: int):
+    """K_{1,...,1,3} on r classes into the r-partite host with classes
+    [t+1, t-1, t, ..., t]. Each copy puts 1 vertex into every class but
+    one, which gets 3, so every class size has the parity of the number
+    of copies m, which is even, and t+1 is odd. No j classes are too full
+    for the copies, so the count bound at the root does not refute it."""
+    t = _parity_t(r)
+    host = op.complete_multipartite([t + 1, t - 1] + [t] * (r - 2))[0]
+    return host, op.complete_multipartite([1] * (r - 1) + [3])[0]
+
+
 # verify reports whether w is left uncovered; the cover search's verdict
 # is the opposite one
 COVER_VERDICT = {op.Verdict.YES: "NO", op.Verdict.NO: "YES", op.Verdict.UNKNOWN: "UNKNOWN"}
@@ -110,6 +128,10 @@ CLIFFS = (
     *(
         (f"K{r} space barrier, t=8", lambda r=r: _pack(_space_barrier(r), op.complete_graph(r)))
         for r in range(4, 10)
+    ),
+    *(
+        (f"K_{{1,...,1,3}} parity barrier, r={r}, t={_parity_t(r)}", lambda r=r: _pack(*_divisibility_barrier(r)))
+        for r in range(2, 7)
     ),
     ("verify prop2(3,1,7,7) vs fdiamond", _verify_prop2),
 )
