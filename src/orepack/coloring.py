@@ -15,7 +15,9 @@ with up to chi classes, keeps only sorted class sizes, and merges the
 components by matching their classes up in every way. Given another class
 count r, it gives the profiles of the colorings with at most r classes,
 which the packing layer reads as the copies of H in a complete r-partite
-host. ``optimal_colorings``
+host. From the same colorings it reports the lowest free vertex, which
+the parameter layer reads as the witness of colour extension number 0.
+``optimal_colorings``
 enumerates the partitions themselves, canonicalized by sorting classes on
 their minimum vertex; the tests use it as the oracle for the profiles.
 Both count their completed colorings on a ``graphs.Meter`` capped at
@@ -160,37 +162,61 @@ def optimal_colorings(h: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Colo
 
 def class_size_profiles(
     h: Graph, cap: int = DEFAULT_ENUMERATION_CAP, classes: int | None = None
-) -> tuple[int, set[tuple[int, ...]]]:
-    """r and the sorted class sizes, padded with zeros to r, of every
+) -> tuple[int, set[tuple[int, ...]], int | None]:
+    """r, the sorted class sizes, padded with zeros to r, of every
     coloring of h with at most r classes, where r is ``classes`` or, by
-    default, chi(h): the class sizes of the optimal colorings.
+    default, chi(h): the class sizes of the optimal colorings; and the
+    lowest free vertex, or None when no vertex is free.
 
     A partition of V(h) into r classes restricts to a coloring of each
     component with at most r classes, and any such colorings of the
     components, with their classes matched up, give one. So each
-    component's class sizes, padded with zeros to r, are collected on
-    their own and then merged by ``_labelled_sums``. Raises
-    BudgetExhausted after more than ``cap`` completed colorings of
-    components.
+    component's class sizes are collected on their own, padded with zeros
+    to r, and then merged by ``_labelled_sums``. Raises BudgetExhausted
+    after more than ``cap`` completed colorings of components.
+
+    A vertex x is free when some such coloring leaves it non-adjacent to
+    two of its classes, x's own class being one: N(x) then meets at most
+    r - 2 classes. Whether it does depends only on the coloring of x's
+    component, so each completed coloring of a component is checked
+    there, and only below the lowest free vertex found so far. A
+    component coloring with fewer than r classes leaves all of its
+    vertices free. For r = chi(h) the lowest free vertex is the witness of
+    colour extension number 0 (see ``parameters``).
     """
     if h.n == 0:
         raise PreconditionError("cannot color the empty graph")
     r = chromatic_number(h) if classes is None else classes
     order = _search_order(h)
+    adj = h.adj
     meter = Meter(cap)
+    free = h.n
 
     def collect(classes: list[int]) -> bool:
+        nonlocal free
         meter.spend()
-        sizes = sorted(m.bit_count() for m in classes)
-        found.add((0,) * (r - len(sizes)) + tuple(sizes))
+        found.add(tuple(sorted(map(int.bit_count, classes))))
+        if len(classes) < r:
+            free = min(free, low)
+        else:
+            below = comp & ((1 << free) - 1)
+            while below:
+                x = (below & -below).bit_length() - 1
+                # x's own class misses N(x); one more must
+                if [m & adj[x] for m in classes].count(0) >= 2:
+                    free = x
+                    break
+                below &= below - 1
         return False
 
     profiles: set[tuple[int, ...]] | None = None
     for comp in components(h):
+        low = (comp & -comp).bit_length() - 1
         found: set[tuple[int, ...]] = set()
         _color_search(h, [v for v in order if comp >> v & 1], [], r, collect)
-        profiles = found if profiles is None else _labelled_sums(profiles, found)
-    return r, profiles
+        padded = {(0,) * (r - len(s)) + s for s in found}
+        profiles = padded if profiles is None else _labelled_sums(profiles, padded)
+    return r, profiles, free if free < h.n else None
 
 
 def _labelled_sums(

@@ -43,11 +43,14 @@ class BudgetExhausted(RuntimeError):
 class Meter:
     """Counts the steps of one search: node expansions in the packing and
     cover searches, completed colorings in the coloring searches. A step
-    past ``limit`` (None: no limit) raises BudgetExhausted."""
+    past ``limit`` (None: no limit) raises BudgetExhausted. A negative
+    limit is a PreconditionError: no search could run on it."""
 
     __slots__ = ("nodes", "limit")
 
     def __init__(self, limit: int | None = None) -> None:
+        if limit is not None and limit < 0:
+            raise PreconditionError(f"a search limit must be at least 0, got {limit}")
         self.nodes = 0
         self.limit = limit
 

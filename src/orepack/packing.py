@@ -286,7 +286,7 @@ def _types_refute(sizes: Sequence[int], h: Graph, meter: Meter) -> bool:
     for comp in components(h):
         part = induced_subgraph(h, iter_bits(comp))
         # a colouring of part uses at most part.n colours
-        _, profiles = class_size_profiles(
+        _, profiles, _ = class_size_profiles(
             part, cap=TYPE_ENUMERATION_CAP, classes=min(len(sizes), part.n)
         )
         positive = {tuple(sorted(filter(None, p), reverse=True)) for p in profiles}

@@ -10,6 +10,15 @@ Every invariant but the extension number depends only on the set of
 sorted class-size profiles of the optimal colorings; ``_analyse`` reads
 that set once from ``coloring.class_size_profiles``, and the standalone
 functions read ``_analyse``.
+
+The extension number is 0 exactly when some optimal coloring leaves some
+vertex x non-adjacent to two of its classes (x's own class is always
+one): N(x) then meets at most chi - 2 classes, and that coloring extends
+its own restriction to N(x) with chi colors. ``class_size_profiles``
+reports the lowest such free vertex from the colorings it already
+visits, so ``full_report`` reads CE = 0 and its witness off the profile
+search and starts the extension search at m = 1 only when no vertex is
+free.
 """
 
 from __future__ import annotations
@@ -116,11 +125,13 @@ class _Analysis:
     hcf_is_one: bool
     chi_cr: Fraction
     chi_star: Fraction
+    # the lowest free vertex: the witness of CE = 0, or None when CE >= 1
+    witness_vertex: Optional[int]
 
 
 def _analyse(h: Graph) -> _Analysis:
     require_edge(h)
-    chi, profiles = class_size_profiles(h)
+    chi, profiles, free = class_size_profiles(h)
     sig = min(s[0] for s in profiles)
     dset = {s[i + 1] - s[i] for s in profiles for i in range(chi - 1)}
     if dset == {0}:
@@ -143,6 +154,7 @@ def _analyse(h: Graph) -> _Analysis:
         hcf_is_one=hcf1,
         chi_cr=crit,
         chi_star=crit if hcf1 else Fraction(chi),
+        witness_vertex=free,
     )
 
 
@@ -189,7 +201,9 @@ def hcf_is_one(h: Graph) -> bool:
 # color extension number
 
 
-def colour_extension_number(h: Graph) -> tuple[ExtendedNat, Optional[int]]:
+def colour_extension_number(
+    h: Graph, chi: Optional[int] = None, start: int = 0
+) -> tuple[ExtendedNat, Optional[int]]:
     """Least m such that some (chi-2)-coloring of some vertex neighborhood
     N(x) extends to a proper coloring of all of H with at most chi+m colors.
 
@@ -197,12 +211,17 @@ def colour_extension_number(h: Graph) -> tuple[ExtendedNat, Optional[int]]:
     vertex has the 0-chromatic empty neighborhood and is always eligible);
     when no vertex is eligible the value is infinite. "Extends" pins the
     chosen classes on N(x): the full coloring restricted to N(x) must equal
-    the chosen partition, while other vertices may reuse its colors.
+    the chosen partition, while other vertices may reuse its colors. So
+    m = 0 exactly when some optimal coloring leaves some x non-adjacent to
+    two of its classes, x's own class being one.
 
-    Returns the value and, when finite, a witness vertex attaining it.
+    Returns the value and, when finite, the lowest witness vertex
+    attaining it. ``chi`` is chi(h) when the caller knows it; the search
+    tries m from ``start``, which a caller may raise only past values it
+    knows are not attained.
     """
     require_edge(h)
-    r = chromatic_number(h)
+    r = chromatic_number(h) if chi is None else chi
     order = _search_order(h)
     eligible = []
     for x in range(h.n):
@@ -214,7 +233,7 @@ def colour_extension_number(h: Graph) -> tuple[ExtendedNat, Optional[int]]:
         return ExtendedNat.infinite(), None
     # Any eligible x extends with r fresh colors on H - N(x), so m <= r - 2:
     # the loop below always terminates with a hit.
-    for m in range(r - 1):
+    for m in range(start, r - 1):
         for x, inside, outside in eligible:
 
             def extends(pinned: list[int]) -> bool:
@@ -243,8 +262,9 @@ def _chi_prime(chi: int, ce: ExtendedNat) -> Fraction:
 def chi_prime_ore(h: Graph) -> Fraction:
     """Threshold parameter for covering a fixed vertex by a copy of H."""
     require_edge(h)
-    ce, _ = colour_extension_number(h)
-    return _chi_prime(chromatic_number(h), ce)
+    chi = chromatic_number(h)
+    ce, _ = colour_extension_number(h, chi)
+    return _chi_prime(chi, ce)
 
 
 def chi_ore(h: Graph) -> Fraction:
@@ -260,7 +280,10 @@ def ore_threshold_coefficient(h: Graph) -> Fraction:
 
 def full_report(h: Graph) -> ParameterReport:
     a = _analyse(h)
-    ce, witness = colour_extension_number(h)
+    if a.witness_vertex is None:
+        ce, witness = colour_extension_number(h, a.chi, start=1)
+    else:
+        ce, witness = ExtendedNat.finite(0), a.witness_vertex
     prime = _chi_prime(a.chi, ce)
     if a.hcf_is_one and ce.is_finite:
         ore = max(a.chi_cr, prime)
@@ -269,10 +292,9 @@ def full_report(h: Graph) -> ParameterReport:
     assert ore == max(a.chi_star, prime)
     assert a.chi - 1 < a.chi_cr <= a.chi
     return ParameterReport(
-        **vars(a),
+        **(vars(a) | {"witness_vertex": witness}),
         ce=ce,
         chi_ore=ore,
         chi_prime_ore=prime,
         ore_coefficient=2 * (1 - 1 / ore),
-        witness_vertex=witness,
     )

@@ -198,7 +198,7 @@ def test_class_size_profiles_match_brute_force():
     for name, g in graphs.items():
         parts = brute_optimal_partitions(g)
         want = (len(parts[0]), {tuple(sorted(len(c) for c in p)) for p in parts})
-        assert op.class_size_profiles(g) == want, name
+        assert op.class_size_profiles(g)[:2] == want, name
 
 
 def test_class_size_profiles_with_a_given_class_count():
@@ -210,7 +210,7 @@ def test_class_size_profiles_with_a_given_class_count():
         chi = min(map(len, parts))
         for r in range(chi - 1, chi + 4):
             want = {tuple(sorted([0] * (r - len(p)) + [len(c) for c in p])) for p in parts if len(p) <= r}
-            assert op.class_size_profiles(g, classes=r) == (r, want), (op.to_graph6(g), r)
+            assert op.class_size_profiles(g, classes=r)[:2] == (r, want), (op.to_graph6(g), r)
 
 
 def test_class_size_profiles_match_enumeration():
@@ -224,7 +224,7 @@ def test_class_size_profiles_match_enumeration():
             want = _enumerated_profiles(g, cap=3_000)
         except BudgetExhausted:
             continue
-        assert op.class_size_profiles(g) == want, op.to_graph6(g)
+        assert op.class_size_profiles(g)[:2] == want, op.to_graph6(g)
         checked += 1
     assert checked >= 80
 
@@ -273,7 +273,7 @@ def test_class_size_profiles_answer_where_enumeration_caps():
     for g, want in cases:
         with pytest.raises(BudgetExhausted):
             op.optimal_colorings(g, cap=100)
-        assert op.class_size_profiles(g, cap=100) == want
+        assert op.class_size_profiles(g, cap=100)[:2] == want
 
 
 def test_class_size_profiles_cap_is_hard_error():
@@ -283,4 +283,4 @@ def test_class_size_profiles_cap_is_hard_error():
         op.class_size_profiles(c15, cap=100)
     with pytest.raises(BudgetExhausted):
         op.class_size_profiles(c15, cap=5_460)
-    assert op.class_size_profiles(c15, cap=5_461) == _enumerated_profiles(c15)
+    assert op.class_size_profiles(c15, cap=5_461)[:2] == _enumerated_profiles(c15)

@@ -239,6 +239,13 @@ def test_budget_never_produces_definite_answers():
     assert op.has_perfect_packing(g, K3, full.nodes).verdict is Verdict.NO
 
 
+def test_negative_budget_is_rejected():
+    with pytest.raises(PreconditionError, match="at least 0, got -1"):
+        op.has_perfect_packing(op.complete_graph(6), op.complete_graph(3), budget=-1)
+    with pytest.raises(PreconditionError, match="at least 0, got -1"):
+        op.copy_covering_vertex(op.complete_graph(6), op.complete_graph(3), 0, budget=-1)
+
+
 def test_refutation_node_ceilings():
     # NO verdicts that need a complete search. With the failed-set memo but
     # trying every twin they took 59,628, 434,548, 200,736 and 3,850,336

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import orepack as op
-from orepack import ExtendedNat, PreconditionError
+from orepack import ExtendedNat, PreconditionError, coloring, parameters
 
 from fixtures import corpus, k4_minus, small_corpus
 from oracles import brute_colour_extension_number
@@ -97,6 +97,77 @@ def test_colour_extension_oracle_on_random_graphs():
         # the witness is the least vertex attaining the minimum
         assert witness == want_witness, op.to_graph6(g)
         done += 1
+
+
+def test_full_report_reads_ce_zero_off_the_profiles():
+    # full_report takes CE = 0 and its witness from the lowest free vertex
+    # of the profile search, and searches from m = 1 otherwise; both must
+    # give the standalone search's and the exhaustive oracle's answer
+    rng = random.Random(67)
+    k4, c5 = op.complete_graph(4), op.cycle_graph(5)
+    perm = list(range(9))
+    rng.shuffle(perm)
+    # the 3-colorable C5 leaves all its vertices free under chi = 4, and no
+    # vertex of K4 is free
+    k4_c5 = op.relabel(op.disjoint_union(k4, c5), perm)
+    assert op.full_report(k4_c5).witness_vertex == min(perm[4:]) != 0
+    graphs = [k4_c5, op.relabel(op.disjoint_union(c5, k4), perm)]
+    graphs += [g for g in small_corpus().values() if g.edge_count()]
+    # CE = 1 on FD, also beside a component that is not free; FD + K2 has
+    # CE = 0 through the 2-colored K2
+    for other in (op.complete_graph(3), op.complete_graph(2)):
+        for g in (op.disjoint_union(FD, other), op.disjoint_union(other, FD)):
+            order = list(range(g.n))
+            rng.shuffle(order)
+            graphs.append(op.relabel(g, order))
+    while len(graphs) < 150:
+        n = rng.randrange(2, 9)
+        g = op.random_graph(n, rng.random(), rng)
+        if rng.random() < 0.5:
+            m = rng.randrange(1, 10 - n)
+            g = op.disjoint_union(g, op.random_graph(m, rng.random(), rng))
+            order = list(range(g.n))
+            rng.shuffle(order)
+            g = op.relabel(g, order)
+        if g.edge_count():
+            graphs.append(g)
+    values = []
+    for g in graphs:
+        rep = op.full_report(g)
+        got = (rep.ce, rep.witness_vertex)
+        assert got == op.colour_extension_number(g), op.to_graph6(g)
+        assert (rep.ce.value, rep.witness_vertex) == brute_colour_extension_number(g), op.to_graph6(g)
+        values.append(rep.ce.value)
+    assert values.count(0) >= 50 and sum(v is not None and v > 0 for v in values) >= 5
+
+
+def test_full_report_calls(monkeypatch):
+    # chi is computed once per report; CE = 0 needs no extension search,
+    # and CE >= 1 needs one, from m = 1
+    calls = []
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[1:], kwargs))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(coloring, "chromatic_number")
+    counted(parameters, "chromatic_number")
+    counted(parameters, "colour_extension_number")
+    for g, ce, ce_calls in [
+        (op.cycle_graph(5), 0, []),
+        (op.disjoint_union(op.complete_graph(4), op.cycle_graph(5)), 0, []),
+        (FD, 1, [("colour_extension_number", (3,), {"start": 1})]),
+        (op.construct_hdiamond(2, 5, [3, 3, 3, 3, 3]), 2, [("colour_extension_number", (5,), {"start": 1})]),
+    ]:
+        calls.clear()
+        assert op.full_report(g).ce == ExtendedNat.finite(ce)
+        assert [c for c in calls if c[0] == "chromatic_number"] == [("chromatic_number", (), {})]
+        assert [c for c in calls if c[0] == "colour_extension_number"] == ce_calls
 
 
 def test_chi_star_examples():

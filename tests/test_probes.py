@@ -21,6 +21,14 @@ def test_config_validation():
         op.run_probe(ProbeConfig(family="average-degree", n=6, samples=0, seed=1))
 
 
+def test_negative_budget_is_rejected():
+    # the budget reaches the packing search only at a hypothesis hit, and
+    # this probe has 7 of them
+    assert op.run_probe(ProbeConfig("hajnal-szemeredi", 9, 30, 1, 3, budget=1)).condition_hits == 7
+    with pytest.raises(PreconditionError, match="at least 0, got -1"):
+        op.run_probe(ProbeConfig("hajnal-szemeredi", 9, 30, 1, 3, budget=-1))
+
+
 def test_clique_factor_probes_find_no_violations():
     hs = op.run_probe(
         ProbeConfig(family="hajnal-szemeredi", n=9, samples=100, seed=42, r=3)

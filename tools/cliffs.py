@@ -9,6 +9,10 @@ wall time of `class_size_profiles`, or CAP when the search ends in
 `BudgetExhausted`. A second table gives chi and the wall time of
 `chromatic_number` on unions of many paths and a 5-cycle, where a search
 that backtracks across components retries every coloring of the paths.
+A third gives CE and the wall time of `full_report` on the costliest
+`params` inputs of the benchmark: the dense G(n, 0.7) draws from
+`Random(1000 n + index)` and hd(5,7,[6]*7), where the profile search
+and the colour extension search do the work.
 Cliff B is the set of NO verdicts that only a complete search proves:
 perfect-packing refutations in K_a+K_b, K_{a,b}, K_{a,b,c} and
 K_{3,...,3,3(k-1)} hosts (k = 4..10), the space barriers of K_r
@@ -56,6 +60,12 @@ def _paths_and_c5(k: int) -> op.Graph:
 CHROMATIC_CLIFFS = (
     ("16P3+C5", lambda: _paths_and_c5(16)),
     ("18P3+C5", lambda: _paths_and_c5(18)),
+)
+
+REPORTS = (
+    ("G(24,0.7)#0", lambda: op.random_graph(24, 0.7, random.Random(1000 * 24 + 0))),
+    ("G(30,0.7)#2", lambda: op.random_graph(30, 0.7, random.Random(1000 * 30 + 2))),
+    ("hd(5,7,[6]*7)", lambda: op.construct_hdiamond(5, 7, [6] * 7)),
 )
 
 
@@ -144,7 +154,7 @@ def main() -> int:
         g = build()
         start = time.perf_counter()
         try:
-            chi, profiles = op.class_size_profiles(g)
+            chi, profiles, _ = op.class_size_profiles(g)
             answer = f"{chi:3d}  {len(profiles):8d}"
         except op.BudgetExhausted:
             answer = f"{'CAP':>13}"
@@ -159,6 +169,15 @@ def main() -> int:
         chi = op.chromatic_number(g)
         ms = (time.perf_counter() - start) * 1000
         print(f"{name:<{width}}  {chi:3d}  {ms:8.1f}")
+    print()
+    width = max(len(name) for name, _ in REPORTS)
+    print(f"{'instance':<{width}}   CE        ms")
+    for name, build in REPORTS:
+        g = build()
+        start = time.perf_counter()
+        ce = op.full_report(g).ce
+        ms = (time.perf_counter() - start) * 1000
+        print(f"{name:<{width}}  {ce!r:>3}  {ms:8.1f}")
     print()
     width = max(len(name) for name, _ in CLIFFS)
     print(f"{'instance':<{width}}  verdict      nodes        ms")
