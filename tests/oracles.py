@@ -5,6 +5,7 @@ stay structurally unrelated to the code paths they validate."""
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from typing import Callable
 
 from orepack import Graph
 
@@ -94,6 +95,53 @@ def brute_optimal_partitions(g: Graph):
     parts = independent_set_partitions(g)
     chi = min(len(p) for p in parts)
     return [p for p in parts if len(p) == chi]
+
+
+# ---------------------------------------------------------------------------
+# the colouring kernel without forward checking
+#
+# ``coloring._color_search`` as it was before it cut dead branches: the same
+# first-use backtracking, with every branch searched to its end.
+
+
+def plain_color_search(
+    h: Graph,
+    order: list[int],
+    classes: list[int],
+    total: int,
+    visit: Callable[[list[int]], bool],
+) -> bool:
+    """Backtrack over the vertices in ``order``, putting each into an
+    existing class of ``classes`` (masks, which may start out pinned) or
+    into the next new class while fewer than ``total`` exist. New classes
+    are interchangeable, so only the next unused one is ever opened.
+
+    Calls ``visit(classes)`` on every completed coloring and returns True
+    as soon as a call does; False after the whole search.
+    """
+    adj = h.adj
+    end = len(order)
+
+    def place(i: int) -> bool:
+        if i == end:
+            return visit(classes)
+        v = order[i]
+        bit = 1 << v
+        for c in range(len(classes)):
+            if classes[c] & adj[v]:
+                continue
+            classes[c] |= bit
+            if place(i + 1):
+                return True
+            classes[c] ^= bit
+        if len(classes) < total:
+            classes.append(bit)
+            if place(i + 1):
+                return True
+            classes.pop()
+        return False
+
+    return place(0)
 
 
 # ---------------------------------------------------------------------------

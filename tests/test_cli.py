@@ -312,6 +312,22 @@ def test_verify_unknown_exits_4(capsys, tmp_path, fdiamond_file):
     assert code == 4
 
 
+def test_verify_failed_check_exits_1(capsys, tmp_path, fdiamond_file):
+    # claim one more than the least degree sum: the cover search still
+    # proves w uncovered, but the Ore check fails
+    inst = op.construct_prop2(3, 1, 7, 7)
+    full = op.verify_lower_bound(inst, op.construct_fdiamond())
+    least = op.min_ore_degree_sum(inst.graph)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(inst.to_json_dict(), claimed_bound={"num": least + 1, "den": 1})))
+    code, out, _ = run_cli(capsys, "verify", str(path), fdiamond_file)
+    assert code == 1
+    assert out == json.dumps(
+        {"ore_ok": False, "no_cover": "yes", "divisibility_ok": True, "nodes": full.nodes},
+        separators=(",", ":"),
+    ) + "\n"
+
+
 def test_verify_bad_instance_exits_2(capsys, tmp_path, fdiamond_file):
     path = tmp_path / "inst.json"
     path.write_text('{"graph6": "A_"}')

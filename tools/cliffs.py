@@ -10,9 +10,10 @@ wall time of `class_size_profiles`, or CAP when the search ends in
 `chromatic_number` on unions of many paths and a 5-cycle, where a search
 that backtracks across components retries every coloring of the paths.
 A third gives CE and the wall time of `full_report` on the costliest
-`params` inputs of the benchmark: the dense G(n, 0.7) draws from
-`Random(1000 n + index)` and hd(5,7,[6]*7), where the profile search
-and the colour extension search do the work.
+`params` inputs of the benchmark: the fdiamond blow-ups fd*4 and fd*5,
+the complete multipartite K[2,3,4,5,6,7], the dense G(n, 0.7) draws
+from `Random(1000 n + index)` and hd(5,7,[6]*7), where the profile
+search and the colour extension search do the work.
 Cliff B is the set of NO verdicts that only a complete search proves:
 perfect-packing refutations in K_a+K_b, K_{a,b}, K_{a,b,c} and
 K_{3,...,3,3(k-1)} hosts (k = 4..10), the space barriers of K_r
@@ -63,6 +64,9 @@ CHROMATIC_CLIFFS = (
 )
 
 REPORTS = (
+    ("fd*4", lambda: op.blow_up(op.construct_fdiamond(), 4)),
+    ("fd*5", lambda: op.blow_up(op.construct_fdiamond(), 5)),
+    ("K[2,3,4,5,6,7]", lambda: op.complete_multipartite([2, 3, 4, 5, 6, 7])[0]),
     ("G(24,0.7)#0", lambda: op.random_graph(24, 0.7, random.Random(1000 * 24 + 0))),
     ("G(30,0.7)#2", lambda: op.random_graph(30, 0.7, random.Random(1000 * 30 + 2))),
     ("hd(5,7,[6]*7)", lambda: op.construct_hdiamond(5, 7, [6] * 7)),
