@@ -2,26 +2,37 @@
 
 Graphs are immutable: adjacency is a tuple of per-vertex bitmasks, so
 values can be hashed, compared and shared across threads freely. Every
-``Graph`` checks its rows on construction. The symmetry check writes each
-row as a bit string and compares the rows with their transpose; only a
-mismatch goes back edge by edge to name the first asymmetric edge. Every
-graph operation in this module is a pure function of its inputs; the one
-stateful object is ``Meter``, the step counter of the packing, cover
-and optimal-coloring searches.
+``Graph`` checks its rows on construction. The symmetry check packs the
+rows into one int, a square bit matrix with a power-of-two row stride,
+and compares it with its transpose, which one delta swap per bit of the
+stride makes; only a mismatch goes back edge by edge to name the first
+asymmetric edge. Every graph operation in this module is a pure function
+of its inputs; the one stateful object is ``Meter``, the step counter of
+the packing, cover and optimal-coloring searches.
+
+``min_ore_degree_sum`` is the Ore degree sum sigma_2, the least
+d(x) + d(y) over non-adjacent x != y. It takes the vertices by rising
+degree, so each vertex needs only its first later non-neighbour, and it
+stops once no later pair can beat the best sum found.
 
 Two text formats are supported, each read by one parser beside its
 writer: graph6 (the compact ASCII interchange format used by graph
 corpora) and a line-oriented edge list ("n m" header followed by one
 "u v" pair per line, 0-indexed; '#' starts a comment). ``parse_graph_text``
 tells them apart by the edge list's header and hands the text over.
+The graph6 body is base64 over another alphabet, so it decodes in one
+C-level call to one int; the parser cuts the rows below the diagonal from
+it and ORs them, packed, with their transpose to get every row.
 """
 
 from __future__ import annotations
 
+import binascii
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import cache
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 128
@@ -70,6 +81,55 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# ---------------------------------------------------------------------------
+# square bit matrices packed in one int
+#
+# Row i of an n x n bit matrix fills bits i*w .. i*w + w - 1 of one int. The
+# stride w is the least power of two that is at least n and at least 8, so
+# each row is a whole number of bytes and goes in and out by int.to_bytes
+# and int.from_bytes.
+
+
+def _stride(n: int) -> int:
+    return max(8, 1 << (n - 1).bit_length())
+
+
+def _pack(rows: Iterable[int], w: int) -> int:
+    return int.from_bytes(b"".join([m.to_bytes(w >> 3, "little") for m in rows]), "little")
+
+
+def _unpack(x: int, n: int, w: int) -> tuple[int, ...]:
+    """The first n rows of ``x``, which must have no bits past them."""
+    size = w >> 3
+    data = x.to_bytes(n * size, "little")
+    return tuple(map(int.from_bytes, [data[i:i + size] for i in range(0, n * size, size)],
+                     repeat("little")))
+
+
+@cache
+def _swap_steps(w: int) -> tuple[tuple[int, int], ...]:
+    """The (distance, mask) of each delta swap of the w x w transpose. Step
+    k exchanges bit k of the row index with bit k of the column index: its
+    mask holds the entries whose row has bit k clear and whose column has
+    it set, and each moves k rows down and k columns left."""
+    steps = []
+    k = w >> 1
+    while k:
+        row = int(("1" * k + "0" * k) * (w // (2 * k)), 2)
+        steps.append((k * (w - 1), sum(row << (i * w) for i in range(w) if not i & k)))
+        k >>= 1
+    return tuple(steps)
+
+
+def _transpose(x: int, w: int) -> int:
+    """The transpose of the w x w bit matrix packed in ``x``, by log2(w)
+    delta swaps (Warren, Hacker's Delight, 2nd ed., section 7-3)."""
+    for d, mask in _swap_steps(w):
+        t = (x ^ x >> d) & mask
+        x ^= t ^ t << d
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph; ``adj[v]`` is the neighbor bitmask of ``v``.
@@ -93,10 +153,9 @@ class Graph:
                 raise ValueError(f"adjacency of vertex {v} mentions vertices >= {self.n}")
             if mask >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
-        # row v as a bit string, bit u at position u: symmetric iff the
-        # rows read the same as the columns
-        rows = [format(mask, f"0{self.n}b")[::-1] for mask in self.adj]
-        if rows != ["".join(col) for col in zip(*rows)]:
+        w = _stride(self.n)
+        packed = _pack(self.adj, w)
+        if packed != _transpose(packed, w):
             v, u = next((v, u) for v, mask in enumerate(self.adj)
                         for u in iter_bits(mask) if not self.adj[u] >> v & 1)
             raise ValueError(f"asymmetric edge {v}-{u}")
@@ -295,15 +354,30 @@ def min_ore_degree_sum(g: Graph) -> int | float:
 
     Returns ``math.inf`` when no such pair exists (complete or tiny graph),
     in which case any degree-sum condition holds vacuously.
+
+    The vertices are taken by rising degree. Each u pairs best with its
+    first non-neighbour v later in that order, and the scan for v stops
+    once d(u) + d(v) cannot beat the best sum so far; the outer scan stops
+    once 2 d(u) cannot, as every later vertex has at least u's degree.
     """
     degs = g.degrees()
+    order = sorted(range(g.n), key=degs.__getitem__)
     best: int | float = math.inf
-    for u in range(g.n):
-        non_adj = ~g.adj[u] & (g.vertex_mask >> (u + 1) << (u + 1))
-        for v in iter_bits(non_adj):
-            s = degs[u] + degs[v]
-            if s < best:
+    later = g.vertex_mask
+    for i, u in enumerate(order):
+        du = degs[u]
+        if 2 * du >= best:
+            break
+        later ^= 1 << u
+        if not later & ~g.adj[u]:
+            continue
+        for v in order[i + 1:]:
+            s = du + degs[v]
+            if s >= best:
+                break
+            if not g.adj[u] >> v & 1:
                 best = s
+                break
     return best
 
 
@@ -322,7 +396,12 @@ def average_degree(g: Graph) -> Fraction:
 # packed big-endian into 6-bit groups, each offset by 63, zero-padded.
 
 _G6_HEADER = ">>graph6<<"
-_G6_BITS = {c + 63: format(c, "06b") for c in range(64)}  # a body character's six bits
+_G6_CHARS = bytes(range(63, 127))
+# graph6 is base64 over another alphabet: each character carries six bits
+_G6_TO_BASE64 = bytes.maketrans(
+    _G6_CHARS, b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+)
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def to_graph6(g: Graph) -> str:
@@ -343,9 +422,9 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(_G6_HEADER):].strip()
     if not s:
         raise GraphFormatError("empty graph6 input")
-    for ch in s:
-        if not 63 <= ord(ch) <= 126:
-            raise GraphFormatError(f"character {ch!r} outside graph6 range")
+    if not s.isascii() or s.encode().translate(None, _G6_CHARS):
+        ch = next(ch for ch in s if not "?" <= ch <= "~")
+        raise GraphFormatError(f"character {ch!r} outside graph6 range")
     if s[0] != "~":
         n = ord(s[0]) - 63
         body = s[1:]
@@ -366,14 +445,17 @@ def parse_graph6(text: str) -> Graph:
         raise GraphFormatError(
             f"body length {len(body)} does not match order {n} (expected {need})"
         )
-    bits = body.translate(_G6_BITS)
-    if "1" in bits[total_bits:]:
+    # with the bits of each decoded byte reversed, bit p of the int is bit
+    # p of the body: x_{ij} (i < j) is bit j(j-1)/2 + i
+    data = body.encode().translate(_G6_TO_BASE64) + b"A" * (-need % 4)
+    bits = int.from_bytes(binascii.a2b_base64(data).translate(_REVERSED_BYTE), "little")
+    if bits >> total_bits:
         raise GraphFormatError("nonzero padding bits")
-    # column j holds x_{0j} .. x_{(j-1)j}: padded to length n it is row j
-    # below the diagonal, and the transpose gives each row above it
-    lower = [bits[j * (j - 1) // 2:j * (j + 1) // 2].ljust(n, "0") for j in range(n)]
-    upper = ["".join(col) for col in zip(*lower)]
-    return Graph(n, tuple(int(a[::-1], 2) | int(b[::-1], 2) for a, b in zip(lower, upper)))
+    # column j of the upper triangle is row j below the diagonal, and the
+    # transpose gives each row above it
+    w = _stride(n)
+    lower = _pack([bits >> (j * (j - 1) // 2) & ((1 << j) - 1) for j in range(n)], w)
+    return Graph(n, _unpack(lower | _transpose(lower, w), n, w))
 
 
 # ---------------------------------------------------------------------------

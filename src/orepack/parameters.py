@@ -17,8 +17,8 @@ one): N(x) then meets at most chi - 2 classes, and that coloring extends
 its own restriction to N(x) with chi colors. ``class_size_profiles``
 reports the lowest such free vertex from the colorings it already
 visits, so ``full_report`` reads CE = 0 and its witness off the profile
-search and starts the extension search at m = 1 only when no vertex is
-free.
+search, and runs the extension search, which stops at m = 1, only when
+no vertex is free.
 """
 
 from __future__ import annotations
@@ -217,31 +217,50 @@ def colour_extension_number(
 
     Returns the value and, when finite, the lowest witness vertex
     attaining it. ``chi`` is chi(h) when the caller knows it; the search
-    tries m from ``start``, which a caller may raise only past values it
-    knows are not attained.
+    stops at ``start``, which a caller may raise only past values it knows
+    are not attained.
+
+    One pass takes x in increasing order and keeps a bound that only
+    falls. An eligible x extends with r fresh colors on H - N(x), so the
+    bound starts at r - 2 and the first eligible x attains it. Each
+    (r-2)-coloring of N(x) is then searched for an extension with fewer
+    than r + bound classes, and each one found lowers the bound to its
+    class count less r. The pinned search of N(x) is the eligibility test:
+    x is eligible exactly when it reaches a coloring. A vertex with the
+    neighbourhood of a lower one runs the same searches, so it is skipped.
     """
     require_edge(h)
     r = chromatic_number(h) if chi is None else chi
     order = _search_order(h)
-    eligible = []
-    for x in range(h.n):
-        nbrs = h.adj[x]
-        inside = [v for v in order if nbrs >> v & 1]
-        if _color_search(h, inside, [], r - 2, lambda _: True):
-            eligible.append((x, inside, [v for v in order if not nbrs >> v & 1]))
-    if not eligible:
+    best = max(start, r - 2)
+    witness = outside = None
+
+    def lower(classes: list[int]) -> bool:
+        nonlocal best, witness
+        best, witness = max(start, len(classes) - r), x
+        return True
+
+    def extend(pinned: list[int]) -> bool:
+        nonlocal outside, witness
+        if outside is None:
+            outside = [v for v in order if not nbrs >> v & 1]
+            if witness is None:
+                witness = x
+        while best > start and _color_search(h, outside, list(pinned), r + best - 1, lower):
+            pass
+        return best == start
+
+    seen = set()
+    for x, nbrs in enumerate(h.adj):
+        if nbrs in seen:
+            continue
+        seen.add(nbrs)
+        outside = None
+        if _color_search(h, [v for v in order if nbrs >> v & 1], [], r - 2, extend):
+            break
+    if witness is None:
         return ExtendedNat.infinite(), None
-    # Any eligible x extends with r fresh colors on H - N(x), so m <= r - 2:
-    # the loop below always terminates with a hit.
-    for m in range(start, r - 1):
-        for x, inside, outside in eligible:
-
-            def extends(pinned: list[int]) -> bool:
-                return _color_search(h, outside, list(pinned), r + m, lambda _: True)
-
-            if _color_search(h, inside, [], r - 2, extends):
-                return ExtendedNat.finite(m), x
-    raise AssertionError("an eligible vertex must extend within chi - 2 extra colors")
+    return ExtendedNat.finite(best), witness
 
 
 # ---------------------------------------------------------------------------

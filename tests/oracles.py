@@ -4,6 +4,7 @@ stay structurally unrelated to the code paths they validate."""
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, permutations
 from typing import Callable
 
@@ -14,7 +15,7 @@ from orepack import Graph
 # adjacency checks and graph6 decoding, edge by edge
 #
 # These are the scans ``Graph`` and ``parse_graph6`` ran before both moved
-# to one transposition of the rows as bit strings.
+# to transposing the adjacency rows.
 
 
 def graph_error_by_scan(n: int, adj) -> str | None:
@@ -54,6 +55,18 @@ def decode_graph6_by_columns(word: str) -> Graph:
                 adj[j] |= 1 << i
         start += j
     return Graph(n, tuple(adj))
+
+
+def ore_sum_by_pairs(g: Graph) -> int | float:
+    """``min_ore_degree_sum`` as it was before it took the vertices by
+    rising degree: d(x) + d(y) over every non-adjacent pair x < y."""
+    degs = g.degrees()
+    best: int | float = math.inf
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not g.has_edge(u, v):
+                best = min(best, degs[u] + degs[v])
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +155,38 @@ def plain_color_search(
         return False
 
     return place(0)
+
+
+# ---------------------------------------------------------------------------
+# the colour extension search by rising m
+#
+# ``parameters.colour_extension_number`` as it was before it became one
+# pass over the vertices with a falling bound, on the kernel without
+# forward checking, which visits the same colorings in the same order.
+
+
+def ce_by_rising_m(h: Graph, chi: int, start: int = 0):
+    """(m, witness), or (None, None) when no vertex is eligible: for m from
+    ``start`` up, the lowest eligible x, by x, whose pinned search of N(x)
+    with chi - 2 classes reaches a coloring that extends to all of h with
+    at most chi + m classes."""
+    order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
+    eligible = []
+    for x in range(h.n):
+        inside = [v for v in order if h.has_edge(x, v)]
+        if plain_color_search(h, inside, [], chi - 2, lambda _: True):
+            eligible.append((x, inside, [v for v in order if not h.has_edge(x, v)]))
+    if not eligible:
+        return None, None
+    for m in range(start, chi - 1):
+        for x, inside, outside in eligible:
+
+            def extends(pinned, outside=outside, m=m):
+                return plain_color_search(h, outside, list(pinned), chi + m, lambda _: True)
+
+            if plain_color_search(h, inside, [], chi - 2, extends):
+                return m, x
+    raise AssertionError("an eligible vertex must extend within chi - 2 extra colors")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import orepack as op
 from orepack import Graph, GraphFormatError, PreconditionError
 
-from oracles import decode_graph6_by_columns, graph_error_by_scan
+from oracles import decode_graph6_by_columns, graph_error_by_scan, ore_sum_by_pairs
 
 
 def random_graph_strategy(max_n=16):
@@ -47,12 +47,21 @@ def test_rejects_loops_and_asymmetry():
         Graph(3, (0b000, 0b100, 0b011))
 
 
+# orders at each edge of the power-of-two row strides of the packed
+# adjacency check (8, 16, ..., 128)
+STRIDE_EDGES = (0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128)
+
+
 def _adjacency_cases():
-    """Seeded (n, adj) pairs of orders 0-128: symmetric ones, and ones with
-    one or two bits flipped, some of them on the diagonal or past n."""
+    """Seeded (n, adj) pairs of orders 0-128, four of each order in
+    STRIDE_EDGES among them: symmetric ones, and ones with one or two bits
+    flipped, some of them on the diagonal or past n."""
     rng = random.Random(12)
-    for i in range(2000):
-        n = rng.randrange(0, 129) if i % 10 == 0 else rng.randrange(0, 17)
+    for i in range(2000 + 4 * len(STRIDE_EDGES)):
+        if i >= 2000:
+            n = STRIDE_EDGES[i % len(STRIDE_EDGES)]
+        else:
+            n = rng.randrange(0, 129) if i % 10 == 0 else rng.randrange(0, 17)
         adj = list(op.random_graph(n, rng.random(), rng).adj)
         for _ in range(rng.choice((0, 1, 1, 2)) if n else 0):
             v, u = rng.randrange(n), rng.randrange(n + (rng.random() < 0.1))
@@ -103,23 +112,26 @@ def test_graph6_known_words():
 
 
 def test_graph6_errors():
-    with pytest.raises(GraphFormatError):
-        op.parse_graph6("")
-    with pytest.raises(GraphFormatError):
-        op.parse_graph6("A@")  # nonzero padding
-    with pytest.raises(GraphFormatError):
-        op.parse_graph6("A")  # truncated body
-    with pytest.raises(GraphFormatError):
-        op.parse_graph6("A_X")  # trailing data
-    with pytest.raises(GraphFormatError):
-        op.parse_graph6("~~????")  # 8-byte order form
-    with pytest.raises(GraphFormatError):
-        op.parse_graph6("a\x1f")  # char below range
-    with pytest.raises(GraphFormatError):
-        op.parse_graph6("~??")  # truncated order field
-    # order 200 > 128 in 4-byte form: chr(63+0) chr(63+3) chr(63+8)
-    with pytest.raises(GraphFormatError):
-        op.parse_graph6("~?" + chr(63 + 3) + chr(63 + 8))
+    cases = [
+        ("", "empty graph6 input"),
+        ("A@", "nonzero padding bits"),
+        ("A", "body length 0 does not match order 2 (expected 1)"),  # truncated body
+        ("A_X", "body length 2 does not match order 2 (expected 1)"),  # trailing data
+        ("~~????", "8-byte order field implies n >= 258048"),
+        # strip() drops the unit separator, leaving a 1-byte order field
+        ("a\x1f", "body length 0 does not match order 34 (expected 94)"),
+        ("A>", "character '>' outside graph6 range"),  # just below '?'
+        ("A_\x7f", "character '\\x7f' outside graph6 range"),  # DEL, just above '~'
+        ("A\u00e9", "character '\u00e9' outside graph6 range"),  # not ASCII
+        ("B\x7f\u00e9?", "character '\\x7f' outside graph6 range"),  # the first one found
+        ("~??", "truncated 4-byte order field"),
+        # order 200 > 128 in 4-byte form: chr(63+0) chr(63+3) chr(63+8)
+        ("~?" + chr(63 + 3) + chr(63 + 8), "order 200 exceeds supported maximum 128"),
+    ]
+    for text, message in cases:
+        with pytest.raises(GraphFormatError) as info:
+            op.parse_graph6(text)
+        assert str(info.value) == message, text
 
 
 def test_graph6_optional_header():
@@ -134,9 +146,10 @@ def test_graph6_round_trip(g):
 
 def test_graph6_round_trip_large_orders():
     rng = random.Random(7)
-    for n in (63, 64, 100, 128):
-        g = op.random_graph(n, 0.3, rng)
-        assert op.parse_graph6(op.to_graph6(g)) == g
+    for n in STRIDE_EDGES + (100,):
+        for p in (0.0, 0.3, 1.0):
+            g = op.random_graph(n, p, rng)
+            assert op.parse_graph6(op.to_graph6(g)) == g
 
 
 def test_graph6_matches_reference_implementation():
@@ -329,6 +342,26 @@ def test_min_ore_degree_sum_examples():
     assert op.min_ore_degree_sum(op.complete_graph(4)) == math.inf
     assert op.min_ore_degree_sum(op.cycle_graph(5)) == 4
     assert op.min_ore_degree_sum(op.empty_graph(1)) == math.inf
+
+
+def test_min_ore_degree_sum_matches_pair_scan():
+    # seeded graphs on 0-40 and 128 vertices at densities from 0 to 1, so
+    # complete and edgeless graphs and many tied degrees are among them
+    rng = random.Random(16)
+    orders = [n for n in range(41) for _ in range(25)] + [128] * 25
+    sums = Counter()
+    for i, n in enumerate(orders):
+        g = op.random_graph(n, (i % 11) / 10, rng)
+        if i % 7 == 0:
+            # a complete multipartite graph with equal classes: every degree tied
+            g = op.blow_up(op.complete_graph(rng.randint(1, 4)), rng.randint(1, 10))
+        want = ore_sum_by_pairs(g)
+        assert op.min_ore_degree_sum(g) == want, op.to_graph6(g)
+        sums["inf" if want == math.inf else "finite"] += 1
+    for n in (0, 1, 2, 40, 128):
+        assert op.min_ore_degree_sum(op.complete_graph(n)) == math.inf
+        assert op.min_ore_degree_sum(op.empty_graph(n)) == (0 if n >= 2 else math.inf)
+    assert min(sums.values()) > 50
 
 
 def test_average_degree_examples():

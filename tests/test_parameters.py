@@ -8,7 +8,7 @@ import orepack as op
 from orepack import ExtendedNat, PreconditionError, coloring, parameters
 
 from fixtures import corpus, k4_minus, small_corpus
-from oracles import brute_colour_extension_number
+from oracles import brute_colour_extension_number, ce_by_rising_m
 
 
 FD = op.construct_fdiamond()
@@ -139,6 +139,34 @@ def test_full_report_reads_ce_zero_off_the_profiles():
         assert (rep.ce.value, rep.witness_vertex) == brute_colour_extension_number(g), op.to_graph6(g)
         values.append(rep.ce.value)
     assert values.count(0) >= 50 and sum(v is not None and v > 0 for v in values) >= 5
+
+
+def test_colour_extension_matches_search_by_rising_m():
+    # the one-pass search against the search that tries each m in turn:
+    # from start = 0 on every graph, and from start = 1, as full_report
+    # calls it, on the graphs where no vertex is free (CE >= 1 or infinite)
+    rng = random.Random(1396)
+    graphs = [g for g in corpus().values() if g.edge_count() and g.n <= 30]
+    graphs += [op.blow_up(FD, 2), op.construct_hdiamond(3, 5, [4, 6, 7, 7, 7])]
+    while len(graphs) < 800:
+        n = rng.randrange(2, 16)
+        # dense graphs most often leave no vertex free
+        g = op.random_graph(n, rng.choice((rng.random(), 0.6 + 0.4 * rng.random())), rng)
+        if n <= 8 and rng.random() < 0.3:
+            # open twins: vertices with one neighbourhood
+            g = op.blow_up(g, rng.randint(2, 3))
+        if g.edge_count():
+            graphs.append(g)
+    from_one = {}
+    for g in graphs:
+        chi = op.chromatic_number(g)
+        ce, witness = op.colour_extension_number(g, chi)
+        assert (ce.value, witness) == ce_by_rising_m(g, chi), op.to_graph6(g)
+        if parameters._analyse(g).witness_vertex is None:
+            ce, witness = op.colour_extension_number(g, chi, start=1)
+            assert (ce.value, witness) == ce_by_rising_m(g, chi, start=1), op.to_graph6(g)
+            from_one[ce.value] = from_one.get(ce.value, 0) + 1
+    assert from_one.get(None, 0) >= 20 and sum(v for k, v in from_one.items() if k) >= 20
 
 
 def test_full_report_calls(monkeypatch):
