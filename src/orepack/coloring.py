@@ -17,15 +17,18 @@ cuts, in the same order, and every count of them stays as it was.
 ``class_size_profiles`` gives the set of sorted class-size profiles of
 the optimal colorings (proper partitions into exactly chi classes), which
 is all the parameter layer needs. It searches each component on its own
-with up to chi classes, keeps only sorted class sizes, and merges the
-components by matching their classes up in every way. Given another class
-count r, it gives the profiles of the colorings with at most r classes,
-which the packing layer reads as the copies of H in a complete r-partite
-host. From the same colorings it reports the lowest free vertex, which
-the parameter layer reads as the witness of colour extension number 0.
-``optimal_colorings``
-enumerates the partitions themselves, canonicalized by sorting classes on
-their minimum vertex; the tests use it as the oracle for the profiles.
+with up to chi classes, keeps only the class sizes, sorting each distinct
+size tuple of a component once, and merges the components by matching
+their classes up in every way. Given another class count r, it gives the
+profiles of the colorings with at most r classes, which the packing
+layer reads as the copies of H in a complete r-partite host. It also
+reports the lowest free vertex, which the parameter layer reads as the
+witness of colour extension number 0: it checks the first |C| colorings
+of each component C as they complete, and past them decides each vertex
+still in question by one kernel search with the vertex's class pinned
+twice. ``optimal_colorings`` enumerates the partitions themselves,
+canonicalized by sorting classes on their minimum vertex; the tests use
+it as the oracle for the profiles.
 Both count their completed colorings on a ``graphs.Meter`` capped at
 ``DEFAULT_ENUMERATION_CAP``; a search past the cap raises BudgetExhausted
 rather than return a truncated answer, since sigma and the class-size
@@ -246,18 +249,30 @@ def class_size_profiles(
     A partition of V(h) into r classes restricts to a coloring of each
     component with at most r classes, and any such colorings of the
     components, with their classes matched up, give one. So each
-    component's class sizes are collected on their own, padded with zeros
-    to r, and then merged by ``_labelled_sums``. Raises BudgetExhausted
-    after more than ``cap`` completed colorings of components.
+    component's class sizes are collected on their own, in the kernel's
+    class order; each distinct tuple is sorted and padded with zeros to r
+    once, and the components are merged by ``_labelled_sums``. Raises
+    BudgetExhausted after more than ``cap`` completed colorings of
+    components.
 
     A vertex x is free when some such coloring leaves it non-adjacent to
     two of its classes, x's own class being one: N(x) then meets at most
     r - 2 classes. Whether it does depends only on the coloring of x's
-    component, so each completed coloring of a component is checked
-    there, and only below the lowest free vertex found so far. A
-    component coloring with fewer than r classes leaves all of its
-    vertices free. For r = chi(h) the lowest free vertex is the witness of
-    colour extension number 0 (see ``parameters``).
+    component C, and it is decided there, only below the lowest free
+    vertex found so far. The first |C| completed colorings of C are each
+    checked; a component coloring with fewer than r classes leaves all of
+    its vertices free. When C has more colorings, each vertex x of C
+    still below the bound is decided instead by one search of C - x with
+    x's class pinned twice, taking x in increasing order and one vertex
+    per neighbourhood. The second pinned class stands for a closed twin
+    of x, which no vertex of N(x) can join, so the search reaches a
+    coloring exactly when some coloring of C with at most r classes has
+    a second class that misses N(x), or has fewer than r classes. A
+    check costs O(r) per vertex and a pinned search about |C| nodes, so
+    after |C| colorings the checks would have cost about one search.
+    The pinned searches are not metered. For r = chi(h) the lowest free
+    vertex is the witness of colour extension number 0 (see
+    ``parameters``).
     """
     if h.n == 0:
         raise PreconditionError("cannot color the empty graph")
@@ -270,7 +285,9 @@ def class_size_profiles(
     def collect(classes: list[int]) -> bool:
         nonlocal free
         meter.spend()
-        found.add(tuple(sorted(map(int.bit_count, classes))))
+        found.add(tuple(map(int.bit_count, classes)))
+        if meter.nodes > checked:
+            return False
         if len(classes) < r:
             free = min(free, low)
         else:
@@ -288,8 +305,21 @@ def class_size_profiles(
     for comp in components(h):
         low = (comp & -comp).bit_length() - 1
         found: set[tuple[int, ...]] = set()
-        _color_search(h, [v for v in order if comp >> v & 1], [], r, collect)
-        padded = {(0,) * (r - len(s)) + s for s in found}
+        # the meter count up to which completed colorings are checked
+        checked = meter.nodes + comp.bit_count()
+        part = [v for v in order if comp >> v & 1]
+        _color_search(h, part, [], r, collect)
+        if meter.nodes > checked:
+            seen = set()
+            for x in iter_bits(comp & ((1 << free) - 1)):
+                if adj[x] in seen:
+                    continue
+                seen.add(adj[x])
+                rest = [v for v in part if v != x]
+                if _color_search(h, rest, [1 << x, 1 << x], r, lambda _: True):
+                    free = x
+                    break
+        padded = {(0,) * (r - len(s)) + tuple(sorted(s)) for s in found}
         profiles = padded if profiles is None else _labelled_sums(profiles, padded)
     return r, profiles, free if free < h.n else None
 

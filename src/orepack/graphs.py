@@ -396,6 +396,7 @@ def average_degree(g: Graph) -> Fraction:
 # packed big-endian into 6-bit groups, each offset by 63, zero-padded.
 
 _G6_HEADER = ">>graph6<<"
+_ASCII_SPACE = " \t\n\r\v\f"
 _G6_CHARS = bytes(range(63, 127))
 # graph6 is base64 over another alphabet: each character carries six bits
 _G6_TO_BASE64 = bytes.maketrans(
@@ -417,9 +418,11 @@ def to_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    s = text.strip()
+    # str.strip() would also drop the separators \x1c-\x1f and non-ASCII
+    # spaces, which are outside graph6's range
+    s = text.strip(_ASCII_SPACE)
     if s.startswith(_G6_HEADER):
-        s = s[len(_G6_HEADER):].strip()
+        s = s[len(_G6_HEADER):].strip(_ASCII_SPACE)
     if not s:
         raise GraphFormatError("empty graph6 input")
     if not s.isascii() or s.encode().translate(None, _G6_CHARS):

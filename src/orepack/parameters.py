@@ -15,10 +15,11 @@ The extension number is 0 exactly when some optimal coloring leaves some
 vertex x non-adjacent to two of its classes (x's own class is always
 one): N(x) then meets at most chi - 2 classes, and that coloring extends
 its own restriction to N(x) with chi colors. ``class_size_profiles``
-reports the lowest such free vertex from the colorings it already
-visits, so ``full_report`` reads CE = 0 and its witness off the profile
-search, and runs the extension search, which stops at m = 1, only when
-no vertex is free.
+reports the lowest such free vertex: it checks the first colorings of
+each component as they complete, and decides the vertices still in
+question past them by one pinned search each. So ``full_report`` reads
+CE = 0 and its witness off the profile search, and runs the extension
+search, which stops at m = 1, only when no vertex is free.
 """
 
 from __future__ import annotations

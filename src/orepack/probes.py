@@ -8,6 +8,7 @@ with the offending graph6 string.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -142,14 +143,16 @@ def _probe_clique_factor(g, config, summary, hypothesis) -> None:
 
 
 def _probe_average_degree(g: Graph, summary: ProbeSummary) -> None:
-    # for every k <= n-1 whose degree-sum hypothesis holds, the average
-    # degree must be at least k (complete graphs satisfy all of them)
+    # for every k <= k_max whose degree-sum hypothesis holds, the average
+    # degree must be at least k (complete graphs satisfy all of them); the
+    # checks run k = 0, 1, ... and stop at the first violation, which is
+    # at k = floor(avg) + 1 when that is at most k_max
     s = min_ore_degree_sum(g)
-    avg = average_degree(g)
     k_max = g.n - 1 if s == float("inf") else min(g.n - 1, int(s) // 2)
-    for k in range(k_max + 1):
-        summary.condition_hits += 1
-        if avg < k:
-            summary.violations += 1
-            summary.violation_graphs.append(to_graph6(g))
-            break
+    first = math.floor(average_degree(g)) + 1
+    if first <= k_max:
+        summary.condition_hits += first + 1
+        summary.violations += 1
+        summary.violation_graphs.append(to_graph6(g))
+    else:
+        summary.condition_hits += k_max + 1

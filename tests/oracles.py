@@ -69,6 +69,20 @@ def ore_sum_by_pairs(g: Graph) -> int | float:
     return best
 
 
+def average_degree_checks_by_loop(n: int, ore_sum, avg) -> tuple[int, bool]:
+    """(condition hits, violated) of the average-degree probe on a graph of
+    order n with minimum Ore degree sum ``ore_sum`` and average degree
+    ``avg``, as the probe found them before it counted them in closed form:
+    one comparison per k from 0, stopping at the first violation."""
+    k_max = n - 1 if ore_sum == math.inf else min(n - 1, int(ore_sum) // 2)
+    hits = 0
+    for k in range(k_max + 1):
+        hits += 1
+        if avg < k:
+            return hits, True
+    return hits, False
+
+
 # ---------------------------------------------------------------------------
 # set partitions and chromatic brute force
 
@@ -155,6 +169,71 @@ def plain_color_search(
         return False
 
     return place(0)
+
+
+# ---------------------------------------------------------------------------
+# class-size profiles with every coloring checked for free vertices
+#
+# ``coloring.class_size_profiles`` as it was before it decided the free
+# vertices of a component with many colorings by pinned searches: each
+# completed coloring of each component is checked at every vertex of it.
+
+
+def profiles_checking_each_coloring(h: Graph, r: int):
+    """(r, profiles, free): the sorted class sizes, padded with zeros to r,
+    of every coloring of h with at most r classes, and the lowest vertex
+    that some such coloring leaves non-adjacent to two of its classes or
+    colors with fewer than r classes in its component (None if none)."""
+    order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
+    profiles = {(0,) * r}
+    free = None
+    for comp in _component_sets(h):
+        found = set()
+
+        def check(classes, comp=comp, found=found):
+            nonlocal free
+            found.add(tuple(sorted([0] * (r - len(classes)) + [m.bit_count() for m in classes])))
+            for x in comp:
+                if len(classes) < r or [m & h.adj[x] for m in classes].count(0) >= 2:
+                    free = x if free is None else min(free, x)
+            return False
+
+        plain_color_search(h, [v for v in order if v in comp], [], r, check)
+        profiles = {
+            tuple(sorted(a + b for a, b in zip(old, p)))
+            for old in profiles
+            for s in found
+            for p in _orderings(s)
+        }
+    return r, profiles, free
+
+
+def _orderings(s: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The distinct orderings of ``s``."""
+    if not s:
+        return [()]
+    out = []
+    for x in set(s):
+        i = s.index(x)
+        out += [(x,) + rest for rest in _orderings(s[:i] + s[i + 1:])]
+    return out
+
+
+def _component_sets(h: Graph) -> list[set[int]]:
+    seen: set[int] = set()
+    out = []
+    for v in range(h.n):
+        if v in seen:
+            continue
+        comp, stack = {v}, [v]
+        while stack:
+            for u in h.neighbors(stack.pop()):
+                if u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        out.append(comp)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,15 @@ def test_params_non_ascii_file_exits_2(capsys, tmp_path):
     assert "input error" in err
 
 
+def test_params_separator_after_graph6_exits_2(capsys, tmp_path):
+    # the unit separator is ASCII but neither whitespace nor graph6
+    path = tmp_path / "k2.g6"
+    path.write_text("A_\x1f\n")
+    code, out, err = run_cli(capsys, "params", str(path))
+    assert (code, out) == (2, "")
+    assert "outside graph6 range" in err
+
+
 def test_pack_yes_no(capsys, tmp_path):
     c4 = graph_file(tmp_path, "c4.g6", op.cycle_graph(4))
     k2 = graph_file(tmp_path, "k2.g6", op.complete_graph(2))

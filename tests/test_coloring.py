@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import orepack as op
-from orepack import BudgetExhausted, PreconditionError, parameters
+from orepack import BudgetExhausted, PreconditionError, coloring, parameters
 from orepack.coloring import DEFAULT_ENUMERATION_CAP, _color_search, _search_order
 from orepack.graphs import components, iter_bits
 
@@ -19,6 +19,7 @@ from oracles import (
     brute_optimal_partitions,
     independent_set_partitions,
     plain_color_search,
+    profiles_checking_each_coloring,
 )
 
 
@@ -289,6 +290,97 @@ def test_class_size_profiles_cap_is_hard_error():
     with pytest.raises(BudgetExhausted):
         op.class_size_profiles(c15, cap=5_460)
     assert op.class_size_profiles(c15, cap=5_461)[:2] == _enumerated_profiles(c15)
+
+
+def _pinned_searches(monkeypatch):
+    """Record the components that ``class_size_profiles`` runs a pinned
+    search on: the vertices of the call's order and the pinned vertex."""
+    calls = []
+
+    def counted(h, order, classes, total, visit):
+        if classes:
+            calls.append(frozenset(order) | frozenset(iter_bits(classes[0])))
+        return _color_search(h, order, classes, total, visit)
+
+    monkeypatch.setattr(coloring, "_color_search", counted)
+    return calls
+
+
+def _coloring_count(g, comp, r):
+    count = 0
+
+    def visit(_):
+        nonlocal count
+        count += 1
+        return False
+
+    plain_color_search(g, [v for v in _search_order(g) if v in comp], [], r, visit)
+    return count
+
+
+def _cycle_on_path_square(m, k):
+    """The square of a path on m vertices, labelled from its far end, and a
+    k-cycle through the path's last edge. For odd k the path square has
+    one 3-coloring, in which none of its vertices is free, and the cycle
+    has (2^k - 2)/6 3-colorings with that edge fixed."""
+    n = m + k - 2
+    edges = [(i, i + 1) for i in range(m - 1)] + [(i, i + 2) for i in range(m - 2)]
+    cycle = [m - 2, m - 1, *range(m, n)]
+    edges += [(cycle[i], cycle[i + 1]) for i in range(1, k - 1)] + [(cycle[-1], cycle[0])]
+    return op.Graph.from_edges(n, edges)
+
+
+def _few_free(rng):
+    """A small ``_cycle_on_path_square``, at times beside a random graph of
+    at most 3 vertices, with the path's vertices in random order below the
+    others: its lowest vertices are not free."""
+    m = rng.randint(3, 7)
+    g = _cycle_on_path_square(m, rng.choice((5, 7, 9)))
+    if rng.random() < 0.5:
+        g = op.disjoint_union(g, op.random_graph(rng.randint(1, 3), rng.random(), rng))
+    return op.relabel(g, rng.sample(range(m), m) + rng.sample(range(m, g.n), g.n - m))
+
+
+def test_class_size_profiles_match_checking_each_coloring(monkeypatch):
+    # free vertices decided by pinned searches on components with more
+    # colorings than vertices, against checking every coloring: with
+    # classes = chi and chi + 1 on random graphs and unions, and with chi
+    # on hosts whose lowest vertices are not free; a pinned search runs
+    # only on a component with more colorings than vertices
+    calls = _pinned_searches(monkeypatch)
+    rng = random.Random(1717)
+    cases = [(op.random_graph(rng.randint(1, 10), rng.random(), rng), 2) for _ in range(120)]
+    cases += [(_random_union(rng, 10), 2) for _ in range(80)]
+    cases += [(_few_free(rng), 1) for _ in range(80)]
+    frees = set()
+    pinned_runs = 0
+    for g, counts in cases:
+        chi = op.chromatic_number(g)
+        for r in range(chi, chi + counts):
+            calls.clear()
+            got = op.class_size_profiles(g, classes=r)
+            assert got == profiles_checking_each_coloring(g, r), (op.to_graph6(g), r)
+            for comp in set(calls):
+                assert _coloring_count(g, comp, r) > len(comp), (op.to_graph6(g), r)
+            pinned_runs += bool(calls)
+            frees.add(got[2])
+    assert pinned_runs >= 40 and None in frees and len(frees) >= 8
+
+
+def test_pinned_searches_only_past_one_coloring_per_vertex(monkeypatch):
+    # C5: 5 colorings of 128 vertices, each checked, no pinned search; C11:
+    # 341 colorings, and one pinned search for each path vertex below the
+    # lowest free vertex that the first 128 colorings leave, 119
+    calls = _pinned_searches(monkeypatch)
+    for k, colorings, pinned, witness in ((5, 5, 0, 125), (11, 341, 119, 119)):
+        g = _cycle_on_path_square(130 - k, k)
+        calls.clear()
+        chi, profiles, free = op.class_size_profiles(g)
+        assert (chi, free, len(calls)) == (3, witness, pinned)
+        assert (chi, profiles, free) == profiles_checking_each_coloring(g, 3)
+        assert _coloring_count(g, set(range(128)), 3) == colorings
+        report = op.full_report(g)
+        assert (report.ce.value, report.witness_vertex) == (0, witness)
 
 
 def _kernel_run(kernel, h, order, classes, total, stop_at):

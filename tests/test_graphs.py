@@ -118,8 +118,13 @@ def test_graph6_errors():
         ("A", "body length 0 does not match order 2 (expected 1)"),  # truncated body
         ("A_X", "body length 2 does not match order 2 (expected 1)"),  # trailing data
         ("~~????", "8-byte order field implies n >= 258048"),
-        # strip() drops the unit separator, leaving a 1-byte order field
-        ("a\x1f", "body length 0 does not match order 34 (expected 94)"),
+        # only ASCII whitespace is stripped: separators and non-ASCII
+        # spaces are characters outside the range
+        ("a\x1f", "character '\\x1f' outside graph6 range"),
+        ("A_\x1f", "character '\\x1f' outside graph6 range"),
+        ("A_\xa0", "character '\\xa0' outside graph6 range"),
+        ("\u2003A_", "character '\\u2003' outside graph6 range"),
+        (">>graph6<<\x1cA_", "character '\\x1c' outside graph6 range"),
         ("A>", "character '>' outside graph6 range"),  # just below '?'
         ("A_\x7f", "character '\\x7f' outside graph6 range"),  # DEL, just above '~'
         ("A\u00e9", "character '\u00e9' outside graph6 range"),  # not ASCII

@@ -1,7 +1,12 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 import orepack as op
-from orepack import PreconditionError, ProbeConfig
+from orepack import PreconditionError, ProbeConfig, probes
+
+from oracles import average_degree_checks_by_loop
 
 
 def test_config_validation():
@@ -46,6 +51,36 @@ def test_average_degree_probe_no_violations():
     s = op.run_probe(ProbeConfig(family="average-degree", n=20, samples=150, seed=9))
     assert s.violations == 0
     assert s.condition_hits > 0
+
+
+def _average_degree_agreement(rng, count):
+    # each graph's summary, probed alone, against the loop over k
+    violated = 0
+    for _ in range(count):
+        g = op.random_graph(rng.randint(1, 30), rng.random(), rng)
+        summary = probes.ProbeSummary(samples=1)
+        probes._probe_average_degree(g, summary)
+        hits, violation = average_degree_checks_by_loop(
+            g.n, op.min_ore_degree_sum(g), probes.average_degree(g)
+        )
+        assert summary.to_json_dict() == {
+            "samples": 1,
+            "condition_hits": hits,
+            "violations": int(violation),
+            "unknowns": 0,
+            "violation_graphs": [op.to_graph6(g)] if violation else [],
+        }, op.to_graph6(g)
+        violated += violation
+    return violated
+
+
+def test_average_degree_probe_counts_as_the_loop(monkeypatch):
+    rng = random.Random(1213)
+    assert _average_degree_agreement(rng, 400) == 0
+    # a third of the true average degree, often an integer, violates the
+    # bound on most graphs
+    monkeypatch.setattr(probes, "average_degree", lambda g: Fraction(2 * g.edge_count(), 3 * g.n))
+    assert _average_degree_agreement(rng, 400) >= 100
 
 
 def test_probe_is_reproducible():

@@ -9,11 +9,15 @@ wall time of `class_size_profiles`, or CAP when the search ends in
 `BudgetExhausted`. A second table gives chi and the wall time of
 `chromatic_number` on unions of many paths and a 5-cycle, where a search
 that backtracks across components retries every coloring of the paths.
-A third gives CE and the wall time of `full_report` on the costliest
-`params` inputs of the benchmark: the fdiamond blow-ups fd*4 and fd*5,
-the complete multipartite K[2,3,4,5,6,7], the dense G(n, 0.7) draws
-from `Random(1000 n + index)` and hd(5,7,[6]*7), where the profile
-search and the colour extension search do the work.
+A third gives CE, its witness and the wall time of `full_report` on the
+costliest `params` inputs of the benchmark: the fdiamond blow-ups fd*4
+and fd*5, the complete multipartite K[2,3,4,5,6,7], the dense G(n, 0.7)
+draws from `Random(1000 n + index)` and hd(5,7,[6]*7), where the profile
+search and the colour extension search do the work. Two draws also
+appear relabelled by `Random(2).shuffle`, which leaves vertex 0 not
+free: the CE = 0 witness is then not the first vertex, and the profile
+search must decide every vertex below it. The last row is a 128-vertex
+host whose 119 lowest vertices are not free.
 Cliff B is the set of NO verdicts that only a complete search proves:
 perfect-packing refutations in K_a+K_b, K_{a,b}, K_{a,b,c} and
 K_{3,...,3,3(k-1)} hosts (k = 4..10), the space barriers of K_r
@@ -63,13 +67,38 @@ CHROMATIC_CLIFFS = (
     ("18P3+C5", lambda: _paths_and_c5(18)),
 )
 
+
+def _gnp(n: int, p: float, index: int) -> op.Graph:
+    return op.random_graph(n, p, random.Random(1000 * n + index))
+
+
+def _shuffled(g: op.Graph) -> op.Graph:
+    """g relabelled by ``random.Random(2).shuffle``."""
+    perm = list(range(g.n))
+    random.Random(2).shuffle(perm)
+    return op.relabel(g, perm)
+
+
+def _c11_on_path_square() -> op.Graph:
+    """128 vertices: the square of a path on 119 vertices, labelled from
+    its far end, and an 11-cycle through its last edge. No path vertex is
+    free, and the cycle has 341 3-colorings with that edge fixed."""
+    edges = [(i, i + 1) for i in range(118)] + [(i, i + 2) for i in range(117)]
+    cycle = [117, 118, *range(119, 128)]
+    edges += [(cycle[i], cycle[i + 1]) for i in range(1, 10)] + [(cycle[-1], cycle[0])]
+    return op.Graph.from_edges(128, edges)
+
+
 REPORTS = (
     ("fd*4", lambda: op.blow_up(op.construct_fdiamond(), 4)),
     ("fd*5", lambda: op.blow_up(op.construct_fdiamond(), 5)),
     ("K[2,3,4,5,6,7]", lambda: op.complete_multipartite([2, 3, 4, 5, 6, 7])[0]),
-    ("G(24,0.7)#0", lambda: op.random_graph(24, 0.7, random.Random(1000 * 24 + 0))),
-    ("G(30,0.7)#2", lambda: op.random_graph(30, 0.7, random.Random(1000 * 30 + 2))),
+    ("G(24,0.7)#0", lambda: _gnp(24, 0.7, 0)),
+    ("G(30,0.7)#2", lambda: _gnp(30, 0.7, 2)),
+    ("G(30,0.7)#2 shuffled", lambda: _shuffled(_gnp(30, 0.7, 2))),
+    ("G(18,0.12)#1 shuffled", lambda: _shuffled(_gnp(18, 0.12, 1))),
     ("hd(5,7,[6]*7)", lambda: op.construct_hdiamond(5, 7, [6] * 7)),
+    ("C11 on a path square", _c11_on_path_square),
 )
 
 
@@ -175,13 +204,13 @@ def main() -> int:
         print(f"{name:<{width}}  {chi:3d}  {ms:8.1f}")
     print()
     width = max(len(name) for name, _ in REPORTS)
-    print(f"{'instance':<{width}}   CE        ms")
+    print(f"{'instance':<{width}}   CE  witness        ms")
     for name, build in REPORTS:
         g = build()
         start = time.perf_counter()
-        ce = op.full_report(g).ce
+        report = op.full_report(g)
         ms = (time.perf_counter() - start) * 1000
-        print(f"{name:<{width}}  {ce!r:>3}  {ms:8.1f}")
+        print(f"{name:<{width}}  {report.ce!r:>3}  {report.witness_vertex!s:>7}  {ms:8.1f}")
     print()
     width = max(len(name) for name, _ in CLIFFS)
     print(f"{'instance':<{width}}  verdict      nodes        ms")
