@@ -26,9 +26,11 @@ reports the lowest free vertex, which the parameter layer reads as the
 witness of colour extension number 0: it checks the first |C| colorings
 of each component C as they complete, and past them decides each vertex
 still in question by one kernel search with the vertex's class pinned
-twice. ``optimal_colorings`` enumerates the partitions themselves,
-canonicalized by sorting classes on their minimum vertex; the tests use
-it as the oracle for the profiles.
+twice; the packing layer takes the profiles alone from
+``_profile_search`` and runs no pinned search. ``optimal_colorings``
+enumerates the partitions themselves, canonicalized by sorting classes
+on their minimum vertex; the tests use it as the oracle for the
+profiles.
 Both count their completed colorings on a ``graphs.Meter`` capped at
 ``DEFAULT_ENUMERATION_CAP``; a search past the cap raises BudgetExhausted
 rather than return a truncated answer, since sigma and the class-size
@@ -268,15 +270,44 @@ def class_size_profiles(
     of x, which no vertex of N(x) can join, so the search reaches a
     coloring exactly when some coloring of C with at most r classes has
     a second class that misses N(x), or has fewer than r classes. A
-    check costs O(r) per vertex and a pinned search about |C| nodes, so
-    after |C| colorings the checks would have cost about one search.
-    The pinned searches are not metered. For r = chi(h) the lowest free
-    vertex is the witness of colour extension number 0 (see
-    ``parameters``).
+    check costs O(r) per vertex. On the benchmark's params inputs a
+    pinned search past |C| colorings visited a median 0.9 |C| nodes, so
+    the switch comes where the checks would have cost about one search.
+    On components with at most |C| colorings the checks stay: there the
+    pinned searches mostly fail, and a failing one visited up to 67 |C|
+    nodes. The pinned searches are not metered, and run only here: the
+    packing layer reads the profiles of ``_profile_search`` alone. For
+    r = chi(h) the lowest free vertex is the witness of colour extension
+    number 0 (see ``parameters``).
     """
     if h.n == 0:
         raise PreconditionError("cannot color the empty graph")
     r = chromatic_number(h) if classes is None else classes
+    profiles, free, unchecked = _profile_search(h, cap, r)
+    adj = h.adj
+    for part in unchecked:
+        seen = set()
+        for x in sorted(part):
+            if x >= free:
+                break
+            if adj[x] in seen:
+                continue
+            seen.add(adj[x])
+            rest = [v for v in part if v != x]
+            if _color_search(h, rest, [1 << x, 1 << x], r, lambda _: True):
+                free = x
+                break
+    return r, profiles, free if free < h.n else None
+
+
+def _profile_search(
+    h: Graph, cap: int, r: int
+) -> tuple[set[tuple[int, ...]], int, list[list[int]]]:
+    """The profiles of ``class_size_profiles`` with r classes; the lowest
+    vertex that the first |C| completed colorings of each component C
+    show free, or h.n; and, each in search order, the components with
+    more colorings than vertices, whose vertices below that bound are
+    not yet decided."""
     order = _search_order(h)
     adj = h.adj
     meter = Meter(cap)
@@ -302,6 +333,7 @@ def class_size_profiles(
         return False
 
     profiles: set[tuple[int, ...]] | None = None
+    unchecked = []
     for comp in components(h):
         low = (comp & -comp).bit_length() - 1
         found: set[tuple[int, ...]] = set()
@@ -310,18 +342,10 @@ def class_size_profiles(
         part = [v for v in order if comp >> v & 1]
         _color_search(h, part, [], r, collect)
         if meter.nodes > checked:
-            seen = set()
-            for x in iter_bits(comp & ((1 << free) - 1)):
-                if adj[x] in seen:
-                    continue
-                seen.add(adj[x])
-                rest = [v for v in part if v != x]
-                if _color_search(h, rest, [1 << x, 1 << x], r, lambda _: True):
-                    free = x
-                    break
+            unchecked.append(part)
         padded = {(0,) * (r - len(s)) + tuple(sorted(s)) for s in found}
         profiles = padded if profiles is None else _labelled_sums(profiles, padded)
-    return r, profiles, free if free < h.n else None
+    return profiles, free, unchecked
 
 
 def _labelled_sums(

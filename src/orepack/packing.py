@@ -44,7 +44,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
-from .coloring import class_size_profiles
+from .coloring import _profile_search
 from .graphs import (
     BudgetExhausted,
     Graph,
@@ -286,9 +286,7 @@ def _types_refute(sizes: Sequence[int], h: Graph, meter: Meter) -> bool:
     for comp in components(h):
         part = induced_subgraph(h, iter_bits(comp))
         # a colouring of part uses at most part.n colours
-        _, profiles, _ = class_size_profiles(
-            part, cap=TYPE_ENUMERATION_CAP, classes=min(len(sizes), part.n)
-        )
+        profiles, _, _ = _profile_search(part, TYPE_ENUMERATION_CAP, min(len(sizes), part.n))
         positive = {tuple(sorted(filter(None, p), reverse=True)) for p in profiles}
         types = tuple(sorted(positive, reverse=True))
         kinds[types] = kinds.get(types, 0) + copies

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import orepack as op
-from orepack import BudgetExhausted, PreconditionError, coloring, parameters
+from orepack import BudgetExhausted, PreconditionError, coloring, packing, parameters
 from orepack.coloring import DEFAULT_ENUMERATION_CAP, _color_search, _search_order
-from orepack.graphs import components, iter_bits
+from orepack.graphs import Meter, components, iter_bits
 
 from fixtures import corpus, k4_minus, small_corpus
 from oracles import (
@@ -381,6 +381,18 @@ def test_pinned_searches_only_past_one_coloring_per_vertex(monkeypatch):
         assert _coloring_count(g, set(range(128)), 3) == colorings
         report = op.full_report(g)
         assert (report.ce.value, report.witness_vertex) == (0, witness)
+
+
+def test_type_search_runs_no_pinned_search(monkeypatch):
+    # the packing layer reads only the profiles, so a component with more
+    # colorings than vertices costs it no pinned search; the parameter
+    # layer runs them on the same component
+    calls = _pinned_searches(monkeypatch)
+    h = _cycle_on_path_square(3, 11)
+    assert _coloring_count(h, set(range(h.n)), 3) == 341
+    packing._types_refute((h.n,) * 3, h, Meter(10_000))
+    assert calls == []
+    assert op.class_size_profiles(h)[2] == 3 and calls
 
 
 def _kernel_run(kernel, h, order, classes, total, stop_at):

@@ -68,10 +68,6 @@ CHROMATIC_CLIFFS = (
 )
 
 
-def _gnp(n: int, p: float, index: int) -> op.Graph:
-    return op.random_graph(n, p, random.Random(1000 * n + index))
-
-
 def _shuffled(g: op.Graph) -> op.Graph:
     """g relabelled by ``random.Random(2).shuffle``."""
     perm = list(range(g.n))
@@ -79,26 +75,33 @@ def _shuffled(g: op.Graph) -> op.Graph:
     return op.relabel(g, perm)
 
 
-def _c11_on_path_square() -> op.Graph:
-    """128 vertices: the square of a path on 119 vertices, labelled from
-    its far end, and an 11-cycle through its last edge. No path vertex is
-    free, and the cycle has 341 3-colorings with that edge fixed."""
-    edges = [(i, i + 1) for i in range(118)] + [(i, i + 2) for i in range(117)]
-    cycle = [117, 118, *range(119, 128)]
-    edges += [(cycle[i], cycle[i + 1]) for i in range(1, 10)] + [(cycle[-1], cycle[0])]
-    return op.Graph.from_edges(128, edges)
+def _cycle_on_path_square(m: int, k: int) -> op.Graph:
+    """The square of a path on m vertices, labelled from its far end, and
+    a k-cycle through the path's last edge. For odd k no path vertex is
+    free, and the cycle has (2^k - 2)/6 3-colorings with that edge fixed."""
+    n = m + k - 2
+    edges = [(i, i + 1) for i in range(m - 1)] + [(i, i + 2) for i in range(m - 2)]
+    cycle = [m - 2, m - 1, *range(m, n)]
+    edges += [(cycle[i], cycle[i + 1]) for i in range(1, k - 1)] + [(cycle[-1], cycle[0])]
+    return op.Graph.from_edges(n, edges)
 
 
 REPORTS = (
     ("fd*4", lambda: op.blow_up(op.construct_fdiamond(), 4)),
     ("fd*5", lambda: op.blow_up(op.construct_fdiamond(), 5)),
     ("K[2,3,4,5,6,7]", lambda: op.complete_multipartite([2, 3, 4, 5, 6, 7])[0]),
-    ("G(24,0.7)#0", lambda: _gnp(24, 0.7, 0)),
-    ("G(30,0.7)#2", lambda: _gnp(30, 0.7, 2)),
-    ("G(30,0.7)#2 shuffled", lambda: _shuffled(_gnp(30, 0.7, 2))),
-    ("G(18,0.12)#1 shuffled", lambda: _shuffled(_gnp(18, 0.12, 1))),
+    ("G(24,0.7)#0", lambda: op.random_graph(24, 0.7, random.Random(1000 * 24 + 0))),
+    ("G(30,0.7)#2", lambda: op.random_graph(30, 0.7, random.Random(1000 * 30 + 2))),
+    (
+        "G(30,0.7)#2 shuffled",
+        lambda: _shuffled(op.random_graph(30, 0.7, random.Random(1000 * 30 + 2))),
+    ),
+    (
+        "G(18,0.12)#1 shuffled",
+        lambda: _shuffled(op.random_graph(18, 0.12, random.Random(1000 * 18 + 1))),
+    ),
     ("hd(5,7,[6]*7)", lambda: op.construct_hdiamond(5, 7, [6] * 7)),
-    ("C11 on a path square", _c11_on_path_square),
+    ("C11 on a path square", lambda: _cycle_on_path_square(119, 11)),
 )
 
 
