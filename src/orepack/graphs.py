@@ -2,13 +2,16 @@
 
 Graphs are immutable: adjacency is a tuple of per-vertex bitmasks, so
 values can be hashed, compared and shared across threads freely. Every
-``Graph`` checks its rows on construction. The symmetry check packs the
-rows into one int, a square bit matrix with a power-of-two row stride,
-and compares it with its transpose, which one delta swap per bit of the
-stride makes; only a mismatch goes back edge by edge to name the first
-asymmetric edge. Every graph operation in this module is a pure function
-of its inputs; the one stateful object is ``Meter``, the step counter of
-the packing, cover and optimal-coloring searches.
+``Graph(...)`` checks its rows on construction. The symmetry check packs
+the rows into one int, a square bit matrix with a power-of-two row
+stride, and compares it with its transpose, which one delta swap per bit
+of the stride makes; only a mismatch goes back edge by edge to name the
+first asymmetric edge. The graph6 reader and ``probes.random_graph``
+build rows that are symmetric, loop-free and in range by construction,
+and hand them to ``Graph._of_valid_rows``, which checks only the order.
+Every graph operation in this module is a pure function of its inputs;
+the one stateful object is ``Meter``, the step counter of the packing,
+cover and optimal-coloring searches.
 
 ``min_ore_degree_sum`` is the Ore degree sum sigma_2, the least
 d(x) + d(y) over non-adjacent x != y. It takes the vertices by rising
@@ -18,8 +21,10 @@ stops once no later pair can beat the best sum found.
 Two text formats are supported, each read by one parser beside its
 writer: graph6 (the compact ASCII interchange format used by graph
 corpora) and a line-oriented edge list ("n m" header followed by one
-"u v" pair per line, 0-indexed; '#' starts a comment). ``parse_graph_text``
-tells them apart by the edge list's header and hands the text over.
+"u v" pair per line, 0-indexed; '#' starts a comment; lines end at "\n"
+and words part at ASCII whitespace only). ``parse_graph_text`` tells them
+apart by the edge list's header, two words that are integers, and hands
+the text over; a graph6 word is one word, so it costs no int parse.
 The graph6 body is base64 over another alphabet, so it decodes in one
 C-level call to one int; the parser cuts the rows below the diagonal from
 it and ORs them, packed, with their transpose to get every row.
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import binascii
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -130,6 +136,11 @@ def _transpose(x: int, w: int) -> int:
     return x
 
 
+def _check_order(n: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph; ``adj[v]`` is the neighbor bitmask of ``v``.
@@ -143,8 +154,7 @@ class Graph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
+        _check_order(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match vertex count")
         full = (1 << self.n) - 1
@@ -161,6 +171,15 @@ class Graph:
             raise ValueError(f"asymmetric edge {v}-{u}")
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("label count does not match vertex count")
+
+    @classmethod
+    def _of_valid_rows(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """The graph on rows that are symmetric, loop-free and inside
+        range(n) by how the caller built them; only the order is checked."""
+        _check_order(n)
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, adj=adj, labels=None)
+        return g
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -397,6 +416,8 @@ def average_degree(g: Graph) -> Fraction:
 
 _G6_HEADER = ">>graph6<<"
 _ASCII_SPACE = " \t\n\r\v\f"
+# the word breaks of a stripped edge-list line
+_ASCII_SPACES = re.compile(f"[{_ASCII_SPACE}]+")
 _G6_CHARS = bytes(range(63, 127))
 # graph6 is base64 over another alphabet: each character carries six bits
 _G6_TO_BASE64 = bytes.maketrans(
@@ -458,7 +479,7 @@ def parse_graph6(text: str) -> Graph:
     # transpose gives each row above it
     w = _stride(n)
     lower = _pack([bits >> (j * (j - 1) // 2) & ((1 << j) - 1) for j in range(n)], w)
-    return Graph(n, _unpack(lower | _transpose(lower, w), n, w))
+    return Graph._of_valid_rows(n, _unpack(lower | _transpose(lower, w), n, w))
 
 
 # ---------------------------------------------------------------------------
@@ -472,15 +493,18 @@ def to_edge_list(g: Graph) -> str:
 
 
 def _content_lines(text: str) -> list[str]:
-    """The lines of ``text`` with '#' comments cut off, stripped, blanks dropped."""
-    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    """The lines of ``text`` with '#' comments cut off, stripped of ASCII
+    whitespace, blanks dropped. Lines end at "\n" alone: ``str.splitlines``
+    and ``str.strip`` would also take the separators \x1c-\x1f for line
+    breaks and spaces."""
+    lines = (raw.split("#", 1)[0].strip(_ASCII_SPACE) for raw in text.split("\n"))
     return [line for line in lines if line]
 
 
 def _int_pair(line: str, what: str) -> tuple[int, int]:
     """The two integers of an "a b" line; anything else is a GraphFormatError."""
     try:
-        a, b = map(int, line.split())
+        a, b = map(int, _ASCII_SPACES.split(line))
     except ValueError:
         raise GraphFormatError(f"bad {what} {line!r}, expected two integers") from None
     return a, b
@@ -507,10 +531,14 @@ def parse_edge_list(text: str) -> Graph:
 
 def parse_graph_text(text: str) -> Graph:
     """Auto-detect the format: an edge list starts with an 'n m' integer
-    header (after comment stripping); anything else is treated as graph6."""
-    lines = _content_lines(text)
-    try:
-        _int_pair(lines[0], "header")
-    except (IndexError, GraphFormatError):
-        return parse_graph6(text)
-    return parse_edge_list(text)
+    header (after comment stripping); anything else is treated as graph6.
+    A graph6 word is one word, so it is told apart without an int parse."""
+    rows = _content_lines(text)
+    if rows and len(_ASCII_SPACES.split(rows[0])) == 2:
+        try:
+            _int_pair(rows[0], "header")
+        except GraphFormatError:
+            pass
+        else:
+            return parse_edge_list(text)
+    return parse_graph6(text)

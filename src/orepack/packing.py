@@ -34,6 +34,13 @@ to the search, so every YES, certificate and node count is the search's.
 Search effort is metered in node expansions (candidate assignments tried)
 on a ``graphs.Meter``, so identical inputs and budgets always reproduce
 the same verdict; an exhausted meter turns into UNKNOWN.
+
+The node count fixes the wall time, so a node does as little as it can:
+H's neighbour lists are built once per search, a node carries the unused
+allowed host vertices as one mask and the number of H-vertices still
+unplaced, and candidate bits are walked inline. The packing search takes
+each copy's image straight from its mapping and builds an ``Embedding``
+only for the copies it keeps.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from typing import Iterator, Optional, Sequence
 
 from .coloring import _profile_search
 from .graphs import (
+    MAX_VERTICES,
     BudgetExhausted,
     Graph,
     Meter,
@@ -120,56 +128,62 @@ def _component_major_order(h: Graph) -> list[int]:
 
 
 def _search(
-    g: Graph,
-    h: Graph,
-    allowed: int,
+    g_adj: Sequence[int],
+    nbrs: Sequence[Sequence[int]],
+    free: int,
     assignment: list[Optional[int]],
-    used: int,
+    left: int,
     meter: Meter,
     comp_order: list[int],
     below: Sequence[int],
 ) -> Iterator[tuple[int, ...]]:
-    if None not in assignment:
+    """The embeddings that extend ``assignment``, ``left`` h-vertices of it
+    unplaced, into the allowed g-vertices ``free`` that it does not use.
+    ``nbrs[v]`` lists the neighbours of h-vertex v."""
+    if not left:
         yield tuple(assignment)  # type: ignore[arg-type]
         return
 
-    # most-constrained unplaced vertex adjacent to the placed part
+    # most-constrained unplaced vertex adjacent to the placed part; -1 (all
+    # bits) stands for "no placed neighbour yet"
     best_v = None
     best_cands = 0
-    best_count = -1
-    for v in range(h.n):
+    best_count = MAX_VERTICES + 1
+    for v, vn in enumerate(nbrs):
         if assignment[v] is not None:
             continue
-        cands = None
-        for u in iter_bits(h.adj[v]):
+        cands = -1
+        for u in vn:
             gu = assignment[u]
             if gu is not None:
-                cands = g.adj[gu] if cands is None else cands & g.adj[gu]
-                if not cands:
-                    break
-        if cands is None:
+                cands &= g_adj[gu]
+        if cands < 0:
             continue
-        cands &= allowed & ~used
+        cands &= free
+        if not cands:
+            return
         count = cands.bit_count()
-        if best_count < 0 or count < best_count:
+        if count < best_count:
             best_v, best_cands, best_count = v, cands, count
-            if count == 0:
-                return
     if best_v is None:
         # no partially-placed component remains; open the next one
         for v in comp_order:
             if assignment[v] is None:
                 best_v = v
                 break
-        best_cands = allowed & ~used
+        best_cands = free
 
-    for c in iter_bits(best_cands):
+    rest = best_cands
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        c = low.bit_length() - 1
         if below[c] & best_cands:
             continue  # a lower twin of c is a candidate here
         meter.spend()
         assignment[best_v] = c
-        yield from _search(g, h, allowed, assignment, used | (1 << c), meter, comp_order, below)
-        assignment[best_v] = None
+        yield from _search(g_adj, nbrs, free ^ low, assignment, left - 1, meter, comp_order, below)
+    assignment[best_v] = None
 
 
 def _lower_twins(g: Graph) -> tuple[list[int], dict[int, int]]:
@@ -180,10 +194,13 @@ def _lower_twins(g: Graph) -> tuple[list[int], dict[int, int]]:
     closed_twins: dict[int, int] = {}
     below = []
     for v, nbrs in enumerate(g.adj):
-        closed = nbrs | 1 << v
-        below.append(open_twins.get(nbrs, 0) | closed_twins.get(closed, 0))
-        open_twins[nbrs] = open_twins.get(nbrs, 0) | 1 << v
-        closed_twins[closed] = closed_twins.get(closed, 0) | 1 << v
+        bit = 1 << v
+        closed = nbrs | bit
+        same_open = open_twins.get(nbrs, 0)
+        same_closed = closed_twins.get(closed, 0)
+        below.append(same_open | same_closed)
+        open_twins[nbrs] = same_open | bit
+        closed_twins[closed] = same_closed | bit
     return below, open_twins
 
 
@@ -191,8 +208,10 @@ def _embedder(g: Graph, h: Graph, meter: Meter, below: Sequence[int]):
     """``embeddings(allowed, anchor)``: the embeddings of h into the
     vertices ``allowed`` of g, only those whose image contains ``anchor``
     unless it is None. One search makes many calls, which share the
-    component order of h."""
+    component order and the neighbour lists of h."""
     comp_order = _component_major_order(h)
+    nbrs = tuple(tuple(iter_bits(m)) for m in h.adj)
+    g_adj = g.adj
 
     def embeddings(allowed: int, anchor: Optional[int]) -> Iterator[tuple[int, ...]]:
         if h.n == 0:
@@ -202,15 +221,16 @@ def _embedder(g: Graph, h: Graph, meter: Meter, below: Sequence[int]):
             return
         if anchor is None:
             assignment: list[Optional[int]] = [None] * h.n
-            yield from _search(g, h, allowed, assignment, 0, meter, comp_order, below)
+            yield from _search(g_adj, nbrs, allowed, assignment, h.n, meter, comp_order, below)
             return
         # each embedding whose image contains the anchor maps exactly one
         # h-vertex there, so iterating that choice emits it exactly once
+        free = allowed & ~(1 << anchor)
         for v in range(h.n):
             meter.spend()
             assignment = [None] * h.n
             assignment[v] = anchor
-            yield from _search(g, h, allowed, assignment, 1 << anchor, meter, comp_order, below)
+            yield from _search(g_adj, nbrs, free, assignment, h.n - 1, meter, comp_order, below)
 
     return embeddings
 
@@ -246,12 +266,20 @@ def copy_covering_vertex(
 
 
 def _pick_packing_anchor(g: Graph, uncovered: int) -> int:
-    """Fail-first: the uncovered vertex with fewest uncovered neighbors."""
+    """Fail-first: the uncovered vertex with fewest uncovered neighbors,
+    the lowest one on a tie."""
+    adj = g.adj
     best = -1
-    best_deg = -1
-    for v in iter_bits(uncovered):
-        d = (g.adj[v] & uncovered).bit_count()
-        if best < 0 or d < best_deg:
+    best_deg = MAX_VERTICES
+    rest = uncovered
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        d = (adj[v] & uncovered).bit_count()
+        if d < best_deg:
+            if not d:
+                return v
             best, best_deg = v, d
     return best
 
@@ -364,7 +392,8 @@ def has_perfect_packing(
     below, open_twins = _lower_twins(g)
     # open twins are never adjacent; g is complete multipartite when every
     # class of them is joined to all the rest
-    if all(nbrs | twins == g.vertex_mask for nbrs, twins in open_twins.items()):
+    full = g.vertex_mask
+    if all(nbrs | twins == full for nbrs, twins in open_twins.items()):
         meter = Meter(budget)
         try:
             if _types_refute([m.bit_count() for m in open_twins.values()], h, meter):
@@ -384,10 +413,12 @@ def has_perfect_packing(
             return None
         v = _pick_packing_anchor(g, uncovered)
         for mapping in embeddings(uncovered, v):
-            emb = Embedding(mapping)
-            rest = solve(uncovered & ~emb.image_mask)
+            image = 0
+            for x in mapping:
+                image |= 1 << x
+            rest = solve(uncovered ^ image)
             if rest is not None:
-                return [emb] + rest
+                return [Embedding(mapping)] + rest
         failed.add(uncovered)
         return None
 
@@ -402,14 +433,20 @@ def has_perfect_packing(
 
 def is_copy(g: Graph, h: Graph, emb: Embedding) -> bool:
     """True iff emb maps V(h) injectively into V(g) and every edge of h
-    onto an edge of g."""
+    onto an edge of g. Each edge is read once, from the row of its lower
+    end."""
     m = emb.mapping
-    return (
-        len(m) == h.n
-        and all(0 <= gv < g.n for gv in m)
-        and len(set(m)) == h.n
-        and all(g.has_edge(m[u], m[v]) for u, v in h.edges())
-    )
+    if len(m) != h.n or len(set(m)) != h.n or m and not (0 <= min(m) and max(m) < g.n):
+        return False
+    for u, row in enumerate(h.adj):
+        target = g.adj[m[u]]
+        row &= -2 << u  # the neighbours above u
+        while row:
+            low = row & -row
+            row ^= low
+            if not target >> m[low.bit_length() - 1] & 1:
+                return False
+    return True
 
 
 def verify_packing(g: Graph, h: Graph, cert: Sequence[Embedding]) -> bool:
@@ -417,7 +454,8 @@ def verify_packing(g: Graph, h: Graph, cert: Sequence[Embedding]) -> bool:
     disjoint, and their union is all of V(g)."""
     covered = 0
     for emb in cert:
-        if not is_copy(g, h, emb) or emb.image_mask & covered:
+        image = emb.image_mask
+        if not is_copy(g, h, emb) or image & covered:
             return False
-        covered |= emb.image_mask
+        covered |= image
     return covered == g.vertex_mask

@@ -82,7 +82,7 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
             if rng.random() < p:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return Graph._of_valid_rows(n, tuple(adj))
 
 
 def _sample_rng(seed: int, index: int) -> random.Random:

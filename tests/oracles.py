@@ -475,3 +475,162 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
         return False
 
     return rec(0)
+
+
+# ---------------------------------------------------------------------------
+# the packing, cover and copy searches before their per-node cost was cut
+#
+# ``packing._search``, ``_pick_packing_anchor`` and the ``solve`` loop of
+# ``has_perfect_packing`` as they were while each node scanned H's rows
+# with ``iter_bits``, tested ``None not in assignment`` and built an
+# ``Embedding`` for every copy tried: the same order, twin rule, failed-set
+# memo and node count, so every verdict, certificate and count must match.
+
+
+class OutOfNodes(Exception):
+    pass
+
+
+class _Nodes:
+    def __init__(self, limit):
+        self.nodes = 0
+        self.limit = limit
+
+    def spend(self):
+        self.nodes += 1
+        if self.limit is not None and self.nodes > self.limit:
+            raise OutOfNodes
+
+
+def _bits(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _twins_below(g: Graph) -> list[int]:
+    """below[v]: the vertices u < v with N(u) - v == N(v) - u."""
+    return [
+        sum(1 << u for u in range(v) if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u))
+        for v in range(g.n)
+    ]
+
+
+def _components_largest_first(h: Graph) -> list[int]:
+    comps = sorted(_component_sets(h), key=lambda c: (-len(c), min(c)))
+    return [v for comp in comps for v in sorted(comp)]
+
+
+def _search_before(g, h, allowed, assignment, used, meter, comp_order, below):
+    if None not in assignment:
+        yield tuple(assignment)
+        return
+    best_v = None
+    best_cands = 0
+    best_count = -1
+    for v in range(h.n):
+        if assignment[v] is not None:
+            continue
+        cands = None
+        for u in _bits(h.adj[v]):
+            gu = assignment[u]
+            if gu is not None:
+                cands = g.adj[gu] if cands is None else cands & g.adj[gu]
+                if not cands:
+                    break
+        if cands is None:
+            continue
+        cands &= allowed & ~used
+        count = cands.bit_count()
+        if best_count < 0 or count < best_count:
+            best_v, best_cands, best_count = v, cands, count
+            if count == 0:
+                return
+    if best_v is None:
+        for v in comp_order:
+            if assignment[v] is None:
+                best_v = v
+                break
+        best_cands = allowed & ~used
+    for c in _bits(best_cands):
+        if below[c] & best_cands:
+            continue
+        meter.spend()
+        assignment[best_v] = c
+        yield from _search_before(g, h, allowed, assignment, used | (1 << c), meter, comp_order, below)
+        assignment[best_v] = None
+
+
+def _embeddings_before(g, h, meter, below, allowed, anchor):
+    comp_order = _components_largest_first(h)
+    if h.n == 0:
+        yield ()
+        return
+    if h.n > allowed.bit_count():
+        return
+    if anchor is None:
+        yield from _search_before(g, h, allowed, [None] * h.n, 0, meter, comp_order, below)
+        return
+    for v in range(h.n):
+        meter.spend()
+        assignment = [None] * h.n
+        assignment[v] = anchor
+        yield from _search_before(g, h, allowed, assignment, 1 << anchor, meter, comp_order, below)
+
+
+def _anchor_before(g: Graph, uncovered: int) -> int:
+    best = -1
+    best_deg = -1
+    for v in _bits(uncovered):
+        d = (g.adj[v] & uncovered).bit_count()
+        if best < 0 or d < best_deg:
+            best, best_deg = v, d
+    return best
+
+
+def packing_search_before(g: Graph, h: Graph, budget=None):
+    """(verdict, certificate mappings or None, nodes) of the packing search
+    alone, the type-count engine left out; verdict is "yes", "no" or
+    "unknown"."""
+    if g.n % h.n:
+        return "no", None, 0
+    meter = _Nodes(budget)
+    below = _twins_below(g)
+    failed: set[int] = set()
+
+    def solve(uncovered):
+        if not uncovered:
+            return []
+        if uncovered in failed:
+            return None
+        v = _anchor_before(g, uncovered)
+        for mapping in _embeddings_before(g, h, meter, below, uncovered, v):
+            image = sum(1 << x for x in mapping)
+            rest = solve(uncovered & ~image)
+            if rest is not None:
+                return [mapping] + rest
+        failed.add(uncovered)
+        return None
+
+    try:
+        cert = solve((1 << g.n) - 1)
+    except OutOfNodes:
+        return "unknown", None, meter.nodes
+    return ("no", None, meter.nodes) if cert is None else ("yes", cert, meter.nodes)
+
+
+def cover_search_before(g: Graph, h: Graph, w: int, budget=None):
+    """(verdict, mapping or None, nodes) of the search for a copy of h
+    whose image contains w."""
+    meter = _Nodes(budget)
+    try:
+        if 0 < h.n <= g.n:
+            for mapping in _embeddings_before(g, h, meter, _twins_below(g), (1 << g.n) - 1, w):
+                return "yes", mapping, meter.nodes
+    except OutOfNodes:
+        return "unknown", None, meter.nodes
+    return "no", None, meter.nodes
+
+
+def copies_before(g: Graph, h: Graph, anchor=None):
+    """Every labelled embedding of h into g, in the order of the plain
+    search, with no twin skipped."""
+    return _embeddings_before(g, h, _Nodes(None), [0] * g.n, (1 << g.n) - 1, anchor)

@@ -97,6 +97,16 @@ def test_params_separator_after_graph6_exits_2(capsys, tmp_path):
     assert "outside graph6 range" in err
 
 
+def test_pack_separator_in_edge_list_exits_2(capsys, tmp_path):
+    # an edge line ending in the unit separator is not the pair "0 1"
+    k2 = graph_file(tmp_path, "k2.g6", op.complete_graph(2))
+    path = tmp_path / "k2.txt"
+    path.write_text("2 1\n0 1\x1f\n")
+    code, out, err = run_cli(capsys, "pack", str(path), k2)
+    assert (code, out) == (2, "")
+    assert "bad edge line" in err
+
+
 def test_pack_yes_no(capsys, tmp_path):
     c4 = graph_file(tmp_path, "c4.g6", op.cycle_graph(4))
     k2 = graph_file(tmp_path, "k2.g6", op.complete_graph(2))

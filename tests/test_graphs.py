@@ -139,6 +139,20 @@ def test_graph6_errors():
         assert str(info.value) == message, text
 
 
+def test_graphs_built_without_the_check_pass_it():
+    # parse_graph6 and random_graph build rows that are valid by
+    # construction and skip Graph's check; the public constructor, which
+    # runs it, accepts each of them as the same graph
+    rng = random.Random(19)
+    orders = [*range(10), 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128]
+    for n in orders:
+        for p in (0.0, 0.3, 1.0):
+            for g in (op.random_graph(n, p, rng), op.parse_graph6(op.to_graph6(op.random_graph(n, p, rng)))):
+                checked = Graph(g.n, g.adj)
+                assert checked == g and hash(checked) == hash(g)
+                assert type(g.adj) is tuple and g.labels is None
+
+
 def test_graph6_optional_header():
     assert op.parse_graph6(">>graph6<<A_") == op.complete_graph(2)
 
@@ -205,6 +219,17 @@ def test_parse_graph_text_autodetect():
     assert op.parse_graph_text("A_") == op.complete_graph(2)
     assert op.parse_graph_text("2 1\n0 1\n") == op.complete_graph(2)
     assert op.parse_graph_text("# c\n\n3 1\n0 2\n") == Graph.from_edges(3, [(0, 2)])
+    assert op.parse_graph_text("2 1\r\n0\t1 \r\n") == op.complete_graph(2)
+
+
+def test_edge_list_separators_are_not_whitespace():
+    # lines end at "\n" alone and words part at ASCII whitespace alone; the
+    # separators \x1c-\x1f are neither
+    for text in ("2 1\n0 1\x1f\n", "2 1\n0 1\x1c5 7\n", "2 1\n0\x1e1\n", "2\x1d1\n0 1\n"):
+        with pytest.raises(GraphFormatError):
+            op.parse_graph_text(text)
+        with pytest.raises(GraphFormatError):
+            op.parse_edge_list(text)
 
 
 def _reader_corpus():

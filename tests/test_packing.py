@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -9,10 +9,13 @@ import orepack as op
 from orepack import Embedding, PreconditionError, Verdict, packing
 
 from oracles import (
+    copies_before,
+    cover_search_before,
     has_perfect_matching,
     max_matching_size,
     naive_copy_covering,
     naive_has_perfect_packing,
+    packing_search_before,
 )
 
 
@@ -444,3 +447,50 @@ def test_type_count_engine_agrees_with_search_and_naive_oracle(monkeypatch):
         if h.n <= 5:
             assert (res.verdict is Verdict.YES) == naive_has_perfect_packing(g, h)
     assert len(results) > 300 and refuted > 50 and branched > 0
+
+
+def _as_before(res):
+    """A PackingResult in the form of ``oracles.packing_search_before``."""
+    cert = None if res.certificate is None else [e.mapping for e in res.certificate]
+    return res.verdict.value, cert, res.nodes
+
+
+def _cover_as_before(res):
+    return res.verdict.value, res.embedding and res.embedding.mapping, res.nodes
+
+
+def test_search_matches_the_search_before_its_nodes_got_cheaper(monkeypatch):
+    # verdicts, certificates, cover embeddings and node counts equal those
+    # of the pre-change search at the full budget and at every budget
+    # below it; the copy streams are equal too
+    _without_engine(monkeypatch)
+    rng = random.Random(67)
+    k1 = op.empty_graph(1)
+    hs = [K2, K3, op.path_graph(3), op.cycle_graph(4), op.star_graph(3),
+          op.disjoint_union(K2, K2),  # disconnected
+          op.disjoint_union(K2, op.path_graph(3)),
+          op.disjoint_union(K2, k1),  # an isolated vertex
+          op.disjoint_union(op.path_graph(3), op.empty_graph(2))]
+    hosts = _twin_rich_hosts(rng, 40)
+    hosts += [op.random_graph(rng.choice([6, 8, 9, 10, 12]), rng.uniform(0.3, 1.0), rng) for _ in range(40)]
+    checked = branched = 0
+    for g in hosts:
+        for h in rng.sample(hs, 4):
+            if g.n % h.n == 0:
+                full = op.has_perfect_packing(g, h)
+                assert _as_before(full) == packing_search_before(g, h)
+                for budget in range(full.nodes):
+                    res = op.has_perfect_packing(g, h, budget)
+                    assert _as_before(res) == packing_search_before(g, h, budget)
+                checked += 1
+                branched += full.nodes > 2 * g.n // h.n
+            w = rng.randrange(g.n)
+            full = op.copy_covering_vertex(g, h, w)
+            assert _cover_as_before(full) == cover_search_before(g, h, w)
+            for budget in range(full.nodes):
+                res = op.copy_covering_vertex(g, h, w, budget)
+                assert _cover_as_before(res) == cover_search_before(g, h, w, budget)
+            for anchor in (None, w):  # the first 2,000 copies of each stream
+                got = [e.mapping for e in islice(op.enumerate_copies(g, h, anchor), 2_000)]
+                assert got == list(islice(copies_before(g, h, anchor), 2_000))
+    assert checked > 100 and branched > 20

@@ -23,9 +23,11 @@ perfect-packing refutations in K_a+K_b, K_{a,b}, K_{a,b,c} and
 K_{3,...,3,3(k-1)} hosts (k = 4..10), the space barriers of K_r
 (r = 4..9), the divisibility barriers of K_{1,...,1,3} (r = 2..6
 classes), and the covering refutation that `orepack verify` runs for
-prop2(3,1,7,7) against fdiamond; its table gives the verdict, the search
-nodes and the wall time. Times are
-`time.perf_counter` wall times of one run.
+prop2(3,1,7,7) against fdiamond. Cliff C is five of those hosts (the K4,
+K5 and K6 space barriers and K3 into K_{3^5,12} and K_{3^6,15}) with 1
+or 3 edges deleted, which the type-count engine no longer sees. Their
+table gives the verdict, the search nodes, the wall time and the wall
+time per node. Times are `time.perf_counter` wall times of one run.
 """
 
 from __future__ import annotations
@@ -119,11 +121,30 @@ def _skewed(k: int) -> op.Graph:
     return op.complete_multipartite([3] * k + [3 * (k - 1)])[0]
 
 
-def _space_barrier(r: int) -> op.Graph:
-    """The r-partite host with classes [t-1, t+1, t, ..., t] at t = 8. Each
-    copy of K_r takes one vertex of every class, so the t copies that the
-    order allows leave a vertex of the class of t+1 uncovered."""
-    return op.complete_multipartite([7, 9] + [8] * (r - 2))[0]
+def _space_barrier(r: int, t: int = 8) -> op.Graph:
+    """The r-partite host with classes [t-1, t+1, t, ..., t]. Each copy of
+    K_r takes one vertex of every class, so the t copies that the order
+    allows leave a vertex of the class of t+1 uncovered."""
+    return op.complete_multipartite([t - 1, t + 1] + [t] * (r - 2))[0]
+
+
+def _minus_edges(g: op.Graph, k: int) -> op.Graph:
+    """g without k of its edges, drawn by ``random.Random(k).sample``. A
+    spanning subgraph of a NO host is a NO host, but no longer complete
+    multipartite, so the search has to refute it."""
+    gone = set(random.Random(k).sample(list(g.edges()), k))
+    return op.Graph.from_edges(g.n, [e for e in g.edges() if e not in gone])
+
+
+# the Cliff C hosts: Cliff B hosts that are refuted at the root, each with
+# k edges deleted
+NEAR_MULTIPARTITE = (
+    ("K4 space barrier, t=8", lambda: _space_barrier(4), op.complete_graph(4)),
+    ("K5 space barrier, t=8", lambda: _space_barrier(5), op.complete_graph(5)),
+    ("K6 space barrier, t=6", lambda: _space_barrier(6, 6), op.complete_graph(6)),
+    ("K3 into K_{3^5,12}", lambda: _skewed(5), op.complete_graph(3)),
+    ("K3 into K_{3^6,15}", lambda: _skewed(6), op.complete_graph(3)),
+)
 
 
 def _parity_t(r: int) -> int:
@@ -180,6 +201,11 @@ CLIFFS = (
         for r in range(2, 7)
     ),
     ("verify prop2(3,1,7,7) vs fdiamond", _verify_prop2),
+    *(
+        (f"{name} -{k} edge{'s' * (k > 1)}", lambda build=build, h=h, k=k: _pack(_minus_edges(build(), k), h))
+        for name, build, h in NEAR_MULTIPARTITE
+        for k in (1, 3)
+    ),
 )
 
 
@@ -216,12 +242,12 @@ def main() -> int:
         print(f"{name:<{width}}  {report.ce!r:>3}  {report.witness_vertex!s:>7}  {ms:8.1f}")
     print()
     width = max(len(name) for name, _ in CLIFFS)
-    print(f"{'instance':<{width}}  verdict      nodes        ms")
+    print(f"{'instance':<{width}}  verdict      nodes        ms  us/node")
     for name, run in CLIFFS:
         start = time.perf_counter()
         verdict, nodes = run()
         ms = (time.perf_counter() - start) * 1000
-        print(f"{name:<{width}}  {verdict:<7}  {nodes:9d}  {ms:8.1f}")
+        print(f"{name:<{width}}  {verdict:<7}  {nodes:9d}  {ms:8.1f}  {1000 * ms / max(nodes, 1):7.2f}")
     return 0
 
 
