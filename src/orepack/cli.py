@@ -4,8 +4,8 @@ Verbs: params, pack, cover, construct, verify, probe. Machine-readable
 JSON goes to stdout (one compact object per line); human summaries go to
 stderr. Exit codes: 0 success/YES, 1 NO or probe violation, 2 input error,
 3 precondition error, 4 no answer: a search exhausted its meter (the node
-budget of a packing or cover search, the cap on completed colorings of a
-coloring search) or a certificate was rejected.
+budget of a packing or cover search, the cap on completed colorings of
+one component in a coloring search) or a certificate was rejected.
 
 Input files are read by one reader (a path, or '-' for stdin) and decoded
 by the module that writes their format: graph text by ``graphs``, the

@@ -16,25 +16,27 @@ cuts, in the same order, and every count of them stays as it was.
 
 ``class_size_profiles`` gives the set of sorted class-size profiles of
 the optimal colorings (proper partitions into exactly chi classes), which
-is all the parameter layer needs. It searches each component on its own
-with up to chi classes, keeps only the class sizes, sorting each distinct
-size tuple of a component once, and merges the components by matching
-their classes up in every way. Given another class count r, it gives the
-profiles of the colorings with at most r classes, which the packing
-layer reads as the copies of H in a complete r-partite host. It also
-reports the lowest free vertex, which the parameter layer reads as the
-witness of colour extension number 0: it checks the first |C| colorings
-of each component C as they complete, and past them decides each vertex
-still in question by one kernel search with the vertex's class pinned
-twice; the packing layer takes the profiles alone from
-``_profile_search`` and runs no pinned search. ``optimal_colorings``
-enumerates the partitions themselves, canonicalized by sorting classes
-on their minimum vertex; the tests use it as the oracle for the
-profiles.
-Both count their completed colorings on a ``graphs.Meter`` capped at
-``DEFAULT_ENUMERATION_CAP``; a search past the cap raises BudgetExhausted
-rather than return a truncated answer, since sigma and the class-size
-differences are only correct when the search is complete.
+is all the parameter layer needs. It reads them from ``_profile_search``,
+which searches each component on its own with up to r classes and keeps
+only the class sizes, sorting each distinct size tuple of a component
+once; the components are then merged by matching their classes up in
+every way. The packing layer reads the same per-component sets, with r
+the number of classes of a complete r-partite host, as the copies of
+each component of H there. ``class_size_profiles`` also reports the
+lowest free vertex, which the parameter layer reads as the witness of
+colour extension number 0: the profile search checks the first |C|
+colorings of each component C as they complete, and past them
+``class_size_profiles`` decides each vertex still in question by one
+kernel search with the vertex's class pinned twice; the packing layer
+runs no pinned search. ``optimal_colorings`` enumerates the partitions
+themselves, canonicalized by sorting classes on their minimum vertex;
+the tests use it as the oracle for the profiles.
+Both count completed colorings on a ``graphs.Meter`` capped at
+``DEFAULT_ENUMERATION_CAP``, one meter per kernel search: per component
+in the profile search, for all of h in ``optimal_colorings``. A search
+past the cap raises BudgetExhausted rather than return a truncated
+answer, since sigma and the class-size differences are only correct
+when the search is complete.
 """
 
 from __future__ import annotations
@@ -220,8 +222,6 @@ def optimal_colorings(h: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Colo
     Color permutations are identified: the result holds each partition once.
     Raises BudgetExhausted if more than ``cap`` partitions exist.
     """
-    if h.n == 0:
-        raise PreconditionError("cannot color the empty graph")
     r = chromatic_number(h)
     meter = Meter(cap)
     out: list[ColoringPartition] = []
@@ -241,49 +241,43 @@ def optimal_colorings(h: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Colo
 
 
 def class_size_profiles(
-    h: Graph, cap: int = DEFAULT_ENUMERATION_CAP, classes: int | None = None
+    h: Graph, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[int, set[tuple[int, ...]], int | None]:
-    """r, the sorted class sizes, padded with zeros to r, of every
-    coloring of h with at most r classes, where r is ``classes`` or, by
-    default, chi(h): the class sizes of the optimal colorings; and the
-    lowest free vertex, or None when no vertex is free.
+    """chi(h), the sorted class sizes of every optimal coloring of h, and
+    the lowest free vertex, or None when no vertex is free.
 
-    A partition of V(h) into r classes restricts to a coloring of each
-    component with at most r classes, and any such colorings of the
-    components, with their classes matched up, give one. So each
-    component's class sizes are collected on their own, in the kernel's
-    class order; each distinct tuple is sorted and padded with zeros to r
-    once, and the components are merged by ``_labelled_sums``. Raises
-    BudgetExhausted after more than ``cap`` completed colorings of
-    components.
+    A partition of V(h) into chi classes restricts to a coloring of each
+    component with at most chi classes, and any such colorings of the
+    components, with their classes matched up, give one. So the profiles
+    are the ``_labelled_sums`` of the per-component sets of
+    ``_profile_search``. Raises BudgetExhausted after more than ``cap``
+    completed colorings of one component.
 
-    A vertex x is free when some such coloring leaves it non-adjacent to
-    two of its classes, x's own class being one: N(x) then meets at most
-    r - 2 classes. Whether it does depends only on the coloring of x's
-    component C, and it is decided there, only below the lowest free
+    A vertex x is free when some optimal coloring leaves it non-adjacent
+    to two of its classes, x's own class being one: N(x) then meets at
+    most chi - 2 classes. Whether it does depends only on the coloring of
+    x's component C, and it is decided there, only below the lowest free
     vertex found so far. The first |C| completed colorings of C are each
-    checked; a component coloring with fewer than r classes leaves all of
-    its vertices free. When C has more colorings, each vertex x of C
-    still below the bound is decided instead by one search of C - x with
-    x's class pinned twice, taking x in increasing order and one vertex
-    per neighbourhood. The second pinned class stands for a closed twin
-    of x, which no vertex of N(x) can join, so the search reaches a
-    coloring exactly when some coloring of C with at most r classes has
-    a second class that misses N(x), or has fewer than r classes. A
-    check costs O(r) per vertex. On the benchmark's params inputs a
-    pinned search past |C| colorings visited a median 0.9 |C| nodes, so
-    the switch comes where the checks would have cost about one search.
-    On components with at most |C| colorings the checks stay: there the
-    pinned searches mostly fail, and a failing one visited up to 67 |C|
-    nodes. The pinned searches are not metered, and run only here: the
-    packing layer reads the profiles of ``_profile_search`` alone. For
-    r = chi(h) the lowest free vertex is the witness of colour extension
-    number 0 (see ``parameters``).
+    checked by ``_profile_search``; a component coloring with fewer than
+    chi classes leaves all of its vertices free. When C has more
+    colorings, each vertex x of C still below the bound is decided
+    instead by one search of C - x with x's class pinned twice, taking x
+    in increasing order and one vertex per neighbourhood. The second
+    pinned class stands for a closed twin of x, which no vertex of N(x)
+    can join, so the search reaches a coloring exactly when some coloring
+    of C with at most chi classes has a second class that misses N(x), or
+    has fewer than chi classes. A check costs O(chi) per vertex. On the
+    benchmark's params inputs a pinned search past |C| colorings visited
+    a median 0.9 |C| nodes, so the switch comes where the checks would
+    have cost about one search. On components with at most |C| colorings
+    the checks stay: there the pinned searches mostly fail, and a failing
+    one visited up to 67 |C| nodes. The pinned searches are not metered,
+    and run only here: the packing layer reads the profiles of
+    ``_profile_search`` alone. The lowest free vertex is the witness of
+    colour extension number 0 (see ``parameters``).
     """
-    if h.n == 0:
-        raise PreconditionError("cannot color the empty graph")
-    r = chromatic_number(h) if classes is None else classes
-    profiles, free, unchecked = _profile_search(h, cap, r)
+    r = chromatic_number(h)
+    parts, free, unchecked = _profile_search(h, cap, r)
     adj = h.adj
     for part in unchecked:
         seen = set()
@@ -297,20 +291,21 @@ def class_size_profiles(
             if _color_search(h, rest, [1 << x, 1 << x], r, lambda _: True):
                 free = x
                 break
-    return r, profiles, free if free < h.n else None
+    return r, reduce(_labelled_sums, parts), free if free < h.n else None
 
 
 def _profile_search(
     h: Graph, cap: int, r: int
-) -> tuple[set[tuple[int, ...]], int, list[list[int]]]:
-    """The profiles of ``class_size_profiles`` with r classes; the lowest
+) -> tuple[list[set[tuple[int, ...]]], int, list[list[int]]]:
+    """For each component of h, in the order of ``components``, the set of
+    sorted class sizes, padded with zeros to r, of its colorings with at
+    most r classes, counted on a ``Meter(cap)`` of its own; the lowest
     vertex that the first |C| completed colorings of each component C
     show free, or h.n; and, each in search order, the components with
     more colorings than vertices, whose vertices below that bound are
     not yet decided."""
     order = _search_order(h)
     adj = h.adj
-    meter = Meter(cap)
     free = h.n
 
     def collect(classes: list[int]) -> bool:
@@ -332,20 +327,20 @@ def _profile_search(
                 below &= below - 1
         return False
 
-    profiles: set[tuple[int, ...]] | None = None
+    parts = []
     unchecked = []
     for comp in components(h):
         low = (comp & -comp).bit_length() - 1
         found: set[tuple[int, ...]] = set()
-        # the meter count up to which completed colorings are checked
-        checked = meter.nodes + comp.bit_count()
+        meter = Meter(cap)
+        # the completed colorings up to this count are checked
+        checked = comp.bit_count()
         part = [v for v in order if comp >> v & 1]
         _color_search(h, part, [], r, collect)
         if meter.nodes > checked:
             unchecked.append(part)
-        padded = {(0,) * (r - len(s)) + tuple(sorted(s)) for s in found}
-        profiles = padded if profiles is None else _labelled_sums(profiles, padded)
-    return profiles, free, unchecked
+        parts.append({(0,) * (r - len(s)) + tuple(sorted(s)) for s in found})
+    return parts, free, unchecked
 
 
 def _labelled_sums(

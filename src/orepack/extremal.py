@@ -290,7 +290,7 @@ def verify_lower_bound(
         raise PreconditionError(
             f"chromatic number mismatch: chi(h)={chi}, instance r={inst.params['r']}"
         )
-    ce, _ = colour_extension_number(h)
+    ce, _ = colour_extension_number(h, chi)
     if inst.family == "prop1":
         if ce.is_finite:
             raise PreconditionError(

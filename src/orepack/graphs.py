@@ -35,7 +35,7 @@ from __future__ import annotations
 import binascii
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, repeat
@@ -141,7 +141,7 @@ def _check_order(n: int) -> None:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Graph:
     """Undirected simple graph; ``adj[v]`` is the neighbor bitmask of ``v``.
 
@@ -151,7 +151,7 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         _check_order(self.n)
@@ -180,14 +180,6 @@ class Graph:
         g = object.__new__(cls)
         g.__dict__.update(n=n, adj=adj, labels=None)
         return g
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count()})"

@@ -28,8 +28,11 @@ The open-twin classes also show when G is complete multipartite: each
 class is then joined to all the others. There a copy of H is a proper
 colouring of H with labelled colours, and the packing question is one
 about class sizes alone, which ``_types_refute`` answers by counting
-before the search runs. It only ever refutes: a packing it finds is left
-to the search, so every YES, certificate and node count is the search's.
+before the search runs. It reads the class sizes of each component's
+colourings from one profile search on H (``coloring._profile_search``),
+whose cap of ``TYPE_ENUMERATION_CAP`` bounds each component's search on
+its own. It only ever refutes: a packing it finds is left to the search,
+so every YES, certificate and node count is the search's.
 
 Search effort is metered in node expansions (candidate assignments tried)
 on a ``graphs.Meter``, so identical inputs and budgets always reproduce
@@ -59,7 +62,6 @@ from .graphs import (
     Meter,
     PreconditionError,
     components,
-    induced_subgraph,
     iter_bits,
 )
 
@@ -294,8 +296,10 @@ def _types_refute(sizes: Sequence[int], h: Graph, meter: Meter) -> bool:
     copy of a component is a proper colouring of it with at most
     r = len(sizes) labelled colours; its type is the vector of its class
     sizes. So a packing exists exactly when ``sizes`` is a sum of types,
-    n/|h| of them for each component. Components with the same types form
-    one kind.
+    n/|h| of them for each component. The types of every component come
+    from one ``_profile_search`` of h with r classes; the kernel opens no
+    more classes than a component has vertices, and the zeros of the
+    padding are dropped. Components with the same types form one kind.
 
     The search takes types off the class counts, and branches only over
     types that cover a vertex of a fullest class. Classes with equal
@@ -311,10 +315,7 @@ def _types_refute(sizes: Sequence[int], h: Graph, meter: Meter) -> bool:
         # every class at most as full as the copies still to place
         return False
     kinds: dict[tuple[tuple[int, ...], ...], int] = {}
-    for comp in components(h):
-        part = induced_subgraph(h, iter_bits(comp))
-        # a colouring of part uses at most part.n colours
-        profiles, _, _ = _profile_search(part, TYPE_ENUMERATION_CAP, min(len(sizes), part.n))
+    for profiles in _profile_search(h, TYPE_ENUMERATION_CAP, len(sizes))[0]:
         positive = {tuple(sorted(filter(None, p), reverse=True)) for p in profiles}
         types = tuple(sorted(positive, reverse=True))
         kinds[types] = kinds.get(types, 0) + copies

@@ -107,8 +107,6 @@ def run_probe(config: ProbeConfig) -> ProbeSummary:
 
 def _min_degree_hypothesis(g: Graph, r: int) -> bool:
     # delta(G) >= (1 - 1/r) n, compared exactly in integers
-    if g.n == 0:
-        return False
     return min(g.degrees()) * r >= (r - 1) * g.n
 
 

@@ -293,6 +293,15 @@ def test_construct_missing_flag_exits_3(capsys):
     assert "--n" in err
 
 
+def test_construct_prop2_bad_parameter_exits_3(capsys):
+    for m, h_order, message in (("-1", "7", "need m >= 0"), ("1", "0", "need h_order >= 1")):
+        code, out, err = run_cli(
+            capsys, "construct", "prop2", "--r", "3", "--m", m, "--h-order", h_order, "--t", "7"
+        )
+        assert (code, out) == (3, "")
+        assert message in err
+
+
 def test_construct_multipartite_and_blowup(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "construct", "multipartite", "--sizes", "2,2,2")
     assert code == 0
@@ -319,6 +328,13 @@ def test_verify_mismatch_exits_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", str(path), k4)
     assert code == 3
     assert "no verifiable bound" in err
+    # two F-diamonds keep chi 3 and CE 1 but have 14 vertices, not 7
+    path.write_text(json.dumps(op.construct_prop2(3, 1, 7, 7).to_json_dict()))
+    fd = op.construct_fdiamond()
+    fd2 = graph_file(tmp_path, "fd2.g6", op.disjoint_union(fd, fd))
+    code, out, err = run_cli(capsys, "verify", str(path), fd2)
+    assert (code, out) == (3, "")
+    assert "order mismatch: |h|=14, instance h_order=7" in err
 
 
 def test_verify_unknown_exits_4(capsys, tmp_path, fdiamond_file):

@@ -4,13 +4,20 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
 import orepack as op
 from orepack import BudgetExhausted, PreconditionError, coloring, packing, parameters
-from orepack.coloring import DEFAULT_ENUMERATION_CAP, _color_search, _search_order
+from orepack.coloring import (
+    DEFAULT_ENUMERATION_CAP,
+    _color_search,
+    _labelled_sums,
+    _profile_search,
+    _search_order,
+)
 from orepack.graphs import Meter, components, iter_bits
 
 from fixtures import corpus, k4_minus, small_corpus
@@ -207,8 +214,15 @@ def test_class_size_profiles_match_brute_force():
         assert op.class_size_profiles(g)[:2] == want, name
 
 
+def _merged_profiles(g, r):
+    """The profiles of the colorings of g with at most r classes, merged
+    from the per-component sets of the profile search."""
+    return reduce(_labelled_sums, _profile_search(g, DEFAULT_ENUMERATION_CAP, r)[0])
+
+
 def test_class_size_profiles_with_a_given_class_count():
-    # the colorings with at most r classes, r from chi - 1 to chi + 3
+    # the colorings with at most r classes, r from chi - 1 to chi + 3:
+    # class_size_profiles at chi, the merged profile search at the others
     rng = random.Random(59)
     graphs = list(small_corpus(7).values()) + [_random_union(rng, 7) for _ in range(30)]
     for g in graphs:
@@ -216,7 +230,10 @@ def test_class_size_profiles_with_a_given_class_count():
         chi = min(map(len, parts))
         for r in range(chi - 1, chi + 4):
             want = {tuple(sorted([0] * (r - len(p)) + [len(c) for c in p])) for p in parts if len(p) <= r}
-            assert op.class_size_profiles(g, classes=r)[:2] == (r, want), (op.to_graph6(g), r)
+            if r == chi:
+                assert op.class_size_profiles(g)[:2] == (r, want), op.to_graph6(g)
+            else:
+                assert _merged_profiles(g, r) == want, (op.to_graph6(g), r)
 
 
 def test_class_size_profiles_match_enumeration():
@@ -282,6 +299,21 @@ def test_class_size_profiles_answer_where_enumeration_caps():
         assert op.class_size_profiles(g, cap=100)[:2] == want
 
 
+def test_class_size_profiles_cap_bounds_one_component():
+    # 3 C5 has 5 optimal colorings per component, 15 in all: a cap of 5
+    # bounds each component's search, so it answers
+    c5x3 = _copies(op.cycle_graph(5), 3)
+    assert op.class_size_profiles(c5x3, cap=5) == (3, {(3, 6, 6), (4, 5, 6), (5, 5, 5)}, 0)
+    with pytest.raises(BudgetExhausted):
+        op.class_size_profiles(c5x3, cap=4)
+
+
+def test_empty_graph_has_no_colorings():
+    for search in (op.class_size_profiles, op.optimal_colorings):
+        with pytest.raises(PreconditionError, match="^chromatic number of the empty graph is undefined$"):
+            search(op.empty_graph(0))
+
+
 def test_class_size_profiles_cap_is_hard_error():
     # the connected C15 has 5,461 optimal 3-colorings, one kernel visit each
     c15 = op.cycle_graph(15)
@@ -343,27 +375,30 @@ def _few_free(rng):
 
 def test_class_size_profiles_match_checking_each_coloring(monkeypatch):
     # free vertices decided by pinned searches on components with more
-    # colorings than vertices, against checking every coloring: with
-    # classes = chi and chi + 1 on random graphs and unions, and with chi
-    # on hosts whose lowest vertices are not free; a pinned search runs
-    # only on a component with more colorings than vertices
+    # colorings than vertices, against checking every coloring, on random
+    # graphs and unions and on hosts whose lowest vertices are not free; a
+    # pinned search runs only on a component with more colorings than
+    # vertices; the profiles with chi + 1 classes, merged from the profile
+    # search, on the random graphs and unions
     calls = _pinned_searches(monkeypatch)
     rng = random.Random(1717)
-    cases = [(op.random_graph(rng.randint(1, 10), rng.random(), rng), 2) for _ in range(120)]
-    cases += [(_random_union(rng, 10), 2) for _ in range(80)]
-    cases += [(_few_free(rng), 1) for _ in range(80)]
+    cases = [(op.random_graph(rng.randint(1, 10), rng.random(), rng), 1) for _ in range(120)]
+    cases += [(_random_union(rng, 10), 1) for _ in range(80)]
+    cases += [(_few_free(rng), 0) for _ in range(80)]
     frees = set()
     pinned_runs = 0
-    for g, counts in cases:
+    for g, extra in cases:
         chi = op.chromatic_number(g)
-        for r in range(chi, chi + counts):
-            calls.clear()
-            got = op.class_size_profiles(g, classes=r)
-            assert got == profiles_checking_each_coloring(g, r), (op.to_graph6(g), r)
-            for comp in set(calls):
-                assert _coloring_count(g, comp, r) > len(comp), (op.to_graph6(g), r)
-            pinned_runs += bool(calls)
-            frees.add(got[2])
+        calls.clear()
+        got = op.class_size_profiles(g)
+        assert got == profiles_checking_each_coloring(g, chi), op.to_graph6(g)
+        for comp in set(calls):
+            assert _coloring_count(g, comp, chi) > len(comp), op.to_graph6(g)
+        pinned_runs += bool(calls)
+        frees.add(got[2])
+        for r in range(chi + 1, chi + 1 + extra):
+            want = profiles_checking_each_coloring(g, r)[1]
+            assert _merged_profiles(g, r) == want, (op.to_graph6(g), r)
     assert pinned_runs >= 40 and None in frees and len(frees) >= 8
 
 

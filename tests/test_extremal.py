@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import orepack as op
-from orepack import PreconditionError, Verdict
+from orepack import PreconditionError, Verdict, coloring, extremal, parameters
 
 from oracles import are_isomorphic
 
@@ -205,6 +205,21 @@ def test_verify_lower_bound_mismatch():
     with pytest.raises(PreconditionError):
         # F-diamond is fine for prop2 but not for prop1
         op.verify_lower_bound(op.construct_prop1(3, 9), op.construct_fdiamond())
+
+
+def test_verify_lower_bound_finds_chi_once(monkeypatch):
+    # the chi checked against the instance is the chi of the CE search
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return coloring.chromatic_number(h)
+
+    for module in (extremal, parameters):
+        monkeypatch.setattr(module, "chromatic_number", counted)
+    fd = op.construct_fdiamond()
+    assert op.verify_lower_bound(op.construct_prop2(3, 1, 7, 7), fd).all_ok
+    assert calls == [fd]
 
 
 def test_verify_lower_bound_unknown_on_budget():

@@ -130,6 +130,7 @@ def test_graph6_errors():
         ("A\u00e9", "character '\u00e9' outside graph6 range"),  # not ASCII
         ("B\x7f\u00e9?", "character '\\x7f' outside graph6 range"),  # the first one found
         ("~??", "truncated 4-byte order field"),
+        ("~??@", "non-canonical 4-byte order field"),  # order 1 in 4-byte form
         # order 200 > 128 in 4-byte form: chr(63+0) chr(63+3) chr(63+8)
         ("~?" + chr(63 + 3) + chr(63 + 8), "order 200 exceeds supported maximum 128"),
     ]
@@ -353,6 +354,20 @@ def test_induced_subgraph():
     assert op.induced_subgraph(g, []) == op.empty_graph(0)
     with pytest.raises(ValueError):
         op.induced_subgraph(g, [7])
+
+
+def test_constructor_and_generator_errors():
+    cases = [
+        (lambda: Graph(2, (0,)), "adjacency row count does not match vertex count"),
+        (lambda: Graph(2, (0, 0), ("a",)), "label count does not match vertex count"),
+        (lambda: op.relabel(op.path_graph(3), [0, 0, 1]), "perm is not a permutation of the vertex set"),
+        (lambda: op.cycle_graph(2), "cycle needs at least 3 vertices"),
+        (lambda: op.path_graph(0), "path needs at least 1 vertex"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
 
 
 def test_relabel_is_isomorphism():

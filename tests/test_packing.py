@@ -6,7 +6,8 @@ from itertools import combinations, islice, product
 import pytest
 
 import orepack as op
-from orepack import Embedding, PreconditionError, Verdict, packing
+from orepack import BudgetExhausted, Embedding, PreconditionError, Verdict, packing
+from orepack.graphs import Meter
 
 from oracles import (
     copies_before,
@@ -28,6 +29,8 @@ def test_enumerate_copies_counts():
     assert len(embs) == 24  # 4 images x |Aut(K3)| = 6 labelings
     assert len({e.image() for e in embs}) == 4
     assert list(op.enumerate_copies(op.cycle_graph(5), K3)) == []
+    # the empty graph has one embedding, the empty map
+    assert list(op.enumerate_copies(K3, op.empty_graph(0))) == [Embedding(())]
 
 
 def test_enumerate_copies_validity():
@@ -404,6 +407,29 @@ def test_twin_rich_hosts_agree_with_oracles():
 
 def _without_engine(monkeypatch):
     monkeypatch.setattr(packing, "_types_refute", lambda sizes, h, meter: False)
+
+
+def test_type_cap_bounds_one_component():
+    # 3 C11: 341 colourings with at most 3 classes per component, 1,023 in
+    # all; the cap of 1,000 bounds each component's search, so the engine
+    # finishes. It refutes nothing: three copies of each rotation of the
+    # type (4, 4, 3) fill [33, 33, 33]
+    c11 = op.cycle_graph(11)
+    h = op.disjoint_union(op.disjoint_union(c11, c11), c11)
+    assert packing._types_refute([33, 33, 33], h, Meter()) is False
+
+
+def test_engine_past_its_cap_leaves_the_search_alone(monkeypatch):
+    # C13 has 1,365 colourings with at most 3 classes, past the engine's
+    # cap, so the verdict and node count are the search's without it
+    c13 = op.cycle_graph(13)
+    hosts = [op.complete_multipartite(sizes)[0] for sizes in ([7, 3, 3], [5, 4, 4])]
+    with pytest.raises(BudgetExhausted):
+        packing._types_refute([7, 3, 3], c13, Meter())
+    with_engine = [op.has_perfect_packing(g, c13) for g in hosts]
+    assert [r.verdict for r in with_engine] == [Verdict.NO, Verdict.YES]
+    _without_engine(monkeypatch)
+    assert with_engine == [op.has_perfect_packing(g, c13) for g in hosts]
 
 
 def _multipartite_hosts(rng, count):
