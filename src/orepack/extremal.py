@@ -313,5 +313,5 @@ def verify_lower_bound(
         no_cover = Verdict.NO
     else:
         no_cover = Verdict.UNKNOWN
-    divisibility_ok = h.n > 0 and inst.graph.n % h.n == 0
+    divisibility_ok = inst.graph.n % h.n == 0
     return VerificationReport(ore_ok, no_cover, divisibility_ok, cover.nodes)

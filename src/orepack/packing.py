@@ -38,12 +38,15 @@ Search effort is metered in node expansions (candidate assignments tried)
 on a ``graphs.Meter``, so identical inputs and budgets always reproduce
 the same verdict; an exhausted meter turns into UNKNOWN.
 
-The node count fixes the wall time, so a node does as little as it can:
-H's neighbour lists are built once per search, a node carries the unused
-allowed host vertices as one mask and the number of H-vertices still
-unplaced, and candidate bits are walked inline. The packing search takes
-each copy's image straight from its mapping and builds an ``Embedding``
-only for the copies it keeps.
+The node count fixes the wall time, so a node does as little as it can.
+The embedding search is a closure built once per search: it captures the
+constants of the search (g's rows, H's neighbour lists, the component
+order, the twin masks and the meter), so a call passes only what changes.
+A node carries the unused allowed host vertices as one mask and the
+number of H-vertices still unplaced, and candidate bits are walked
+inline. Each copy is handed back with that mask at its leaf, the allowed
+vertices the copy leaves uncovered, so the packing search recurses on it
+as it is and builds an ``Embedding`` only for the copies it keeps.
 """
 
 from __future__ import annotations
@@ -121,73 +124,6 @@ class CoverSearchResult:
     nodes: int
 
 
-def _component_major_order(h: Graph) -> list[int]:
-    """Vertices grouped by component, largest components first."""
-    order = []
-    for comp in sorted(components(h), key=lambda c: (-c.bit_count(), c & -c)):
-        order.extend(iter_bits(comp))
-    return order
-
-
-def _search(
-    g_adj: Sequence[int],
-    nbrs: Sequence[Sequence[int]],
-    free: int,
-    assignment: list[Optional[int]],
-    left: int,
-    meter: Meter,
-    comp_order: list[int],
-    below: Sequence[int],
-) -> Iterator[tuple[int, ...]]:
-    """The embeddings that extend ``assignment``, ``left`` h-vertices of it
-    unplaced, into the allowed g-vertices ``free`` that it does not use.
-    ``nbrs[v]`` lists the neighbours of h-vertex v."""
-    if not left:
-        yield tuple(assignment)  # type: ignore[arg-type]
-        return
-
-    # most-constrained unplaced vertex adjacent to the placed part; -1 (all
-    # bits) stands for "no placed neighbour yet"
-    best_v = None
-    best_cands = 0
-    best_count = MAX_VERTICES + 1
-    for v, vn in enumerate(nbrs):
-        if assignment[v] is not None:
-            continue
-        cands = -1
-        for u in vn:
-            gu = assignment[u]
-            if gu is not None:
-                cands &= g_adj[gu]
-        if cands < 0:
-            continue
-        cands &= free
-        if not cands:
-            return
-        count = cands.bit_count()
-        if count < best_count:
-            best_v, best_cands, best_count = v, cands, count
-    if best_v is None:
-        # no partially-placed component remains; open the next one
-        for v in comp_order:
-            if assignment[v] is None:
-                best_v = v
-                break
-        best_cands = free
-
-    rest = best_cands
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        c = low.bit_length() - 1
-        if below[c] & best_cands:
-            continue  # a lower twin of c is a candidate here
-        meter.spend()
-        assignment[best_v] = c
-        yield from _search(g_adj, nbrs, free ^ low, assignment, left - 1, meter, comp_order, below)
-    assignment[best_v] = None
-
-
 def _lower_twins(g: Graph) -> tuple[list[int], dict[int, int]]:
     """below[v]: mask of the vertices u < v with N(u) - v == N(v) - u; and
     the open-twin classes, as a map from a neighbourhood to the mask of
@@ -209,30 +145,82 @@ def _lower_twins(g: Graph) -> tuple[list[int], dict[int, int]]:
 def _embedder(g: Graph, h: Graph, meter: Meter, below: Sequence[int]):
     """``embeddings(allowed, anchor)``: the embeddings of h into the
     vertices ``allowed`` of g, only those whose image contains ``anchor``
-    unless it is None. One search makes many calls, which share the
-    component order and the neighbour lists of h."""
-    comp_order = _component_major_order(h)
+    unless it is None, each with the mask of the allowed vertices it
+    leaves unused. The search is built once and serves every call: it
+    captures g's rows, h's neighbour lists, the order that opens h's
+    components largest first, the twin masks ``below`` and the meter."""
+    comp_order = []
+    for comp in sorted(components(h), key=lambda c: (-c.bit_count(), c & -c)):
+        comp_order.extend(iter_bits(comp))
     nbrs = tuple(tuple(iter_bits(m)) for m in h.adj)
     g_adj = g.adj
 
-    def embeddings(allowed: int, anchor: Optional[int]) -> Iterator[tuple[int, ...]]:
+    def search(free: int, assignment: list, left: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        """The embeddings that extend ``assignment``, ``left`` h-vertices
+        of it unplaced, into the allowed g-vertices ``free`` that it does
+        not use."""
+        if not left:
+            yield tuple(assignment), free
+            return
+
+        # most-constrained unplaced vertex adjacent to the placed part; -1
+        # (all bits) stands for "no placed neighbour yet"
+        best_v = None
+        best_cands = 0
+        best_count = MAX_VERTICES + 1
+        for v, vn in enumerate(nbrs):
+            if assignment[v] is not None:
+                continue
+            cands = -1
+            for u in vn:
+                gu = assignment[u]
+                if gu is not None:
+                    cands &= g_adj[gu]
+            if cands < 0:
+                continue
+            cands &= free
+            if not cands:
+                return
+            count = cands.bit_count()
+            if count < best_count:
+                best_v, best_cands, best_count = v, cands, count
+        if best_v is None:
+            # no partially-placed component remains; open the next one
+            for v in comp_order:
+                if assignment[v] is None:
+                    best_v = v
+                    break
+            best_cands = free
+
+        rest = best_cands
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = low.bit_length() - 1
+            if below[c] & best_cands:
+                continue  # a lower twin of c is a candidate here
+            meter.spend()
+            assignment[best_v] = c
+            yield from search(free ^ low, assignment, left - 1)
+        assignment[best_v] = None
+
+    def embeddings(allowed: int, anchor: Optional[int]) -> Iterator[tuple[tuple[int, ...], int]]:
         if h.n == 0:
-            yield ()
+            yield (), allowed
             return
         if h.n > allowed.bit_count():
             return
         if anchor is None:
-            assignment: list[Optional[int]] = [None] * h.n
-            yield from _search(g_adj, nbrs, allowed, assignment, h.n, meter, comp_order, below)
+            yield from search(allowed, [None] * h.n, h.n)
             return
         # each embedding whose image contains the anchor maps exactly one
         # h-vertex there, so iterating that choice emits it exactly once
         free = allowed & ~(1 << anchor)
         for v in range(h.n):
             meter.spend()
-            assignment = [None] * h.n
+            assignment: list[Optional[int]] = [None] * h.n
             assignment[v] = anchor
-            yield from _search(g_adj, nbrs, free, assignment, h.n - 1, meter, comp_order, below)
+            yield from search(free, assignment, h.n - 1)
 
     return embeddings
 
@@ -245,7 +233,7 @@ def enumerate_copies(
     consuming it to bound work."""
     if anchor is not None and not 0 <= anchor < g.n:
         raise PreconditionError(f"anchor {anchor} out of range")
-    for mapping in _embedder(g, h, Meter(), [0] * g.n)(g.vertex_mask, anchor):
+    for mapping, _ in _embedder(g, h, Meter(), [0] * g.n)(g.vertex_mask, anchor):
         yield Embedding(mapping)
 
 
@@ -260,7 +248,7 @@ def copy_covering_vertex(
     try:
         if 0 < h.n <= g.n:
             embeddings = _embedder(g, h, meter, _lower_twins(g)[0])
-            for mapping in embeddings(g.vertex_mask, w):
+            for mapping, _ in embeddings(g.vertex_mask, w):
                 return CoverSearchResult(Verdict.YES, Embedding(mapping), meter.nodes)
     except BudgetExhausted:
         return CoverSearchResult(Verdict.UNKNOWN, None, meter.nodes)
@@ -413,11 +401,8 @@ def has_perfect_packing(
         if uncovered in failed:
             return None
         v = _pick_packing_anchor(g, uncovered)
-        for mapping in embeddings(uncovered, v):
-            image = 0
-            for x in mapping:
-                image |= 1 << x
-            rest = solve(uncovered ^ image)
+        for mapping, left in embeddings(uncovered, v):
+            rest = solve(left)
             if rest is not None:
                 return [Embedding(mapping)] + rest
         failed.add(uncovered)

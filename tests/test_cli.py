@@ -392,6 +392,22 @@ def test_verify_bad_instance_exits_2(capsys, tmp_path, fdiamond_file):
         code, out, err = run_cli(capsys, "verify", str(path), k3_file)
         assert (code, out) == (2, "")
         assert "bad instance JSON" in err
+    for w in (9, -1):  # prop1(3, 9) has 9 vertices
+        path.write_text(json.dumps(dict(good, w=w)))
+        code, out, err = run_cli(capsys, "verify", str(path), k3_file)
+        assert (code, out) == (2, "")
+        assert "bad instance JSON: distinguished vertex out of range" in err
+
+
+def test_verify_against_the_empty_graph_exits_3(capsys, tmp_path):
+    # chi(h) is found first and raises, so the divisibility check that
+    # divides by |h| never meets a 0-vertex h
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(op.construct_prop1(3, 9).to_json_dict()))
+    empty = graph_file(tmp_path, "k0.g6", op.empty_graph(0))
+    code, out, err = run_cli(capsys, "verify", str(path), empty)
+    assert (code, out) == (3, "")
+    assert "chromatic number of the empty graph is undefined" in err
 
 
 def test_verify_non_utf8_instance_exits_2(capsys, tmp_path, fdiamond_file):
@@ -477,6 +493,9 @@ def test_negative_budget_exits_2(capsys, tmp_path, monkeypatch, verb):
     code, out, err = run_cli(capsys, *argv, "--budget", "-1")
     assert (code, out) == (2, "")
     assert "argument --budget: must be at least 0, got -1" in err
+    code, out, err = run_cli(capsys, *argv, "--budget", "abc")
+    assert (code, out) == (2, "")
+    assert "argument --budget: invalid int value: 'abc'" in err
     code, out, _ = run_cli(capsys, *argv, "--budget", "0")
     assert code != 2 and out != ""
 

@@ -96,6 +96,7 @@ def test_degree_bound():
     g = op.complete_graph(5)
     assert all(g.degree(v) == 4 for v in range(5))
     assert g.edge_count() == 10
+    assert repr(op.complete_graph(3)) == "Graph(n=3, edges=3)"
 
 
 # ---------------------------------------------------------------------------

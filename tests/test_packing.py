@@ -520,3 +520,40 @@ def test_search_matches_the_search_before_its_nodes_got_cheaper(monkeypatch):
                 got = [e.mapping for e in islice(op.enumerate_copies(g, h, anchor), 2_000)]
                 assert got == list(islice(copies_before(g, h, anchor), 2_000))
     assert checked > 100 and branched > 20
+
+
+def _hs_host(rng, n, r, p):
+    """A G(n, p) draw with minimum degree at least (1 - 1/r) n, which
+    forces a K_r-factor (Hajnal-Szemeredi)."""
+    while True:
+        g = op.random_graph(n, p, rng)
+        if min(g.degrees()) * r >= (r - 1) * n:
+            return g
+
+
+def test_search_matches_the_search_before_on_hosts_of_benchmark_size(monkeypatch):
+    # the comparison above on hosts of up to 120 vertices: two YES hosts of
+    # the Hajnal-Szemeredi bound, a blow-up of fdiamond, and a NO host that
+    # the search refutes only after branching
+    _without_engine(monkeypatch)
+    rng = random.Random(71)
+    fd = op.construct_fdiamond()
+    barrier, _ = op.complete_multipartite([7, 9, 8, 8])
+    gone = set(random.Random(1).sample(list(barrier.edges()), 1))
+    barrier = op.Graph.from_edges(barrier.n, [e for e in barrier.edges() if e not in gone])
+    cases = [
+        (_hs_host(rng, 120, 3, 0.83), K3, "yes"),
+        (_hs_host(rng, 120, 4, 0.89), op.complete_graph(4), "yes"),
+        (op.blow_up(fd, 6), fd, "yes"),
+        (barrier, op.complete_graph(4), "no"),
+    ]
+    for g, h, verdict in cases:
+        full = op.has_perfect_packing(g, h)
+        assert full.verdict.value == verdict
+        assert _as_before(full) == packing_search_before(g, h)
+        for w in rng.sample(range(g.n), 3):
+            assert _cover_as_before(op.copy_covering_vertex(g, h, w)) == cover_search_before(g, h, w)
+        for anchor in (None, rng.randrange(g.n)):  # the first 200 copies of each stream
+            got = [e.mapping for e in islice(op.enumerate_copies(g, h, anchor), 200)]
+            assert got == list(islice(copies_before(g, h, anchor), 200))
+    assert full.nodes == 2_600  # the K4 space barrier minus 1 edge (tools/cliffs.py)

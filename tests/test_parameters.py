@@ -43,6 +43,8 @@ def test_hcf_c_examples():
     assert op.hcf_c(op.complete_graph(2)) == 2
     assert op.hcf_c(op.disjoint_union(op.complete_graph(2), op.complete_graph(3))) == 1
     assert op.hcf_c(op.cycle_graph(6)) == 6
+    with pytest.raises(PreconditionError, match="^graph must have at least one vertex$"):
+        op.hcf_c(op.empty_graph(0))
 
 
 def test_hcf_is_one_examples():
