@@ -41,10 +41,9 @@ when the search is complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, and_
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .graphs import Graph, Meter, PreconditionError, components, iter_bits
 
@@ -198,8 +197,7 @@ def chromatic_number(h: Graph) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class ColoringPartition:
+class ColoringPartition(NamedTuple):
     """A partition of the vertex set into independent classes.
 
     ``classes`` are ordered by their minimum vertex, which identifies the

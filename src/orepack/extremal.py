@@ -13,13 +13,13 @@ packing".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .coloring import chromatic_number
 from .graphs import (
+    FrozenRecord,
     Graph,
     GraphFormatError,
     PreconditionError,
@@ -36,21 +36,24 @@ from .packing import DEFAULT_BUDGET, Verdict, copy_covering_vertex
 from .parameters import colour_extension_number, fraction_json
 
 
-@dataclass(frozen=True)
-class ExtremalInstance:
-    graph: Graph
-    w: int
-    claimed_ore_bound: Fraction
-    family: str
-    params: Mapping[str, int]
+class ExtremalInstance(FrozenRecord):
+    __slots__ = ("graph", "w", "claimed_ore_bound", "family", "params")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.w < self.graph.n:
+    def __init__(
+        self,
+        graph: Graph,
+        w: int,
+        claimed_ore_bound: Fraction,
+        family: str,
+        params: Mapping[str, int],
+    ) -> None:
+        if not 0 <= w < graph.n:
             raise ValueError("distinguished vertex out of range")
-        if self.family in BOUNDED_FAMILIES:
-            missing = [p for p in BOUNDED_FAMILIES[self.family][1] if p not in self.params]
+        if family in BOUNDED_FAMILIES:
+            missing = [p for p in BOUNDED_FAMILIES[family][1] if p not in params]
             if missing:
-                raise ValueError(f"{self.family} params lack {', '.join(missing)}")
+                raise ValueError(f"{family} params lack {', '.join(missing)}")
+        self._set(graph, w, claimed_ore_bound, family, params)
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,8 +258,7 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     ore_ok: bool
     no_cover: Verdict
     divisibility_ok: bool

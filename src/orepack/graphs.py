@@ -13,6 +13,11 @@ Every graph operation in this module is a pure function of its inputs;
 the one stateful object is ``Meter``, the step counter of the packing,
 cover and optimal-coloring searches.
 
+``Graph`` and the package's other types that check or change their
+fields are slotted classes on ``Record``, and its plain records are
+``typing.NamedTuple``s. None is a dataclass: a dataclass compiles its
+generated methods at import, which cost each orepack process ~17 ms.
+
 ``min_ore_degree_sum`` is the Ore degree sum sigma_2, the least
 d(x) + d(y) over non-adjacent x != y. It takes the vertices by rising
 degree, so each vertex needs only its first later non-neighbour, and it
@@ -35,7 +40,6 @@ from __future__ import annotations
 import binascii
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, repeat
@@ -141,36 +145,78 @@ def _check_order(n: int) -> None:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
 
 
-@dataclass(frozen=True)
-class Graph:
+class Record:
+    """Base of the types that check their fields or change them. Each
+    names its fields in ``__slots__``, in constructor order. Two objects
+    of one class are equal when their ``_key()`` is, every field unless
+    the type says otherwise, and the repr lists the fields. Unhashable."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class FrozenRecord(Record):
+    """A ``Record`` whose fields are set once, by ``_set``: assigning to or
+    deleting one raises AttributeError. It hashes its ``_key()``."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(FrozenRecord):
     """Undirected simple graph; ``adj[v]`` is the neighbor bitmask of ``v``.
 
     ``labels`` are optional decoration (constructions use them to name a
     distinguished vertex); structural equality and hashing ignore them.
     """
 
-    n: int
-    adj: tuple[int, ...]
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
+    __slots__ = ("n", "adj", "labels")
 
-    def __post_init__(self) -> None:
-        _check_order(self.n)
-        if len(self.adj) != self.n:
+    def __init__(self, n: int, adj: tuple[int, ...], labels: tuple[str, ...] | None = None) -> None:
+        _check_order(n)
+        if len(adj) != n:
             raise ValueError("adjacency row count does not match vertex count")
-        full = (1 << self.n) - 1
-        for v, mask in enumerate(self.adj):
+        full = (1 << n) - 1
+        for v, mask in enumerate(adj):
             if mask & ~full:
-                raise ValueError(f"adjacency of vertex {v} mentions vertices >= {self.n}")
+                raise ValueError(f"adjacency of vertex {v} mentions vertices >= {n}")
             if mask >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
-        w = _stride(self.n)
-        packed = _pack(self.adj, w)
+        w = _stride(n)
+        packed = _pack(adj, w)
         if packed != _transpose(packed, w):
-            v, u = next((v, u) for v, mask in enumerate(self.adj)
-                        for u in iter_bits(mask) if not self.adj[u] >> v & 1)
+            v, u = next((v, u) for v, mask in enumerate(adj)
+                        for u in iter_bits(mask) if not adj[u] >> v & 1)
             raise ValueError(f"asymmetric edge {v}-{u}")
-        if self.labels is not None and len(self.labels) != self.n:
+        if labels is not None and len(labels) != n:
             raise ValueError("label count does not match vertex count")
+        self._set(n, adj, labels)
 
     @classmethod
     def _of_valid_rows(cls, n: int, adj: tuple[int, ...]) -> "Graph":
@@ -178,8 +224,11 @@ class Graph:
         range(n) by how the caller built them; only the order is checked."""
         _check_order(n)
         g = object.__new__(cls)
-        g.__dict__.update(n=n, adj=adj, labels=None)
+        g._set(n, adj, None)
         return g
+
+    def _key(self) -> tuple:
+        return self.n, self.adj
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count()})"

@@ -41,21 +41,22 @@ the same verdict; an exhausted meter turns into UNKNOWN.
 The node count fixes the wall time, so a node does as little as it can.
 The embedding search is a closure built once per search: it captures the
 constants of the search (g's rows, H's neighbour lists, the component
-order, the twin masks and the meter), so a call passes only what changes.
-A node carries the unused allowed host vertices as one mask and the
-number of H-vertices still unplaced, and candidate bits are walked
-inline. Each copy is handed back with that mask at its leaf, the allowed
-vertices the copy leaves uncovered, so the packing search recurses on it
-as it is and builds an ``Embedding`` only for the copies it keeps.
+order, the twin classes and the meter), so a call passes only what
+changes. A node carries the unused allowed host vertices as one mask and
+the number of H-vertices still unplaced, and walks its candidates inline
+one twin class at a time: trying a candidate clears its whole class from
+the walk, so a skipped twin costs no step. Each copy is handed back with
+that mask at its leaf, the allowed vertices the copy leaves uncovered,
+so the packing search recurses on it as it is and builds an
+``Embedding`` only for the copies it keeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .coloring import _profile_search
 from .graphs import (
@@ -80,8 +81,7 @@ class Verdict(str, Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """Injective map from V(H) into V(G); mapping[h_vertex] = g_vertex."""
 
     mapping: tuple[int, ...]
@@ -100,8 +100,7 @@ class Embedding:
         return {str(i): g for i, g in enumerate(self.mapping)}
 
 
-@dataclass(frozen=True)
-class PackingResult:
+class PackingResult(NamedTuple):
     verdict: Verdict
     certificate: Optional[tuple[Embedding, ...]]
     nodes: int
@@ -117,38 +116,37 @@ class PackingResult:
         }
 
 
-@dataclass(frozen=True)
-class CoverSearchResult:
+class CoverSearchResult(NamedTuple):
     verdict: Verdict
     embedding: Optional[Embedding]
     nodes: int
 
 
-def _lower_twins(g: Graph) -> tuple[list[int], dict[int, int]]:
-    """below[v]: mask of the vertices u < v with N(u) - v == N(v) - u; and
-    the open-twin classes, as a map from a neighbourhood to the mask of
-    the vertices that have it."""
+def _twin_classes(g: Graph) -> tuple[list[int], dict[int, int]]:
+    """twins[v]: the mask of v's twin class, v included: the vertices u
+    with N(u) - v == N(v) - u. A vertex has open twins (equal
+    neighbourhoods, never adjacent) or closed twins (adjacent, equal
+    closed neighbourhoods) but not both: an open twin of v would be
+    adjacent to each closed twin of v, and so to v. Each kind is an
+    equivalence. Also the open-twin classes, as a map from a
+    neighbourhood to the mask of the vertices that have it."""
     open_twins: dict[int, int] = {}
     closed_twins: dict[int, int] = {}
-    below = []
     for v, nbrs in enumerate(g.adj):
         bit = 1 << v
-        closed = nbrs | bit
-        same_open = open_twins.get(nbrs, 0)
-        same_closed = closed_twins.get(closed, 0)
-        below.append(same_open | same_closed)
-        open_twins[nbrs] = same_open | bit
-        closed_twins[closed] = same_closed | bit
-    return below, open_twins
+        open_twins[nbrs] = open_twins.get(nbrs, 0) | bit
+        closed_twins[nbrs | bit] = closed_twins.get(nbrs | bit, 0) | bit
+    twins = [open_twins[nbrs] | closed_twins[nbrs | 1 << v] for v, nbrs in enumerate(g.adj)]
+    return twins, open_twins
 
 
-def _embedder(g: Graph, h: Graph, meter: Meter, below: Sequence[int]):
+def _embedder(g: Graph, h: Graph, meter: Meter, twins: Sequence[int]):
     """``embeddings(allowed, anchor)``: the embeddings of h into the
     vertices ``allowed`` of g, only those whose image contains ``anchor``
     unless it is None, each with the mask of the allowed vertices it
     leaves unused. The search is built once and serves every call: it
     captures g's rows, h's neighbour lists, the order that opens h's
-    components largest first, the twin masks ``below`` and the meter."""
+    components largest first, the twin classes ``twins`` and the meter."""
     comp_order = []
     for comp in sorted(components(h), key=lambda c: (-c.bit_count(), c & -c)):
         comp_order.extend(iter_bits(comp))
@@ -192,13 +190,12 @@ def _embedder(g: Graph, h: Graph, meter: Meter, below: Sequence[int]):
                     break
             best_cands = free
 
+        # the lowest candidate of each twin class stands for the class
         rest = best_cands
         while rest:
             low = rest & -rest
-            rest ^= low
             c = low.bit_length() - 1
-            if below[c] & best_cands:
-                continue  # a lower twin of c is a candidate here
+            rest &= ~twins[c]
             meter.spend()
             assignment[best_v] = c
             yield from search(free ^ low, assignment, left - 1)
@@ -233,7 +230,8 @@ def enumerate_copies(
     consuming it to bound work."""
     if anchor is not None and not 0 <= anchor < g.n:
         raise PreconditionError(f"anchor {anchor} out of range")
-    for mapping, _ in _embedder(g, h, Meter(), [0] * g.n)(g.vertex_mask, anchor):
+    singletons = [1 << v for v in range(g.n)]
+    for mapping, _ in _embedder(g, h, Meter(), singletons)(g.vertex_mask, anchor):
         yield Embedding(mapping)
 
 
@@ -247,7 +245,7 @@ def copy_covering_vertex(
     meter = Meter(budget)
     try:
         if 0 < h.n <= g.n:
-            embeddings = _embedder(g, h, meter, _lower_twins(g)[0])
+            embeddings = _embedder(g, h, meter, _twin_classes(g)[0])
             for mapping, _ in embeddings(g.vertex_mask, w):
                 return CoverSearchResult(Verdict.YES, Embedding(mapping), meter.nodes)
     except BudgetExhausted:
@@ -378,11 +376,11 @@ def has_perfect_packing(
         raise PreconditionError("packing graph must have at least one vertex")
     if g.n % h.n != 0:
         return PackingResult(Verdict.NO, None, 0, budget)
-    below, open_twins = _lower_twins(g)
+    twins, open_twins = _twin_classes(g)
     # open twins are never adjacent; g is complete multipartite when every
     # class of them is joined to all the rest
     full = g.vertex_mask
-    if all(nbrs | twins == full for nbrs, twins in open_twins.items()):
+    if all(nbrs | same == full for nbrs, same in open_twins.items()):
         meter = Meter(budget)
         try:
             if _types_refute([m.bit_count() for m in open_twins.values()], h, meter):
@@ -390,7 +388,7 @@ def has_perfect_packing(
         except BudgetExhausted:
             pass
     meter = Meter(budget)
-    embeddings = _embedder(g, h, meter, below)
+    embeddings = _embedder(g, h, meter, twins)
     # uncovered masks refuted by a complete search; BudgetExhausted skips
     # the add, so a cut-off search records nothing
     failed: set[int] = set()

@@ -20,14 +20,17 @@ each component as they complete, and decides the vertices still in
 question past them by one pinned search each. So ``full_report`` reads
 CE = 0 and its witness off the profile search, and runs the extension
 search, which stops at m = 1, only when no vertex is free.
+
+``ExtendedNat`` is a ``graphs.FrozenRecord`` and the reports are
+``NamedTuple``s, not dataclasses, whose generated methods every process
+would compile at import.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coloring import (
     chromatic_number,
@@ -37,18 +40,18 @@ from .coloring import (
     _color_search,
     _search_order,
 )
-from .graphs import Graph, PreconditionError, components
+from .graphs import FrozenRecord, Graph, PreconditionError, components
 
 
-@dataclass(frozen=True)
-class ExtendedNat:
+class ExtendedNat(FrozenRecord):
     """A nonnegative integer or infinity; infinity is ``value=None``."""
 
-    value: Optional[int]
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if self.value is not None and self.value < 0:
+    def __init__(self, value: Optional[int]) -> None:
+        if value is not None and value < 0:
             raise ValueError("ExtendedNat must be nonnegative")
+        self._set(value)
 
     @classmethod
     def finite(cls, value: int) -> "ExtendedNat":
@@ -73,8 +76,7 @@ def fraction_json(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator}
 
 
-@dataclass(frozen=True)
-class ParameterReport:
+class ParameterReport(NamedTuple):
     """Every packing-threshold invariant of one graph H."""
 
     chi: int
@@ -113,8 +115,7 @@ class ParameterReport:
 # critical chromatic number and gcd machinery
 
 
-@dataclass(frozen=True)
-class _Analysis:
+class _Analysis(NamedTuple):
     """The report fields that the class-size profiles of the optimal
     colorings of H determine."""
 
@@ -312,7 +313,7 @@ def full_report(h: Graph) -> ParameterReport:
     assert ore == max(a.chi_star, prime)
     assert a.chi - 1 < a.chi_cr <= a.chi
     return ParameterReport(
-        **(vars(a) | {"witness_vertex": witness}),
+        **(a._asdict() | {"witness_vertex": witness}),
         ce=ce,
         chi_ore=ore,
         chi_prime_ore=prime,

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import (
     MAX_VERTICES,
     Graph,
     PreconditionError,
+    Record,
     average_degree,
     complete_graph,
     min_ore_degree_sum,
@@ -28,8 +28,7 @@ PACKING_PROBE_MAX_N = 24
 DEFAULT_P_SWEEP = (0.5, 0.7, 0.9)
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
+class ProbeConfig(NamedTuple):
     family: str
     n: int
     samples: int
@@ -57,13 +56,22 @@ class ProbeConfig:
                 )
 
 
-@dataclass
-class ProbeSummary:
-    samples: int
-    condition_hits: int = 0
-    violations: int = 0
-    unknowns: int = 0
-    violation_graphs: list[str] = field(default_factory=list)
+class ProbeSummary(Record):
+    __slots__ = ("samples", "condition_hits", "violations", "unknowns", "violation_graphs")
+
+    def __init__(
+        self,
+        samples: int,
+        condition_hits: int = 0,
+        violations: int = 0,
+        unknowns: int = 0,
+        violation_graphs: Optional[list[str]] = None,
+    ) -> None:
+        self.samples = samples
+        self.condition_hits = condition_hits
+        self.violations = violations
+        self.unknowns = unknowns
+        self.violation_graphs = [] if violation_graphs is None else violation_graphs
 
     def to_json_dict(self) -> dict:
         return {
@@ -94,6 +102,7 @@ def run_probe(config: ProbeConfig) -> ProbeSummary:
     config.validate()
     summary = ProbeSummary(samples=config.samples)
     hypothesis = PROBE_FAMILIES[config.family]
+    clique = None if hypothesis is None else complete_graph(config.r)
     for i in range(config.samples):
         rng = _sample_rng(config.seed, i)
         p = DEFAULT_P_SWEEP[i % len(DEFAULT_P_SWEEP)]
@@ -101,7 +110,7 @@ def run_probe(config: ProbeConfig) -> ProbeSummary:
         if hypothesis is None:
             _probe_average_degree(g, summary)
         else:
-            _probe_clique_factor(g, config, summary, hypothesis)
+            _probe_clique_factor(g, clique, config.budget, summary, hypothesis)
     return summary
 
 
@@ -127,12 +136,11 @@ PROBE_FAMILIES = {
 }
 
 
-def _probe_clique_factor(g, config, summary, hypothesis) -> None:
-    r = config.r
-    if not hypothesis(g, r):
+def _probe_clique_factor(g, clique, budget, summary, hypothesis) -> None:
+    if not hypothesis(g, clique.n):
         return
     summary.condition_hits += 1
-    result = has_perfect_packing(g, complete_graph(r), config.budget)
+    result = has_perfect_packing(g, clique, budget)
     if result.verdict is Verdict.UNKNOWN:
         summary.unknowns += 1
     elif result.verdict is Verdict.NO:

@@ -177,7 +177,7 @@ def test_hdiamond_errors():
 
 
 def test_generated_graphs_pass_invariants():
-    # Graph.__post_init__ revalidates symmetry/loops on every construction
+    # Graph.__init__ revalidates symmetry/loops on every construction
     insts = [
         op.construct_prop1(3, 9),
         op.construct_prop2(3, 1, 7, 7),
