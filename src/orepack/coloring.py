@@ -25,18 +25,30 @@ the number of classes of a complete r-partite host, as the copies of
 each component of H there. ``class_size_profiles`` also reports the
 lowest free vertex, which the parameter layer reads as the witness of
 colour extension number 0: the profile search checks the first |C|
-colorings of each component C as they complete, and past them
-``class_size_profiles`` decides each vertex still in question by one
-kernel search with the vertex's class pinned twice; the packing layer
-runs no pinned search. ``optimal_colorings`` enumerates the partitions
-themselves, canonicalized by sorting classes on their minimum vertex;
-the tests use it as the oracle for the profiles.
-Both count completed colorings on a ``graphs.Meter`` capped at
+colorings of each component C as they complete (the window pass), and
+past them ``class_size_profiles`` decides each vertex still in question
+by one kernel search with the vertex's class pinned twice; the packing
+layer runs no pinned search. A component with more than |C| colorings
+that has a tail, an independent set of vertices with at most r - 2
+neighbours each, is then counted afresh (the counting pass): the kernel
+colours the rest, and each of its colorings with r or r - 1 classes
+stands for every placement of the tail at once. This is a stricter
+"simplify" step of Chaitin's register allocator (SIGPLAN 1982), which
+sets aside every vertex of degree below r. A tail vertex's
+neighbours fill at most r - 2 classes, so it always has two classes
+left; every coloring of the rest thus stands for at least 2^|T|
+colorings, where a degree of r - 1 could leave a vertex one class and
+the pass no cheaper than completing each coloring. ``optimal_colorings``
+enumerates the partitions themselves, canonicalized by sorting classes
+on their minimum vertex; the tests use it as the oracle for the
+profiles. Both count completed colorings on a ``graphs.Meter`` capped at
 ``DEFAULT_ENUMERATION_CAP``, one meter per kernel search: per component
-in the profile search, for all of h in ``optimal_colorings``. A search
-past the cap raises BudgetExhausted rather than return a truncated
-answer, since sigma and the class-size differences are only correct
-when the search is complete.
+in the profile search, for all of h in ``optimal_colorings``. The
+counting pass spends the colorings it counts in bulk, so the cap counts
+the same colorings with it as without. A search past the cap raises
+BudgetExhausted rather than return a truncated answer, since sigma and
+the class-size differences are only correct when the search is
+complete.
 """
 
 from __future__ import annotations
@@ -248,8 +260,11 @@ def class_size_profiles(
     component with at most chi classes, and any such colorings of the
     components, with their classes matched up, give one. So the profiles
     are the ``_labelled_sums`` of the per-component sets of
-    ``_profile_search``. Raises BudgetExhausted after more than ``cap``
-    completed colorings of one component.
+    ``_profile_search``. Its window pass completes a component's colorings
+    one by one; a component with more colorings than vertices and with a
+    tail of low-degree vertices is recounted by its counting pass, which
+    spends the tail's placements in bulk. Raises BudgetExhausted after
+    more than ``cap`` colorings of one component, counted either way.
 
     A vertex x is free when some optimal coloring leaves it non-adjacent
     to two of its classes, x's own class being one: N(x) then meets at
@@ -301,17 +316,31 @@ def _profile_search(
     vertex that the first |C| completed colorings of each component C
     show free, or h.n; and, each in search order, the components with
     more colorings than vertices, whose vertices below that bound are
-    not yet decided."""
+    not yet decided.
+
+    The window pass completes the colorings of C one by one and checks
+    the first |C| of them. At the |C|-th it picks C's ``_tail``; if that
+    is not empty, the pass stops at the next coloring, and
+    ``_tail_sizes`` counts C afresh on a new meter, spending the tail's
+    placements in bulk. Every coloring is counted once either way, so
+    the cap is reached exactly when it was by completing each one. A
+    component without a tail keeps its single pass at no added cost per
+    coloring past the window, and a component with fewer than |C|
+    colorings reads no more of h than before."""
     order = _search_order(h)
     adj = h.adj
     free = h.n
 
     def collect(classes: list[int]) -> bool:
-        nonlocal free
+        nonlocal free, tail, counting
         meter.spend()
         found.add(tuple(map(int.bit_count, classes)))
         if meter.nodes > checked:
-            return False
+            # past the window: with a tail, the counting pass takes the rest
+            return counting
+        if meter.nodes == checked:
+            tail = _tail(adj, part, r)
+            counting = tail != 0
         if len(classes) < r:
             free = min(free, low)
         else:
@@ -334,11 +363,85 @@ def _profile_search(
         # the completed colorings up to this count are checked
         checked = comp.bit_count()
         part = [v for v in order if comp >> v & 1]
+        tail, counting = 0, False
         _color_search(h, part, [], r, collect)
         if meter.nodes > checked:
             unchecked.append(part)
+            if counting:
+                found = _tail_sizes(h, part, tail, r, Meter(cap))
         parts.append({(0,) * (r - len(s)) + tuple(sorted(s)) for s in found})
     return parts, free, unchecked
+
+
+def _tail(adj: tuple[int, ...], part: list[int], r: int) -> int:
+    """The mask of an independent set of vertices of ``part`` with at most
+    r - 2 neighbours each, taken greedily from the end of ``part``."""
+    tail = 0
+    for v in reversed(part):
+        if adj[v].bit_count() <= r - 2 and not adj[v] & tail:
+            tail |= 1 << v
+    return tail
+
+
+def _tail_sizes(
+    h: Graph, part: list[int], tail: int, r: int, meter: Meter
+) -> set[tuple[int, ...]]:
+    """The class-size tuples, in class order and some padded with zeros,
+    of the colorings of ``part`` with at most r classes, with one step on
+    ``meter`` for each coloring.
+
+    The kernel colours the head, ``part`` without the independent
+    ``tail``. Each tail vertex has at most r - 2 neighbours, all in the
+    head, so once all r classes are open at least two of them miss it,
+    and the tail vertices choose among those classes independently. Such
+    a head coloring therefore stands for the product of the tail
+    vertices' free-class counts, spent at once, and gives its sizes plus
+    the Minkowski sum of the tail's one-vertex increments, with sizes
+    packed 8 bits per class (a class holds at most 128 vertices). The
+    count and the increments depend on the classes only through their
+    meets with N(tail), and are kept per meet. A head coloring with r - 1
+    classes counts the same way with an empty r-th class: the tail
+    vertices put there form the one class left to open, or none. With
+    fewer classes the tail could open several, so the kernel places it
+    with the head's classes pinned, one coloring at a time."""
+    adj = h.adj
+    tails = [v for v in part if tail >> v & 1]
+    head = [v for v in part if not tail >> v & 1]
+    near = 0
+    for t in tails:
+        near |= adj[t]
+    found: set[tuple[int, ...]] = set()
+    bulk: dict[tuple[int, ...], tuple[int, set[int]]] = {}
+    pending = set()
+
+    def placed(classes: list[int]) -> bool:
+        meter.spend()
+        found.add(tuple(map(int.bit_count, classes)))
+        return False
+
+    def counted(classes: list[int]) -> bool:
+        if len(classes) < r - 1:
+            return _color_search(h, tails, list(classes), r, placed)
+        if len(classes) < r:
+            classes = classes + [0]
+        key = tuple(m & near for m in classes)
+        if key not in bulk:
+            steps, grown = 1, {0}
+            for t in tails:
+                ways = [1 << 8 * c for c, m in enumerate(key) if not m & adj[t]]
+                steps *= len(ways)
+                grown = {s + w for s in grown for w in ways}
+            bulk[key] = steps, grown
+        meter.spend(bulk[key][0])
+        pending.add((tuple(map(int.bit_count, classes)), key))
+        return False
+
+    _color_search(h, head, [], r, counted)
+    sums = set()
+    for sizes, key in pending:
+        base = sum(k << 8 * c for c, k in enumerate(sizes))
+        sums.update(base + s for s in bulk[key][1])
+    return found | {tuple(s >> 8 * c & 255 for c in range(r)) for s in sums}
 
 
 def _labelled_sums(

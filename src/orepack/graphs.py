@@ -63,9 +63,11 @@ class BudgetExhausted(RuntimeError):
 
 class Meter:
     """Counts the steps of one search: node expansions in the packing and
-    cover searches, completed colorings in the coloring searches. A step
-    past ``limit`` (None: no limit) raises BudgetExhausted. A negative
-    limit is a PreconditionError: no search could run on it."""
+    cover searches, completed colorings in the coloring searches.
+    ``spend(steps)`` counts several steps at once, as the profile search
+    does for colorings it counts without completing them. A step past
+    ``limit`` (None: no limit) raises BudgetExhausted. A negative limit is
+    a PreconditionError: no search could run on it."""
 
     __slots__ = ("nodes", "limit")
 
@@ -75,8 +77,8 @@ class Meter:
         self.nodes = 0
         self.limit = limit
 
-    def spend(self) -> None:
-        self.nodes += 1
+    def spend(self, steps: int = 1) -> None:
+        self.nodes += steps
         if self.limit is not None and self.nodes > self.limit:
             raise BudgetExhausted(
                 f"the search took more than {self.limit} steps; raise the limit to finish it"

@@ -27,6 +27,13 @@ def petersen() -> Graph:
     return Graph.from_edges(10, outer + inner + spokes)
 
 
+def pendant_triangle(k: int) -> Graph:
+    """A triangle with k pendant leaves, dealt to its corners in turn: 2^k
+    3-colorings, all from the one coloring of the triangle, since each
+    leaf misses two of its classes."""
+    return Graph.from_edges(k + 3, [(0, 1), (1, 2), (0, 2)] + [(i % 3, i + 3) for i in range(k)])
+
+
 def corpus() -> dict[str, Graph]:
     """At least 20 graphs with an edge: cliques, cycles, stars, the worked
     examples, apex instances, bipartite graphs, disjoint unions, and

@@ -8,7 +8,7 @@ import math
 from itertools import combinations, permutations
 from typing import Callable
 
-from orepack import Graph
+from orepack import BudgetExhausted, Graph
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +234,54 @@ def _component_sets(h: Graph) -> list[set[int]]:
         seen |= comp
         out.append(comp)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the profile search completing every coloring
+#
+# ``coloring._profile_search`` as it was before it counted the colorings of
+# a component's low-degree tail in bulk: one pass per component that
+# completes every coloring, checking the first |C| of them, on the kernel
+# without forward checking, which visits the same colorings in the same
+# order.
+
+
+def profile_search_before(h: Graph, cap: int, r: int):
+    """(parts, free, unchecked) as ``coloring._profile_search`` gives them:
+    per component, the sorted class sizes, padded with zeros to r, of its
+    colorings with at most r classes; the lowest vertex that the first
+    |C| colorings of each component C leave free, or h.n; and, in search
+    order, the components with more colorings than vertices. Raises
+    BudgetExhausted, with the meter's message, after more than ``cap``
+    colorings of one component."""
+    order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
+    free = h.n
+    parts, unchecked = [], []
+    for comp in _component_sets(h):
+        found = set()
+        count = 0
+
+        def collect(classes, comp=comp, found=found):
+            nonlocal free, count
+            count += 1
+            if count > cap:
+                raise BudgetExhausted(f"the search took more than {cap} steps; raise the limit to finish it")
+            found.add(tuple(sorted([0] * (r - len(classes)) + [m.bit_count() for m in classes])))
+            if count <= len(comp):
+                for x in sorted(comp):
+                    if x >= free:
+                        break
+                    if len(classes) < r or [m & h.adj[x] for m in classes].count(0) >= 2:
+                        free = x
+                        break
+            return False
+
+        part = [v for v in order if v in comp]
+        plain_color_search(h, part, [], r, collect)
+        parts.append(found)
+        if count > len(comp):
+            unchecked.append(part)
+    return parts, free, unchecked
 
 
 # ---------------------------------------------------------------------------

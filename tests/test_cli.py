@@ -13,6 +13,8 @@ import orepack as op
 from orepack import coloring, parameters, probes
 from orepack.cli import build_parser, main
 
+from fixtures import pendant_triangle
+
 
 def run_cli(capsys, *argv):
     """(exit code, stdout, stderr) of one ``main`` call in this process."""
@@ -189,6 +191,24 @@ def test_params_enumeration_cap_exits_4(capsys, tmp_path, monkeypatch):
     assert code == 4
     assert out == ""
     assert "100" in err
+
+
+def test_params_cap_on_colorings_counted_in_bulk_exits_4(capsys, tmp_path, monkeypatch):
+    # a triangle with 12 pendant leaves has 4,096 optimal colorings, all
+    # counted in one bulk step from the triangle's coloring: the cap still
+    # counts each of them
+    path = graph_file(tmp_path, "pendants.g6", pendant_triangle(12))
+    for cap, want in ((4_095, 4), (4_096, 0)):
+        monkeypatch.setattr(
+            parameters, "class_size_profiles", lambda h, cap=cap: coloring.class_size_profiles(h, cap=cap)
+        )
+        code, out, err = run_cli(capsys, "params", path)
+        assert code == want
+        if want:
+            assert out == ""
+            assert "4095" in err
+        else:
+            assert json.loads(out)["sigma"] == 1
 
 
 def test_pack_budget_unknown(capsys, tmp_path):

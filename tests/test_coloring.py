@@ -26,6 +26,7 @@ from oracles import (
     brute_optimal_partitions,
     independent_set_partitions,
     plain_color_search,
+    profile_search_before,
     profiles_checking_each_coloring,
 )
 
@@ -428,6 +429,58 @@ def test_type_search_runs_no_pinned_search(monkeypatch):
     packing._types_refute((h.n,) * 3, h, Meter(10_000))
     assert calls == []
     assert op.class_size_profiles(h)[2] == 3 and calls
+
+
+def _with_pendants(rng):
+    """A random graph on 2-7 vertices with pendant leaves hung on it up to
+    13 vertices, relabelled."""
+    core = rng.randint(2, 7)
+    g = op.random_graph(core, rng.choice((0.3, 0.5, 0.8)), rng)
+    k = rng.randint(1, 13 - core)
+    g = op.Graph.from_edges(core + k, [*g.edges(), *((rng.randrange(core), core + j) for j in range(k))])
+    return op.relabel(g, rng.sample(range(g.n), g.n))
+
+
+def _outcome(search, h, cap, r):
+    try:
+        return search(h, cap, r)
+    except BudgetExhausted as exc:
+        return str(exc)
+
+
+def test_profile_search_matches_the_search_before_bulk_counting(monkeypatch):
+    # the profile search against the one that completed every coloring:
+    # the same (parts, free, unchecked), or BudgetExhausted with the same
+    # message, with chi and chi + 1 classes and caps of 20, 50 and 10^6,
+    # on random graphs and on graphs with many pendant vertices; a bulk
+    # step on a component's meter shows that the counting pass ran
+    bulk = []
+
+    class Watched(Meter):
+        __slots__ = ()
+
+        def spend(self, steps=1):
+            if steps > 1:
+                bulk.append(steps)
+            super().spend(steps)
+
+    monkeypatch.setattr(coloring, "Meter", Watched)
+    rng = random.Random(2207)
+    ps = (0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.85)
+    graphs = [op.random_graph(rng.randint(1, 13), rng.choice(ps), rng) for _ in range(150)]
+    graphs += [_with_pendants(rng) for _ in range(60)]
+    cases = counted = exhausted = 0
+    for g in graphs:
+        chi = op.chromatic_number(g)
+        for r in (chi, chi + 1):
+            for cap in (20, 50, 10**6):
+                bulk.clear()
+                want = _outcome(profile_search_before, g, cap, r)
+                assert _outcome(_profile_search, g, cap, r) == want, (op.to_graph6(g), r, cap)
+                cases += 1
+                exhausted += isinstance(want, str)
+                counted += bool(bulk)
+    assert cases >= 1_000 and counted >= 50 and exhausted >= 50
 
 
 def _kernel_run(kernel, h, order, classes, total, stop_at):

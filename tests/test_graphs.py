@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orepack as op
-from orepack import Graph, GraphFormatError, PreconditionError
+from orepack import BudgetExhausted, Graph, GraphFormatError, PreconditionError, packing
+from orepack.graphs import Meter
 
+from fixtures import pendant_triangle
 from oracles import decode_graph6_by_columns, graph_error_by_scan, ore_sum_by_pairs
 
 
@@ -427,3 +429,41 @@ def test_ore_sum_implies_average_degree(g):
     s = op.min_ore_degree_sum(g)
     k = g.n - 1 if s == math.inf else min(g.n - 1, int(s) // 2)
     assert op.average_degree(g) >= k
+
+
+# ---------------------------------------------------------------------------
+# the search meter
+
+
+def test_meter_bulk_spend_up_to_the_limit():
+    # steps spent at once count as that many single steps: a total that
+    # lands on the limit passes, and one step past it raises, with the
+    # message of a single step
+    message = "^the search took more than 10 steps; raise the limit to finish it$"
+    meter = Meter(10)
+    meter.spend(4)
+    meter.spend()
+    meter.spend(5)
+    assert meter.nodes == 10
+    with pytest.raises(BudgetExhausted, match=message):
+        meter.spend()
+    meter = Meter(10)
+    meter.spend(3)
+    with pytest.raises(BudgetExhausted, match=message):
+        meter.spend(8)
+    unlimited = Meter()
+    unlimited.spend(10**12)
+    assert unlimited.nodes == 10**12
+
+
+def test_type_cap_bounds_each_component_counted_in_bulk():
+    # a triangle with k pendant leaves has 2^k colourings with 3 classes,
+    # counted in bulk from the one coloring of the triangle: two
+    # components of 512 answer under the cap of 1,000, one of 1,024 does
+    # not
+    assert packing.TYPE_ENUMERATION_CAP == 1_000
+    h = op.disjoint_union(pendant_triangle(9), pendant_triangle(9))
+    assert packing._types_refute([24, 24, 24], h, Meter()) is False
+    assert packing._types_refute([2, 2, 68], h, Meter()) is True
+    with pytest.raises(BudgetExhausted, match="more than 1000 steps"):
+        packing._types_refute([13, 13, 13], pendant_triangle(10), Meter())

@@ -6,9 +6,13 @@ Cliff A (ROADMAP.md, Baseline) is the class-size profile search of
 `orepack params`: for each instance the table gives chi, the number of
 distinct sorted class-size profiles of the optimal colorings, and the
 wall time of `class_size_profiles`, or CAP when the search ends in
-`BudgetExhausted`. A second table gives chi and the wall time of
-`chromatic_number` on unions of many paths and a 5-cycle, where a search
-that backtracks across components retries every coloring of the paths.
+`BudgetExhausted`. G(16,0.15)#1 and G(26,0.2)#3 are drawn as the
+benchmark draws its G(n,p)#i, from `Random(1000 n + i)`; the last row is
+a triangle with 12 pendant leaves, whose 4,096 colorings the profile
+search counts in bulk from the one coloring of the triangle. A second
+table gives chi and the wall time of `chromatic_number` on unions of
+many paths and a 5-cycle, where a search that backtracks across
+components retries every coloring of the paths.
 A third gives CE, its witness and the wall time of `full_report` on the
 costliest `params` inputs of the benchmark: the fdiamond blow-ups fd*4
 and fd*5, the complete multipartite K[2,3,4,5,6,7], the dense G(n, 0.7)
@@ -49,14 +53,24 @@ def _copies(g: op.Graph, k: int) -> op.Graph:
     return out
 
 
+def _pendant_triangle(k: int) -> op.Graph:
+    """A triangle with k pendant leaves, dealt to its corners in turn. Each
+    leaf misses two of the three classes, so it has 2^k 3-colorings, all
+    from one coloring of the triangle."""
+    return op.Graph.from_edges(k + 3, [(0, 1), (1, 2), (0, 2)] + [(i % 3, i + 3) for i in range(k)])
+
+
 PROFILE_CLIFFS = (
     ("16K2", lambda: _copies(op.complete_graph(2), 16)),
     ("18K2", lambda: _copies(op.complete_graph(2), 18)),
     ("22K2", lambda: _copies(op.complete_graph(2), 22)),
     ("3C5", lambda: _copies(op.cycle_graph(5), 3)),
     ("4C5", lambda: _copies(op.cycle_graph(5), 4)),
+    ("G(16,0.15)#1 from Random(16001)", lambda: op.random_graph(16, 0.15, random.Random(16001))),
     ("G(20,0.15) from Random(20)", lambda: op.random_graph(20, 0.15, random.Random(20))),
     ("G(24,0.2) from Random(24)", lambda: op.random_graph(24, 0.2, random.Random(24))),
+    ("G(26,0.2)#3 from Random(26003)", lambda: op.random_graph(26, 0.2, random.Random(26003))),
+    ("K3 with 12 pendant leaves", lambda: _pendant_triangle(12)),
 )
 
 
