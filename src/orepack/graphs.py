@@ -557,7 +557,13 @@ def parse_edge_list(text: str) -> Graph:
     rows = _content_lines(text)
     if not rows:
         raise GraphFormatError("empty edge-list input")
-    n, m = _int_pair(rows[0], "header")
+    return _edge_list(rows, _int_pair(rows[0], "header"))
+
+
+def _edge_list(rows: list[str], header: tuple[int, int]) -> Graph:
+    """The graph of the edge-list content lines ``rows``, whose first line
+    reads as the pair ``header``."""
+    n, m = header
     if n < 0 or m < 0:
         raise GraphFormatError("negative counts in header")
     if n > MAX_VERTICES:
@@ -575,13 +581,14 @@ def parse_edge_list(text: str) -> Graph:
 def parse_graph_text(text: str) -> Graph:
     """Auto-detect the format: an edge list starts with an 'n m' integer
     header (after comment stripping); anything else is treated as graph6.
-    A graph6 word is one word, so it is told apart without an int parse."""
+    A graph6 word is one word, so it is told apart without an int parse.
+    The content lines and the header read here are the edge list's."""
     rows = _content_lines(text)
     if rows and len(_ASCII_SPACES.split(rows[0])) == 2:
         try:
-            _int_pair(rows[0], "header")
+            header = _int_pair(rows[0], "header")
         except GraphFormatError:
             pass
         else:
-            return parse_edge_list(text)
+            return _edge_list(rows, header)
     return parse_graph6(text)

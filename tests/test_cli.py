@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import orepack as op
-from orepack import coloring, parameters, probes
+from orepack import cli, coloring, parameters, probes
 from orepack.cli import build_parser, main
 
 from fixtures import pendant_triangle
@@ -178,6 +178,27 @@ def test_cover_rejected_embedding_under_optimize(tmp_path):
         assert proc.returncode == 4
         assert proc.stdout == "UNKNOWN\n"
         assert "failed verification" in proc.stderr
+
+
+def test_pack_rejected_certificate_is_an_internal_error(capsys, tmp_path, monkeypatch):
+    # the same check in this process: UNKNOWN on stdout, the internal error
+    # on stderr, exit 4, with or without --find
+    c4 = graph_file(tmp_path, "c4.g6", op.cycle_graph(4))
+    k2 = graph_file(tmp_path, "k2.g6", op.complete_graph(2))
+    monkeypatch.setattr(cli, "verify_packing", lambda *args: False)
+    for extra in (["--find"], []):
+        code, out, err = run_cli(capsys, "pack", c4, k2, *extra)
+        assert (code, out) == (4, "UNKNOWN\n")
+        assert "internal error: the packing certificate failed verification" in err
+
+
+def test_cover_rejected_embedding_is_an_internal_error(capsys, tmp_path, monkeypatch):
+    k4 = graph_file(tmp_path, "k4.g6", op.complete_graph(4))
+    k3 = graph_file(tmp_path, "k3.g6", op.complete_graph(3))
+    monkeypatch.setattr(cli, "is_copy", lambda *args: False)
+    code, out, err = run_cli(capsys, "cover", k4, k3, "0")
+    assert (code, out) == (4, "UNKNOWN\n")
+    assert "internal error: the cover embedding failed verification" in err
 
 
 def test_params_enumeration_cap_exits_4(capsys, tmp_path, monkeypatch):

@@ -52,6 +52,9 @@ def test_record_fields_and_immutability(cls, fields, mutable):
     assert [getattr(record, name) for name in fields] == list(fields.values())
     assert cls(**fields) == record
     assert pickle.loads(pickle.dumps(record)) == record
+    if cls not in (ExtendedNat, Graph):  # a number and a summary of the edges
+        listed = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+        assert repr(record) == f"{cls.__name__}({listed})"
     for name in fields:
         if mutable:
             setattr(record, name, None)
@@ -59,6 +62,8 @@ def test_record_fields_and_immutability(cls, fields, mutable):
         else:
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
             assert getattr(record, name) == fields[name]
 
 
@@ -91,6 +96,9 @@ def test_graph_equality_and_hash_ignore_labels():
     assert plain == labelled and hash(plain) == hash(labelled) == hash((5, plain.adj))
     assert plain != op.path_graph(5) and plain != (5, plain.adj)
     assert len({plain, labelled, op.cycle_graph(5)}) == 1
+    with pytest.raises(AttributeError, match="^cannot delete field 'n'$"):
+        del plain.n
+    assert plain.n == 5
 
 
 def test_importing_the_cli_loads_no_dataclass_machinery():

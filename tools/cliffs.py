@@ -31,7 +31,9 @@ prop2(3,1,7,7) against fdiamond. Cliff C is five of those hosts (the K4,
 K5 and K6 space barriers and K3 into K_{3^5,12} and K_{3^6,15}) with 1
 or 3 edges deleted, which the type-count engine no longer sees. Their
 table gives the verdict, the search nodes, the wall time and the wall
-time per node. Times are `time.perf_counter` wall times of one run.
+time per node. Every row of it is a NO instance: the script exits 1,
+naming each row, when one answers anything else. Times are
+`time.perf_counter` wall times of one run.
 """
 
 from __future__ import annotations
@@ -257,12 +259,17 @@ def main() -> int:
     print()
     width = max(len(name) for name, _ in CLIFFS)
     print(f"{'instance':<{width}}  verdict      nodes        ms  us/node")
+    wrong = []
     for name, run in CLIFFS:
         start = time.perf_counter()
         verdict, nodes = run()
         ms = (time.perf_counter() - start) * 1000
         print(f"{name:<{width}}  {verdict:<7}  {nodes:9d}  {ms:8.1f}  {1000 * ms / max(nodes, 1):7.2f}")
-    return 0
+        if verdict != "NO":
+            wrong.append(name)
+    for name in wrong:
+        print(f"cliffs.py: {name} answered other than NO", file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
