@@ -31,11 +31,8 @@ about class sizes alone, which ``_types_refute`` answers by counting
 before the search runs. It reads the class sizes of each component's
 colourings from one profile search on H (``coloring._profile_search``),
 whose cap of ``TYPE_ENUMERATION_CAP`` bounds each component's search on
-its own, keeps them as that search gives them, and takes them off the
-class counts in each distinct ordering that
-``coloring._distinct_permutations`` lists. It only ever refutes: a
-packing it finds is left to the search, so every YES, certificate and
-node count is the search's.
+its own. It only ever refutes: a packing it finds is left to the search,
+so every YES, certificate and node count is the search's.
 
 Search effort is metered in node expansions (candidate assignments tried)
 on a ``graphs.Meter``, so identical inputs and budgets always reproduce
@@ -58,10 +55,10 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import accumulate
-from operator import mul, sub
+from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .coloring import _distinct_permutations, _profile_search
+from .coloring import _profile_search
 from .graphs import (
     MAX_VERTICES,
     BudgetExhausted,
@@ -286,56 +283,89 @@ def _types_refute(sizes: Sequence[int], h: Graph, meter: Meter) -> bool:
     r = len(sizes) labelled colours; its type is the vector of its class
     sizes. So a packing exists exactly when ``sizes`` is a sum of types,
     n/|h| of them for each component. The types of every component come
-    from one ``_profile_search`` of h with r classes, as it gives them:
-    ascending and padded with zeros to r. Components with the same types
-    form one kind.
+    from one ``_profile_search`` of h with r classes; the kernel opens no
+    more classes than a component has vertices, and the zeros of the
+    padding are dropped. Components with the same types form one kind.
 
-    The search takes types off the class counts, kept ascending with
-    their zeros, and branches only over types that cover a vertex of a
-    fullest class. Each distinct ordering of a type
-    (``_distinct_permutations``) placed against the counts gives a child,
-    sorted again; two orderings that differ only on classes of equal
-    count give the same child, which after its first refutation costs a
-    look-up and no node. A state is the counts with the copies left of
-    each kind, and each refuted state is recorded. One copy of kind k
-    puts at most ``most[k][j - 1]`` vertices into any j classes, the sum
-    of the j last entries of one of its types, which bounds the sum of
-    the j fullest counts. Each state expanded spends a node on
-    ``meter``."""
-    r = len(sizes)
+    The search takes types off the class counts, and branches only over
+    types that cover a vertex of a fullest class. Classes with equal
+    counts are interchangeable, so ``_dealt`` tries each sorted type once
+    per way of dealing it out to them. A state is the sorted counts with
+    the copies left of each kind, and each refuted state is recorded. One
+    copy of kind k puts at most ``most[k][j - 1]`` vertices into any j
+    classes, which bounds the sum of the j fullest counts. Each state
+    expanded spends a node on ``meter``."""
     copies = sum(sizes) // h.n
-    if r >= h.n and max(sizes) <= copies:
+    if len(sizes) >= h.n and max(sizes) <= copies:
         # copies on one vertex of each of the h.n fullest classes leave
         # every class at most as full as the copies still to place
         return False
     kinds: dict[tuple[tuple[int, ...], ...], int] = {}
-    for profiles in _profile_search(h, TYPE_ENUMERATION_CAP, r)[0]:
-        types = tuple(sorted(profiles))
+    for profiles in _profile_search(h, TYPE_ENUMERATION_CAP, len(sizes))[0]:
+        positive = {tuple(sorted(filter(None, p), reverse=True)) for p in profiles}
+        types = tuple(sorted(positive, reverse=True))
         kinds[types] = kinds.get(types, 0) + copies
-    most = [[max((sum(t[-j:]) for t in types), default=0) for j in range(1, h.n)] for types in kinds]
+    most = [[max((sum(t[:j]) for t in types), default=0) for j in range(1, h.n)] for types in kinds]
     failed: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
 
     def solve(counts: tuple[int, ...], todo: tuple[int, ...]) -> bool:
-        if not any(counts):
+        if not counts:
             return True
         if (counts, todo) in failed:
             return False
         meter.spend()
         bounds = (sum(map(mul, todo, col)) for col in zip(*most))
-        if all(top <= bound for top, bound in zip(accumulate(reversed(counts)), bounds)):
-            fullest = counts.index(counts[-1])
+        if all(top <= bound for top, bound in zip(accumulate(counts), bounds)):
             for k, types in enumerate(kinds):
                 if todo[k]:
                     rest = todo[:k] + (todo[k] - 1,) + todo[k + 1:]
                     for t in types:
-                        for p in _distinct_permutations(t):
-                            left = tuple(map(sub, counts, p))
-                            if min(left) >= 0 and any(p[fullest:]) and solve(tuple(sorted(left)), rest):
+                        for child in _dealt(counts, t):
+                            if solve(child, rest):
                                 return True
         failed.add((counts, todo))
         return False
 
-    return not solve(tuple(sorted(sizes)), tuple(kinds.values()))
+    return not solve(tuple(sorted(sizes, reverse=True)), tuple(kinds.values()))
+
+
+def _dealt(counts: tuple[int, ...], t: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The counts left, sorted and positive, by each way of dealing the
+    entries of the type ``t`` out to distinct classes, one of them a
+    fullest class. Both tuples are descending. Classes of equal count form
+    a group that deals to its first free class, and equal entries go to
+    groups in ascending order, so each way of dealing up to the order of
+    the classes inside a group comes once. Groups stand in for classes,
+    and the first group too small for an entry ends its loop, so many
+    classes of one count cost no more than one: K_{1,1,1,3} into
+    K_{9,1^39} gives each type at most one child, where the distinct
+    orderings of a type padded to the 40 classes number up to 3.8
+    million."""
+    starts = [i for i, c in enumerate(counts) if i == 0 or counts[i - 1] != c]
+    ends = starts[1:] + [len(counts)]
+    free = starts[:]
+    left = list(counts)
+    out = []
+
+    def deal(j: int, first: int) -> None:
+        if j == len(t):
+            if free[0]:
+                out.append(tuple(sorted(filter(None, left), reverse=True)))
+            return
+        e = t[j]
+        for i in range(first if j and t[j - 1] == e else 0, len(starts)):
+            if counts[starts[i]] < e:
+                break
+            p = free[i]
+            if p < ends[i]:
+                left[p] -= e
+                free[i] = p + 1
+                deal(j + 1, i)
+                free[i] = p
+                left[p] += e
+
+    deal(0, 0)
+    return out
 
 
 def has_perfect_packing(

@@ -682,82 +682,3 @@ def copies_before(g: Graph, h: Graph, anchor=None):
     """Every labelled embedding of h into g, in the order of the plain
     search, with no twin skipped."""
     return _embeddings_before(g, h, _Nodes(None), [0] * g.n, (1 << g.n) - 1, anchor)
-
-
-# ---------------------------------------------------------------------------
-# the type-count engine dealing descending types
-#
-# ``packing._types_refute`` as it was while it kept each type and the class
-# counts descending with their zeros dropped, and dealt a type out to the
-# classes with its own group and pointer routine: the same kinds, bound,
-# memo and node count.
-
-
-def types_refute_before(sizes, h: Graph, meter, cap: int = 1_000) -> bool:
-    """True iff the complete multipartite graph with class sizes ``sizes``
-    has no perfect h-packing, spending one step on ``meter`` for each
-    state expanded. The types come from ``profile_search_before`` with
-    ``cap``."""
-    copies = sum(sizes) // h.n
-    if len(sizes) >= h.n and max(sizes) <= copies:
-        return False
-    kinds = {}
-    for profiles in profile_search_before(h, cap, len(sizes))[0]:
-        positive = {tuple(sorted(filter(None, p), reverse=True)) for p in profiles}
-        types = tuple(sorted(positive, reverse=True))
-        kinds[types] = kinds.get(types, 0) + copies
-    most = [[max((sum(t[:j]) for t in types), default=0) for j in range(1, h.n)] for types in kinds]
-    failed = set()
-
-    def solve(counts, todo):
-        if not counts:
-            return True
-        if (counts, todo) in failed:
-            return False
-        meter.spend()
-        bounds = [sum(n * row[j] for n, row in zip(todo, most)) for j in range(h.n - 1)]
-        prefix = [sum(counts[:j + 1]) for j in range(len(counts))]
-        if all(top <= bound for top, bound in zip(prefix, bounds)):
-            for k, types in enumerate(kinds):
-                if todo[k]:
-                    rest = todo[:k] + (todo[k] - 1,) + todo[k + 1:]
-                    for t in types:
-                        for child in dealt_before(counts, t):
-                            if solve(child, rest):
-                                return True
-        failed.add((counts, todo))
-        return False
-
-    return not solve(tuple(sorted(sizes, reverse=True)), tuple(kinds.values()))
-
-
-def dealt_before(counts, t):
-    """The counts left, sorted descending and positive, by each way of
-    dealing the entries of the descending type ``t`` out to distinct
-    classes of the descending ``counts``, one of them a fullest class,
-    each once up to the order of classes of equal count."""
-    starts = [i for i, c in enumerate(counts) if i == 0 or counts[i - 1] != c]
-    ends = starts[1:] + [len(counts)]
-    free = starts[:]
-    left = list(counts)
-    out = []
-
-    def deal(j, first):
-        if j == len(t):
-            if free[0]:
-                out.append(tuple(sorted(filter(None, left), reverse=True)))
-            return
-        e = t[j]
-        for i in range(first if j and t[j - 1] == e else 0, len(starts)):
-            if counts[starts[i]] < e:
-                break
-            p = free[i]
-            if p < ends[i]:
-                left[p] -= e
-                free[i] = p + 1
-                deal(j + 1, i)
-                free[i] = p
-                left[p] += e
-
-    deal(0, 0)
-    return out

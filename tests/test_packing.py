@@ -7,19 +7,16 @@ import pytest
 
 import orepack as op
 from orepack import BudgetExhausted, Embedding, PreconditionError, Verdict, packing
-from orepack.coloring import _distinct_permutations
 from orepack.graphs import Meter
 
 from oracles import (
     copies_before,
     cover_search_before,
-    dealt_before,
     has_perfect_matching,
     max_matching_size,
     naive_copy_covering,
     naive_has_perfect_packing,
     packing_search_before,
-    types_refute_before,
 )
 
 
@@ -478,88 +475,43 @@ def test_type_count_engine_agrees_with_search_and_naive_oracle(monkeypatch):
     assert len(results) > 300 and refuted > 50 and branched > 0
 
 
-def _engine(refute, sizes, h, budget=None):
-    """(verdict or "cut", nodes) of a type-count engine on one host."""
-    meter = Meter(budget)
-    try:
-        return refute(sizes, h, meter), meter.nodes
-    except BudgetExhausted:
-        return "cut", meter.nodes
-
-
-def test_type_count_engine_matches_the_engine_before_it_dealt_by_permutations(monkeypatch):
-    # a refutation expands every state it reaches once, whatever order the
-    # children come in, so its node count and its cut-off at each smaller
-    # budget equal those of the engine that dealt types with its own
-    # routine. A packing ends the engine at the first sum of types found,
-    # which depends on that order; has_perfect_packing then drops the
-    # engine's count, so its results at every budget are compared instead
-    rng = random.Random(79)
+def test_type_count_engine_deals_to_groups_on_hosts_with_many_classes(monkeypatch):
+    # hosts of 16 to 40 classes with two or three distinct sizes: the
+    # engine deals each type to the groups of equal count, so a state has
+    # a handful of children. Dealt to each class instead, one type of
+    # K_{1,1,1,3} padded to the 40 classes of K_{9,1^39} has up to
+    # C(40, 6) orderings
     k1113 = op.complete_multipartite([1, 1, 1, 3])[0]
-    hs = [K2, K3, op.path_graph(3), op.cycle_graph(4), op.star_graph(3), op.cycle_graph(5),
-          op.construct_fdiamond(), k1113, op.disjoint_union(K2, op.path_graph(3))]
-    cases = [([t + 1, t - 1] + [t] * (r - 2), op.complete_multipartite([1] * (r - 1) + [3])[0])
-             for r, t in ((2, 8), (3, 10), (4, 12), (5, 14), (6, 8))]  # parity barriers
-    cases += [([7, 9] + [8] * (r - 2), op.complete_graph(r)) for r in range(4, 10)]  # space barriers
-    cases += [([3] * k + [3 * (k - 1)], K3) for k in range(4, 8)]
-    cases += [([7, 7, 5, 5], k1113), ([10] * 4, op.cycle_graph(20)), ([8] * 4, op.star_graph(7))]
-    while len(cases) < 400:
-        h = rng.choice(hs)
-        sizes = [rng.randint(1, 12) for _ in range(rng.randint(1, 6))]
-        sizes[0] += -sum(sizes) % h.n
-        cases.append((sizes, h))
-    outcomes = {}
-    for sizes, h in cases:
-        new = _engine(packing._types_refute, sizes, h)
-        old = _engine(types_refute_before, sizes, h)
-        assert new[0] == old[0], (sizes, h)
-        outcomes[new[0]] = outcomes.get(new[0], 0) + 1
-        if new[0] is True:
-            assert new == old
-            for budget in range(new[1]):
-                assert _engine(packing._types_refute, sizes, h, budget) == ("cut", budget + 1)
-        elif new[0] is False and new[1]:
-            g, _ = op.complete_multipartite(sizes)
-            budgets = list(range(max(new[1], old[1]) + 1))
-            results = [op.has_perfect_packing(g, h, budget) for budget in budgets]
-            monkeypatch.setattr(packing, "_types_refute", types_refute_before)
-            assert results == [op.has_perfect_packing(g, h, budget) for budget in budgets]
-            monkeypatch.undo()
-    assert outcomes[True] > 100 and outcomes[False] > 100 and outcomes["cut"] > 0
+    cases = [
+        (k1113, [9] + [1] * 39, Verdict.YES, 8),
+        (k1113, [9, 9] + [1] * 30, Verdict.YES, 8),
+        (op.cycle_graph(4), [12] + [1] * 28, Verdict.YES, 10),
+        (op.cycle_graph(6), [9] + [1] * 27, Verdict.YES, 6),
+        (op.cycle_graph(8), [10] + [1] * 30, Verdict.YES, 5),
+        (op.complete_multipartite([1, 1, 1, 1, 3])[0], [11, 9, 9] + [1] * 13, Verdict.NO, 117),
+    ]
+    dealt = packing._dealt
+    children = []
 
+    def counted(counts, t):
+        out = dealt(counts, t)
+        children.append(len(out))
+        return out
 
-def _children(counts, t):
-    """The children of the ascending ``counts`` by the ascending type ``t``
-    as the engine builds them: the counts less each distinct ordering of
-    t that leaves none negative and takes from a fullest class, sorted,
-    zeros kept."""
-    fullest = counts.index(counts[-1])
-    out = set()
-    for p in _distinct_permutations(t):
-        left = [c - e for c, e in zip(counts, p)]
-        if min(left) >= 0 and any(p[fullest:]):
-            out.add(tuple(sorted(left)))
-    return out
-
-
-def test_children_by_permutation_are_the_children_dealt_before():
-    rng = random.Random(83)
-    dealt = 0
-    for _ in range(5_000):
-        r = rng.randint(1, 6)
-        counts = tuple(sorted(rng.randint(0, 6) for _ in range(r)))
-        t = [0] * r
-        for _ in range(rng.randint(1, 8)):
-            t[rng.randrange(r)] += 1
-        if not counts[-1]:
-            continue
-        before = dealt_before(
-            tuple(sorted(filter(None, counts), reverse=True)), tuple(sorted(filter(None, t), reverse=True))
-        )
-        padded = {tuple(sorted(c + (0,) * (r - len(c)))) for c in before}
-        assert _children(counts, tuple(sorted(t))) == padded, (counts, t)
-        dealt += bool(before)
-    assert dealt > 1_000
+    monkeypatch.setattr(packing, "_dealt", counted)
+    for h, sizes, verdict, nodes in cases:
+        children.clear()
+        meter = Meter()
+        assert packing._types_refute(sizes, h, meter) is (verdict is Verdict.NO)
+        assert meter.nodes == nodes
+        assert max(children) <= 8 and sum(children) <= 4 * nodes, (h, sizes)
+        g, _ = op.complete_multipartite(sizes)
+        res = op.has_perfect_packing(g, h)
+        assert res.verdict is verdict
+        if verdict is Verdict.YES:
+            assert op.verify_packing(g, h, res.certificate)
+        else:
+            assert res.nodes == nodes
 
 
 def _as_before(res):
