@@ -14,9 +14,13 @@ names no family itself: ``extremal.FAMILIES`` gives each family's builder
 and the flags it takes, and one path requires, converts and passes them.
 
 The argparse parser is built once per process, on the first call of
-``main``, and later calls reuse it. Each parse fills a fresh namespace,
-the verb functions look up what they call when they run, and help text is
-wrapped to the terminal width at the time it is printed.
+``main``, and later calls reuse it. A call takes one argparse pass: the
+verb's own subparser reads the words after the verb, and the top-level
+parser runs only to print a usage error or help (no verb first, or words
+the verb does not take). Each parse fills a fresh namespace, the verb
+functions look up what they call when they run, and help text is wrapped
+to the terminal width at the time it is printed. Files are read as bytes
+and decoded once; CR and CRLF line ends read as LF, as in text mode.
 """
 
 from __future__ import annotations
@@ -52,8 +56,11 @@ EXIT_PRECONDITION = 3
 EXIT_UNKNOWN = 4
 EXIT_FOR_VERDICT = {Verdict.YES: EXIT_OK, Verdict.NO: EXIT_NO, Verdict.UNKNOWN: EXIT_UNKNOWN}
 
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, separators=(",", ":"), sort_keys=False))
+    print(_JSON.encode(obj))
 
 
 def _note(msg: str) -> None:
@@ -61,11 +68,15 @@ def _note(msg: str) -> None:
 
 
 def _read(path: str, encoding: str) -> str:
-    """The text of the file at ``path``, or of stdin when it is '-'."""
+    """The text of the file at ``path``, or of stdin when it is '-'. Line
+    ends become "\n" as text mode's universal newlines make them."""
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding=encoding) as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        text = fh.read().decode(encoding)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _load_graph(path: str):
@@ -185,8 +196,13 @@ def _budget(text: str) -> int:
     return budget
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subparser of each verb."""
     parser = argparse.ArgumentParser(
         prog="orepack",
         description="Exact toolkit for perfect-packing parameters under "
@@ -239,11 +255,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_probe)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, verbs = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    verb = verbs.get(argv[0]) if argv else None
+    args, extra = verb.parse_known_args(argv[1:]) if verb else (None, None)
+    if verb is None or extra:
+        # no verb first, or words the verb does not take: the top-level
+        # parser reads argv whole and prints its usage error or help
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (GraphFormatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -581,8 +581,14 @@ def _edge_list(rows: list[str], header: tuple[int, int]) -> Graph:
 def parse_graph_text(text: str) -> Graph:
     """Auto-detect the format: an edge list starts with an 'n m' integer
     header (after comment stripping); anything else is treated as graph6.
-    A graph6 word is one word, so it is told apart without an int parse.
-    The content lines and the header read here are the edge list's."""
+    A graph6 word is one word, so it is told apart without an int parse:
+    a text with no ASCII whitespace once stripped is one word, which a '#'
+    can only cut shorter, so it goes to ``parse_graph6`` without being
+    split into lines. The content lines and the header read here are the
+    edge list's."""
+    text = text.strip(_ASCII_SPACE)
+    if _ASCII_SPACES.search(text) is None:
+        return parse_graph6(text)
     rows = _content_lines(text)
     if rows and len(_ASCII_SPACES.split(rows[0])) == 2:
         try:

@@ -329,7 +329,7 @@ def _types_refute(sizes: Sequence[int], h: Graph, meter: Meter) -> bool:
     return not solve(tuple(sorted(sizes, reverse=True)), tuple(kinds.values()))
 
 
-def _dealt(counts: tuple[int, ...], t: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _dealt(counts: tuple[int, ...], t: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """The counts left, sorted and positive, by each way of dealing the
     entries of the type ``t`` out to distinct classes, one of them a
     fullest class. Both tuples are descending. Classes of equal count form
@@ -340,17 +340,18 @@ def _dealt(counts: tuple[int, ...], t: tuple[int, ...]) -> list[tuple[int, ...]]
     classes of one count cost no more than one: K_{1,1,1,3} into
     K_{9,1^39} gives each type at most one child, where the distinct
     orderings of a type padded to the 40 classes number up to 3.8
-    million."""
+    million. The children are made one at a time as the caller takes
+    them, so a state whose first child leads to a packing builds no
+    other."""
     starts = [i for i, c in enumerate(counts) if i == 0 or counts[i - 1] != c]
     ends = starts[1:] + [len(counts)]
     free = starts[:]
     left = list(counts)
-    out = []
 
-    def deal(j: int, first: int) -> None:
+    def deal(j: int, first: int) -> Iterator[tuple[int, ...]]:
         if j == len(t):
             if free[0]:
-                out.append(tuple(sorted(filter(None, left), reverse=True)))
+                yield tuple(sorted(filter(None, left), reverse=True))
             return
         e = t[j]
         for i in range(first if j and t[j - 1] == e else 0, len(starts)):
@@ -360,12 +361,11 @@ def _dealt(counts: tuple[int, ...], t: tuple[int, ...]) -> list[tuple[int, ...]]
             if p < ends[i]:
                 left[p] -= e
                 free[i] = p + 1
-                deal(j + 1, i)
+                yield from deal(j + 1, i)
                 free[i] = p
                 left[p] += e
 
-    deal(0, 0)
-    return out
+    return deal(0, 0)
 
 
 def has_perfect_packing(

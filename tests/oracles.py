@@ -8,7 +8,27 @@ import math
 from itertools import combinations, permutations
 from typing import Callable
 
-from orepack import BudgetExhausted, Graph
+from orepack import BudgetExhausted, Graph, graphs
+
+
+# ---------------------------------------------------------------------------
+# graph text format detection, line by line
+#
+# ``parse_graph_text`` as it was before one-word texts skipped the line
+# split: every text is cut into content lines and its first line read as
+# a possible edge-list header.
+
+
+def parse_graph_text_before(text: str) -> Graph:
+    rows = graphs._content_lines(text)
+    if rows and len(graphs._ASCII_SPACES.split(rows[0])) == 2:
+        try:
+            header = graphs._int_pair(rows[0], "header")
+        except graphs.GraphFormatError:
+            pass
+        else:
+            return graphs._edge_list(rows, header)
+    return graphs.parse_graph6(text)
 
 
 # ---------------------------------------------------------------------------

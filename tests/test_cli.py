@@ -16,10 +16,11 @@ from orepack.cli import build_parser, main
 from fixtures import pendant_triangle
 
 
-def run_cli(capsys, *argv):
-    """(exit code, stdout, stderr) of one ``main`` call in this process."""
+def run_cli(capsys, *argv, run=main):
+    """(exit code, stdout, stderr) of one ``main`` call, or of ``run``, in
+    this process."""
     try:
-        code = main(list(argv))
+        code = run(list(argv))
     except SystemExit as exc:  # argparse's usage errors and --help
         code = exc.code
     captured = capsys.readouterr()
@@ -736,3 +737,118 @@ def test_construct_and_probe_grid_matches_pinned_digest(capsys, tmp_path, monkey
         digest.update((json.dumps([argv, code, out, err]) + "\n").encode())
     assert codes == {0, 2, 3}
     assert digest.hexdigest() == CLI_GRID_DIGEST
+
+
+def _main_before(argv):
+    """``main`` as it parsed before: every call through the top-level
+    parser. The calls below raise no input error, so it keeps no handler."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+# calls that the verb's subparser answers alone: every verb, option forms
+# and abbreviations before the positionals, help, and its usage errors
+ONE_PASS = (
+    ["params", "fd.g6"],
+    ["pack", "c4.g6", "k2.g6"],
+    ["cover", "fd.g6", "k3.g6", "0"],
+    ["construct", "fdiamond"],
+    ["verify", "inst.json", "k3.g6"],
+    ["probe", "--family", "hajnal-szemeredi", "--n", "6", "--r", "3", "--samples", "5"],
+    ["pack", "--find", "c4.g6", "k2.g6"],
+    ["pack", "--fin", "c4.g6", "k2.g6"],
+    ["pack", "--bud", "7", "k6.g6", "k3.g6"],
+    ["pack", "--budget=5", "k6.g6", "k3.g6"],
+    ["pack", "--", "c4.g6", "k2.g6"],
+    ["pack", "-h"],
+    ["pack", "c4.g6"],
+    ["cover", "fd.g6", "k3.g6", "x"],
+    ["construct", "nope"],
+    ["probe", "--family", "nope", "--n", "6", "--samples", "5"],
+)
+
+# calls the top-level parser reads whole: no verb first, or words the
+# verb does not take
+TOP_LEVEL = (
+    [],
+    ["-h"],
+    ["bogus"],
+    ["--version"],
+    ["pack", "--bogus", "c4.g6", "k2.g6"],
+    ["pack", "c4.g6", "k2.g6", "k3.g6"],
+    ["--", "pack", "c4.g6", "k2.g6"],
+)
+
+
+def test_one_argparse_pass_matches_the_parse_through_the_top_level_parser(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, g in (("c4", op.cycle_graph(4)), ("k2", op.complete_graph(2)), ("k3", op.complete_graph(3)),
+                    ("k6", op.complete_graph(6)), ("fd", op.construct_fdiamond())):
+        graph_file(tmp_path, f"{name}.g6", g)
+    Path("inst.json").write_text(json.dumps(op.construct_prop1(3, 9).to_json_dict()))
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser()
+    top_level = []
+    parse_args = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: top_level.append(argv) or parse_args(argv))
+    codes = Counter()
+    for argv in ONE_PASS + TOP_LEVEL:
+        top_level.clear()
+        run = run_cli(capsys, *argv)
+        assert bool(top_level) == (argv in TOP_LEVEL), argv
+        assert run == run_cli(capsys, *argv, run=_main_before), argv
+        codes[run[0]] += 1
+    # a leading '--' is a usage error or a pack call, by Python version
+    assert codes[0] >= 12 and codes[2] >= 9 and codes[4] == 1
+
+
+# (file name, text with "\n" line ends): graph6 and edge-list files, a
+# header on the graph6 line or on its own, and one-word texts that graph6
+# rejects
+LINE_END_CASES = (
+    ("fd.g6", op.to_graph6(op.construct_fdiamond()) + "\n"),
+    ("c4.txt", "# a 4-cycle\n4 4\n0 1\n1 2\n\n2 3  # last but one\n3 0\n"),
+    ("c5.g6", ">>graph6<<" + op.to_graph6(op.cycle_graph(5)) + "\n"),
+    ("k3.g6", ">>graph6<<\n" + op.to_graph6(op.complete_graph(3)) + "\n"),
+    ("bad.txt", "2 1\n0 1\x1f\n"),
+    ("hash.g6", "A_#x\n"),
+    ("sep.g6", "A_\x1c\n"),
+)
+
+
+def test_cr_and_crlf_files_read_as_lf_files(capsys, tmp_path, fdiamond_file):
+    outcomes = []
+    for name, text in LINE_END_CASES:
+        runs = []
+        for end in ("\n", "\r", "\r\n"):
+            path = tmp_path / name
+            path.write_bytes(text.replace("\n", end).encode("ascii"))
+            runs.append(run_cli(capsys, "params", str(path)))
+        assert runs[1] == runs[0] and runs[2] == runs[0], name
+        outcomes.append(runs[0])
+    assert [code for code, _, _ in outcomes] == [0, 0, 0, 0, 2, 2, 2]
+    assert outcomes[4][2] == "input error: bad edge line '0 1\\x1f', expected two integers\n"
+    assert outcomes[5][2] == "input error: character '#' outside graph6 range\n"
+    assert outcomes[6][2] == "input error: character '\\x1c' outside graph6 range\n"
+    # a verify instance with CRLF line ends reads as with LF
+    inst = json.dumps(op.construct_prop2(3, 1, 7, 7).to_json_dict(), indent=1)
+    runs = []
+    for end in ("\n", "\r\n"):
+        path = tmp_path / "inst.json"
+        path.write_bytes(inst.replace("\n", end).encode("utf-8"))
+        runs.append(run_cli(capsys, "verify", str(path), fdiamond_file))
+    assert runs[0][0] == 0 and runs[1] == runs[0]
+
+
+def test_undecodable_bytes_exit_2_with_the_codec_message(capsys, tmp_path, fdiamond_file):
+    path = tmp_path / "k2.g6"
+    path.write_bytes(b"A\xc3\xa9\r\n")
+    code, out, err = run_cli(capsys, "params", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("input error: 'ascii' codec can't decode byte 0xc3 in position 1: "
+                   "ordinal not in range(128)\n")
+    path = tmp_path / "inst.json"
+    path.write_bytes(b'{"graph6":\r\n "\xff\xfe"}')
+    code, out, err = run_cli(capsys, "verify", str(path), fdiamond_file)
+    assert (code, out) == (2, "")
+    assert err == "input error: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte\n"

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -13,7 +14,12 @@ from orepack import BudgetExhausted, Graph, GraphFormatError, PreconditionError,
 from orepack.graphs import Meter
 
 from fixtures import pendant_triangle
-from oracles import decode_graph6_by_columns, graph_error_by_scan, ore_sum_by_pairs
+from oracles import (
+    decode_graph6_by_columns,
+    graph_error_by_scan,
+    ore_sum_by_pairs,
+    parse_graph_text_before,
+)
 
 
 def random_graph_strategy(max_n=16):
@@ -284,6 +290,34 @@ def test_readers_match_pinned_digest():
         digest.update((repr(text) + " ".join(outcomes) + "\n").encode())
     assert accepted > 1000
     assert digest.hexdigest() == READER_DIGEST
+
+
+def _parsed(read, text):
+    try:
+        return op.to_graph6(read(text))
+    except GraphFormatError as exc:
+        return f"GraphFormatError: {exc}"
+
+
+# one-word texts with a header, a comment, separators or padding, and
+# multi-word texts whose first word is a graph6 word or a comment
+ONE_WORD_CASES = (
+    "", " \n\t", "A_", " A_\n", ">>graph6<<A_", ">>graph6<<\nA_\n", ">>graph6<<",
+    "A_#x", "#A_", "A_#", "# c", "#\n", "2#1", "A_\x1c", "\x1cA_", "A\x1c_", "A_\x1f\n",
+    "\x1c", "A_\r\n", "\rA_\r", "\vA_\f", "A_ #c", "A_\nA_", "# c\nA_\n", "# a b\n",
+    "A_ x", "~??", "2 1", "2 1#x\n0 1", "2 1\n0 1\n", "3 0", "3\x1c0",
+)
+
+
+def test_parse_graph_text_matches_the_line_by_line_detection():
+    # the same graph or the same message as the detection that split every
+    # text into lines, on texts of one word and on the reader corpus
+    texts = list(ONE_WORD_CASES) + _reader_corpus()
+    one_word = 0
+    for text in texts:
+        assert _parsed(op.parse_graph_text, text) == _parsed(parse_graph_text_before, text), repr(text)
+        one_word += re.search("[ \t\n\r\v\f]", text.strip(" \t\n\r\v\f")) is None
+    assert one_word > 500
 
 
 # ---------------------------------------------------------------------------

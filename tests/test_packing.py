@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import random
 from itertools import combinations, islice, product
@@ -494,9 +495,10 @@ def test_type_count_engine_deals_to_groups_on_hosts_with_many_classes(monkeypatc
     children = []
 
     def counted(counts, t):
-        out = dealt(counts, t)
+        # every child counts, taken or not
+        out = list(dealt(counts, t))
         children.append(len(out))
-        return out
+        return iter(out)
 
     monkeypatch.setattr(packing, "_dealt", counted)
     for h, sizes, verdict, nodes in cases:
@@ -512,6 +514,31 @@ def test_type_count_engine_deals_to_groups_on_hosts_with_many_classes(monkeypatc
             assert op.verify_packing(g, h, res.certificate)
         else:
             assert res.nodes == nodes
+
+
+def test_type_count_engine_builds_children_only_as_it_takes_them(monkeypatch):
+    # on a YES host of 14 distinct class sizes a state can have thousands
+    # of children; the search takes the first of each and builds no more
+    sizes = [35] + list(range(1, 14))
+    dealt = packing._dealt
+    taken = []
+
+    def counted(counts, t):
+        children = dealt(counts, t)
+        # a generator builds each child when it is taken
+        assert inspect.isgenerator(children)
+        for child in children:
+            taken.append(child)
+            yield child
+
+    monkeypatch.setattr(packing, "_dealt", counted)
+    for parts, nodes in (([1, 1, 1, 1, 3], 18), ([1, 1, 1, 3], 21)):
+        taken.clear()
+        meter = Meter()
+        h = op.complete_multipartite(parts)[0]
+        assert packing._types_refute(sizes, h, meter) is False
+        assert meter.nodes == nodes
+        assert len(taken) <= nodes, (parts, len(taken))
 
 
 def _as_before(res):
