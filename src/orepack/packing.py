@@ -283,8 +283,8 @@ def _types_refute(sizes: Sequence[int], h: Graph, meter: Meter) -> bool:
     r = len(sizes) labelled colours; its type is the vector of its class
     sizes. So a packing exists exactly when ``sizes`` is a sum of types,
     n/|h| of them for each component. The types of every component come
-    from one ``_profile_search`` of h with r classes; the kernel opens no
-    more classes than a component has vertices, and the zeros of the
+    from one ``_profile_search`` of h with r classes; no coloring has more
+    classes than its component has vertices, and the zeros of the
     padding are dropped. Components with the same types form one kind.
 
     The search takes types off the class counts, and branches only over

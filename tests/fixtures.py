@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from orepack import (
     Graph,
     complete_graph,
@@ -12,6 +14,7 @@ from orepack import (
     disjoint_union,
     empty_graph,
     path_graph,
+    random_graph,
     star_graph,
 )
 
@@ -32,6 +35,13 @@ def pendant_triangle(k: int) -> Graph:
     3-colorings, all from the one coloring of the triangle, since each
     leaf misses two of its classes."""
     return Graph.from_edges(k + 3, [(0, 1), (1, 2), (0, 2)] + [(i % 3, i + 3) for i in range(k)])
+
+
+def dense_g30() -> Graph:
+    """G(30, 0.7) drawn from ``random.Random(30002)``, the costliest params
+    input of the benchmark: chi 10, no vertex of degree below 15, and
+    4,102 optimal colorings."""
+    return random_graph(30, 0.7, random.Random(30002))
 
 
 def corpus() -> dict[str, Graph]:

@@ -13,7 +13,7 @@ import orepack as op
 from orepack import cli, coloring, parameters, probes
 from orepack.cli import build_parser, main
 
-from fixtures import pendant_triangle
+from fixtures import dense_g30, pendant_triangle
 
 
 def run_cli(capsys, *argv, run=main):
@@ -229,6 +229,25 @@ def test_params_cap_on_colorings_counted_in_bulk_exits_4(capsys, tmp_path, monke
         if want:
             assert out == ""
             assert "4095" in err
+        else:
+            assert json.loads(out)["sigma"] == 1
+
+
+def test_params_cap_on_a_recounted_tailless_component_exits_4(capsys, tmp_path, monkeypatch):
+    # G(30,0.7)#2 has no tail and 4,102 optimal colorings: its window pass
+    # stops at the 31st, and the counting pass spends one step on each of
+    # the 4,102 again on a meter of its own, so the cap still counts each
+    # coloring once
+    path = graph_file(tmp_path, "dense.g6", dense_g30())
+    for cap, want in ((4_101, 4), (4_102, 0)):
+        monkeypatch.setattr(
+            parameters, "class_size_profiles", lambda h, cap=cap: coloring.class_size_profiles(h, cap=cap)
+        )
+        code, out, err = run_cli(capsys, "params", path)
+        assert code == want
+        if want:
+            assert out == ""
+            assert "4101" in err
         else:
             assert json.loads(out)["sigma"] == 1
 

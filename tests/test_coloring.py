@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from functools import reduce
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from orepack.coloring import (
 )
 from orepack.graphs import Meter, components, iter_bits
 
-from fixtures import corpus, k4_minus, small_corpus
+from fixtures import corpus, dense_g30, k4_minus, small_corpus
 from oracles import (
     brute_chromatic_number,
     brute_optimal_partitions,
@@ -339,13 +340,15 @@ def _pinned_searches(monkeypatch):
     return calls
 
 
-def _coloring_count(g, comp, r):
+def _coloring_count(g, comp, r, limit=None):
+    """The colorings of the component ``comp`` with at most r classes, or
+    ``limit`` if it has that many."""
     count = 0
 
     def visit(_):
         nonlocal count
         count += 1
-        return False
+        return count == limit
 
     plain_color_search(g, [v for v in _search_order(g) if v in comp], [], r, visit)
     return count
@@ -448,39 +451,162 @@ def _outcome(search, h, cap, r):
         return str(exc)
 
 
+def _tailless_cases(rng):
+    """(graph, r, caps) for connected graphs whose one component has more
+    colorings with at most r classes than vertices and no tail: seeded
+    dense G(n, p) on 14-30 vertices with p from 0.5 to 0.8 and C9, C11
+    and C13, at r = chi and chi + 1, and G(30,0.7)#2 at chi, with caps at
+    the component's coloring count and one less. Pairs with more than
+    10,000 colorings are left out, G(30,0.7)#2 at chi + 1 (2,240,759)
+    among them: the search before bulk counting would take seconds. The
+    cycles have a tail at chi + 1, so they come in at chi alone."""
+    graphs = [dense_g30()] + [op.cycle_graph(k) for k in (9, 11, 13)]
+    graphs += [op.random_graph(rng.randint(14, 30), rng.choice((0.5, 0.6, 0.7, 0.8)), rng) for _ in range(14)]
+    cases = []
+    for g in graphs:
+        chi = op.chromatic_number(g)
+        part = _search_order(g)
+        for r in (chi, chi + 1):
+            if len(components(g)) > 1 or coloring._tail(g.adj, part, r):
+                continue
+            count = _coloring_count(g, set(range(g.n)), r, 10_001)
+            if g.n < count <= 10_000:
+                cases.append((g, r, (count, count - 1)))
+    return cases
+
+
+def _branch_can_die(g, r):
+    """Whether some vertex has r or more neighbours before it in the
+    kernel's search order, so that the kernel may find no class for it."""
+    order = _search_order(g)
+    return any(sum(g.has_edge(u, v) for u in order[:i]) >= r for i, v in enumerate(order))
+
+
 def test_profile_search_matches_the_search_before_bulk_counting(monkeypatch):
     # the profile search against the one that completed every coloring:
     # the same (parts, free, unchecked), or BudgetExhausted with the same
     # message, with chi and chi + 1 classes and caps of 20, 50 and 10^6,
-    # on random graphs and on graphs with many pendant vertices; a bulk
-    # step on a component's meter shows that the counting pass ran
+    # on random graphs and on graphs with many pendant vertices, and on
+    # tailless components past their window with caps at their coloring
+    # count and one less; a bulk step on a component's meter shows that
+    # the counting pass spent a tail in bulk, a second meter for a
+    # component that it counted the component again
     bulk = []
+    meters = []
 
     class Watched(Meter):
         __slots__ = ()
+
+        def __init__(self, limit=None):
+            meters.append(limit)
+            super().__init__(limit)
 
         def spend(self, steps=1):
             if steps > 1:
                 bulk.append(steps)
             super().spend(steps)
 
-    monkeypatch.setattr(coloring, "Meter", Watched)
     rng = random.Random(2207)
     ps = (0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.85)
     graphs = [op.random_graph(rng.randint(1, 13), rng.choice(ps), rng) for _ in range(150)]
     graphs += [_with_pendants(rng) for _ in range(60)]
-    cases = counted = exhausted = 0
+    cases = []
     for g in graphs:
         chi = op.chromatic_number(g)
+        cases += [(g, r, (20, 50, 10**6), False) for r in (chi, chi + 1)]
+    tailless = [(*case, True) for case in _tailless_cases(random.Random(2525))]
+    monkeypatch.setattr(coloring, "Meter", Watched)
+    runs = counted = exhausted = recounted = kept = 0
+    for g, r, caps, past in cases + tailless:
+        for cap in caps:
+            bulk.clear()
+            meters.clear()
+            want = _outcome(profile_search_before, g, cap, r)
+            assert _outcome(_profile_search, g, cap, r) == want, (op.to_graph6(g), r, cap)
+            runs += 1
+            exhausted += isinstance(want, str)
+            counted += bool(bulk)
+            if past and cap > g.n:
+                # past its window under the cap, a tailless component is
+                # counted again when a branch of the kernel's search can
+                # die, and keeps its single pass when none can (cycles)
+                assert (len(meters) == 2) == _branch_can_die(g, r), (op.to_graph6(g), r, cap)
+                recounted += len(meters) == 2
+                kept += len(meters) == 1
+    assert runs >= 1_000 and counted >= 50 and exhausted >= 50
+    assert len(tailless) >= 12 and recounted >= 15 and kept >= 6
+
+
+def _partitions_visited(search, *args, stop_at=None):
+    """What one search returns, and the multiset of partitions it visits,
+    each as the set of its class masks; the visit returns True at the
+    ``stop_at``-th coloring."""
+    seen = Counter()
+    visits = 0
+
+    def visit(classes):
+        nonlocal visits
+        seen[frozenset(classes)] += 1
+        visits += 1
+        return visits == stop_at
+
+    return search(*args, visit), seen
+
+
+def test_saturation_search_visits_each_coloring_once():
+    # the counting pass's head search against the plain kernel: the same
+    # multiset of partitions, each once, at chi and chi + 1 classes, over
+    # the whole vertex set in search or random order and over the head
+    # that a tail leaves, on random graphs and graphs with pendant leaves;
+    # a visit that returns True stops it at that coloring
+    rng = random.Random(2511)
+    graphs = [op.random_graph(rng.randint(1, 11), rng.choice((0.15, 0.3, 0.5, 0.7, 0.9)), rng) for _ in range(70)]
+    graphs += [_with_pendants(rng) for _ in range(30)]
+    heads = stopped = 0
+    for g in graphs:
+        chi = op.chromatic_number(g)
+        order = _search_order(g)
         for r in (chi, chi + 1):
-            for cap in (20, 50, 10**6):
-                bulk.clear()
-                want = _outcome(profile_search_before, g, cap, r)
-                assert _outcome(_profile_search, g, cap, r) == want, (op.to_graph6(g), r, cap)
-                cases += 1
-                exhausted += isinstance(want, str)
-                counted += bool(bulk)
-    assert cases >= 1_000 and counted >= 50 and exhausted >= 50
+            tail = coloring._tail(g.adj, order, r)
+            head = [v for v in order if not tail >> v & 1]
+            heads += head != order
+            for part in (order, rng.sample(order, len(order)), head):
+                done, want = _partitions_visited(plain_color_search, g, part, [], r)
+                assert set(want.values()) <= {1} and not done
+                got = _partitions_visited(coloring._saturation_search, g, part, r)
+                assert got == (False, want), (op.to_graph6(g), r, part)
+                if want:
+                    k = rng.randint(1, len(want))
+                    done, seen = _partitions_visited(coloring._saturation_search, g, part, r, stop_at=k)
+                    assert done and sum(seen.values()) == k and seen.keys() <= want.keys()
+                    stopped += 1
+    assert heads >= 40 and stopped >= 600
+
+
+def test_window_pass_stops_past_its_window(monkeypatch):
+    # G(30,0.7)#2 has no tail and 4,102 optimal colorings: the kernel's
+    # window pass completes |C| + 1 = 31 of them and the counting pass all
+    # 4,102, most saturated vertex first
+    g = dense_g30()
+    visits = Counter()
+
+    def wrapped(search):
+        def run(*args):
+            *rest, visit = args
+
+            def counted(classes):
+                visits[search.__name__] += 1
+                return visit(classes)
+
+            return search(*rest, counted)
+
+        return run
+
+    for name in ("_color_search", "_saturation_search"):
+        monkeypatch.setattr(coloring, name, wrapped(getattr(coloring, name)))
+    parts, _, unchecked = _profile_search(g, DEFAULT_ENUMERATION_CAP, 10)
+    assert visits == {"_color_search": 31, "_saturation_search": 4_102}
+    assert len(unchecked) == 1 and parts == [op.class_size_profiles(g)[1]]
 
 
 def _kernel_run(kernel, h, order, classes, total, stop_at):

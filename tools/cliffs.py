@@ -7,9 +7,15 @@ Cliff A (ROADMAP.md, Baseline) is the class-size profile search of
 distinct sorted class-size profiles of the optimal colorings, and the
 wall time of `class_size_profiles`, or CAP when the search ends in
 `BudgetExhausted`. G(16,0.15)#1 and G(26,0.2)#3 are drawn as the
-benchmark draws its G(n,p)#i, from `Random(1000 n + i)`; the last row is
-a triangle with 12 pendant leaves, whose 4,096 colorings the profile
-search counts in bulk from the one coloring of the triangle. A second
+benchmark draws its G(n,p)#i, from `Random(1000 n + i)`; a triangle with
+12 pendant leaves has 4,096 colorings, which the profile search counts
+in bulk from the one coloring of the triangle. The last four rows have
+no tail, and fall on both sides of the rule that decides whether such a
+component past its window is counted again, most saturated vertex
+first. The dense G(22,0.5) and G(28,0.6), drawn from `Random(2205)` and
+`Random(2806)`, are counted again, since a branch of the kernel's
+search can die there. C15 and C21 keep their single pass: each of their
+vertices has fewer than 3 neighbours before it in search order. A second
 table gives chi and the wall time of `chromatic_number` on unions of
 many paths and a 5-cycle, where a search that backtracks across
 components retries every coloring of the paths.
@@ -82,6 +88,10 @@ PROFILE_CLIFFS = (
     ("G(24,0.2) from Random(24)", lambda: op.random_graph(24, 0.2, random.Random(24))),
     ("G(26,0.2)#3 from Random(26003)", lambda: op.random_graph(26, 0.2, random.Random(26003))),
     ("K3 with 12 pendant leaves", lambda: _pendant_triangle(12)),
+    ("G(22,0.5) from Random(2205)", lambda: op.random_graph(22, 0.5, random.Random(2205))),
+    ("G(28,0.6) from Random(2806)", lambda: op.random_graph(28, 0.6, random.Random(2806))),
+    ("C15", lambda: op.cycle_graph(15)),
+    ("C21", lambda: op.cycle_graph(21)),
 )
 
 
