@@ -1,25 +1,35 @@
 """Exact chromatic computations.
 
-Two backtracking searches colour vertices. Every search whose visits are
-read in order or pinned by tests runs on one ordered kernel,
-``_color_search``, which the colour extension search in ``parameters``
-shares: the chromatic number, the window pass and the pinned searches of
-the profile search, ``optimal_colorings``, and the placement of a tail
-under fewer than r - 1 classes. It takes the vertices in a fixed order.
-The counting pass alone, which reads only how many colorings there are
-and their class sizes, colours with ``_saturation_search``, which takes
-the most constrained vertex next. The chromatic number is the largest
-over the components, so it is found one component at a time: k starts at
-a greedy clique lower bound and rises while the next component is not
-k-colorable. Both searches open new classes with a first-use rule, so
-they reach each partition exactly once regardless of color names. The
-kernel forward-checks: a branch is cut when every class is open and some
-vertex still to place is adjacent to all of them, or when one class is
-left to open and two adjacent vertices still to place are each adjacent
-to every open class. Neither cut drops a completed coloring, since
-placing more vertices only adds neighbours to the classes; so every
-caller sees the colorings it would see without the cuts, in the same
-order, and every count of them stays as it was.
+One backtracking search, ``_color_search``, colours vertices for every
+caller: the chromatic number, the window pass, counting pass and pinned
+searches of the profile search, ``optimal_colorings``, and the colour
+extension search in ``parameters``. Each node takes the unplaced vertex
+adjacent to the most classes, pinned classes included (the most
+saturated vertex: DSatur; Brélaz, "New methods to color the vertices of
+a graph", CACM 1979), and puts it into each class that misses it and
+into the next new class. New classes are interchangeable, so only the
+next one is ever opened, and the search reaches each partition exactly
+once regardless of color names. A tie goes to the higher degree, the
+vertex with the most neighbours still to block, and then to the lower
+label, so no call relabels h. A vertex that every class blocks is taken
+as soon as it is blocked and ends its branch, where a fixed order may
+first branch on many vertices below it: G(30,0.7)#2 completes its 4,102
+colorings in 4,990 nodes, where the fixed degree order took 13,424. A
+node also ends when its vertex can only open the last class and a
+neighbour of it is blocked by every open class, since that neighbour
+would then have no class left.
+
+No output depends on the order in which the colorings are visited. The
+chromatic number, the pinned searches and the extension searches ask
+only whether a coloring exists (the extension search keeps the least
+class count over all of them); ``optimal_colorings`` sorts what it
+collects; the profiles are sets; and the checks of the window pass only
+bound the lowest free vertex, which the pinned searches then decide
+exactly. So the search may take its vertices in whatever order each
+branch makes cheapest. The chromatic number is the largest over the
+components, so it is found one component at a time: k starts at a
+greedy clique lower bound and rises while the next component is not
+k-colorable.
 
 ``class_size_profiles`` gives the set of sorted class-size profiles of
 the optimal colorings (proper partitions into exactly chi classes), which
@@ -34,45 +44,36 @@ lowest free vertex, which the parameter layer reads as the witness of
 colour extension number 0: the profile search checks the first |C|
 colorings of each component C as they complete (the window pass), and
 past them ``class_size_profiles`` decides each vertex still in question
-by one kernel search with the vertex's class pinned twice; the packing
-layer runs no pinned search.
+by one search with the vertex's class pinned twice; the packing layer
+runs no pinned search.
 
-A component with more than |C| colorings is then counted afresh (the
-counting pass), unless it has no tail and every vertex has fewer than r
-neighbours before it in the kernel's order: no branch of the kernel's
-search dies then, a recount would have no dead branch to skip and would
-pay for the window again, and the window pass runs on to the end.
-Otherwise the saturation search colours the
-component less its tail, an independent set of vertices with at most
-r - 2 neighbours each, and each of its colorings with r or r - 1
-classes stands for every placement of the tail at once. Taking the
-vertex adjacent to the most open classes next (DSatur; Brélaz, CACM
-1979) reaches a vertex that no class can take as soon as it has none,
-where the kernel's fixed order may first branch on many vertices below
-it: G(30,0.7)#2 takes its 4,102 colorings in 4,990 nodes against the
-kernel's 13,424. The tail is a stricter "simplify" step of Chaitin's
-register allocator (SIGPLAN 1982), which sets aside every vertex of
-degree below r. A tail vertex's neighbours fill at most r - 2 classes,
-so it always has two classes left; every coloring of the rest thus
-stands for at least 2^|T| colorings, where a degree of r - 1 could leave
-a vertex one class and the pass no cheaper than completing each
-coloring. ``optimal_colorings`` enumerates the partitions themselves,
-canonicalized by sorting classes on their minimum vertex; the tests use
-it as the oracle for the profiles. Both count completed colorings on a
-``graphs.Meter`` capped at ``DEFAULT_ENUMERATION_CAP``, one meter per
-search: per component in the profile search, for all of h in
-``optimal_colorings``. The counting pass spends the colorings it counts
-in bulk, so the cap counts the same colorings with it as without. A
-search past the cap raises BudgetExhausted rather than return a
-truncated answer, since sigma and the class-size differences are only
-correct when the search is complete.
+A component with more than |C| colorings runs on to the end on its one
+meter, unless it has a tail: then it is counted afresh (the counting
+pass), and each coloring of the component less its tail with r or r - 1
+classes stands for every placement of the tail at once. The tail is an
+independent set of vertices with at most r - 2 neighbours each, a
+stricter "simplify" step of Chaitin's register allocator (SIGPLAN 1982),
+which sets aside every vertex of degree below r. A tail vertex's
+neighbours fill at most r - 2 classes, so it always has two classes
+left; every coloring of the rest thus stands for at least 2^|T|
+colorings, where a degree of r - 1 could leave a vertex one class and
+the pass no cheaper than completing each coloring. ``optimal_colorings``
+enumerates the partitions themselves, canonicalized by sorting classes
+on their minimum vertex; the tests use it as the oracle for the
+profiles. Both count completed colorings on a ``graphs.Meter`` capped at
+``DEFAULT_ENUMERATION_CAP``, one meter per search: per component in the
+profile search, for all of h in ``optimal_colorings``. The counting pass
+spends the colorings it counts in bulk, so the cap counts the same
+colorings with it as without. A search past the cap raises
+BudgetExhausted rather than return a truncated answer, since sigma and
+the class-size differences are only correct when the search is complete.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import add, and_
-from typing import Callable, Iterator, NamedTuple
+from functools import lru_cache, reduce
+from operator import add, and_, or_
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graphs import Graph, Meter, PreconditionError, components, iter_bits
 
@@ -101,50 +102,65 @@ def greedy_clique(h: Graph) -> tuple[int, ...]:
 
 
 def _search_order(h: Graph) -> list[int]:
+    """The vertices by falling degree and then rising label, the order in
+    which the colour extension search lists them."""
     return sorted(range(h.n), key=lambda v: (-h.degree(v), v))
+
+
+@lru_cache(maxsize=1)
+def _degree_planes(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """The degrees of the graph with rows ``adj``, bit-sliced over vertex
+    masks, top bit first. Kept for the last graph: the colour extension
+    search runs thousands of short searches on one graph, and building
+    the planes took about as long as each of them."""
+    planes = [0] * len(adj).bit_length()
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        k = len(planes)
+        while d:
+            k -= 1
+            if d & 1:
+                planes[k] |= 1 << v
+            d >>= 1
+    return tuple(planes)
 
 
 def _color_search(
     h: Graph,
-    order: list[int],
+    vertices: int | Iterable[int],
     classes: list[int],
     total: int,
     visit: Callable[[list[int]], bool],
 ) -> bool:
-    """Backtrack over the vertices in ``order``, putting each into an
-    existing class of ``classes`` (masks, which may start out pinned) or
-    into the next new class while fewer than ``total`` exist. New classes
-    are interchangeable, so only the next unused one is ever opened.
+    """Calls ``visit(classes)`` on each coloring of ``vertices`` (a mask,
+    or the vertices in any order) with at most ``total`` classes, once
+    each and in an order no caller reads, and returns True as soon as a
+    call does; False after the whole search. ``classes`` are masks over
+    the vertices of h: the ones given stay pinned, and the search appends
+    the classes it opens.
 
-    Calls ``visit(classes)`` on every completed coloring and returns True
-    as soon as a call does; False after the whole search.
-
-    The search forward-checks (Haralick and Elliott, 1980). Beside each
-    class it keeps in ``near`` the mask of the vertices adjacent to the
-    class. A vertex still to place that is adjacent to every open class
-    is *stuck*: only a class not yet opened can take it. A node is cut
-    when
-    1. all ``total`` classes are open and some vertex is stuck, or
-    2. one class is left to open and two stuck vertices are adjacent,
-       since both would need that one class.
-    Placing vertices only grows the classes and their ``near`` masks, so a
-    stuck vertex stays stuck and a cut node has no completed coloring
-    below it. The search therefore visits the same colorings in the same
-    order as it would without the cuts, and stops at the same one.
-
-    A placed vertex is never adjacent to its own class, so the vertices
-    of ``order`` (``scope``) adjacent to every open class are all still to
-    place. Only a vertex that the last placement made adjacent to its
-    class (``fresh``) can newly be stuck, so a node checks those and no
-    others; an edge between two stuck vertices that are not fresh was
-    already there at the parent. The last vertex is not checked: the
-    classes that take it are its completions, visited without a further
-    call.
-    """
+    Each node takes the unplaced vertex adjacent to the most classes, the
+    higher degree and then the lower label on a tie, and puts it into each
+    class that misses it and into the next new class while fewer than
+    ``total`` are open, unless that class is the last one and a neighbour
+    of the vertex is adjacent to every open class: the neighbour would
+    have no class left. Both counts are bit-sliced over vertex masks into
+    ``planes``, top bit first: vertex v's key, its class count above its
+    degree, is sum(2^k) over the k with bit v set in ``planes[-1 - k]``,
+    and the pick narrows the unplaced vertices to the highest key plane by
+    plane. ``near`` holds the vertices adjacent to each class; a placement
+    adds one to the class count of each unplaced neighbour new to its
+    class by a carry up from the plane ``units``, and takes it back by a
+    borrow. The last vertex needs no counts: the node that places the one
+    before it completes it in ``finish``."""
     adj = h.adj
+    left = vertices if isinstance(vertices, int) else sum(1 << v for v in vertices)
+    units = max(total, len(classes)).bit_length() - 1
+    planes = [0] * (units + 1)
+    planes += _degree_planes(adj)
     near = []
     # bits taken inline: the colour extension search pins classes on
-    # thousands of short calls, and iter_bits costs half again as much
+    # thousands of short calls
     for m in classes:
         mask = 0
         while m:
@@ -152,111 +168,26 @@ def _color_search(
             mask |= adj[low.bit_length() - 1]
             m ^= low
         near.append(mask)
-    last = total - 1
-    final = len(order) - 1
-    scope = 0
-    for v in order:
-        scope |= 1 << v
-
-    def place(i: int, fresh: int) -> bool:
-        opened = len(classes)
-        v = order[i]
-        bit = 1 << v
-        av = adj[v]
-        if i == final:
-            # each class that takes the last vertex completes a coloring
-            for c in range(opened):
-                if classes[c] & av:
-                    continue
-                classes[c] |= bit
-                if visit(classes):
-                    return True
-                classes[c] ^= bit
-            if opened < total:
-                classes.append(bit)
-                if visit(classes):
-                    return True
-                classes.pop()
-            return False
-        stuck = opened >= last and scope & fresh
-        if stuck:
-            for mask in near:
-                stuck &= mask
-                if not stuck:
-                    break
-            else:
-                if opened >= total:
-                    return False
-                every = reduce(and_, near, scope)
-                if any(adj[u] & every for u in iter_bits(stuck)):
-                    return False
-        for c in range(opened):
-            if classes[c] & av:
-                continue
-            classes[c] |= bit
-            mask = near[c]
-            near[c] = mask | av
-            if place(i + 1, av & ~mask):
-                return True
-            near[c] = mask
-            classes[c] ^= bit
-        if opened < total:
-            classes.append(bit)
-            near.append(av)
-            if place(i + 1, av):
-                return True
-            near.pop()
-            classes.pop()
-        return False
-
-    return place(0, scope) if order else visit(classes)
-
-
-def _saturation_search(
-    h: Graph, order: list[int], total: int, visit: Callable[[list[int]], bool]
-) -> bool:
-    """Calls ``visit(classes)`` on each coloring of the vertices of ``order``
-    with at most ``total`` classes, once each and in an order no caller
-    reads, and returns True as soon as a call does; False after the whole
-    search. ``classes`` are masks over the vertices of h, in the order
-    they were opened.
-
-    Each node places the unplaced vertex adjacent to the most open classes
-    (the most saturated; Brélaz, "New methods to color the vertices of a
-    graph", CACM 1979), the earliest in ``order`` on a tie, into each
-    class that misses it and into the next new class while fewer than
-    ``total`` are open. A vertex that every class blocks is so placed at
-    once and ends its branch, where the kernel's fixed order may first
-    place many others below it.
-
-    The vertices are relabelled by their position in ``order``: ``near``
-    holds the positions adjacent to each class, and the saturation counts
-    are bit-sliced into ``planes``, top bit first, so that position i
-    counts sum(2^k) over the k with bit i set in ``planes[-1 - k]``. A
-    placement adds one to the count of each unplaced neighbour new to its
-    class by a carry through the planes, and takes it back by a borrow.
-    The last vertex needs no counts: the node that places the one before
-    it completes it in ``finish``."""
-    where = {v: 1 << i for i, v in enumerate(order)}
-    rows = [sum(where.get(u, 0) for u in iter_bits(h.adj[v])) for v in order]
-    classes: list[int] = []
-    near: list[int] = []
-    planes = [0] * total.bit_length()
-    units = len(planes) - 1
+        carry = mask & left
+        j = units
+        while carry:
+            plane = planes[j]
+            planes[j] = plane ^ carry
+            carry &= plane
+            j -= 1
 
     def finish(low: int) -> bool:
         # each class that takes the last vertex completes a coloring
-        bit = 1 << order[low.bit_length() - 1]
         opened = len(classes)
         for c in range(opened):
             if near[c] & low:
                 continue
-            classes[c] |= bit
+            classes[c] |= low
             if visit(classes):
                 return True
-            classes[c] ^= bit
+            classes[c] ^= low
         if opened < total:
-            classes.append(bit)
+            classes.append(low)
             if visit(classes):
                 return True
             classes.pop()
@@ -268,20 +199,23 @@ def _saturation_search(
             if pick & plane:
                 pick &= plane
         low = pick & -pick
-        i = low.bit_length() - 1
-        bit = 1 << order[i]
+        row = adj[low.bit_length() - 1]
         rest = left ^ low
-        row = rows[i] & rest
         if rest & (rest - 1):
-            child, grow = place, row
+            child, grow = place, row & rest
         else:
             child, grow = finish, 0
         opened = len(classes)
-        for c in range(opened):
+        for c in range(opened + (opened < total)):
+            if c == opened:
+                if c == total - 1 and row & reduce(and_, near, rest):
+                    return False
+                classes.append(0)
+                near.append(0)
             mask = near[c]
             if mask & low:
                 continue
-            classes[c] |= bit
+            classes[c] |= low
             near[c] = mask | row
             bump = carry = grow & ~mask
             j = units
@@ -299,30 +233,12 @@ def _saturation_search(
                 bump &= ~plane
                 j -= 1
             near[c] = mask
-            classes[c] ^= bit
+            classes[c] ^= low
         if opened < total:
-            classes.append(bit)
-            near.append(row)
-            bump = carry = grow
-            j = units
-            while carry:
-                plane = planes[j]
-                planes[j] = plane ^ carry
-                carry &= plane
-                j -= 1
-            if child(rest):
-                return True
-            j = units
-            while bump:
-                plane = planes[j]
-                planes[j] = plane ^ bump
-                bump &= ~plane
-                j -= 1
             near.pop()
             classes.pop()
         return False
 
-    left = (1 << len(order)) - 1
     if left & (left - 1):
         return place(left)
     return finish(left) if left else visit(classes)
@@ -334,10 +250,8 @@ def chromatic_number(h: Graph) -> int:
     if h.edge_count() == 0:
         return 1
     k = max(2, len(greedy_clique(h)))
-    order = _search_order(h)
     for comp in components(h):
-        part = [v for v in order if comp >> v & 1]
-        while not _color_search(h, part, [], k, lambda _: True):
+        while not _color_search(h, comp, [], k, lambda _: True):
             k += 1
     return k
 
@@ -378,7 +292,7 @@ def optimal_colorings(h: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Colo
         )
         return False
 
-    _color_search(h, _search_order(h), [], r, emit)
+    _color_search(h, h.vertex_mask, [], r, emit)
     out.sort(key=lambda p: tuple(tuple(sorted(c)) for c in p.classes))
     return out
 
@@ -394,12 +308,10 @@ def class_size_profiles(
     components, with their classes matched up, give one. So the profiles
     are the ``_labelled_sums`` of the per-component sets of
     ``_profile_search``. Its window pass completes a component's colorings
-    one by one; a component with more colorings than vertices is recounted
-    by its counting pass, most constrained vertex first and with the
-    placements of a tail of low-degree vertices spent in bulk, unless it
-    has no tail and no branch of the window pass can die. Raises
-    BudgetExhausted after more than ``cap`` colorings of one component,
-    counted either way.
+    one by one; a component with more colorings than vertices and a tail
+    of low-degree vertices is recounted by its counting pass, with the
+    tail's placements spent in bulk. Raises BudgetExhausted after more
+    than ``cap`` colorings of one component, counted either way.
 
     A vertex x is free when some optimal coloring leaves it non-adjacent
     to two of its classes, x's own class being one: N(x) then meets at
@@ -416,27 +328,27 @@ def class_size_profiles(
     of C with at most chi classes has a second class that misses N(x), or
     has fewer than chi classes. A check costs O(chi) per vertex. On the
     benchmark's params inputs a pinned search past |C| colorings visited
-    a median 0.9 |C| nodes, so the switch comes where the checks would
-    have cost about one search. On components with at most |C| colorings
-    the checks stay: there the pinned searches mostly fail, and a failing
-    one visited up to 67 |C| nodes. The pinned searches are not metered,
-    and run only here: the packing layer reads the profiles of
-    ``_profile_search`` alone. The lowest free vertex is the witness of
-    colour extension number 0 (see ``parameters``).
+    a median 0.9 |C| nodes when the searches took the vertices in a fixed
+    order, so the switch comes where the checks would have cost about one
+    search. On components with at most |C| colorings the checks stay:
+    there the pinned searches mostly fail, and a failing one then visited
+    up to 67 |C| nodes. The pinned searches are not metered, and run only
+    here: the packing layer reads the profiles of ``_profile_search``
+    alone. The lowest free vertex is the witness of colour extension
+    number 0 (see ``parameters``).
     """
     r = chromatic_number(h)
     parts, free, unchecked = _profile_search(h, cap, r)
     adj = h.adj
-    for part in unchecked:
+    for comp in unchecked:
         seen = set()
-        for x in sorted(part):
+        for x in iter_bits(comp):
             if x >= free:
                 break
             if adj[x] in seen:
                 continue
             seen.add(adj[x])
-            rest = [v for v in part if v != x]
-            if _color_search(h, rest, [1 << x, 1 << x], r, lambda _: True):
+            if _color_search(h, comp ^ 1 << x, [1 << x, 1 << x], r, lambda _: True):
                 free = x
                 break
     return r, reduce(_labelled_sums, parts), free if free < h.n else None
@@ -444,42 +356,34 @@ def class_size_profiles(
 
 def _profile_search(
     h: Graph, cap: int, r: int
-) -> tuple[list[set[tuple[int, ...]]], int, list[list[int]]]:
+) -> tuple[list[set[tuple[int, ...]]], int, list[int]]:
     """For each component of h, in the order of ``components``, the set of
     sorted class sizes, padded with zeros to r, of its colorings with at
     most r classes, counted on a ``Meter(cap)`` of its own; the lowest
-    vertex that the first |C| completed colorings of each component C
-    show free, or h.n; and, each in search order, the components with
-    more colorings than vertices, whose vertices below that bound are
-    not yet decided.
+    vertex that the first |C| colorings visited of each component C show
+    free, or h.n; and the masks of the components with more colorings than
+    vertices, whose vertices below that bound are not yet decided.
 
-    The window pass completes the colorings of C one by one on the kernel
-    and checks the first |C| of them. At the |C|-th it decides whether C
-    is counted afresh: when C has a ``_tail``, or when some vertex has r
-    or more neighbours before it in search order, so that a branch of the
-    kernel's search can die. Then the pass stops at the next coloring,
-    and ``_counted_sizes`` counts C again on a new meter, most saturated
-    vertex first and with the tail's placements spent in bulk. Every
-    coloring is counted once either way, so the cap is reached exactly
-    when it was by completing each one. A component that the kernel
-    colours without a dead branch and that has no tail, such as a cycle,
-    keeps its single pass: a recount would find no dead branch to skip and
-    would repeat the window. A component with at most |C| colorings reads no more of h
+    The window pass visits the colorings of C one by one and checks the
+    first |C| of them. Past them, a component without a ``_tail`` runs on
+    to the end on the same meter. One with a tail stops at the next
+    coloring, and ``_counted_sizes`` counts it again on a new meter with
+    the tail's placements spent in bulk. Every coloring is counted once
+    either way, so the cap is reached exactly when it was by completing
+    each one. A component with at most |C| colorings reads no more of h
     than the window pass."""
-    order = _search_order(h)
     adj = h.adj
     free = h.n
 
     def collect(classes: list[int]) -> bool:
-        nonlocal free, tail, counting
+        nonlocal free, tail
         meter.spend()
         found.add(tuple(map(int.bit_count, classes)))
         if meter.nodes > checked:
-            # past the window: the counting pass takes the rest
-            return counting
+            # past the window: the counting pass takes a component with a tail
+            return tail != 0
         if meter.nodes == checked:
-            tail = _tail(adj, part, r)
-            counting = tail != 0 or not _dead_end_free(adj, part, r)
+            tail = _tail(adj, comp, r)
         if len(classes) < r:
             free = min(free, low)
         else:
@@ -501,69 +405,50 @@ def _profile_search(
         meter = Meter(cap)
         # the completed colorings up to this count are checked
         checked = comp.bit_count()
-        part = [v for v in order if comp >> v & 1]
-        tail, counting = 0, False
-        _color_search(h, part, [], r, collect)
+        tail = 0
+        _color_search(h, comp, [], r, collect)
         if meter.nodes > checked:
-            unchecked.append(part)
-            if counting:
-                found = _counted_sizes(h, part, tail, r, Meter(cap))
+            unchecked.append(comp)
+            if tail:
+                found = _counted_sizes(h, comp, tail, r, Meter(cap))
         parts.append({(0,) * (r - len(s)) + tuple(sorted(s)) for s in found})
     return parts, free, unchecked
 
 
-def _tail(adj: tuple[int, ...], part: list[int], r: int) -> int:
-    """The mask of an independent set of vertices of ``part`` with at most
-    r - 2 neighbours each, taken greedily from the end of ``part``."""
+def _tail(adj: tuple[int, ...], comp: int, r: int) -> int:
+    """The mask of an independent set of vertices of ``comp`` with at most
+    r - 2 neighbours each, taken greedily by rising degree and then falling
+    label."""
     tail = 0
-    for v in reversed(part):
+    for v in sorted(iter_bits(comp), key=lambda v: (adj[v].bit_count(), -v)):
         if adj[v].bit_count() <= r - 2 and not adj[v] & tail:
             tail |= 1 << v
     return tail
 
 
-def _dead_end_free(adj: tuple[int, ...], part: list[int], r: int) -> bool:
-    """Whether every vertex of ``part`` has fewer than r neighbours before
-    it in ``part``. The kernel's search of ``part`` with r classes then
-    finds a class for each vertex it reaches: every node of it leads to a
-    coloring, so it has no dead branch that another order could skip."""
-    seen = 0
-    for v in part:
-        if (adj[v] & seen).bit_count() >= r:
-            return False
-        seen |= 1 << v
-    return True
-
-
 def _counted_sizes(
-    h: Graph, part: list[int], tail: int, r: int, meter: Meter
+    h: Graph, comp: int, tail: int, r: int, meter: Meter
 ) -> set[tuple[int, ...]]:
     """The class-size tuples, in class order and some padded with zeros,
-    of the colorings of ``part`` with at most r classes, with one step on
+    of the colorings of ``comp`` with at most r classes, with one step on
     ``meter`` for each coloring.
 
-    ``_saturation_search`` colours the head, ``part`` without the
-    independent ``tail``; with an empty tail each coloring it completes
-    spends its step and gives its sizes. Each tail vertex has at most
-    r - 2 neighbours, all in the head, so once all r classes are open at
-    least two of them miss it, and the tail vertices choose among those
-    classes independently. Such a head coloring therefore stands for the
-    product of the tail vertices' free-class counts, spent at once, and
-    gives its sizes plus the Minkowski sum of the tail's one-vertex
-    increments, with sizes packed 8 bits per class (a class holds at most
-    128 vertices). The count and the increments depend on the classes
-    only through their meets with N(tail), and are kept per meet. A head
-    coloring with r - 1 classes counts the same way with an empty r-th
-    class: the tail vertices put there form the one class left to open,
-    or none. With fewer classes the tail could open several, so the
-    kernel places it with the head's classes pinned, one coloring at a
-    time."""
+    ``_color_search`` colours the head, ``comp`` without the independent
+    ``tail``. Each tail vertex has at most r - 2 neighbours, all in the
+    head, so once all r classes are open at least two of them miss it,
+    and the tail vertices choose among those classes independently. Such
+    a head coloring therefore stands for the product of the tail vertices'
+    free-class counts, spent at once, and gives its sizes plus the
+    Minkowski sum of the tail's one-vertex increments, with sizes packed 8
+    bits per class (a class holds at most 128 vertices). The count and the
+    increments depend on the classes only through their meets with
+    N(tail), and are kept per meet. A head coloring with r - 1 classes
+    counts the same way with an empty r-th class: the tail vertices put
+    there form the one class left to open, or none. With fewer classes the
+    tail could open several, so the search places it with the head's
+    classes pinned, one coloring at a time."""
     adj = h.adj
-    tails = [v for v in part if tail >> v & 1]
-    head = [v for v in part if not tail >> v & 1]
-    near = 0
-    for t in tails:
-        near |= adj[t]
+    near = reduce(or_, map(adj.__getitem__, iter_bits(tail)))
     found: set[tuple[int, ...]] = set()
     bulk: dict[tuple[int, ...], tuple[int, set[int]]] = {}
     pending = set()
@@ -575,13 +460,13 @@ def _counted_sizes(
 
     def counted(classes: list[int]) -> bool:
         if len(classes) < r - 1:
-            return _color_search(h, tails, list(classes), r, placed)
+            return _color_search(h, tail, list(classes), r, placed)
         if len(classes) < r:
             classes = classes + [0]
         key = tuple(m & near for m in classes)
         if key not in bulk:
             steps, grown = 1, {0}
-            for t in tails:
+            for t in iter_bits(tail):
                 ways = [1 << 8 * c for c, m in enumerate(key) if not m & adj[t]]
                 steps *= len(ways)
                 grown = {s + w for s in grown for w in ways}
@@ -590,7 +475,7 @@ def _counted_sizes(
         pending.add((tuple(map(int.bit_count, classes)), key))
         return False
 
-    _saturation_search(h, head, r, counted if tails else placed)
+    _color_search(h, comp ^ tail, [], r, counted)
     sums = set()
     for sizes, key in pending:
         base = sum(k << 8 * c for c, k in enumerate(sizes))

@@ -203,7 +203,9 @@ def _embedder(g: Graph, h: Graph, meter: Meter, twins: Sequence[int]):
 
     def embeddings(allowed: int, anchor: Optional[int]) -> Iterator[tuple[tuple[int, ...], int]]:
         if h.n == 0:
-            yield (), allowed
+            # the empty map's image holds no anchor
+            if anchor is None:
+                yield (), allowed
             return
         if h.n > allowed.bit_count():
             return

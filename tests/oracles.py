@@ -145,10 +145,12 @@ def brute_optimal_partitions(g: Graph):
 
 
 # ---------------------------------------------------------------------------
-# the colouring kernel without forward checking
+# the fixed-order colouring kernel without forward checking
 #
-# ``coloring._color_search`` as it was before it cut dead branches: the same
-# first-use backtracking, with every branch searched to its end.
+# ``coloring._color_search`` as it was before it cut dead branches or took
+# the most saturated vertex next: the same first-use backtracking, over the
+# vertices in the order given, with every branch searched to its end. It
+# visits the same colorings as the search, each once, in another order.
 
 
 def plain_color_search(
@@ -261,17 +263,18 @@ def _component_sets(h: Graph) -> list[set[int]]:
 #
 # ``coloring._profile_search`` as it was before it counted the colorings of
 # a component's low-degree tail in bulk: one pass per component that
-# completes every coloring, checking the first |C| of them, on the kernel
-# without forward checking, which visits the same colorings in the same
-# order.
+# completes every coloring, checking the first |C| of them, on the
+# fixed-order kernel without forward checking, which visits the colorings
+# in the order that the kernel with forward checking did.
 
 
 def profile_search_before(h: Graph, cap: int, r: int):
-    """(parts, free, unchecked) as ``coloring._profile_search`` gives them:
-    per component, the sorted class sizes, padded with zeros to r, of its
-    colorings with at most r classes; the lowest vertex that the first
-    |C| colorings of each component C leave free, or h.n; and, in search
-    order, the components with more colorings than vertices. Raises
+    """(parts, free, unchecked) as ``coloring._profile_search`` gave them
+    when it completed each coloring in the fixed order: per component, the
+    sorted class sizes, padded with zeros to r, of its colorings with at
+    most r classes; the lowest vertex that the first |C| colorings of
+    each component C leave free, or h.n; and the components with more
+    colorings than vertices, each as its vertices in search order. Raises
     BudgetExhausted, with the meter's message, after more than ``cap``
     colorings of one component."""
     order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
@@ -308,8 +311,8 @@ def profile_search_before(h: Graph, cap: int, r: int):
 # the colour extension search by rising m
 #
 # ``parameters.colour_extension_number`` as it was before it became one
-# pass over the vertices with a falling bound, on the kernel without
-# forward checking, which visits the same colorings in the same order.
+# pass over the vertices with a falling bound, on the fixed-order kernel
+# without forward checking.
 
 
 def ce_by_rising_m(h: Graph, chi: int, start: int = 0):

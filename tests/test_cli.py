@@ -235,9 +235,10 @@ def test_params_cap_on_colorings_counted_in_bulk_exits_4(capsys, tmp_path, monke
 
 def test_params_cap_on_a_recounted_tailless_component_exits_4(capsys, tmp_path, monkeypatch):
     # G(30,0.7)#2 has no tail and 4,102 optimal colorings: its window pass
-    # stops at the 31st, and the counting pass spends one step on each of
-    # the 4,102 again on a meter of its own, so the cap still counts each
-    # coloring once
+    # checks the first 31 and runs on to the end on the same meter, one
+    # step per coloring, so a cap of 4,101 stops it and 4,102 does not.
+    # (Before it ran on, the pass stopped at the 31st and a recount spent
+    # the 4,102 steps on a meter of its own, with the same outcomes.)
     path = graph_file(tmp_path, "dense.g6", dense_g30())
     for cap, want in ((4_101, 4), (4_102, 0)):
         monkeypatch.setattr(

@@ -317,7 +317,7 @@ def test_empty_graph_has_no_colorings():
 
 
 def test_class_size_profiles_cap_is_hard_error():
-    # the connected C15 has 5,461 optimal 3-colorings, one kernel visit each
+    # the connected C15 has 5,461 optimal 3-colorings, one search visit each
     c15 = op.cycle_graph(15)
     with pytest.raises(BudgetExhausted, match="100"):
         op.class_size_profiles(c15, cap=100)
@@ -328,13 +328,13 @@ def test_class_size_profiles_cap_is_hard_error():
 
 def _pinned_searches(monkeypatch):
     """Record the components that ``class_size_profiles`` runs a pinned
-    search on: the vertices of the call's order and the pinned vertex."""
+    search on: the vertices of the call's mask and the pinned vertex."""
     calls = []
 
-    def counted(h, order, classes, total, visit):
+    def counted(h, vertices, classes, total, visit):
         if classes:
-            calls.append(frozenset(order) | frozenset(iter_bits(classes[0])))
-        return _color_search(h, order, classes, total, visit)
+            calls.append(frozenset(iter_bits(vertices | classes[0])))
+        return _color_search(h, vertices, classes, total, visit)
 
     monkeypatch.setattr(coloring, "_color_search", counted)
     return calls
@@ -465,9 +465,8 @@ def _tailless_cases(rng):
     cases = []
     for g in graphs:
         chi = op.chromatic_number(g)
-        part = _search_order(g)
         for r in (chi, chi + 1):
-            if len(components(g)) > 1 or coloring._tail(g.adj, part, r):
+            if len(components(g)) > 1 or coloring._tail(g.adj, g.vertex_mask, r):
                 continue
             count = _coloring_count(g, set(range(g.n)), r, 10_001)
             if g.n < count <= 10_000:
@@ -475,22 +474,18 @@ def _tailless_cases(rng):
     return cases
 
 
-def _branch_can_die(g, r):
-    """Whether some vertex has r or more neighbours before it in the
-    kernel's search order, so that the kernel may find no class for it."""
-    order = _search_order(g)
-    return any(sum(g.has_edge(u, v) for u in order[:i]) >= r for i, v in enumerate(order))
-
-
 def test_profile_search_matches_the_search_before_bulk_counting(monkeypatch):
-    # the profile search against the one that completed every coloring:
-    # the same (parts, free, unchecked), or BudgetExhausted with the same
-    # message, with chi and chi + 1 classes and caps of 20, 50 and 10^6,
-    # on random graphs and on graphs with many pendant vertices, and on
-    # tailless components past their window with caps at their coloring
-    # count and one less; a bulk step on a component's meter shows that
-    # the counting pass spent a tail in bulk, a second meter for a
-    # component that it counted the component again
+    # the profile search against the one that completed every coloring in
+    # a fixed order: the same profiles and components past their window,
+    # or BudgetExhausted with the same message, with chi and chi + 1
+    # classes and caps of 20, 50 and 10^6, on random graphs and on graphs
+    # with many pendant vertices, and on tailless components past their
+    # window with caps at their coloring count and one less. At chi, the
+    # lowest free vertex of class_size_profiles against checking every
+    # coloring: the window's own bound depends on the order of the visits.
+    # A bulk step on a component's meter shows that the counting pass spent
+    # a tail in bulk. A component past its window gets a second meter
+    # exactly when it has a tail, so a tailless one is counted on one meter
     bulk = []
     meters = []
 
@@ -513,145 +508,168 @@ def test_profile_search_matches_the_search_before_bulk_counting(monkeypatch):
     cases = []
     for g in graphs:
         chi = op.chromatic_number(g)
-        cases += [(g, r, (20, 50, 10**6), False) for r in (chi, chi + 1)]
-    tailless = [(*case, True) for case in _tailless_cases(random.Random(2525))]
+        cases += [(g, r, (20, 50, 10**6)) for r in (chi, chi + 1)]
+    tailless = _tailless_cases(random.Random(2525))
     monkeypatch.setattr(coloring, "Meter", Watched)
-    runs = counted = exhausted = recounted = kept = 0
-    for g, r, caps, past in cases + tailless:
+    runs = counted = exhausted = recounted = kept = frees = 0
+    for g, r, caps in cases + tailless:
+        truth = None
         for cap in caps:
             bulk.clear()
             meters.clear()
             want = _outcome(profile_search_before, g, cap, r)
-            assert _outcome(_profile_search, g, cap, r) == want, (op.to_graph6(g), r, cap)
+            got = _outcome(_profile_search, g, cap, r)
             runs += 1
-            exhausted += isinstance(want, str)
+            if isinstance(want, str):
+                assert got == want, (op.to_graph6(g), r, cap)
+                exhausted += 1
+                continue
+            past = [sum(1 << v for v in part) for part in want[2]]
+            assert (got[0], got[2]) == (want[0], past), (op.to_graph6(g), r, cap)
+            tails = sum(bool(coloring._tail(g.adj, comp, r)) for comp in past)
+            assert len(meters) == len(components(g)) + tails, (op.to_graph6(g), r, cap)
+            recounted += tails
+            kept += len(past) - tails
             counted += bool(bulk)
-            if past and cap > g.n:
-                # past its window under the cap, a tailless component is
-                # counted again when a branch of the kernel's search can
-                # die, and keeps its single pass when none can (cycles)
-                assert (len(meters) == 2) == _branch_can_die(g, r), (op.to_graph6(g), r, cap)
-                recounted += len(meters) == 2
-                kept += len(meters) == 1
-    assert runs >= 1_000 and counted >= 50 and exhausted >= 50
+            if r == op.chromatic_number(g):
+                truth = truth or profiles_checking_each_coloring(g, r)
+                assert op.class_size_profiles(g, cap) == truth, (op.to_graph6(g), cap)
+                frees += 1
+    assert runs >= 1_000 and counted >= 50 and exhausted >= 50 and frees >= 300
     assert len(tailless) >= 12 and recounted >= 15 and kept >= 6
 
 
-def _partitions_visited(search, *args, stop_at=None):
-    """What one search returns, and the multiset of partitions it visits,
-    each as the set of its class masks; the visit returns True at the
-    ``stop_at``-th coloring."""
+def _partitions_visited(search, g, vertices, pinned, total, stop_at=None):
+    """What one search returns, and the multiset of colorings it visits,
+    each as its pinned classes in order and the set of the classes it
+    opened; the visit returns True at the ``stop_at``-th coloring."""
     seen = Counter()
     visits = 0
 
     def visit(classes):
         nonlocal visits
-        seen[frozenset(classes)] += 1
+        seen[tuple(classes[: len(pinned)]), frozenset(classes[len(pinned):])] += 1
         visits += 1
         return visits == stop_at
 
-    return search(*args, visit), seen
+    return search(g, vertices, list(pinned), total, visit), seen
+
+
+def _visit_graphs(rng):
+    """Random graphs on 1 to 12 vertices and graphs with pendant leaves."""
+    graphs = [op.random_graph(rng.randint(1, 12), rng.choice((0.15, 0.3, 0.5, 0.7, 0.9)), rng) for _ in range(100)]
+    return graphs + [_with_pendants(rng) for _ in range(30)]
+
+
+def _compare_with_plain(g, cases, rng):
+    """Check each (part, pinned, total) of ``cases`` against the plain
+    fixed-order kernel: the same multiset of colorings, each once, and a
+    visit that returns True stops the search at that coloring. Searches
+    past 3,000 colorings are left out. Returns how many cases were
+    compared and how many were stopped."""
+    compared = stopped = 0
+    for part, pinned, total in cases:
+        listed = list(iter_bits(part)) if isinstance(part, int) else part
+        done, want = _partitions_visited(plain_color_search, g, listed, pinned, total, stop_at=3_001)
+        if done:
+            continue
+        assert set(want.values()) <= {1}
+        got = _partitions_visited(_color_search, g, part, pinned, total)
+        assert got == (False, want), (op.to_graph6(g), part, pinned, total)
+        compared += 1
+        if want:
+            k = rng.randint(1, len(want))
+            done, seen = _partitions_visited(_color_search, g, part, pinned, total, stop_at=k)
+            assert done and set(seen.values()) == {1} and len(seen) == k and seen.keys() <= want.keys()
+            stopped += 1
+    return compared, stopped
 
 
 def test_saturation_search_visits_each_coloring_once():
-    # the counting pass's head search against the plain kernel: the same
-    # multiset of partitions, each once, at chi and chi + 1 classes, over
-    # the whole vertex set in search or random order and over the head
-    # that a tail leaves, on random graphs and graphs with pendant leaves;
-    # a visit that returns True stops it at that coloring
+    # the one colouring search against the plain fixed-order kernel, with
+    # no class pinned: the same multiset of colorings, each once, for class
+    # counts chi - 1 to chi + 2, over the vertex set in search or random
+    # order or as a mask and over the head that a tail leaves; a visit that
+    # returns True stops the search at that coloring
     rng = random.Random(2511)
-    graphs = [op.random_graph(rng.randint(1, 11), rng.choice((0.15, 0.3, 0.5, 0.7, 0.9)), rng) for _ in range(70)]
-    graphs += [_with_pendants(rng) for _ in range(30)]
-    heads = stopped = 0
-    for g in graphs:
+    compared = heads = stopped = 0
+    for g in _visit_graphs(rng):
         chi = op.chromatic_number(g)
         order = _search_order(g)
-        for r in (chi, chi + 1):
-            tail = coloring._tail(g.adj, order, r)
-            head = [v for v in order if not tail >> v & 1]
-            heads += head != order
-            for part in (order, rng.sample(order, len(order)), head):
-                done, want = _partitions_visited(plain_color_search, g, part, [], r)
-                assert set(want.values()) <= {1} and not done
-                got = _partitions_visited(coloring._saturation_search, g, part, r)
-                assert got == (False, want), (op.to_graph6(g), r, part)
-                if want:
-                    k = rng.randint(1, len(want))
-                    done, seen = _partitions_visited(coloring._saturation_search, g, part, r, stop_at=k)
-                    assert done and sum(seen.values()) == k and seen.keys() <= want.keys()
-                    stopped += 1
-    assert heads >= 40 and stopped >= 600
-
-
-def test_window_pass_stops_past_its_window(monkeypatch):
-    # G(30,0.7)#2 has no tail and 4,102 optimal colorings: the kernel's
-    # window pass completes |C| + 1 = 31 of them and the counting pass all
-    # 4,102, most saturated vertex first
-    g = dense_g30()
-    visits = Counter()
-
-    def wrapped(search):
-        def run(*args):
-            *rest, visit = args
-
-            def counted(classes):
-                visits[search.__name__] += 1
-                return visit(classes)
-
-            return search(*rest, counted)
-
-        return run
-
-    for name in ("_color_search", "_saturation_search"):
-        monkeypatch.setattr(coloring, name, wrapped(getattr(coloring, name)))
-    parts, _, unchecked = _profile_search(g, DEFAULT_ENUMERATION_CAP, 10)
-    assert visits == {"_color_search": 31, "_saturation_search": 4_102}
-    assert len(unchecked) == 1 and parts == [op.class_size_profiles(g)[1]]
-
-
-def _kernel_run(kernel, h, order, classes, total, stop_at):
-    """What one kernel call returns, and the classes at each of its
-    visits; the visit returns True at the ``stop_at``-th completed
-    coloring."""
-    seen = []
-
-    def visit(classes):
-        seen.append(tuple(classes))
-        return len(seen) == stop_at
-
-    return kernel(h, order, list(classes), total, visit), seen
+        cases = []
+        for total in range(chi - 1, chi + 3):
+            cases += [(part, [], total) for part in (order, rng.sample(order, g.n), g.vertex_mask)]
+            tail = coloring._tail(g.adj, g.vertex_mask, total)
+            if tail:
+                cases.append((g.vertex_mask ^ tail, [], total))
+                heads += 1
+        runs = _compare_with_plain(g, cases, rng)
+        compared += runs[0]
+        stopped += runs[1]
+    assert compared >= 1_500 and heads >= 40 and stopped >= 1_000
 
 
 def test_kernel_visits_as_without_cuts():
-    # the forward-checking kernel against the kernel that searches every
-    # branch: the same visits in the same order, the same return value,
-    # for class counts chi - 1 to chi + 2, for pinned classes shaped like
-    # the colour extension search, and for a visit that stops the search
-    # at the k-th coloring; a search past 300 colorings is stopped there
+    # the one colouring search, which ends a branch when a vertex has no
+    # class left, against the plain kernel that searches every branch, with
+    # classes pinned: the same multiset of colorings, each once, for a
+    # coloring of N(x) pinned and the other vertices placed, as in the
+    # colour extension search, at class counts chi - 1 to chi + 2, and for
+    # x's class pinned twice over the rest of x's component, as in the
+    # free-vertex search; a visit that returns True stops the search at
+    # that coloring
     rng = random.Random(151)
-    stopped = pinned_runs = 0
-    for _ in range(70):
-        g = op.random_graph(rng.randint(1, 12), rng.choice((0.15, 0.3, 0.5, 0.7, 0.9)), rng)
+    compared = pinned_runs = twins = stopped = 0
+    for g in _visit_graphs(rng):
         chi = op.chromatic_number(g)
-        order = _search_order(g) if rng.random() < 0.5 else rng.sample(range(g.n), g.n)
-        cases = [(order, [], total) for total in range(chi - 1, chi + 3)]
+        order = _search_order(g)
+        cases = []
         # a coloring of N(x) pinned, then the other vertices placed
         for x in rng.sample(range(g.n), min(2, g.n)):
             inside = [v for v in order if g.adj[x] >> v & 1]
             outside = [v for v in order if not g.adj[x] >> v & 1]
-            _, colorings = _kernel_run(plain_color_search, g, inside, [], max(chi - 2, 1), 300)
+            colorings = []
+
+            def keep(classes):
+                colorings.append(list(classes))
+                return len(colorings) == 300
+
+            plain_color_search(g, inside, [], max(chi - 2, 1), keep)
             for pinned in rng.sample(colorings, min(3, len(colorings))):
                 cases += [(outside, pinned, total) for total in range(chi - 1, chi + 3)]
                 pinned_runs += 1
-        for part, classes, total in cases:
-            want = _kernel_run(plain_color_search, g, part, classes, total, 300)
-            assert _kernel_run(_color_search, g, part, classes, total, 300) == want
-            if want[1]:
-                k = rng.randint(1, len(want[1]))
-                got = _kernel_run(_color_search, g, part, classes, total, k)
-                assert got == (True, want[1][:k])
-                stopped += 1
-    assert stopped >= 400 and pinned_runs >= 80
+        # x's class and a closed twin of it pinned, as the free-vertex search does
+        for x in rng.sample(range(g.n), min(2, g.n)):
+            comp = next(c for c in components(g) if c >> x & 1)
+            cases.append((comp ^ 1 << x, [1 << x, 1 << x], chi))
+            twins += 1
+        runs = _compare_with_plain(g, cases, rng)
+        compared += runs[0]
+        stopped += runs[1]
+    assert compared >= 700 and pinned_runs >= 80 and twins >= 200 and stopped >= 400
+
+
+def test_tailless_component_visits_each_coloring_once_on_one_meter(monkeypatch):
+    # G(30,0.7)#2 has no tail and 4,102 optimal colorings: the window pass
+    # checks the first 31 and runs on to the end on the same meter,
+    # visiting each coloring once, and nothing counts the component again
+    g = dense_g30()
+    seen = Counter()
+    meters = []
+    search = coloring._color_search
+
+    def tallied(h, vertices, classes, total, visit):
+        def counted(classes):
+            seen[frozenset(classes)] += 1
+            return visit(classes)
+
+        return search(h, vertices, classes, total, counted)
+
+    monkeypatch.setattr(coloring, "_color_search", tallied)
+    monkeypatch.setattr(coloring, "Meter", lambda cap: meters.append(cap) or Meter(cap))
+    parts, _, unchecked = _profile_search(g, DEFAULT_ENUMERATION_CAP, 10)
+    assert sum(seen.values()) == len(seen) == 4_102 and meters == [DEFAULT_ENUMERATION_CAP]
+    assert unchecked == [g.vertex_mask] and parts == [op.class_size_profiles(g)[1]]
 
 
 class _CountedRows(tuple):
@@ -674,14 +692,13 @@ def _row_reads(g, search):
 
 
 def test_kernel_cuts_dead_branches():
-    # the kernel reads one row per node, and rule 2 one per stuck vertex
-    # it tries. These searches read 440, 4,821 and 1,934 rows; without
-    # forward checking 145,860, 289,986 and 33,186; without rule 1,
-    # 1,444, 4,821 and 2,467; without rule 2, 2,728, 17,402 and 2,604;
-    # checking only after a new class opens, 440, 4,905 and 2,318. These
-    # counts were taken with the colour extension search that tried each
-    # m in turn; the one-pass search reads 1,177 and 1,249 rows in the last
-    # two
+    # the search reads one row per node, and one per vertex of each class
+    # pinned at its start. Taking the most saturated vertex next, these
+    # searches read 311, 554 and 546 rows. The search that took the
+    # vertices in a fixed degree order read 440, 1,177 and 1,249 rows with
+    # its two forward-checking cuts, and 145,860, 289,986 and 33,186
+    # without them (the last two with the colour extension search that
+    # tried each m in turn)
     fd5 = op.blow_up(op.construct_fdiamond(), 5)
     reads, (chi, profiles, free) = _row_reads(fd5, op.class_size_profiles)
     assert (chi, profiles, free) == (3, {(10, 10, 15)}, None)

@@ -51,6 +51,9 @@ def test_enumerate_copies_anchor():
     assert all(0 in e.image() for e in embs)
     with pytest.raises(PreconditionError):
         list(op.enumerate_copies(star, K2, anchor=9))
+    # the empty map's image is empty, so no copy of the empty graph holds
+    # the anchor
+    assert list(op.enumerate_copies(K3, op.empty_graph(0), anchor=1)) == []
 
 
 def test_enumerate_copies_oversized_h_is_empty():

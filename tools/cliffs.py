@@ -10,15 +10,13 @@ wall time of `class_size_profiles`, or CAP when the search ends in
 benchmark draws its G(n,p)#i, from `Random(1000 n + i)`; a triangle with
 12 pendant leaves has 4,096 colorings, which the profile search counts
 in bulk from the one coloring of the triangle. The last four rows have
-no tail, and fall on both sides of the rule that decides whether such a
-component past its window is counted again, most saturated vertex
-first. The dense G(22,0.5) and G(28,0.6), drawn from `Random(2205)` and
-`Random(2806)`, are counted again, since a branch of the kernel's
-search can die there. C15 and C21 keep their single pass: each of their
-vertices has fewer than 3 neighbours before it in search order. A second
-table gives chi and the wall time of `chromatic_number` on unions of
-many paths and a 5-cycle, where a search that backtracks across
-components retries every coloring of the paths.
+no tail: the dense G(22,0.5) and G(28,0.6), drawn from `Random(2205)` and
+`Random(2806)`, and the cycles C15 and C21. A second table gives chi and
+the wall time of `chromatic_number` on unions of many paths and a
+5-cycle, where a search that backtracks across components retries every
+coloring of the paths, and on G(40,0.5) from `Random(40)`, where a
+search that takes the vertices in a fixed order branches on many
+vertices below one that no class can take.
 A third gives CE, its witness and the wall time of `full_report` on the
 costliest `params` inputs of the benchmark: the fdiamond blow-ups fd*4
 and fd*5, the complete multipartite K[2,3,4,5,6,7], the dense G(n, 0.7)
@@ -27,7 +25,10 @@ search and the colour extension search do the work. Two draws also
 appear relabelled by `Random(2).shuffle`, which leaves vertex 0 not
 free: the CE = 0 witness is then not the first vertex, and the profile
 search must decide every vertex below it. The last row is a 128-vertex
-host whose 119 lowest vertices are not free.
+host whose 119 lowest vertices are not free. Each row of these three
+tables pins its answer (chi and the profile count or CAP, chi, CE and
+its witness): the script exits 1, naming each row, when one answers
+otherwise.
 Cliff B is the set of NO verdicts that only a complete search proves:
 perfect-packing refutations in K_a+K_b, K_{a,b}, K_{a,b,c} and
 K_{3,...,3,3(k-1)} hosts (k = 4..10), the space barriers of K_r
@@ -77,21 +78,22 @@ def _pendant_triangle(k: int) -> op.Graph:
     return op.Graph.from_edges(k + 3, [(0, 1), (1, 2), (0, 2)] + [(i % 3, i + 3) for i in range(k)])
 
 
+# (name, graph, (chi, number of profiles), or None for CAP)
 PROFILE_CLIFFS = (
-    ("16K2", lambda: _copies(op.complete_graph(2), 16)),
-    ("18K2", lambda: _copies(op.complete_graph(2), 18)),
-    ("22K2", lambda: _copies(op.complete_graph(2), 22)),
-    ("3C5", lambda: _copies(op.cycle_graph(5), 3)),
-    ("4C5", lambda: _copies(op.cycle_graph(5), 4)),
-    ("G(16,0.15)#1 from Random(16001)", lambda: op.random_graph(16, 0.15, random.Random(16001))),
-    ("G(20,0.15) from Random(20)", lambda: op.random_graph(20, 0.15, random.Random(20))),
-    ("G(24,0.2) from Random(24)", lambda: op.random_graph(24, 0.2, random.Random(24))),
-    ("G(26,0.2)#3 from Random(26003)", lambda: op.random_graph(26, 0.2, random.Random(26003))),
-    ("K3 with 12 pendant leaves", lambda: _pendant_triangle(12)),
-    ("G(22,0.5) from Random(2205)", lambda: op.random_graph(22, 0.5, random.Random(2205))),
-    ("G(28,0.6) from Random(2806)", lambda: op.random_graph(28, 0.6, random.Random(2806))),
-    ("C15", lambda: op.cycle_graph(15)),
-    ("C21", lambda: op.cycle_graph(21)),
+    ("16K2", lambda: _copies(op.complete_graph(2), 16), (2, 1)),
+    ("18K2", lambda: _copies(op.complete_graph(2), 18), (2, 1)),
+    ("22K2", lambda: _copies(op.complete_graph(2), 22), (2, 1)),
+    ("3C5", lambda: _copies(op.cycle_graph(5), 3), (3, 3)),
+    ("4C5", lambda: _copies(op.cycle_graph(5), 4), (3, 4)),
+    ("G(16,0.15)#1 from Random(16001)", lambda: op.random_graph(16, 0.15, random.Random(16001)), (3, 11)),
+    ("G(20,0.15) from Random(20)", lambda: op.random_graph(20, 0.15, random.Random(20)), (4, 39)),
+    ("G(24,0.2) from Random(24)", lambda: op.random_graph(24, 0.2, random.Random(24)), None),
+    ("G(26,0.2)#3 from Random(26003)", lambda: op.random_graph(26, 0.2, random.Random(26003)), None),
+    ("K3 with 12 pendant leaves", lambda: _pendant_triangle(12), (3, 13)),
+    ("G(22,0.5) from Random(2205)", lambda: op.random_graph(22, 0.5, random.Random(2205)), (6, 9)),
+    ("G(28,0.6) from Random(2806)", lambda: op.random_graph(28, 0.6, random.Random(2806)), (8, 6)),
+    ("C15", lambda: op.cycle_graph(15), (3, 7)),
+    ("C21", lambda: op.cycle_graph(21), (3, 12)),
 )
 
 
@@ -99,9 +101,11 @@ def _paths_and_c5(k: int) -> op.Graph:
     return op.disjoint_union(_copies(op.path_graph(3), k), op.cycle_graph(5))
 
 
+# (name, graph, chi)
 CHROMATIC_CLIFFS = (
-    ("16P3+C5", lambda: _paths_and_c5(16)),
-    ("18P3+C5", lambda: _paths_and_c5(18)),
+    ("16P3+C5", lambda: _paths_and_c5(16), 3),
+    ("18P3+C5", lambda: _paths_and_c5(18), 3),
+    ("G(40,0.5) from Random(40)", lambda: op.random_graph(40, 0.5, random.Random(40)), 8),
 )
 
 
@@ -123,22 +127,25 @@ def _cycle_on_path_square(m: int, k: int) -> op.Graph:
     return op.Graph.from_edges(n, edges)
 
 
+# (name, graph, (CE, witness)); an infinite CE has value and witness None
 REPORTS = (
-    ("fd*4", lambda: op.blow_up(op.construct_fdiamond(), 4)),
-    ("fd*5", lambda: op.blow_up(op.construct_fdiamond(), 5)),
-    ("K[2,3,4,5,6,7]", lambda: op.complete_multipartite([2, 3, 4, 5, 6, 7])[0]),
-    ("G(24,0.7)#0", lambda: op.random_graph(24, 0.7, random.Random(1000 * 24 + 0))),
-    ("G(30,0.7)#2", lambda: op.random_graph(30, 0.7, random.Random(1000 * 30 + 2))),
+    ("fd*4", lambda: op.blow_up(op.construct_fdiamond(), 4), (1, 24)),
+    ("fd*5", lambda: op.blow_up(op.construct_fdiamond(), 5), (1, 30)),
+    ("K[2,3,4,5,6,7]", lambda: op.complete_multipartite([2, 3, 4, 5, 6, 7])[0], (None, None)),
+    ("G(24,0.7)#0", lambda: op.random_graph(24, 0.7, random.Random(1000 * 24 + 0)), (1, 2)),
+    ("G(30,0.7)#2", lambda: op.random_graph(30, 0.7, random.Random(1000 * 30 + 2)), (0, 0)),
     (
         "G(30,0.7)#2 shuffled",
         lambda: _shuffled(op.random_graph(30, 0.7, random.Random(1000 * 30 + 2))),
+        (0, 1),
     ),
     (
         "G(18,0.12)#1 shuffled",
         lambda: _shuffled(op.random_graph(18, 0.12, random.Random(1000 * 18 + 1))),
+        (0, 2),
     ),
-    ("hd(5,7,[6]*7)", lambda: op.construct_hdiamond(5, 7, [6] * 7)),
-    ("C11 on a path square", lambda: _cycle_on_path_square(119, 11)),
+    ("hd(5,7,[6]*7)", lambda: op.construct_hdiamond(5, 7, [6] * 7), (5, 42)),
+    ("C11 on a path square", lambda: _cycle_on_path_square(119, 11), (0, 119)),
 )
 
 
@@ -261,40 +268,48 @@ def _engine(parts, sizes):
 
 
 def main() -> int:
-    width = max(len(name) for name, _ in PROFILE_CLIFFS)
+    wrong = []
+    width = max(len(name) for name, _, _ in PROFILE_CLIFFS)
     print(f"{'instance':<{width}}  chi  profiles        ms")
-    for name, build in PROFILE_CLIFFS:
+    for name, build, pinned in PROFILE_CLIFFS:
         g = build()
         start = time.perf_counter()
         try:
             chi, profiles, _ = op.class_size_profiles(g)
+            got = chi, len(profiles)
             answer = f"{chi:3d}  {len(profiles):8d}"
         except op.BudgetExhausted:
+            got = None
             answer = f"{'CAP':>13}"
         ms = (time.perf_counter() - start) * 1000
         print(f"{name:<{width}}  {answer}  {ms:8.1f}")
+        if got != pinned:
+            wrong.append((name, "CAP" if pinned is None else "chi %d with %d profiles" % pinned))
     print()
-    width = max(len(name) for name, _ in CHROMATIC_CLIFFS)
+    width = max(len(name) for name, _, _ in CHROMATIC_CLIFFS)
     print(f"{'instance':<{width}}  chi        ms")
-    for name, build in CHROMATIC_CLIFFS:
+    for name, build, pinned in CHROMATIC_CLIFFS:
         g = build()
         start = time.perf_counter()
         chi = op.chromatic_number(g)
         ms = (time.perf_counter() - start) * 1000
         print(f"{name:<{width}}  {chi:3d}  {ms:8.1f}")
+        if chi != pinned:
+            wrong.append((name, f"chi {pinned}"))
     print()
-    width = max(len(name) for name, _ in REPORTS)
+    width = max(len(name) for name, _, _ in REPORTS)
     print(f"{'instance':<{width}}   CE  witness        ms")
-    for name, build in REPORTS:
+    for name, build, pinned in REPORTS:
         g = build()
         start = time.perf_counter()
         report = op.full_report(g)
         ms = (time.perf_counter() - start) * 1000
         print(f"{name:<{width}}  {report.ce!r:>3}  {report.witness_vertex!s:>7}  {ms:8.1f}")
+        if (report.ce.value, report.witness_vertex) != pinned:
+            wrong.append((name, "CE %s with witness %s" % pinned))
     print()
     width = max(len(name) for name, _ in CLIFFS)
     print(f"{'instance':<{width}}  verdict      nodes        ms  us/node")
-    wrong = []
     for name, run in CLIFFS:
         start = time.perf_counter()
         verdict, nodes = run()
