@@ -73,7 +73,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from operator import add, and_, or_
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .graphs import Graph, Meter, PreconditionError, components, iter_bits
 
@@ -101,12 +101,6 @@ def greedy_clique(h: Graph) -> tuple[int, ...]:
     return tuple(clique)
 
 
-def _search_order(h: Graph) -> list[int]:
-    """The vertices by falling degree and then rising label, the order in
-    which the colour extension search lists them."""
-    return sorted(range(h.n), key=lambda v: (-h.degree(v), v))
-
-
 @lru_cache(maxsize=1)
 def _degree_planes(adj: tuple[int, ...]) -> tuple[int, ...]:
     """The degrees of the graph with rows ``adj``, bit-sliced over vertex
@@ -127,17 +121,17 @@ def _degree_planes(adj: tuple[int, ...]) -> tuple[int, ...]:
 
 def _color_search(
     h: Graph,
-    vertices: int | Iterable[int],
+    vertices: int,
     classes: list[int],
     total: int,
     visit: Callable[[list[int]], bool],
 ) -> bool:
-    """Calls ``visit(classes)`` on each coloring of ``vertices`` (a mask,
-    or the vertices in any order) with at most ``total`` classes, once
-    each and in an order no caller reads, and returns True as soon as a
-    call does; False after the whole search. ``classes`` are masks over
-    the vertices of h: the ones given stay pinned, and the search appends
-    the classes it opens.
+    """Calls ``visit(classes)`` on each coloring of the vertex mask
+    ``vertices`` with at most ``total`` classes, once each and in an
+    order no caller reads, and returns True as soon as a call does; False
+    after the whole search. ``classes`` are masks over the vertices of h:
+    the ones given stay pinned, and the search appends the classes it
+    opens.
 
     Each node takes the unplaced vertex adjacent to the most classes, the
     higher degree and then the lower label on a tie, and puts it into each
@@ -154,7 +148,6 @@ def _color_search(
     borrow. The last vertex needs no counts: the node that places the one
     before it completes it in ``finish``."""
     adj = h.adj
-    left = vertices if isinstance(vertices, int) else sum(1 << v for v in vertices)
     units = max(total, len(classes)).bit_length() - 1
     planes = [0] * (units + 1)
     planes += _degree_planes(adj)
@@ -168,7 +161,7 @@ def _color_search(
             mask |= adj[low.bit_length() - 1]
             m ^= low
         near.append(mask)
-        carry = mask & left
+        carry = mask & vertices
         j = units
         while carry:
             plane = planes[j]
@@ -239,9 +232,9 @@ def _color_search(
             classes.pop()
         return False
 
-    if left & (left - 1):
-        return place(left)
-    return finish(left) if left else visit(classes)
+    if vertices & (vertices - 1):
+        return place(vertices)
+    return finish(vertices) if vertices else visit(classes)
 
 
 def chromatic_number(h: Graph) -> int:
@@ -327,15 +320,15 @@ def class_size_profiles(
     can join, so the search reaches a coloring exactly when some coloring
     of C with at most chi classes has a second class that misses N(x), or
     has fewer than chi classes. A check costs O(chi) per vertex. On the
-    benchmark's params inputs a pinned search past |C| colorings visited
-    a median 0.9 |C| nodes when the searches took the vertices in a fixed
-    order, so the switch comes where the checks would have cost about one
-    search. On components with at most |C| colorings the checks stay:
-    there the pinned searches mostly fail, and a failing one then visited
-    up to 67 |C| nodes. The pinned searches are not metered, and run only
-    here: the packing layer reads the profiles of ``_profile_search``
-    alone. The lowest free vertex is the witness of colour extension
-    number 0 (see ``parameters``).
+    benchmark's params inputs a pinned search past |C| colorings visits a
+    median 0.94 |C| nodes, so the switch comes where the checks would
+    have cost about one search. On components with at most |C| colorings
+    the checks stay: there the pinned searches mostly fail, a failing one
+    visits up to 8.7 |C| nodes, and deciding G(24,0.7)#0 by them alone
+    takes ``full_report`` from about 0.7 to 3.3 ms. The pinned searches
+    are not metered, and run only here: the packing layer reads the
+    profiles of ``_profile_search`` alone. The lowest free vertex is the
+    witness of colour extension number 0 (see ``parameters``).
     """
     r = chromatic_number(h)
     parts, free, unchecked = _profile_search(h, cap, r)

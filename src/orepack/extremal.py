@@ -53,7 +53,11 @@ class ExtremalInstance(FrozenRecord):
             missing = [p for p in BOUNDED_FAMILIES[family][1] if p not in params]
             if missing:
                 raise ValueError(f"{family} params lack {', '.join(missing)}")
-        self._set(graph, w, claimed_ore_bound, family, params)
+        # copied, so editing the caller's dict afterwards cannot change the instance
+        self._set(graph, w, claimed_ore_bound, family, dict(params))
+
+    def _key(self) -> tuple:
+        return self.graph, self.w, self.claimed_ore_bound, self.family, frozenset(self.params.items())
 
     def to_json_dict(self) -> dict:
         return {

@@ -11,7 +11,8 @@ build rows that are symmetric, loop-free and in range by construction,
 and hand them to ``Graph._of_valid_rows``, which checks only the order.
 Every graph operation in this module is a pure function of its inputs;
 the one stateful object is ``Meter``, the step counter of the packing,
-cover and optimal-coloring searches.
+cover, optimal-coloring and class-size profile searches and of the
+packing layer's type-count engine.
 
 ``Graph`` and the package's other types that check or change their
 fields are slotted classes on ``Record``, and its plain records are

@@ -38,7 +38,6 @@ from .coloring import (
     optimal_colorings,  # noqa: F401  unused here; perfbench/tracing.py wraps this name
     require_edge,
     _color_search,
-    _search_order,
 )
 from .graphs import FrozenRecord, Graph, PreconditionError, components
 
@@ -233,9 +232,8 @@ def colour_extension_number(
     """
     require_edge(h)
     r = chromatic_number(h) if chi is None else chi
-    order = _search_order(h)
     best = max(start, r - 2)
-    witness = outside = None
+    witness = None
 
     def lower(classes: list[int]) -> bool:
         nonlocal best, witness
@@ -243,11 +241,9 @@ def colour_extension_number(
         return True
 
     def extend(pinned: list[int]) -> bool:
-        nonlocal outside, witness
-        if outside is None:
-            outside = [v for v in order if not nbrs >> v & 1]
-            if witness is None:
-                witness = x
+        nonlocal witness
+        if witness is None:
+            witness = x
         while best > start and _color_search(h, outside, list(pinned), r + best - 1, lower):
             pass
         return best == start
@@ -257,8 +253,8 @@ def colour_extension_number(
         if nbrs in seen:
             continue
         seen.add(nbrs)
-        outside = None
-        if _color_search(h, [v for v in order if nbrs >> v & 1], [], r - 2, extend):
+        outside = h.vertex_mask ^ nbrs
+        if _color_search(h, nbrs, [], r - 2, extend):
             break
     if witness is None:
         return ExtendedNat.infinite(), None

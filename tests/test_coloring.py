@@ -17,7 +17,6 @@ from orepack.coloring import (
     _color_search,
     _labelled_sums,
     _profile_search,
-    _search_order,
 )
 from orepack.graphs import Meter, components, iter_bits
 
@@ -350,8 +349,14 @@ def _coloring_count(g, comp, r, limit=None):
         count += 1
         return count == limit
 
-    plain_color_search(g, [v for v in _search_order(g) if v in comp], [], r, visit)
+    plain_color_search(g, [v for v in _by_degree(g) if v in comp], [], r, visit)
     return count
+
+
+def _by_degree(g):
+    """The vertices by falling degree and then rising label: an order for
+    the plain kernel, which takes its vertices as listed."""
+    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
 
 
 def _cycle_on_path_square(m, k):
@@ -569,8 +574,7 @@ def _compare_with_plain(g, cases, rng):
     compared and how many were stopped."""
     compared = stopped = 0
     for part, pinned, total in cases:
-        listed = list(iter_bits(part)) if isinstance(part, int) else part
-        done, want = _partitions_visited(plain_color_search, g, listed, pinned, total, stop_at=3_001)
+        done, want = _partitions_visited(plain_color_search, g, list(iter_bits(part)), pinned, total, stop_at=3_001)
         if done:
             continue
         assert set(want.values()) <= {1}
@@ -588,17 +592,18 @@ def _compare_with_plain(g, cases, rng):
 def test_saturation_search_visits_each_coloring_once():
     # the one colouring search against the plain fixed-order kernel, with
     # no class pinned: the same multiset of colorings, each once, for class
-    # counts chi - 1 to chi + 2, over the vertex set in search or random
-    # order or as a mask and over the head that a tail leaves; a visit that
-    # returns True stops the search at that coloring
+    # counts chi - 1 to chi + 2, over the vertex set, a random vertex
+    # subset, the vertices outside a random vertex's neighbourhood and the
+    # head that a tail leaves; a visit that returns True stops the search
+    # at that coloring
     rng = random.Random(2511)
     compared = heads = stopped = 0
     for g in _visit_graphs(rng):
         chi = op.chromatic_number(g)
-        order = _search_order(g)
         cases = []
         for total in range(chi - 1, chi + 3):
-            cases += [(part, [], total) for part in (order, rng.sample(order, g.n), g.vertex_mask)]
+            outside = g.vertex_mask ^ g.adj[rng.randrange(g.n)]
+            cases += [(part, [], total) for part in (g.vertex_mask, rng.getrandbits(g.n), outside)]
             tail = coloring._tail(g.adj, g.vertex_mask, total)
             if tail:
                 cases.append((g.vertex_mask ^ tail, [], total))
@@ -622,12 +627,12 @@ def test_kernel_visits_as_without_cuts():
     compared = pinned_runs = twins = stopped = 0
     for g in _visit_graphs(rng):
         chi = op.chromatic_number(g)
-        order = _search_order(g)
+        order = _by_degree(g)
         cases = []
         # a coloring of N(x) pinned, then the other vertices placed
         for x in rng.sample(range(g.n), min(2, g.n)):
             inside = [v for v in order if g.adj[x] >> v & 1]
-            outside = [v for v in order if not g.adj[x] >> v & 1]
+            outside = g.vertex_mask ^ g.adj[x]
             colorings = []
 
             def keep(classes):

@@ -101,6 +101,20 @@ def test_graph_equality_and_hash_ignore_labels():
     assert plain.n == 5
 
 
+def test_extremal_instance_hashes_and_owns_its_params():
+    # a FrozenRecord hashes its key, params included; the instance keeps a
+    # copy of the params it is given
+    a, b = op.construct_prop1(3, 9), op.construct_prop1(3, 9)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != op.construct_prop1(3, 12)
+    params = dict(a.params)
+    inst = ExtremalInstance(a.graph, a.w, a.claimed_ore_bound, "prop1", params)
+    key = hash(inst)
+    params["r"] = 4
+    del params["n"]
+    assert inst == a and inst.params == a.params and hash(inst) == key
+
+
 def test_importing_the_cli_loads_no_dataclass_machinery():
     # the records are NamedTuples and slotted classes, so a CLI process
     # compiles no generated methods and does not import inspect

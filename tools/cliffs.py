@@ -25,10 +25,14 @@ search and the colour extension search do the work. Two draws also
 appear relabelled by `Random(2).shuffle`, which leaves vertex 0 not
 free: the CE = 0 witness is then not the first vertex, and the profile
 search must decide every vertex below it. The last row is a 128-vertex
-host whose 119 lowest vertices are not free. Each row of these three
-tables pins its answer (chi and the profile count or CAP, chi, CE and
-its witness): the script exits 1, naming each row, when one answers
-otherwise.
+host whose 119 lowest vertices are not free. A fourth gives the same for
+`colour_extension_number` alone, the search that `orepack verify` runs,
+on fdiamond, fd*5, hd(5,7,[6]*7), G(24,0.7)#0 and G(40,0.5) from
+`Random(40)`; on the last, `full_report` reads CE = 0 off the profile
+search, while the search alone tries thousands of colorings of N(x)
+for an extension. Each row of these four tables pins its answer (chi
+and the profile count or CAP, chi, CE and its witness): the script
+exits 1, naming each row, when one answers otherwise.
 Cliff B is the set of NO verdicts that only a complete search proves:
 perfect-packing refutations in K_a+K_b, K_{a,b}, K_{a,b,c} and
 K_{3,...,3,3(k-1)} hosts (k = 4..10), the space barriers of K_r
@@ -147,6 +151,20 @@ REPORTS = (
     ("hd(5,7,[6]*7)", lambda: op.construct_hdiamond(5, 7, [6] * 7), (5, 42)),
     ("C11 on a path square", lambda: _cycle_on_path_square(119, 11), (0, 119)),
 )
+
+# (name, graph, (CE, witness)) for the colour extension search alone
+EXTENSIONS = (
+    ("fdiamond", op.construct_fdiamond, (1, 6)),
+    ("fd*5", lambda: op.blow_up(op.construct_fdiamond(), 5), (1, 30)),
+    ("hd(5,7,[6]*7)", lambda: op.construct_hdiamond(5, 7, [6] * 7), (5, 42)),
+    ("G(24,0.7)#0", lambda: op.random_graph(24, 0.7, random.Random(1000 * 24 + 0)), (1, 2)),
+    ("G(40,0.5) from Random(40)", lambda: op.random_graph(40, 0.5, random.Random(40)), (0, 2)),
+)
+
+
+def _full_report(g: op.Graph):
+    report = op.full_report(g)
+    return report.ce, report.witness_vertex
 
 
 def _union(a: int, b: int) -> op.Graph:
@@ -297,17 +315,21 @@ def main() -> int:
         if chi != pinned:
             wrong.append((name, f"chi {pinned}"))
     print()
-    width = max(len(name) for name, _, _ in REPORTS)
-    print(f"{'instance':<{width}}   CE  witness        ms")
-    for name, build, pinned in REPORTS:
-        g = build()
-        start = time.perf_counter()
-        report = op.full_report(g)
-        ms = (time.perf_counter() - start) * 1000
-        print(f"{name:<{width}}  {report.ce!r:>3}  {report.witness_vertex!s:>7}  {ms:8.1f}")
-        if (report.ce.value, report.witness_vertex) != pinned:
-            wrong.append((name, "CE %s with witness %s" % pinned))
-    print()
+    for title, rows, run in (
+        ("full_report", REPORTS, _full_report),
+        ("colour_extension_number", EXTENSIONS, op.colour_extension_number),
+    ):
+        width = max(len(title), *(len(name) for name, _, _ in rows))
+        print(f"{title:<{width}}   CE  witness        ms")
+        for name, build, pinned in rows:
+            g = build()
+            start = time.perf_counter()
+            ce, witness = run(g)
+            ms = (time.perf_counter() - start) * 1000
+            print(f"{name:<{width}}  {ce!r:>3}  {witness!s:>7}  {ms:8.1f}")
+            if (ce.value, witness) != pinned:
+                wrong.append((f"{name} ({title})", "CE %s with witness %s" % pinned))
+        print()
     width = max(len(name) for name, _ in CLIFFS)
     print(f"{'instance':<{width}}  verdict      nodes        ms  us/node")
     for name, run in CLIFFS:
