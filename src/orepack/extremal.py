@@ -36,6 +36,27 @@ from .packing import DEFAULT_BUDGET, Verdict, copy_covering_vertex
 from .parameters import colour_extension_number, fraction_json
 
 
+class ReadOnlyParams(dict):
+    """The params of an ``ExtremalInstance``: a dict that refuses every edit
+    and hashes its items, so a built instance keeps its hash and equality.
+    It reads, compares and prints as the plain dict it was made from."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("the params of an extremal instance are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    update = pop = popitem = clear = setdefault = _read_only
+
+    def __reduce__(self):
+        # dict's own pickling would refill the copy through __setitem__
+        return type(self), (dict(self),)
+
+
 class ExtremalInstance(FrozenRecord):
     __slots__ = ("graph", "w", "claimed_ore_bound", "family", "params")
 
@@ -54,10 +75,7 @@ class ExtremalInstance(FrozenRecord):
             if missing:
                 raise ValueError(f"{family} params lack {', '.join(missing)}")
         # copied, so editing the caller's dict afterwards cannot change the instance
-        self._set(graph, w, claimed_ore_bound, family, dict(params))
-
-    def _key(self) -> tuple:
-        return self.graph, self.w, self.claimed_ore_bound, self.family, frozenset(self.params.items())
+        self._set(graph, w, claimed_ore_bound, family, ReadOnlyParams(params))
 
     def to_json_dict(self) -> dict:
         return {

@@ -6,9 +6,11 @@ values can be hashed, compared and shared across threads freely. Every
 the rows into one int, a square bit matrix with a power-of-two row
 stride, and compares it with its transpose, which one delta swap per bit
 of the stride makes; only a mismatch goes back edge by edge to name the
-first asymmetric edge. The graph6 reader and ``probes.random_graph``
-build rows that are symmetric, loop-free and in range by construction,
-and hand them to ``Graph._of_valid_rows``, which checks only the order.
+first asymmetric edge. The graph6 reader, ``relabel`` and
+``probes.random_graph`` build rows that are symmetric, loop-free and in
+range by construction, and hand them to ``Graph._of_valid_rows``, which
+checks only the order. ``relabel`` takes P A P^T by the same transpose:
+it moves the rows, transposes them and moves them again.
 Every graph operation in this module is a pure function of its inputs;
 the one stateful object is ``Meter``, the step counter of the packing,
 cover, optimal-coloring and class-size profile searches and of the
@@ -33,7 +35,9 @@ apart by the edge list's header, two words that are integers, and hands
 the text over; a graph6 word is one word, so it costs no int parse.
 The graph6 body is base64 over another alphabet, so it decodes in one
 C-level call to one int; the parser cuts the rows below the diagonal from
-it and ORs them, packed, with their transpose to get every row.
+it and ORs them, packed, with their transpose to get every row. The writer
+runs these steps backwards: it ORs each row's bits below the diagonal into
+one int and encodes its bytes with one base64 call.
 """
 
 from __future__ import annotations
@@ -398,14 +402,16 @@ def components(g: Graph) -> list[int]:
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Apply the vertex bijection ``v -> perm[v]``."""
-    if sorted(perm) != list(range(g.n)):
+    """Apply the vertex bijection ``v -> perm[v]``: the rows of P A P^T."""
+    n = g.n
+    if sorted(perm) != list(range(n)):
         raise ValueError("perm is not a permutation of the vertex set")
-    adj = [0] * g.n
-    for v in range(g.n):
-        for u in iter_bits(g.adj[v]):
-            adj[perm[v]] |= 1 << perm[u]
-    return Graph(g.n, tuple(adj))
+    # new vertex i is old vertex moved[i]; moving the rows of A and taking
+    # the transpose gives A P^T, whose rows, moved too, are P A P^T
+    moved = sorted(range(n), key=perm.__getitem__)
+    w = _stride(n)
+    cols = _unpack(_transpose(_pack([g.adj[v] for v in moved], w), w), n, w)
+    return Graph._of_valid_rows(n, tuple([cols[v] for v in moved]))
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +470,9 @@ _ASCII_SPACE = " \t\n\r\v\f"
 _ASCII_SPACES = re.compile(f"[{_ASCII_SPACE}]+")
 _G6_CHARS = bytes(range(63, 127))
 # graph6 is base64 over another alphabet: each character carries six bits
-_G6_TO_BASE64 = bytes.maketrans(
-    _G6_CHARS, b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-)
+_BASE64_CHARS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_TO_BASE64 = bytes.maketrans(_G6_CHARS, _BASE64_CHARS)
+_BASE64_TO_G6 = bytes.maketrans(_BASE64_CHARS, _G6_CHARS)
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
@@ -476,10 +482,15 @@ def to_graph6(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
-    # column j is x_{0j} .. x_{(j-1)j}: the bits of adj[j] below j, reversed
-    bits = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
-    bits += "0" * (-len(bits) % 6)
-    return head + "".join(chr(int(bits[i:i + 6], 2) + 63) for i in range(0, len(bits), 6))
+    # the reader's steps backwards: x_{ij} (i < j), bit i of row j, is bit
+    # j(j-1)/2 + i of one int, whose bytes, each reversed, encode as base64
+    bits = start = 0
+    for j, row in enumerate(g.adj):
+        bits |= (row & ((1 << j) - 1)) << start
+        start += j
+    need = (n * (n - 1) // 2 + 5) // 6
+    data = bits.to_bytes((need + 3) // 4 * 3, "little").translate(_REVERSED_BYTE)
+    return head + binascii.b2a_base64(data, newline=False).translate(_BASE64_TO_G6)[:need].decode()
 
 
 def parse_graph6(text: str) -> Graph:

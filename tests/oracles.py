@@ -77,6 +77,34 @@ def decode_graph6_by_columns(word: str) -> Graph:
     return Graph(n, tuple(adj))
 
 
+# ---------------------------------------------------------------------------
+# graph6 writing and relabelling, edge by edge
+#
+# ``to_graph6`` and ``relabel`` as they were before both moved to the
+# reader's bit-matrix steps: one binary string per column, and one edge
+# at a time.
+
+
+def graph6_by_columns(g: Graph) -> str:
+    n = g.n
+    if n <= 62:
+        head = chr(n + 63)
+    else:
+        head = "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+    # column j is x_{0j} .. x_{(j-1)j}: the bits of adj[j] below j, reversed
+    bits = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(int(bits[i:i + 6], 2) + 63) for i in range(0, len(bits), 6))
+
+
+def relabel_edge_by_edge(g: Graph, perm) -> Graph:
+    adj = [0] * g.n
+    for v in range(g.n):
+        for u in graphs.iter_bits(g.adj[v]):
+            adj[perm[v]] |= 1 << perm[u]
+    return Graph(g.n, tuple(adj))
+
+
 def ore_sum_by_pairs(g: Graph) -> int | float:
     """``min_ore_degree_sum`` as it was before it took the vertices by
     rising degree: d(x) + d(y) over every non-adjacent pair x < y."""

@@ -377,6 +377,19 @@ def test_construct_multipartite_and_blowup(capsys, tmp_path):
     assert op.parse_graph6(out.splitlines()[0]) == op.complete_multipartite([2, 2, 2])[0]
 
 
+def test_construct_prints_the_four_byte_order_field(capsys, fdiamond_file):
+    # orders past 62 write '~' and three order characters before the body
+    cases = (
+        (["blowup", "--graph", fdiamond_file, "--t", "18"], op.blow_up(op.construct_fdiamond(), 18)),
+        (["multipartite", "--sizes", "64,64"], op.complete_multipartite([64, 64])[0]),
+    )
+    for argv, built in cases:
+        code, out, _ = run_cli(capsys, "construct", *argv)
+        word = out.splitlines()[0]
+        assert code == 0 and word.startswith("~")
+        assert op.parse_graph6(word) == built and built.n in (126, 128)
+
+
 def test_verify_mismatch_exits_3(capsys, tmp_path):
     inst = op.construct_prop1(3, 9)
     path = tmp_path / "inst.json"

@@ -16,9 +16,11 @@ from orepack.graphs import Meter
 from fixtures import pendant_triangle
 from oracles import (
     decode_graph6_by_columns,
+    graph6_by_columns,
     graph_error_by_scan,
     ore_sum_by_pairs,
     parse_graph_text_before,
+    relabel_edge_by_edge,
 )
 
 
@@ -150,14 +152,19 @@ def test_graph6_errors():
 
 
 def test_graphs_built_without_the_check_pass_it():
-    # parse_graph6 and random_graph build rows that are valid by
+    # parse_graph6, relabel and random_graph build rows that are valid by
     # construction and skip Graph's check; the public constructor, which
     # runs it, accepts each of them as the same graph
     rng = random.Random(19)
     orders = [*range(10), 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128]
     for n in orders:
         for p in (0.0, 0.3, 1.0):
-            for g in (op.random_graph(n, p, rng), op.parse_graph6(op.to_graph6(op.random_graph(n, p, rng)))):
+            built = (
+                op.random_graph(n, p, rng),
+                op.parse_graph6(op.to_graph6(op.random_graph(n, p, rng))),
+                op.relabel(op.random_graph(n, p, rng), rng.sample(range(n), n)),
+            )
+            for g in built:
                 checked = Graph(g.n, g.adj)
                 assert checked == g and hash(checked) == hash(g)
                 assert type(g.adj) is tuple and g.labels is None
@@ -179,6 +186,20 @@ def test_graph6_round_trip_large_orders():
         for p in (0.0, 0.3, 1.0):
             g = op.random_graph(n, p, rng)
             assert op.parse_graph6(op.to_graph6(g)) == g
+
+
+def test_writer_and_relabel_match_the_edge_by_edge_oracles():
+    # every order 0-128 covers each residue of n(n-1)/2 mod 6 (the padding
+    # of the last character) and both order fields, 62 and 63 straddling them
+    rng = random.Random(30)
+    for n in range(129):
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            g = op.random_graph(n, p, rng)
+            word = op.to_graph6(g)
+            assert word == graph6_by_columns(g), (n, p)
+            assert op.parse_graph6(word) == g
+            for perm in (list(range(n)), list(range(n - 1, -1, -1)), rng.sample(range(n), n)):
+                assert op.relabel(g, perm).adj == relabel_edge_by_edge(g, perm).adj, (n, p, perm)
 
 
 def test_graph6_matches_reference_implementation():

@@ -115,6 +115,28 @@ def test_extremal_instance_hashes_and_owns_its_params():
     assert inst == a and inst.params == a.params and hash(inst) == key
 
 
+def test_extremal_instance_params_are_read_only():
+    # no edit through inst.params can change a built instance's hash or
+    # equality; the params still print, compare and pickle as a dict
+    a = op.construct_prop1(3, 9)
+    key, members = hash(a), {a}
+    edits = (
+        lambda p: p.__setitem__("r", 4), lambda p: p.__delitem__("n"), lambda p: p.update(r=4),
+        lambda p: p.pop("r"), lambda p: p.popitem(), lambda p: p.clear(),
+        lambda p: p.setdefault("m", 1), lambda p: p.__ior__({"r": 4}),
+    )
+    for edit in edits:
+        with pytest.raises(TypeError, match="^the params of an extremal instance are read-only$"):
+            edit(a.params)
+    assert a.params == {"r": 3, "n": 9} and repr(a.params) == "{'r': 3, 'n': 9}"
+    assert hash(a) == key == hash(op.construct_prop1(3, 9)) and a in members
+    assert pickle.loads(pickle.dumps(a)) == a
+    params = pickle.loads(pickle.dumps(a.params))
+    assert params == a.params and type(params) is type(a.params)
+    with pytest.raises(TypeError):
+        params["r"] = 4
+
+
 def test_importing_the_cli_loads_no_dataclass_machinery():
     # the records are NamedTuples and slotted classes, so a CLI process
     # compiles no generated methods and does not import inspect
