@@ -24,15 +24,20 @@ certificate and cover embedding is that of the plain search; only the
 node count falls. `enumerate_copies` streams every labelled embedding and
 prunes nothing.
 
-The open-twin classes also show when G is complete multipartite: each
-class is then joined to all the others. There a copy of H is a proper
-colouring of H with labelled colours, and the packing question is one
-about class sizes alone, which ``_types_refute`` answers by counting
-before the search runs. It reads the class sizes of each component's
-colourings from one profile search on H (``coloring._profile_search``),
-whose cap of ``TYPE_ENUMERATION_CAP`` bounds each component's search on
-its own. It only ever refutes: a packing it finds is left to the search,
-so every YES, certificate and node count is the search's.
+Open twins are never adjacent, so G is a spanning subgraph of the
+complete multipartite graph K(P) on its open-twin classes P, and equal to
+it when each class is joined to all the others. A perfect H-packing of G
+is one of K(P). There a copy of H is a proper colouring of H with
+labelled colours, and the packing question is one about class sizes
+alone, which ``_types_refute`` answers by counting before the search
+runs; its NO for K(P) is a NO for G. It runs when G is complete
+multipartite or P has at least |H| classes: with fewer, it would pay a
+profile search to find that K(P) packs. It reads the class sizes of each
+component's colourings from one profile search on H
+(``coloring._profile_search``), whose cap of ``TYPE_ENUMERATION_CAP``
+bounds each component's search on its own. It only ever refutes: a
+packing it finds is left to the search, so every YES, certificate and
+YES node count is the search's.
 
 Search effort is metered in node expansions (candidate assignments tried)
 on a ``graphs.Meter``, so identical inputs and budgets always reproduce
@@ -375,8 +380,10 @@ def has_perfect_packing(
 ) -> PackingResult:
     """Decide whether vertex-disjoint copies of h cover all of g.
 
-    When g is complete multipartite, ``_types_refute`` runs first on its
-    own meter; a refutation is the NO. A packing it finds, or a search it
+    When g is complete multipartite or has at least |h| open-twin classes,
+    ``_types_refute`` runs first on its own meter, on the complete
+    multipartite graph on those classes, of which g is a spanning
+    subgraph; a refutation is the NO. A packing it finds, or a search it
     cannot finish, leaves the verdict and the certificate to the search
     below, with the whole budget."""
     if h.n == 0:
@@ -384,10 +391,11 @@ def has_perfect_packing(
     if g.n % h.n != 0:
         return PackingResult(Verdict.NO, None, 0, budget)
     twins, open_twins = _twin_classes(g)
-    # open twins are never adjacent; g is complete multipartite when every
-    # class of them is joined to all the rest
+    # open twins are never adjacent, so g is a spanning subgraph of the
+    # complete multipartite graph on their classes, and equal to it when
+    # every class is joined to all the rest
     full = g.vertex_mask
-    if all(nbrs | same == full for nbrs, same in open_twins.items()):
+    if len(open_twins) >= h.n or all(nbrs | same == full for nbrs, same in open_twins.items()):
         meter = Meter(budget)
         try:
             if _types_refute([m.bit_count() for m in open_twins.values()], h, meter):

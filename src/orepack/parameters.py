@@ -302,11 +302,7 @@ def full_report(h: Graph) -> ParameterReport:
     else:
         ce, witness = ExtendedNat.finite(0), a.witness_vertex
     prime = _chi_prime(a.chi, ce)
-    if a.hcf_is_one and ce.is_finite:
-        ore = max(a.chi_cr, prime)
-    else:
-        ore = Fraction(a.chi)
-    assert ore == max(a.chi_star, prime)
+    ore = max(a.chi_star, prime)
     assert a.chi - 1 < a.chi_cr <= a.chi
     return ParameterReport(
         **(a._asdict() | {"witness_vertex": witness}),

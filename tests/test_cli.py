@@ -263,6 +263,19 @@ def test_pack_budget_unknown(capsys, tmp_path):
     assert code == 4 and out.splitlines()[0] == "UNKNOWN"
 
 
+def test_pack_budget_too_small_for_the_search_still_refutes(capsys, tmp_path):
+    # the K4 space barrier [7, 9, 8, 8] less an edge between its classes of
+    # 8 has the open-twin classes [7, 9, 1, 7, 1, 7]; the type-count engine
+    # refutes the multipartite graph on them in 1 node, since 8 copies of
+    # K4 cannot cover the class of 9. The search alone takes 2,752 nodes
+    g, _ = op.complete_multipartite([7, 9, 8, 8])
+    g = op.Graph.from_edges(g.n, [e for e in g.edges() if e != (16, 24)])
+    host = graph_file(tmp_path, "barrier.g6", g)
+    k4 = graph_file(tmp_path, "k4.g6", op.complete_graph(4))
+    code, out, _ = run_cli(capsys, "pack", host, k4, "--budget", "1")
+    assert code == 1 and out.splitlines()[0] == "NO"
+
+
 def test_pack_empty_h_exits_3(capsys, tmp_path):
     k2 = graph_file(tmp_path, "k2.g6", op.complete_graph(2))
     empty = tmp_path / "empty.g6"
@@ -410,6 +423,30 @@ def test_verify_mismatch_exits_3(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", str(path), fd2)
     assert (code, out) == (3, "")
     assert "order mismatch: |h|=14, instance h_order=7" in err
+
+
+def test_verify_preconditions_on_h_exit_3(capsys, tmp_path, fdiamond_file):
+    # each precondition that h must meet for the instance's bound, checked
+    # before any search, with nothing on stdout
+    path = tmp_path / "inst.json"
+    cases = [
+        (op.construct_prop1(3, 9), fdiamond_file, "prop1 requires an H with infinite colour extension number"),
+        (
+            op.construct_prop2(3, 1, 7, 7),
+            graph_file(tmp_path, "c7.g6", op.cycle_graph(7)),
+            "extension number mismatch: CE(h)=0, instance m=1",
+        ),
+        (
+            op.construct_prop1(3, 9),
+            graph_file(tmp_path, "k4.g6", op.complete_graph(4)),
+            "chromatic number mismatch: chi(h)=4, instance r=3",
+        ),
+    ]
+    for inst, h_file, message in cases:
+        path.write_text(json.dumps(inst.to_json_dict()))
+        code, out, err = run_cli(capsys, "verify", str(path), h_file)
+        assert (code, out) == (3, "")
+        assert message in err
 
 
 def test_verify_unknown_exits_4(capsys, tmp_path, fdiamond_file):

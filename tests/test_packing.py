@@ -479,6 +479,92 @@ def test_type_count_engine_agrees_with_search_and_naive_oracle(monkeypatch):
     assert len(results) > 300 and refuted > 50 and branched > 0
 
 
+def _is_complete_multipartite(g):
+    """True iff non-adjacency is an equivalence relation on V(g)."""
+    apart = [g.vertex_mask & ~row for row in g.adj]  # v and its non-neighbours
+    return all(apart[u] == apart[v] for v in range(g.n) for u in range(g.n) if apart[v] >> u & 1)
+
+
+def _near_multipartite_hosts(rng, count):
+    """Complete multipartite graphs on 2-6 classes of 1-5 vertices, order
+    at most 10, less 0-3 seeded edges, relabelled."""
+    hosts = []
+    while len(hosts) < count:
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(2, 6))]
+        if sum(sizes) <= 10:
+            g, _ = op.complete_multipartite(sizes)
+            gone = set(rng.sample(list(g.edges()), min(rng.randint(0, 3), g.edge_count())))
+            g = op.Graph.from_edges(g.n, [e for e in g.edges() if e not in gone])
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            hosts.append(op.relabel(g, perm))
+    return hosts
+
+
+def test_engine_refutes_hosts_through_their_open_twin_classes(monkeypatch):
+    # open twins are never adjacent, so every host is a spanning subgraph
+    # of the complete multipartite graph on its open-twin classes, and the
+    # engine's NO there is a NO for the host. With at least |H| classes it
+    # runs on hosts that are not complete multipartite too; with it
+    # switched off the search decides alone, and it is the oracle
+    rng = random.Random(67)
+    paw = op.Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    hs = [K2, K3, op.path_graph(3), op.cycle_graph(4), op.star_graph(3), op.complete_graph(4), paw]
+    types_refute = packing._types_refute
+    refutations = []
+
+    def counted(sizes, h, meter):
+        refuted = types_refute(sizes, h, meter)
+        refutations.append(refuted)
+        return refuted
+
+    monkeypatch.setattr(packing, "_types_refute", counted)
+    results = []
+    engine_refuted = set()  # hosts, not complete multipartite
+    for i, g in enumerate(_near_multipartite_hosts(rng, 800)):
+        for h in hs:
+            if g.n % h.n == 0:
+                refutations.clear()
+                results.append((g, h, op.has_perfect_packing(g, h)))
+                if any(refutations) and not _is_complete_multipartite(g):
+                    engine_refuted.add(i)
+    _without_engine(monkeypatch)
+    for g, h, res in results:
+        search = op.has_perfect_packing(g, h)
+        if res.verdict is Verdict.YES:
+            # the engine leaves a YES to the search: same certificate and count
+            assert res == search
+            assert op.verify_packing(g, h, res.certificate)
+        else:
+            assert res.verdict is search.verdict is Verdict.NO
+        assert (res.verdict is Verdict.YES) == naive_has_perfect_packing(g, h)
+    assert len(engine_refuted) >= 100
+
+
+def test_engine_refutes_near_multipartite_cliff_rows_at_the_root():
+    # the K4 space barrier and K3 into K_{3^5,12}, each less one edge, built
+    # as tools/cliffs.py builds them; the search alone takes 2,600 and
+    # 41,109 nodes
+    for sizes, h in (([7, 9, 8, 8], op.complete_graph(4)), ([3] * 5 + [12], K3)):
+        g, _ = op.complete_multipartite(sizes)
+        gone = set(random.Random(1).sample(list(g.edges()), 1))
+        g = op.Graph.from_edges(g.n, [e for e in g.edges() if e not in gone])
+        res = op.has_perfect_packing(g, h)
+        assert (res.verdict, res.nodes) == (Verdict.NO, 1)
+
+
+def test_engine_skips_hosts_with_fewer_twin_classes_than_h(monkeypatch):
+    # an fdiamond blow-up has 6 open-twin classes against |fdiamond| = 7 and
+    # is not complete multipartite: the engine would pay a profile search
+    # only to find that the multipartite graph on those classes packs
+    calls = []
+    monkeypatch.setattr(packing, "_types_refute", lambda *args: calls.append(args))
+    fd = op.construct_fdiamond()
+    for t in (2, 4, 6):
+        assert op.has_perfect_packing(op.blow_up(fd, t), fd).verdict is Verdict.YES
+    assert calls == []
+
+
 def test_type_count_engine_deals_to_groups_on_hosts_with_many_classes(monkeypatch):
     # hosts of 16 to 40 classes with two or three distinct sizes: the
     # engine deals each type to the groups of equal count, so a state has

@@ -1,57 +1,68 @@
-"""Print the cost of each Cliff A and Cliff B instance.
+"""Print the cost of each cliff instance, and check each one's answer.
 
     python3 tools/cliffs.py
 
-Cliff A (ROADMAP.md, Baseline) is the class-size profile search of
-`orepack params`: for each instance the table gives chi, the number of
-distinct sorted class-size profiles of the optimal colorings, and the
-wall time of `class_size_profiles`, or CAP when the search ends in
-`BudgetExhausted`. G(16,0.15)#1 and G(26,0.2)#3 are drawn as the
-benchmark draws its G(n,p)#i, from `Random(1000 n + i)`; a triangle with
-12 pendant leaves has 4,096 colorings, which the profile search counts
-in bulk from the one coloring of the triangle. The last four rows have
-no tail: the dense G(22,0.5) and G(28,0.6), drawn from `Random(2205)` and
-`Random(2806)`, and the cycles C15 and C21. A second table gives chi and
-the wall time of `chromatic_number` on unions of many paths and a
-5-cycle, where a search that backtracks across components retries every
-coloring of the paths, and on G(40,0.5) from `Random(40)`, where a
-search that takes the vertices in a fixed order branches on many
-vertices below one that no class can take.
-A third gives CE, its witness and the wall time of `full_report` on the
-costliest `params` inputs of the benchmark: the fdiamond blow-ups fd*4
-and fd*5, the complete multipartite K[2,3,4,5,6,7], the dense G(n, 0.7)
-draws from `Random(1000 n + index)` and hd(5,7,[6]*7), where the profile
-search and the colour extension search do the work. Two draws also
-appear relabelled by `Random(2).shuffle`, which leaves vertex 0 not
-free: the CE = 0 witness is then not the first vertex, and the profile
-search must decide every vertex below it. The last row is a 128-vertex
-host whose 119 lowest vertices are not free. A fourth gives the same for
-`colour_extension_number` alone, the search that `orepack verify` runs,
-on fdiamond, fd*5, hd(5,7,[6]*7), G(24,0.7)#0 and G(40,0.5) from
-`Random(40)`; on the last, `full_report` reads CE = 0 off the profile
-search, while the search alone tries thousands of colorings of N(x)
-for an extension. Each row of these four tables pins its answer (chi
-and the profile count or CAP, chi, CE and its witness): the script
-exits 1, naming each row, when one answers otherwise.
-Cliff B is the set of NO verdicts that only a complete search proves:
-perfect-packing refutations in K_a+K_b, K_{a,b}, K_{a,b,c} and
-K_{3,...,3,3(k-1)} hosts (k = 4..10), the space barriers of K_r
-(r = 4..9), the divisibility barriers of K_{1,...,1,3} (r = 2..6
-classes), and the covering refutation that `orepack verify` runs for
-prop2(3,1,7,7) against fdiamond. Cliff C is five of those hosts (the K4,
-K5 and K6 space barriers and K3 into K_{3^5,12} and K_{3^6,15}) with 1
-or 3 edges deleted, which the type-count engine no longer sees. Their
-table gives the verdict, the search nodes, the wall time and the wall
-time per node. Every row of it is a NO instance: the script exits 1,
-naming each row, when one answers anything else.
-A last table runs the type-count engine of `has_perfect_packing`
-(`packing._types_refute`) alone on two YES hosts of 14 distinct class
-sizes, where a state has thousands of children and the engine takes
-only the first of each; the search that `has_perfect_packing` runs
-after it would take 35 s on the first. It gives the engine's verdict,
-nodes and wall time, and the script exits 1, naming the row, when the
-engine answers anything but YES. Times are `time.perf_counter` wall
-times of one run.
+The instances are where orepack's exact searches fall off cliffs
+(ROADMAP.md, Baseline). They come as tables, each a header and rows, and
+each row is a name, the work it times and the answer it pins. One loop
+times and prints every row; the script exits 1, with one stderr line per
+row that names it and shows its answer and its pin, when a row answers
+other than its pin. A packing row times building its host too; every
+other row times only its call. Times are `time.perf_counter` wall times of
+one run.
+
+- Cliff A, the class-size profile search of `orepack params`: chi and
+  the number of distinct sorted class-size profiles of the optimal
+  colourings, or CAP when `class_size_profiles` ends in `BudgetExhausted`.
+  G(16,0.15)#1 and G(26,0.2)#3 are drawn as the benchmark draws its
+  G(n,p)#i, from `Random(1000 n + i)`. A triangle with 12 pendant leaves
+  has 4,096 colourings, which the profile search counts in bulk from the
+  one colouring of the triangle. The last four rows have no tail: the
+  dense G(22,0.5) and G(28,0.6), drawn from `Random(2205)` and
+  `Random(2806)`, and the cycles C15 and C21.
+- `chromatic_number` on unions of many paths and a 5-cycle, where a
+  search that backtracks across components retries every colouring of
+  the paths, and on G(40,0.5) from `Random(40)`, where a search that
+  takes the vertices in a fixed order branches on many vertices below one
+  that no class can take.
+- CE and its witness from `full_report` on the costliest `params` inputs
+  of the benchmark: the fdiamond blow-ups fd*4 and fd*5, the complete
+  multipartite K[2,3,4,5,6,7], the dense G(n, 0.7) draws from
+  `Random(1000 n + index)` and hd(5,7,[6]*7). Two draws also appear
+  relabelled by `Random(2).shuffle`, which leaves vertex 0 not free: the
+  CE = 0 witness is then not the first vertex, and the profile search must
+  decide every vertex below it. The last row is a 128-vertex host whose
+  119 lowest vertices are not free.
+- The same from `colour_extension_number` alone, the search that
+  `orepack verify` runs. On G(40,0.5) from `Random(40)`, `full_report`
+  reads CE = 0 off the profile search, while the search alone tries
+  thousands of colourings of N(x) for an extension.
+- Cliffs B and C, NO verdicts that only a complete search proves, with
+  the search nodes and the wall time per node. Cliff B: perfect-packing
+  refutations in K_a+K_b, K_{a,b}, K_{a,b,c} and K_{3,...,3,3(k-1)} hosts
+  (k = 4..10), the space barriers of K_r (r = 4..9), the divisibility
+  barriers of K_{1,...,1,3} (r = 2..6 classes), and the covering
+  refutation that `orepack verify` runs for prop2(3,1,7,7) against
+  fdiamond. Cliff C: five of those hosts (the K4, K5 and K6 space barriers
+  and K3 into K_{3^5,12} and K_{3^6,15}) with 1 or 3 edges deleted. They
+  are no longer complete multipartite, but the type-count engine still
+  refutes those that keep at least |H| open-twin classes.
+- Cliff D, YES hosts at the Kierstead-Kostochka bound: the K_r space
+  barrier plus a matching in its class of t+1, so that sigma2 =
+  2(1-1/r)n - 1, which forces a K_r-factor. K3 at n = 24 and K4 at
+  n = 40, each relabelled by `Random(1).shuffle` and `Random(2).shuffle`,
+  with a budget of 2*10^6 nodes.
+- Cliff E, cut barriers: K_s joined to k copies of K4 (s = 2k - 3), which
+  has no K3-factor since each K4 needs two vertices of K_s, and K_s joined
+  to s + 2 triangles, which has no perfect matching since each triangle
+  needs one. Each with 0 and with 6 edges deleted, relabelled by
+  `Random(1).shuffle`, with a budget of 2*10^6 nodes; one row ends
+  UNKNOWN.
+- The type-count engine of `has_perfect_packing` (`packing._types_refute`)
+  alone on two YES hosts of 14 distinct class sizes, where a state has
+  thousands of children and the engine takes only the first of each; the
+  search that `has_perfect_packing` runs after it would take 35 s on the
+  first.
 """
 
 from __future__ import annotations
@@ -60,6 +71,7 @@ import os
 import random
 import sys
 import time
+from functools import partial
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
@@ -82,41 +94,14 @@ def _pendant_triangle(k: int) -> op.Graph:
     return op.Graph.from_edges(k + 3, [(0, 1), (1, 2), (0, 2)] + [(i % 3, i + 3) for i in range(k)])
 
 
-# (name, graph, (chi, number of profiles), or None for CAP)
-PROFILE_CLIFFS = (
-    ("16K2", lambda: _copies(op.complete_graph(2), 16), (2, 1)),
-    ("18K2", lambda: _copies(op.complete_graph(2), 18), (2, 1)),
-    ("22K2", lambda: _copies(op.complete_graph(2), 22), (2, 1)),
-    ("3C5", lambda: _copies(op.cycle_graph(5), 3), (3, 3)),
-    ("4C5", lambda: _copies(op.cycle_graph(5), 4), (3, 4)),
-    ("G(16,0.15)#1 from Random(16001)", lambda: op.random_graph(16, 0.15, random.Random(16001)), (3, 11)),
-    ("G(20,0.15) from Random(20)", lambda: op.random_graph(20, 0.15, random.Random(20)), (4, 39)),
-    ("G(24,0.2) from Random(24)", lambda: op.random_graph(24, 0.2, random.Random(24)), None),
-    ("G(26,0.2)#3 from Random(26003)", lambda: op.random_graph(26, 0.2, random.Random(26003)), None),
-    ("K3 with 12 pendant leaves", lambda: _pendant_triangle(12), (3, 13)),
-    ("G(22,0.5) from Random(2205)", lambda: op.random_graph(22, 0.5, random.Random(2205)), (6, 9)),
-    ("G(28,0.6) from Random(2806)", lambda: op.random_graph(28, 0.6, random.Random(2806)), (8, 6)),
-    ("C15", lambda: op.cycle_graph(15), (3, 7)),
-    ("C21", lambda: op.cycle_graph(21), (3, 12)),
-)
-
-
 def _paths_and_c5(k: int) -> op.Graph:
     return op.disjoint_union(_copies(op.path_graph(3), k), op.cycle_graph(5))
 
 
-# (name, graph, chi)
-CHROMATIC_CLIFFS = (
-    ("16P3+C5", lambda: _paths_and_c5(16), 3),
-    ("18P3+C5", lambda: _paths_and_c5(18), 3),
-    ("G(40,0.5) from Random(40)", lambda: op.random_graph(40, 0.5, random.Random(40)), 8),
-)
-
-
-def _shuffled(g: op.Graph) -> op.Graph:
-    """g relabelled by ``random.Random(2).shuffle``."""
+def _shuffled(g: op.Graph, seed: int = 2) -> op.Graph:
+    """g relabelled by ``random.Random(seed).shuffle``."""
     perm = list(range(g.n))
-    random.Random(2).shuffle(perm)
+    random.Random(seed).shuffle(perm)
     return op.relabel(g, perm)
 
 
@@ -129,42 +114,6 @@ def _cycle_on_path_square(m: int, k: int) -> op.Graph:
     cycle = [m - 2, m - 1, *range(m, n)]
     edges += [(cycle[i], cycle[i + 1]) for i in range(1, k - 1)] + [(cycle[-1], cycle[0])]
     return op.Graph.from_edges(n, edges)
-
-
-# (name, graph, (CE, witness)); an infinite CE has value and witness None
-REPORTS = (
-    ("fd*4", lambda: op.blow_up(op.construct_fdiamond(), 4), (1, 24)),
-    ("fd*5", lambda: op.blow_up(op.construct_fdiamond(), 5), (1, 30)),
-    ("K[2,3,4,5,6,7]", lambda: op.complete_multipartite([2, 3, 4, 5, 6, 7])[0], (None, None)),
-    ("G(24,0.7)#0", lambda: op.random_graph(24, 0.7, random.Random(1000 * 24 + 0)), (1, 2)),
-    ("G(30,0.7)#2", lambda: op.random_graph(30, 0.7, random.Random(1000 * 30 + 2)), (0, 0)),
-    (
-        "G(30,0.7)#2 shuffled",
-        lambda: _shuffled(op.random_graph(30, 0.7, random.Random(1000 * 30 + 2))),
-        (0, 1),
-    ),
-    (
-        "G(18,0.12)#1 shuffled",
-        lambda: _shuffled(op.random_graph(18, 0.12, random.Random(1000 * 18 + 1))),
-        (0, 2),
-    ),
-    ("hd(5,7,[6]*7)", lambda: op.construct_hdiamond(5, 7, [6] * 7), (5, 42)),
-    ("C11 on a path square", lambda: _cycle_on_path_square(119, 11), (0, 119)),
-)
-
-# (name, graph, (CE, witness)) for the colour extension search alone
-EXTENSIONS = (
-    ("fdiamond", op.construct_fdiamond, (1, 6)),
-    ("fd*5", lambda: op.blow_up(op.construct_fdiamond(), 5), (1, 30)),
-    ("hd(5,7,[6]*7)", lambda: op.construct_hdiamond(5, 7, [6] * 7), (5, 42)),
-    ("G(24,0.7)#0", lambda: op.random_graph(24, 0.7, random.Random(1000 * 24 + 0)), (1, 2)),
-    ("G(40,0.5) from Random(40)", lambda: op.random_graph(40, 0.5, random.Random(40)), (0, 2)),
-)
-
-
-def _full_report(g: op.Graph):
-    report = op.full_report(g)
-    return report.ce, report.witness_vertex
 
 
 def _union(a: int, b: int) -> op.Graph:
@@ -196,17 +145,6 @@ def _minus_edges(g: op.Graph, k: int) -> op.Graph:
     return op.Graph.from_edges(g.n, [e for e in g.edges() if e not in gone])
 
 
-# the Cliff C hosts: Cliff B hosts that are refuted at the root, each with
-# k edges deleted
-NEAR_MULTIPARTITE = (
-    ("K4 space barrier, t=8", lambda: _space_barrier(4), op.complete_graph(4)),
-    ("K5 space barrier, t=8", lambda: _space_barrier(5), op.complete_graph(5)),
-    ("K6 space barrier, t=6", lambda: _space_barrier(6, 6), op.complete_graph(6)),
-    ("K3 into K_{3^5,12}", lambda: _skewed(5), op.complete_graph(3)),
-    ("K3 into K_{3^6,15}", lambda: _skewed(6), op.complete_graph(3)),
-)
-
-
 def _parity_t(r: int) -> int:
     """The least even t >= 8 for which r classes of about t vertices take
     an even number m = rt/(r+2) of copies of K_{1,...,1,3}."""
@@ -224,6 +162,57 @@ def _divisibility_barrier(r: int):
     return host, op.complete_multipartite([1] * (r - 1) + [3])[0]
 
 
+def _kk_host(r: int, t: int, seed: int) -> op.Graph:
+    """The K_r space barrier [t-1, t+1, t, ..., t] plus a matching of
+    consecutive vertex pairs inside its class of t+1, relabelled by
+    ``random.Random(seed).shuffle``. An unmatched vertex of that class and
+    a matched one miss each other with degree sum 2(1-1/r)n - 1, the least
+    of any pair."""
+    g = _space_barrier(r, t)
+    big = range(t - 1, 2 * t)
+    g = op.Graph.from_edges(g.n, [*g.edges(), *zip(big[::2], big[1::2])])
+    assert op.min_ore_degree_sum(g) == 2 * (r - 1) * t - 1
+    return _shuffled(g, seed)
+
+
+def _cut_barrier(s: int, part: int, k: int, d: int) -> op.Graph:
+    """K_s joined to k copies of K_part, the complement of s isolated
+    vertices beside the complete k-partite graph with classes of part,
+    less d edges, relabelled by ``random.Random(1).shuffle``."""
+    g = op.complement(op.disjoint_union(op.empty_graph(s), op.complete_multipartite([part] * k)[0]))
+    return _shuffled(_minus_edges(g, d), 1)
+
+
+# the work of each row returns its answer and the search nodes it
+# expanded, or None where it counts none
+
+def _profiles(g: op.Graph):
+    try:
+        chi, profiles, _ = op.class_size_profiles(g)
+    except op.BudgetExhausted:
+        return "CAP", None
+    return (chi, len(profiles)), None
+
+
+def _chi(g: op.Graph):
+    return op.chromatic_number(g), None
+
+
+def _full_report(g: op.Graph):
+    report = op.full_report(g)
+    return (report.ce.value, report.witness_vertex), None
+
+
+def _extension(g: op.Graph):
+    ce, witness = op.colour_extension_number(g)
+    return (ce.value, witness), None
+
+
+def _pack(g: op.Graph, h: op.Graph, budget: int = packing.DEFAULT_BUDGET):
+    result = op.has_perfect_packing(g, h, budget)
+    return result.verdict.value.upper(), result.nodes
+
+
 # verify reports whether w is left uncovered; the cover search's verdict
 # is the opposite one
 COVER_VERDICT = {op.Verdict.YES: "NO", op.Verdict.NO: "YES", op.Verdict.UNKNOWN: "UNKNOWN"}
@@ -235,47 +224,6 @@ def _verify_prop2():
     return COVER_VERDICT[report.no_cover], report.nodes
 
 
-def _pack(g: op.Graph, h: op.Graph):
-    result = op.has_perfect_packing(g, h)
-    return result.verdict.value.upper(), result.nodes
-
-
-CLIFFS = (
-    ("K3 into K13+K14", lambda: _pack(_union(13, 14), op.complete_graph(3))),
-    ("C4 into K13+K15", lambda: _pack(_union(13, 15), op.cycle_graph(4))),
-    ("C4 into K_{7,9}", lambda: _pack(_bipartite(7, 9), op.cycle_graph(4))),
-    ("C4 into K_{9,11}", lambda: _pack(_bipartite(9, 11), op.cycle_graph(4))),
-    ("C4 into K_{30,34}", lambda: _pack(_bipartite(30, 34), op.cycle_graph(4))),
-    ("K3 into K40+K41", lambda: _pack(_union(40, 41), op.complete_graph(3))),
-    ("K3 into K_{20,20,23}", lambda: _pack(op.complete_multipartite([20, 20, 23])[0], op.complete_graph(3))),
-    *(
-        (f"K3 into K_{{3,...,3,{3 * (k - 1)}}}, k={k}", lambda k=k: _pack(_skewed(k), op.complete_graph(3)))
-        for k in range(4, 11)
-    ),
-    *(
-        (f"K{r} space barrier, t=8", lambda r=r: _pack(_space_barrier(r), op.complete_graph(r)))
-        for r in range(4, 10)
-    ),
-    *(
-        (f"K_{{1,...,1,3}} parity barrier, r={r}, t={_parity_t(r)}", lambda r=r: _pack(*_divisibility_barrier(r)))
-        for r in range(2, 7)
-    ),
-    ("verify prop2(3,1,7,7) vs fdiamond", _verify_prop2),
-    *(
-        (f"{name} -{k} edge{'s' * (k > 1)}", lambda build=build, h=h, k=k: _pack(_minus_edges(build(), k), h))
-        for name, build, h in NEAR_MULTIPARTITE
-        for k in (1, 3)
-    ),
-)
-
-
-# packed graph H as class sizes, and the host's class sizes
-ENGINE_YES = (
-    ("K_{1,1,1,1,3} into K_{35,1,2,...,13}", [1, 1, 1, 1, 3], [35, *range(1, 14)]),
-    ("K_{1,1,1,3} into K_{35,1,2,...,13}", [1, 1, 1, 3], [35, *range(1, 14)]),
-)
-
-
 def _engine(parts, sizes):
     meter = Meter()
     try:
@@ -285,72 +233,157 @@ def _engine(parts, sizes):
     return "NO" if refuted else "YES", meter.nodes
 
 
+def _profile_cells(answer, nodes, ms):
+    return (f"{'CAP':>13}" if answer == "CAP" else "%3d  %8d" % answer) + f"  {ms:8.1f}"
+
+
+def _ce_cells(answer, nodes, ms):
+    ce, witness = answer
+    return f"{'inf' if ce is None else ce:>3}  {witness!s:>7}  {ms:8.1f}"
+
+
+def _search_cells(answer, nodes, ms):
+    return f"{answer:<7}  {nodes:9d}  {ms:8.1f}  {1000 * ms / max(nodes, 1):7.2f}"
+
+
+SEARCH_COLUMNS = "verdict      nodes        ms  us/node"
+
+# (title, the columns after the name, the cells of a row from its answer,
+# nodes and ms, rows); a row is (name, work, pinned answer)
+TABLES = (
+    ("instance", "chi  profiles        ms", _profile_cells, (
+        ("16K2", partial(_profiles, _copies(op.complete_graph(2), 16)), (2, 1)),
+        ("18K2", partial(_profiles, _copies(op.complete_graph(2), 18)), (2, 1)),
+        ("22K2", partial(_profiles, _copies(op.complete_graph(2), 22)), (2, 1)),
+        ("3C5", partial(_profiles, _copies(op.cycle_graph(5), 3)), (3, 3)),
+        ("4C5", partial(_profiles, _copies(op.cycle_graph(5), 4)), (3, 4)),
+        ("G(16,0.15)#1 from Random(16001)", partial(_profiles, op.random_graph(16, 0.15, random.Random(16001))), (3, 11)),
+        ("G(20,0.15) from Random(20)", partial(_profiles, op.random_graph(20, 0.15, random.Random(20))), (4, 39)),
+        ("G(24,0.2) from Random(24)", partial(_profiles, op.random_graph(24, 0.2, random.Random(24))), "CAP"),
+        ("G(26,0.2)#3 from Random(26003)", partial(_profiles, op.random_graph(26, 0.2, random.Random(26003))), "CAP"),
+        ("K3 with 12 pendant leaves", partial(_profiles, _pendant_triangle(12)), (3, 13)),
+        ("G(22,0.5) from Random(2205)", partial(_profiles, op.random_graph(22, 0.5, random.Random(2205))), (6, 9)),
+        ("G(28,0.6) from Random(2806)", partial(_profiles, op.random_graph(28, 0.6, random.Random(2806))), (8, 6)),
+        ("C15", partial(_profiles, op.cycle_graph(15)), (3, 7)),
+        ("C21", partial(_profiles, op.cycle_graph(21)), (3, 12)),
+    )),
+    ("instance", "chi        ms", lambda chi, nodes, ms: f"{chi:3d}  {ms:8.1f}", (
+        ("16P3+C5", partial(_chi, _paths_and_c5(16)), 3),
+        ("18P3+C5", partial(_chi, _paths_and_c5(18)), 3),
+        ("G(40,0.5) from Random(40)", partial(_chi, op.random_graph(40, 0.5, random.Random(40))), 8),
+    )),
+    ("full_report", " CE  witness        ms", _ce_cells, (
+        ("fd*4", partial(_full_report, op.blow_up(op.construct_fdiamond(), 4)), (1, 24)),
+        ("fd*5", partial(_full_report, op.blow_up(op.construct_fdiamond(), 5)), (1, 30)),
+        ("K[2,3,4,5,6,7]", partial(_full_report, op.complete_multipartite([2, 3, 4, 5, 6, 7])[0]), (None, None)),
+        ("G(24,0.7)#0", partial(_full_report, op.random_graph(24, 0.7, random.Random(1000 * 24 + 0))), (1, 2)),
+        ("G(30,0.7)#2", partial(_full_report, op.random_graph(30, 0.7, random.Random(1000 * 30 + 2))), (0, 0)),
+        (
+            "G(30,0.7)#2 shuffled",
+            partial(_full_report, _shuffled(op.random_graph(30, 0.7, random.Random(1000 * 30 + 2)))),
+            (0, 1),
+        ),
+        (
+            "G(18,0.12)#1 shuffled",
+            partial(_full_report, _shuffled(op.random_graph(18, 0.12, random.Random(1000 * 18 + 1)))),
+            (0, 2),
+        ),
+        ("hd(5,7,[6]*7)", partial(_full_report, op.construct_hdiamond(5, 7, [6] * 7)), (5, 42)),
+        ("C11 on a path square", partial(_full_report, _cycle_on_path_square(119, 11)), (0, 119)),
+    )),
+    ("colour_extension_number", " CE  witness        ms", _ce_cells, (
+        ("fdiamond", partial(_extension, op.construct_fdiamond()), (1, 6)),
+        ("fd*5", partial(_extension, op.blow_up(op.construct_fdiamond(), 5)), (1, 30)),
+        ("hd(5,7,[6]*7)", partial(_extension, op.construct_hdiamond(5, 7, [6] * 7)), (5, 42)),
+        ("G(24,0.7)#0", partial(_extension, op.random_graph(24, 0.7, random.Random(1000 * 24 + 0))), (1, 2)),
+        ("G(40,0.5) from Random(40)", partial(_extension, op.random_graph(40, 0.5, random.Random(40))), (0, 2)),
+    )),
+    ("instance", SEARCH_COLUMNS, _search_cells, (
+        ("K3 into K13+K14", lambda: _pack(_union(13, 14), op.complete_graph(3)), "NO"),
+        ("C4 into K13+K15", lambda: _pack(_union(13, 15), op.cycle_graph(4)), "NO"),
+        ("C4 into K_{7,9}", lambda: _pack(_bipartite(7, 9), op.cycle_graph(4)), "NO"),
+        ("C4 into K_{9,11}", lambda: _pack(_bipartite(9, 11), op.cycle_graph(4)), "NO"),
+        ("C4 into K_{30,34}", lambda: _pack(_bipartite(30, 34), op.cycle_graph(4)), "NO"),
+        ("K3 into K40+K41", lambda: _pack(_union(40, 41), op.complete_graph(3)), "NO"),
+        ("K3 into K_{20,20,23}", lambda: _pack(op.complete_multipartite([20, 20, 23])[0], op.complete_graph(3)), "NO"),
+        *(
+            (f"K3 into K_{{3,...,3,{3 * (k - 1)}}}, k={k}", lambda k=k: _pack(_skewed(k), op.complete_graph(3)), "NO")
+            for k in range(4, 11)
+        ),
+        *(
+            (f"K{r} space barrier, t=8", lambda r=r: _pack(_space_barrier(r), op.complete_graph(r)), "NO")
+            for r in range(4, 10)
+        ),
+        *(
+            (f"K_{{1,...,1,3}} parity barrier, r={r}, t={_parity_t(r)}", lambda r=r: _pack(*_divisibility_barrier(r)), "NO")
+            for r in range(2, 7)
+        ),
+        ("verify prop2(3,1,7,7) vs fdiamond", _verify_prop2, "NO"),
+        # Cliff C: Cliff B hosts that are refuted at the root, each with k
+        # edges deleted
+        *(
+            (f"{name} -{k} edge{'s' * (k > 1)}", lambda build=build, h=h, k=k: _pack(_minus_edges(build(), k), h), "NO")
+            for name, build, h in (
+                ("K4 space barrier, t=8", lambda: _space_barrier(4), op.complete_graph(4)),
+                ("K5 space barrier, t=8", lambda: _space_barrier(5), op.complete_graph(5)),
+                ("K6 space barrier, t=6", lambda: _space_barrier(6, 6), op.complete_graph(6)),
+                ("K3 into K_{3^5,12}", lambda: _skewed(5), op.complete_graph(3)),
+                ("K3 into K_{3^6,15}", lambda: _skewed(6), op.complete_graph(3)),
+            )
+            for k in (1, 3)
+        ),
+    )),
+    ("Kierstead-Kostochka bound", SEARCH_COLUMNS, _search_cells, tuple(
+        (
+            f"K{r}, n={r * t}, Random({seed})",
+            lambda r=r, t=t, seed=seed: _pack(_kk_host(r, t, seed), op.complete_graph(r), 2 * 10**6),
+            "YES",
+        )
+        for r, t in ((3, 8), (4, 10))
+        for seed in (1, 2)
+    )),
+    # H is K_{part-1}: K3 into K4s, K2 into triangles
+    ("cut barrier", SEARCH_COLUMNS, _search_cells, tuple(
+        (
+            f"K{part - 1} into K_{s} join {k}K{part}" + f" -{d} edges" * bool(d),
+            lambda s=s, part=part, k=k, d=d: _pack(_cut_barrier(s, part, k, d), op.complete_graph(part - 1), 2 * 10**6),
+            pin,
+        )
+        for d, s, part, k, pin in (
+            (0, 9, 4, 6, "NO"),
+            (0, 21, 4, 12, "NO"),
+            (0, 37, 4, 20, "NO"),
+            (0, 14, 3, 16, "NO"),
+            (0, 30, 3, 32, "NO"),
+            (6, 9, 4, 6, "NO"),
+            (6, 21, 4, 12, "NO"),
+            (6, 37, 4, 20, "UNKNOWN"),
+            (6, 14, 3, 16, "NO"),
+            (6, 30, 3, 32, "NO"),
+        )
+    )),
+    ("type-count engine", "verdict      nodes        ms", lambda verdict, nodes, ms: f"{verdict:<7}  {nodes:9d}  {ms:8.1f}", (
+        ("K_{1,1,1,1,3} into K_{35,1,2,...,13}", partial(_engine, [1, 1, 1, 1, 3], [35, *range(1, 14)]), "YES"),
+        ("K_{1,1,1,3} into K_{35,1,2,...,13}", partial(_engine, [1, 1, 1, 3], [35, *range(1, 14)]), "YES"),
+    )),
+)
+
+
 def main() -> int:
     wrong = []
-    width = max(len(name) for name, _, _ in PROFILE_CLIFFS)
-    print(f"{'instance':<{width}}  chi  profiles        ms")
-    for name, build, pinned in PROFILE_CLIFFS:
-        g = build()
-        start = time.perf_counter()
-        try:
-            chi, profiles, _ = op.class_size_profiles(g)
-            got = chi, len(profiles)
-            answer = f"{chi:3d}  {len(profiles):8d}"
-        except op.BudgetExhausted:
-            got = None
-            answer = f"{'CAP':>13}"
-        ms = (time.perf_counter() - start) * 1000
-        print(f"{name:<{width}}  {answer}  {ms:8.1f}")
-        if got != pinned:
-            wrong.append((name, "CAP" if pinned is None else "chi %d with %d profiles" % pinned))
-    print()
-    width = max(len(name) for name, _, _ in CHROMATIC_CLIFFS)
-    print(f"{'instance':<{width}}  chi        ms")
-    for name, build, pinned in CHROMATIC_CLIFFS:
-        g = build()
-        start = time.perf_counter()
-        chi = op.chromatic_number(g)
-        ms = (time.perf_counter() - start) * 1000
-        print(f"{name:<{width}}  {chi:3d}  {ms:8.1f}")
-        if chi != pinned:
-            wrong.append((name, f"chi {pinned}"))
-    print()
-    for title, rows, run in (
-        ("full_report", REPORTS, _full_report),
-        ("colour_extension_number", EXTENSIONS, op.colour_extension_number),
-    ):
+    for i, (title, columns, cells, rows) in enumerate(TABLES):
+        if i:
+            print()
         width = max(len(title), *(len(name) for name, _, _ in rows))
-        print(f"{title:<{width}}   CE  witness        ms")
-        for name, build, pinned in rows:
-            g = build()
+        print(f"{title:<{width}}  {columns}")
+        for name, work, pin in rows:
             start = time.perf_counter()
-            ce, witness = run(g)
-            ms = (time.perf_counter() - start) * 1000
-            print(f"{name:<{width}}  {ce!r:>3}  {witness!s:>7}  {ms:8.1f}")
-            if (ce.value, witness) != pinned:
-                wrong.append((f"{name} ({title})", "CE %s with witness %s" % pinned))
-        print()
-    width = max(len(name) for name, _ in CLIFFS)
-    print(f"{'instance':<{width}}  verdict      nodes        ms  us/node")
-    for name, run in CLIFFS:
-        start = time.perf_counter()
-        verdict, nodes = run()
-        ms = (time.perf_counter() - start) * 1000
-        print(f"{name:<{width}}  {verdict:<7}  {nodes:9d}  {ms:8.1f}  {1000 * ms / max(nodes, 1):7.2f}")
-        if verdict != "NO":
-            wrong.append((name, "NO"))
-    print()
-    width = max(len(name) for name, _, _ in ENGINE_YES)
-    print(f"{'type-count engine':<{width}}  verdict      nodes        ms")
-    for name, parts, sizes in ENGINE_YES:
-        start = time.perf_counter()
-        verdict, nodes = _engine(parts, sizes)
-        ms = (time.perf_counter() - start) * 1000
-        print(f"{name:<{width}}  {verdict:<7}  {nodes:9d}  {ms:8.1f}")
-        if verdict != "YES":
-            wrong.append((name, "YES"))
-    for name, expected in wrong:
-        print(f"cliffs.py: {name} answered other than {expected}", file=sys.stderr)
+            answer, nodes = work()
+            print(f"{name:<{width}}  {cells(answer, nodes, (time.perf_counter() - start) * 1000)}")
+            if answer != pin:
+                wrong.append(f"cliffs.py: {title} {name}: answered {answer}, pinned {pin}")
+    for line in wrong:
+        print(line, file=sys.stderr)
     return 1 if wrong else 0
 
 
