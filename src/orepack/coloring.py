@@ -71,11 +71,11 @@ the class-size differences are only correct when the search is complete.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from functools import lru_cache, reduce
 from operator import add, and_, or_
-from typing import Callable, Iterator, NamedTuple
 
-from .graphs import Graph, Meter, PreconditionError, components, iter_bits
+from .graphs import FrozenRecord, Graph, Meter, PreconditionError, components, iter_bits
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -249,15 +249,23 @@ def chromatic_number(h: Graph) -> int:
     return k
 
 
-class ColoringPartition(NamedTuple):
+class ColoringPartition(FrozenRecord):
     """A partition of the vertex set into independent classes.
 
     ``classes`` are ordered by their minimum vertex, which identifies the
     partition uniquely without reference to color names.
     """
 
-    classes: tuple[frozenset[int], ...]
-    sizes_sorted: tuple[int, ...]
+    __slots__ = ("classes", "sizes_sorted")
+
+    def __new__(
+        cls, classes: tuple[frozenset[int], ...], sizes_sorted: tuple[int, ...]
+    ) -> ColoringPartition:
+        self = cls._Draft()
+        self.classes = classes
+        self.sizes_sorted = sizes_sorted
+        self.__class__ = cls
+        return self
 
     @classmethod
     def from_classes(cls, classes: Iterator[frozenset[int]]) -> "ColoringPartition":

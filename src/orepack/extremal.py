@@ -13,9 +13,9 @@ packing".
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import accumulate
-from typing import Mapping, NamedTuple, Optional
 
 from .coloring import chromatic_number
 from .graphs import (
@@ -60,22 +60,29 @@ class ReadOnlyParams(dict):
 class ExtremalInstance(FrozenRecord):
     __slots__ = ("graph", "w", "claimed_ore_bound", "family", "params")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         graph: Graph,
         w: int,
         claimed_ore_bound: Fraction,
         family: str,
         params: Mapping[str, int],
-    ) -> None:
+    ) -> ExtremalInstance:
         if not 0 <= w < graph.n:
             raise ValueError("distinguished vertex out of range")
         if family in BOUNDED_FAMILIES:
             missing = [p for p in BOUNDED_FAMILIES[family][1] if p not in params]
             if missing:
                 raise ValueError(f"{family} params lack {', '.join(missing)}")
+        self = cls._Draft()
+        self.graph = graph
+        self.w = w
+        self.claimed_ore_bound = claimed_ore_bound
+        self.family = family
         # copied, so editing the caller's dict afterwards cannot change the instance
-        self._set(graph, w, claimed_ore_bound, family, ReadOnlyParams(params))
+        self.params = ReadOnlyParams(params)
+        self.__class__ = cls
+        return self
 
     def to_json_dict(self) -> dict:
         return {
@@ -177,7 +184,7 @@ def construct_prop2_padded(r: int, m: int, h_order: int, n: int) -> ExtremalInst
 
 
 def _prop2(
-    r: int, m: int, h_order: int, t: Optional[int] = None, n: Optional[int] = None
+    r: int, m: int, h_order: int, t: int | None = None, n: int | None = None
 ) -> ExtremalInstance:
     """``construct_prop2`` when given ``t``, ``construct_prop2_padded`` when
     given ``n``: w = 0 is a class of its own, the st-1 class takes the
@@ -228,7 +235,7 @@ def construct_fdiamond() -> Graph:
 
 
 def construct_hdiamond(
-    k: int, r: int, sizes: list[int], labels: Optional[tuple[str, ...]] = None
+    k: int, r: int, sizes: list[int], labels: tuple[str, ...] | None = None
 ) -> Graph:
     """Apex construction with extension number exactly k at chromatic
     number r.
@@ -280,11 +287,19 @@ FAMILIES = {
 }
 
 
-class VerificationReport(NamedTuple):
-    ore_ok: bool
-    no_cover: Verdict
-    divisibility_ok: bool
-    nodes: int
+class VerificationReport(FrozenRecord):
+    __slots__ = ("ore_ok", "no_cover", "divisibility_ok", "nodes")
+
+    def __new__(
+        cls, ore_ok: bool, no_cover: Verdict, divisibility_ok: bool, nodes: int
+    ) -> VerificationReport:
+        self = cls._Draft()
+        self.ore_ok = ore_ok
+        self.no_cover = no_cover
+        self.divisibility_ok = divisibility_ok
+        self.nodes = nodes
+        self.__class__ = cls
+        return self
 
     @property
     def all_ok(self) -> bool:

@@ -16,10 +16,11 @@ the one stateful object is ``Meter``, the step counter of the packing,
 cover, optimal-coloring and class-size profile searches and of the
 packing layer's type-count engine.
 
-``Graph`` and the package's other types that check or change their
-fields are slotted classes on ``Record``, and its plain records are
-``typing.NamedTuple``s. None is a dataclass: a dataclass compiles its
-generated methods at import, which cost each orepack process ~17 ms.
+Every record type of the package, ``Graph`` among them, is a slotted
+class on ``Record`` with its constructor written out. None is a
+dataclass or a ``typing.NamedTuple``: both compile generated methods at
+import, which cost each orepack process ~17 ms as dataclasses and
+about 40 % of importing the package as NamedTuples.
 
 ``min_ore_degree_sum`` is the Ore degree sum sigma_2, the least
 d(x) + d(y) over non-adjacent x != y. It takes the vertices by rising
@@ -45,10 +46,10 @@ from __future__ import annotations
 import binascii
 import math
 import re
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, repeat
-from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 128
 
@@ -153,10 +154,10 @@ def _check_order(n: int) -> None:
 
 
 class Record:
-    """Base of the types that check their fields or change them. Each
-    names its fields in ``__slots__``, in constructor order. Two objects
-    of one class are equal when their ``_key()`` is, every field unless
-    the type says otherwise, and the repr lists the fields. Unhashable."""
+    """Base of the package's record types. Each names its fields in
+    ``__slots__``, in constructor order. Two objects of one class are
+    equal when their ``_key()`` is, every field unless the type says
+    otherwise, and the repr lists the fields. Unhashable."""
 
     __slots__ = ()
 
@@ -177,14 +178,26 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """A ``Record`` whose fields are set once, by ``_set``: assigning to or
-    deleting one raises AttributeError. It hashes its ``_key()``."""
+    """A ``Record`` whose fields are set once: assigning to or deleting one
+    raises AttributeError. It hashes its ``_key()``.
+
+    A subclass builds in ``__new__``: it assigns the fields on a bare
+    ``cls._Draft()``, an object of a subclass with the same slots and
+    plain attribute writes, and then sets that object's ``__class__`` to
+    ``cls``. That costs 1.1-1.3 times what building a NamedTuple does;
+    writing each field past the raising ``__setattr__`` costs up to 4.7
+    times as much (13 fields)."""
 
     __slots__ = ()
 
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+    def __init_subclass__(cls) -> None:
+        if "__setattr__" not in vars(cls):  # not a draft class itself
+            cls._Draft = type(cls.__name__, (cls,), {
+                "__slots__": (),
+                "__new__": object.__new__,
+                "__setattr__": object.__setattr__,
+                "__delattr__": object.__delattr__,
+            })
 
     def __hash__(self) -> int:
         return hash(self._key())
@@ -205,7 +218,7 @@ class Graph(FrozenRecord):
 
     __slots__ = ("n", "adj", "labels")
 
-    def __init__(self, n: int, adj: tuple[int, ...], labels: tuple[str, ...] | None = None) -> None:
+    def __new__(cls, n: int, adj: tuple[int, ...], labels: tuple[str, ...] | None = None) -> Graph:
         _check_order(n)
         if len(adj) != n:
             raise ValueError("adjacency row count does not match vertex count")
@@ -223,15 +236,23 @@ class Graph(FrozenRecord):
             raise ValueError(f"asymmetric edge {v}-{u}")
         if labels is not None and len(labels) != n:
             raise ValueError("label count does not match vertex count")
-        self._set(n, adj, labels)
+        self = cls._Draft()
+        self.n = n
+        self.adj = adj
+        self.labels = labels
+        self.__class__ = cls
+        return self
 
     @classmethod
     def _of_valid_rows(cls, n: int, adj: tuple[int, ...]) -> "Graph":
         """The graph on rows that are symmetric, loop-free and inside
         range(n) by how the caller built them; only the order is checked."""
         _check_order(n)
-        g = object.__new__(cls)
-        g._set(n, adj, None)
+        g = cls._Draft()
+        g.n = n
+        g.adj = adj
+        g.labels = None
+        g.__class__ = cls
         return g
 
     def _key(self) -> tuple:
@@ -473,7 +494,19 @@ _G6_CHARS = bytes(range(63, 127))
 _BASE64_CHARS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _G6_TO_BASE64 = bytes.maketrans(_G6_CHARS, _BASE64_CHARS)
 _BASE64_TO_G6 = bytes.maketrans(_BASE64_CHARS, _G6_CHARS)
-_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reversed_bytes() -> bytes:
+    """Each byte with its bits in reverse order. The bytes below 2^(k+1)
+    are those below 2^k and then the same with bit k set, which reverses
+    to bit 7 - k."""
+    table = [0]
+    for k in range(8):
+        table += [r | 0x80 >> k for r in table]
+    return bytes(table)
+
+
+_REVERSED_BYTE = _reversed_bytes()
 
 
 def to_graph6(g: Graph) -> str:

@@ -58,15 +58,16 @@ so the packing search recurses on it as it is and builds an
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from enum import Enum
 from itertools import accumulate
 from operator import mul
-from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .coloring import _profile_search
 from .graphs import (
     MAX_VERTICES,
     BudgetExhausted,
+    FrozenRecord,
     Graph,
     Meter,
     PreconditionError,
@@ -86,10 +87,16 @@ class Verdict(str, Enum):
     UNKNOWN = "unknown"
 
 
-class Embedding(NamedTuple):
+class Embedding(FrozenRecord):
     """Injective map from V(H) into V(G); mapping[h_vertex] = g_vertex."""
 
-    mapping: tuple[int, ...]
+    __slots__ = ("mapping",)
+
+    def __new__(cls, mapping: tuple[int, ...]) -> Embedding:
+        self = cls._Draft()
+        self.mapping = mapping
+        self.__class__ = cls
+        return self
 
     @property
     def image_mask(self) -> int:
@@ -105,11 +112,20 @@ class Embedding(NamedTuple):
         return {str(i): g for i, g in enumerate(self.mapping)}
 
 
-class PackingResult(NamedTuple):
-    verdict: Verdict
-    certificate: Optional[tuple[Embedding, ...]]
-    nodes: int
-    budget: Optional[int]
+class PackingResult(FrozenRecord):
+    __slots__ = ("verdict", "certificate", "nodes", "budget")
+
+    def __new__(
+        cls, verdict: Verdict, certificate: tuple[Embedding, ...] | None, nodes: int,
+        budget: int | None,
+    ) -> PackingResult:
+        self = cls._Draft()
+        self.verdict = verdict
+        self.certificate = certificate
+        self.nodes = nodes
+        self.budget = budget
+        self.__class__ = cls
+        return self
 
     def to_json_dict(self) -> dict:
         return {
@@ -121,10 +137,18 @@ class PackingResult(NamedTuple):
         }
 
 
-class CoverSearchResult(NamedTuple):
-    verdict: Verdict
-    embedding: Optional[Embedding]
-    nodes: int
+class CoverSearchResult(FrozenRecord):
+    __slots__ = ("verdict", "embedding", "nodes")
+
+    def __new__(
+        cls, verdict: Verdict, embedding: Embedding | None, nodes: int
+    ) -> CoverSearchResult:
+        self = cls._Draft()
+        self.verdict = verdict
+        self.embedding = embedding
+        self.nodes = nodes
+        self.__class__ = cls
+        return self
 
 
 def _twin_classes(g: Graph) -> tuple[list[int], dict[int, int]]:
@@ -206,7 +230,7 @@ def _embedder(g: Graph, h: Graph, meter: Meter, twins: Sequence[int]):
             yield from search(free ^ low, assignment, left - 1)
         assignment[best_v] = None
 
-    def embeddings(allowed: int, anchor: Optional[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    def embeddings(allowed: int, anchor: int | None) -> Iterator[tuple[tuple[int, ...], int]]:
         if h.n == 0:
             # the empty map's image holds no anchor
             if anchor is None:
@@ -222,7 +246,7 @@ def _embedder(g: Graph, h: Graph, meter: Meter, twins: Sequence[int]):
         free = allowed & ~(1 << anchor)
         for v in range(h.n):
             meter.spend()
-            assignment: list[Optional[int]] = [None] * h.n
+            assignment: list[int | None] = [None] * h.n
             assignment[v] = anchor
             yield from search(free, assignment, h.n - 1)
 
@@ -230,7 +254,7 @@ def _embedder(g: Graph, h: Graph, meter: Meter, twins: Sequence[int]):
 
 
 def enumerate_copies(
-    g: Graph, h: Graph, anchor: Optional[int] = None
+    g: Graph, h: Graph, anchor: int | None = None
 ) -> Iterator[Embedding]:
     """Stream every labeled embedding of h into g, optionally restricted to
     those whose image contains ``anchor``. The stream is exhaustive; stop
@@ -408,7 +432,7 @@ def has_perfect_packing(
     # the add, so a cut-off search records nothing
     failed: set[int] = set()
 
-    def solve(uncovered: int) -> Optional[list[Embedding]]:
+    def solve(uncovered: int) -> list[Embedding] | None:
         if not uncovered:
             return []
         if uncovered in failed:

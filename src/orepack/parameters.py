@@ -21,16 +21,15 @@ question past them by one pinned search each. So ``full_report`` reads
 CE = 0 and its witness off the profile search, and runs the extension
 search, which stops at m = 1, only when no vertex is free.
 
-``ExtendedNat`` is a ``graphs.FrozenRecord`` and the reports are
-``NamedTuple``s, not dataclasses, whose generated methods every process
-would compile at import.
+``ExtendedNat`` and the reports are ``graphs.FrozenRecord``s with their
+constructors written out: a dataclass or a NamedTuple would compile
+generated methods in every process at import.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional
 
 from .coloring import (
     chromatic_number,
@@ -47,10 +46,13 @@ class ExtendedNat(FrozenRecord):
 
     __slots__ = ("value",)
 
-    def __init__(self, value: Optional[int]) -> None:
+    def __new__(cls, value: int | None) -> ExtendedNat:
         if value is not None and value < 0:
             raise ValueError("ExtendedNat must be nonnegative")
-        self._set(value)
+        self = cls._Draft()
+        self.value = value
+        self.__class__ = cls
+        return self
 
     @classmethod
     def finite(cls, value: int) -> "ExtendedNat":
@@ -75,22 +77,36 @@ def fraction_json(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator}
 
 
-class ParameterReport(NamedTuple):
+class ParameterReport(FrozenRecord):
     """Every packing-threshold invariant of one graph H."""
 
-    chi: int
-    sigma: int
-    chi_cr: Fraction
-    d_set: tuple[int, ...]
-    hcf_chi: ExtendedNat
-    hcf_c: int
-    hcf_is_one: bool
-    ce: ExtendedNat
-    chi_star: Fraction
-    chi_ore: Fraction
-    chi_prime_ore: Fraction
-    ore_coefficient: Fraction
-    witness_vertex: Optional[int]
+    __slots__ = (
+        "chi", "sigma", "chi_cr", "d_set", "hcf_chi", "hcf_c", "hcf_is_one", "ce",
+        "chi_star", "chi_ore", "chi_prime_ore", "ore_coefficient", "witness_vertex",
+    )
+
+    def __new__(
+        cls, chi: int, sigma: int, chi_cr: Fraction, d_set: tuple[int, ...],
+        hcf_chi: ExtendedNat, hcf_c: int, hcf_is_one: bool, ce: ExtendedNat,
+        chi_star: Fraction, chi_ore: Fraction, chi_prime_ore: Fraction,
+        ore_coefficient: Fraction, witness_vertex: int | None,
+    ) -> ParameterReport:
+        self = cls._Draft()
+        self.chi = chi
+        self.sigma = sigma
+        self.chi_cr = chi_cr
+        self.d_set = d_set
+        self.hcf_chi = hcf_chi
+        self.hcf_c = hcf_c
+        self.hcf_is_one = hcf_is_one
+        self.ce = ce
+        self.chi_star = chi_star
+        self.chi_ore = chi_ore
+        self.chi_prime_ore = chi_prime_ore
+        self.ore_coefficient = ore_coefficient
+        self.witness_vertex = witness_vertex
+        self.__class__ = cls
+        return self
 
     def to_json_dict(self) -> dict:
         return {
@@ -114,20 +130,32 @@ class ParameterReport(NamedTuple):
 # critical chromatic number and gcd machinery
 
 
-class _Analysis(NamedTuple):
+class _Analysis(FrozenRecord):
     """The report fields that the class-size profiles of the optimal
     colorings of H determine."""
 
-    chi: int
-    sigma: int
-    d_set: tuple[int, ...]
-    hcf_chi: ExtendedNat
-    hcf_c: int
-    hcf_is_one: bool
-    chi_cr: Fraction
-    chi_star: Fraction
-    # the lowest free vertex: the witness of CE = 0, or None when CE >= 1
-    witness_vertex: Optional[int]
+    __slots__ = (
+        "chi", "sigma", "d_set", "hcf_chi", "hcf_c", "hcf_is_one", "chi_cr", "chi_star",
+        "witness_vertex",
+    )
+
+    def __new__(
+        cls, chi: int, sigma: int, d_set: tuple[int, ...], hcf_chi: ExtendedNat, hcf_c: int,
+        hcf_is_one: bool, chi_cr: Fraction, chi_star: Fraction, witness_vertex: int | None,
+    ) -> _Analysis:
+        self = cls._Draft()
+        self.chi = chi
+        self.sigma = sigma
+        self.d_set = d_set
+        self.hcf_chi = hcf_chi
+        self.hcf_c = hcf_c
+        self.hcf_is_one = hcf_is_one
+        self.chi_cr = chi_cr
+        self.chi_star = chi_star
+        # the lowest free vertex: the witness of CE = 0, or None when CE >= 1
+        self.witness_vertex = witness_vertex
+        self.__class__ = cls
+        return self
 
 
 def _analyse(h: Graph) -> _Analysis:
@@ -203,8 +231,8 @@ def hcf_is_one(h: Graph) -> bool:
 
 
 def colour_extension_number(
-    h: Graph, chi: Optional[int] = None, start: int = 0
-) -> tuple[ExtendedNat, Optional[int]]:
+    h: Graph, chi: int | None = None, start: int = 0
+) -> tuple[ExtendedNat, int | None]:
     """Least m such that some (chi-2)-coloring of some vertex neighborhood
     N(x) extends to a proper coloring of all of H with at most chi+m colors.
 
@@ -305,9 +333,17 @@ def full_report(h: Graph) -> ParameterReport:
     ore = max(a.chi_star, prime)
     assert a.chi - 1 < a.chi_cr <= a.chi
     return ParameterReport(
-        **(a._asdict() | {"witness_vertex": witness}),
+        chi=a.chi,
+        sigma=a.sigma,
+        chi_cr=a.chi_cr,
+        d_set=a.d_set,
+        hcf_chi=a.hcf_chi,
+        hcf_c=a.hcf_c,
+        hcf_is_one=a.hcf_is_one,
         ce=ce,
+        chi_star=a.chi_star,
         chi_ore=ore,
         chi_prime_ore=prime,
         ore_coefficient=2 * (1 - 1 / ore),
+        witness_vertex=witness,
     )

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple, Optional
 
 from .graphs import (
     MAX_VERTICES,
+    FrozenRecord,
     Graph,
     PreconditionError,
     Record,
@@ -28,13 +28,22 @@ PACKING_PROBE_MAX_N = 24
 DEFAULT_P_SWEEP = (0.5, 0.7, 0.9)
 
 
-class ProbeConfig(NamedTuple):
-    family: str
-    n: int
-    samples: int
-    seed: int
-    r: Optional[int] = None
-    budget: int = DEFAULT_BUDGET
+class ProbeConfig(FrozenRecord):
+    __slots__ = ("family", "n", "samples", "seed", "r", "budget")
+
+    def __new__(
+        cls, family: str, n: int, samples: int, seed: int, r: int | None = None,
+        budget: int = DEFAULT_BUDGET,
+    ) -> ProbeConfig:
+        self = cls._Draft()
+        self.family = family
+        self.n = n
+        self.samples = samples
+        self.seed = seed
+        self.r = r
+        self.budget = budget
+        self.__class__ = cls
+        return self
 
     def validate(self) -> None:
         if self.family not in PROBE_FAMILIES:
@@ -65,7 +74,7 @@ class ProbeSummary(Record):
         condition_hits: int = 0,
         violations: int = 0,
         unknowns: int = 0,
-        violation_graphs: Optional[list[str]] = None,
+        violation_graphs: list[str] | None = None,
     ) -> None:
         self.samples = samples
         self.condition_hits = condition_hits

@@ -138,8 +138,8 @@ def test_extremal_instance_params_are_read_only():
 
 
 def test_importing_the_cli_loads_no_dataclass_machinery():
-    # the records are NamedTuples and slotted classes, so a CLI process
-    # compiles no generated methods and does not import inspect
+    # the records are slotted classes with written-out constructors, so a
+    # CLI process compiles no generated methods and does not import inspect
     code = (
         "import sys; before = set(sys.modules); import orepack.cli; "
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
@@ -149,3 +149,52 @@ def test_importing_the_cli_loads_no_dataclass_machinery():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert proc.stdout == "[]\n"
+
+
+# the standard modules that orepack imports, loaded before it is
+STDLIB = (
+    "import argparse, binascii, collections.abc, enum, fractions, functools, itertools, json, "
+    "math, operator, random, re, sys"
+)
+
+
+def _run_fresh(code, *flags):
+    """Standard output of ``code`` run by a fresh interpreter that finds
+    orepack where the tests do."""
+    env = dict(os.environ, PYTHONPATH=str(Path(op.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    return proc.stdout
+
+
+def test_importing_the_cli_compiles_and_evals_nothing():
+    # a NamedTuple compiles each field's forward reference and evals its
+    # generated constructor; the compiles that load a module file are the
+    # import system's own
+    code = STDLIB + """
+import builtins
+calls = {"compile": 0, "eval": 0}
+real_compile, real_eval = builtins.compile, builtins.eval
+def counted_compile(source, filename, *args, **kwargs):
+    if not str(filename).endswith(".py"):
+        calls["compile"] += 1
+    return real_compile(source, filename, *args, **kwargs)
+def counted_eval(*args, **kwargs):
+    calls["eval"] += 1
+    return real_eval(*args, **kwargs)
+builtins.compile, builtins.eval = counted_compile, counted_eval
+import orepack.cli
+print(calls["compile"], calls["eval"])
+"""
+    assert _run_fresh(code) == "0 0\n"
+
+
+def test_importing_the_cli_leaves_typing_unloaded():
+    # -S: no site hook loads typing first
+    code = STDLIB + (
+        "; before = set(sys.modules); import orepack.cli; "
+        "print('typing' in set(sys.modules) - before)"
+    )
+    assert _run_fresh(code, "-S") == "False\n"
