@@ -151,7 +151,13 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    payload = json.loads(_read(args.instance, "utf-8"))
+    text = _read(args.instance, "utf-8")
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # a syntax error, an integer past Python's digit limit, or nesting
+        # past the recursion limit
+        raise GraphFormatError(f"bad instance JSON: {exc}") from None
     inst = extremal.ExtremalInstance.from_json_dict(payload)
     h = _load_graph(args.packing_graph)
     report = extremal.verify_lower_bound(inst, h, args.budget)
@@ -269,7 +275,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (GraphFormatError, OSError, UnicodeDecodeError) as exc:
         _note(f"input error: {exc}")
         return EXIT_INPUT
     except PreconditionError as exc:

@@ -258,14 +258,8 @@ class ColoringPartition(FrozenRecord):
 
     __slots__ = ("classes", "sizes_sorted")
 
-    def __new__(
-        cls, classes: tuple[frozenset[int], ...], sizes_sorted: tuple[int, ...]
-    ) -> ColoringPartition:
-        self = cls._Draft()
-        self.classes = classes
-        self.sizes_sorted = sizes_sorted
-        self.__class__ = cls
-        return self
+    def __init__(self, classes: tuple[frozenset[int], ...], sizes_sorted: tuple[int, ...]) -> None:
+        self._set(classes, sizes_sorted)
 
     @classmethod
     def from_classes(cls, classes: Iterator[frozenset[int]]) -> "ColoringPartition":

@@ -60,29 +60,22 @@ class ReadOnlyParams(dict):
 class ExtremalInstance(FrozenRecord):
     __slots__ = ("graph", "w", "claimed_ore_bound", "family", "params")
 
-    def __new__(
-        cls,
+    def __init__(
+        self,
         graph: Graph,
         w: int,
         claimed_ore_bound: Fraction,
         family: str,
         params: Mapping[str, int],
-    ) -> ExtremalInstance:
+    ) -> None:
         if not 0 <= w < graph.n:
             raise ValueError("distinguished vertex out of range")
         if family in BOUNDED_FAMILIES:
             missing = [p for p in BOUNDED_FAMILIES[family][1] if p not in params]
             if missing:
                 raise ValueError(f"{family} params lack {', '.join(missing)}")
-        self = cls._Draft()
-        self.graph = graph
-        self.w = w
-        self.claimed_ore_bound = claimed_ore_bound
-        self.family = family
         # copied, so editing the caller's dict afterwards cannot change the instance
-        self.params = ReadOnlyParams(params)
-        self.__class__ = cls
-        return self
+        self._set(graph, w, claimed_ore_bound, family, ReadOnlyParams(params))
 
     def to_json_dict(self) -> dict:
         return {
@@ -290,16 +283,8 @@ FAMILIES = {
 class VerificationReport(FrozenRecord):
     __slots__ = ("ore_ok", "no_cover", "divisibility_ok", "nodes")
 
-    def __new__(
-        cls, ore_ok: bool, no_cover: Verdict, divisibility_ok: bool, nodes: int
-    ) -> VerificationReport:
-        self = cls._Draft()
-        self.ore_ok = ore_ok
-        self.no_cover = no_cover
-        self.divisibility_ok = divisibility_ok
-        self.nodes = nodes
-        self.__class__ = cls
-        return self
+    def __init__(self, ore_ok: bool, no_cover: Verdict, divisibility_ok: bool, nodes: int) -> None:
+        self._set(ore_ok, no_cover, divisibility_ok, nodes)
 
     @property
     def all_ok(self) -> bool:

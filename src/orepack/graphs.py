@@ -17,10 +17,12 @@ cover, optimal-coloring and class-size profile searches and of the
 packing layer's type-count engine.
 
 Every record type of the package, ``Graph`` among them, is a slotted
-class on ``Record`` with its constructor written out. None is a
-dataclass or a ``typing.NamedTuple``: both compile generated methods at
-import, which cost each orepack process ~17 ms as dataclasses and
-about 40 % of importing the package as NamedTuples.
+class on ``Record`` with an ordinary ``__init__``. A frozen record fills
+its fields with one ``FrozenRecord._set`` call, the only code that
+writes past its raising ``__setattr__``. None is a dataclass or a
+``typing.NamedTuple``: both compile generated methods at import, which
+cost each orepack process ~17 ms as dataclasses and about 40 % of
+importing the package as NamedTuples.
 
 ``min_ore_degree_sum`` is the Ore degree sum sigma_2, the least
 d(x) + d(y) over non-adjacent x != y. It takes the vertices by rising
@@ -178,26 +180,15 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """A ``Record`` whose fields are set once: assigning to or deleting one
-    raises AttributeError. It hashes its ``_key()``.
-
-    A subclass builds in ``__new__``: it assigns the fields on a bare
-    ``cls._Draft()``, an object of a subclass with the same slots and
-    plain attribute writes, and then sets that object's ``__class__`` to
-    ``cls``. That costs 1.1-1.3 times what building a NamedTuple does;
-    writing each field past the raising ``__setattr__`` costs up to 4.7
-    times as much (13 fields)."""
+    """A ``Record`` whose fields are set once, by ``_set``: assigning to or
+    deleting one raises AttributeError. It hashes its ``_key()``."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls) -> None:
-        if "__setattr__" not in vars(cls):  # not a draft class itself
-            cls._Draft = type(cls.__name__, (cls,), {
-                "__slots__": (),
-                "__new__": object.__new__,
-                "__setattr__": object.__setattr__,
-                "__delattr__": object.__delattr__,
-            })
+    def _set(self, *values) -> None:
+        """Write ``values`` into the fields, in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __hash__(self) -> int:
         return hash(self._key())
@@ -218,7 +209,7 @@ class Graph(FrozenRecord):
 
     __slots__ = ("n", "adj", "labels")
 
-    def __new__(cls, n: int, adj: tuple[int, ...], labels: tuple[str, ...] | None = None) -> Graph:
+    def __init__(self, n: int, adj: tuple[int, ...], labels: tuple[str, ...] | None = None) -> None:
         _check_order(n)
         if len(adj) != n:
             raise ValueError("adjacency row count does not match vertex count")
@@ -236,23 +227,15 @@ class Graph(FrozenRecord):
             raise ValueError(f"asymmetric edge {v}-{u}")
         if labels is not None and len(labels) != n:
             raise ValueError("label count does not match vertex count")
-        self = cls._Draft()
-        self.n = n
-        self.adj = adj
-        self.labels = labels
-        self.__class__ = cls
-        return self
+        self._set(n, adj, labels)
 
     @classmethod
     def _of_valid_rows(cls, n: int, adj: tuple[int, ...]) -> "Graph":
         """The graph on rows that are symmetric, loop-free and inside
         range(n) by how the caller built them; only the order is checked."""
         _check_order(n)
-        g = cls._Draft()
-        g.n = n
-        g.adj = adj
-        g.labels = None
-        g.__class__ = cls
+        g = object.__new__(cls)
+        g._set(n, adj, None)
         return g
 
     def _key(self) -> tuple:

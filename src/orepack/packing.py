@@ -92,11 +92,8 @@ class Embedding(FrozenRecord):
 
     __slots__ = ("mapping",)
 
-    def __new__(cls, mapping: tuple[int, ...]) -> Embedding:
-        self = cls._Draft()
-        self.mapping = mapping
-        self.__class__ = cls
-        return self
+    def __init__(self, mapping: tuple[int, ...]) -> None:
+        self._set(mapping)
 
     @property
     def image_mask(self) -> int:
@@ -115,17 +112,11 @@ class Embedding(FrozenRecord):
 class PackingResult(FrozenRecord):
     __slots__ = ("verdict", "certificate", "nodes", "budget")
 
-    def __new__(
-        cls, verdict: Verdict, certificate: tuple[Embedding, ...] | None, nodes: int,
+    def __init__(
+        self, verdict: Verdict, certificate: tuple[Embedding, ...] | None, nodes: int,
         budget: int | None,
-    ) -> PackingResult:
-        self = cls._Draft()
-        self.verdict = verdict
-        self.certificate = certificate
-        self.nodes = nodes
-        self.budget = budget
-        self.__class__ = cls
-        return self
+    ) -> None:
+        self._set(verdict, certificate, nodes, budget)
 
     def to_json_dict(self) -> dict:
         return {
@@ -140,15 +131,8 @@ class PackingResult(FrozenRecord):
 class CoverSearchResult(FrozenRecord):
     __slots__ = ("verdict", "embedding", "nodes")
 
-    def __new__(
-        cls, verdict: Verdict, embedding: Embedding | None, nodes: int
-    ) -> CoverSearchResult:
-        self = cls._Draft()
-        self.verdict = verdict
-        self.embedding = embedding
-        self.nodes = nodes
-        self.__class__ = cls
-        return self
+    def __init__(self, verdict: Verdict, embedding: Embedding | None, nodes: int) -> None:
+        self._set(verdict, embedding, nodes)
 
 
 def _twin_classes(g: Graph) -> tuple[list[int], dict[int, int]]:

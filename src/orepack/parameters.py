@@ -7,9 +7,9 @@ is built by first coloring some vertex neighborhood with chi - 2 colors.
 Together with the critical chromatic number and the class-size gcd
 machinery it determines the Ore-type packing threshold coefficient.
 Every invariant but the extension number depends only on the set of
-sorted class-size profiles of the optimal colorings; ``_analyse`` reads
+sorted class-size profiles of the optimal colorings; ``full_report`` reads
 that set once from ``coloring.class_size_profiles``, and the standalone
-functions read ``_analyse``.
+functions read ``full_report``, extension search included.
 
 The extension number is 0 exactly when some optimal coloring leaves some
 vertex x non-adjacent to two of its classes (x's own class is always
@@ -21,9 +21,9 @@ question past them by one pinned search each. So ``full_report`` reads
 CE = 0 and its witness off the profile search, and runs the extension
 search, which stops at m = 1, only when no vertex is free.
 
-``ExtendedNat`` and the reports are ``graphs.FrozenRecord``s with their
-constructors written out: a dataclass or a NamedTuple would compile
-generated methods in every process at import.
+``ExtendedNat`` and ``ParameterReport`` are ``graphs.FrozenRecord``s
+whose ``__init__`` fills the fields with one ``_set`` call: a dataclass or
+a NamedTuple would compile generated methods in every process at import.
 """
 
 from __future__ import annotations
@@ -46,13 +46,10 @@ class ExtendedNat(FrozenRecord):
 
     __slots__ = ("value",)
 
-    def __new__(cls, value: int | None) -> ExtendedNat:
+    def __init__(self, value: int | None) -> None:
         if value is not None and value < 0:
             raise ValueError("ExtendedNat must be nonnegative")
-        self = cls._Draft()
-        self.value = value
-        self.__class__ = cls
-        return self
+        self._set(value)
 
     @classmethod
     def finite(cls, value: int) -> "ExtendedNat":
@@ -85,28 +82,16 @@ class ParameterReport(FrozenRecord):
         "chi_star", "chi_ore", "chi_prime_ore", "ore_coefficient", "witness_vertex",
     )
 
-    def __new__(
-        cls, chi: int, sigma: int, chi_cr: Fraction, d_set: tuple[int, ...],
+    def __init__(
+        self, chi: int, sigma: int, chi_cr: Fraction, d_set: tuple[int, ...],
         hcf_chi: ExtendedNat, hcf_c: int, hcf_is_one: bool, ce: ExtendedNat,
         chi_star: Fraction, chi_ore: Fraction, chi_prime_ore: Fraction,
         ore_coefficient: Fraction, witness_vertex: int | None,
-    ) -> ParameterReport:
-        self = cls._Draft()
-        self.chi = chi
-        self.sigma = sigma
-        self.chi_cr = chi_cr
-        self.d_set = d_set
-        self.hcf_chi = hcf_chi
-        self.hcf_c = hcf_c
-        self.hcf_is_one = hcf_is_one
-        self.ce = ce
-        self.chi_star = chi_star
-        self.chi_ore = chi_ore
-        self.chi_prime_ore = chi_prime_ore
-        self.ore_coefficient = ore_coefficient
-        self.witness_vertex = witness_vertex
-        self.__class__ = cls
-        return self
+    ) -> None:
+        self._set(
+            chi, sigma, chi_cr, d_set, hcf_chi, hcf_c, hcf_is_one, ce, chi_star, chi_ore,
+            chi_prime_ore, ore_coefficient, witness_vertex,
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,86 +115,29 @@ class ParameterReport(FrozenRecord):
 # critical chromatic number and gcd machinery
 
 
-class _Analysis(FrozenRecord):
-    """The report fields that the class-size profiles of the optimal
-    colorings of H determine."""
-
-    __slots__ = (
-        "chi", "sigma", "d_set", "hcf_chi", "hcf_c", "hcf_is_one", "chi_cr", "chi_star",
-        "witness_vertex",
-    )
-
-    def __new__(
-        cls, chi: int, sigma: int, d_set: tuple[int, ...], hcf_chi: ExtendedNat, hcf_c: int,
-        hcf_is_one: bool, chi_cr: Fraction, chi_star: Fraction, witness_vertex: int | None,
-    ) -> _Analysis:
-        self = cls._Draft()
-        self.chi = chi
-        self.sigma = sigma
-        self.d_set = d_set
-        self.hcf_chi = hcf_chi
-        self.hcf_c = hcf_c
-        self.hcf_is_one = hcf_is_one
-        self.chi_cr = chi_cr
-        self.chi_star = chi_star
-        # the lowest free vertex: the witness of CE = 0, or None when CE >= 1
-        self.witness_vertex = witness_vertex
-        self.__class__ = cls
-        return self
-
-
-def _analyse(h: Graph) -> _Analysis:
-    require_edge(h)
-    chi, profiles, free = class_size_profiles(h)
-    sig = min(s[0] for s in profiles)
-    dset = {s[i + 1] - s[i] for s in profiles for i in range(chi - 1)}
-    if dset == {0}:
-        hchi = ExtendedNat.infinite()
-    else:
-        hchi = ExtendedNat.finite(math.gcd(*dset))
-    hc = hcf_c(h)
-    # the hcf dispatch on chi (see hcf_is_one)
-    if chi >= 3:
-        hcf1 = hchi.value == 1
-    else:
-        hcf1 = hc == 1 and hchi.is_finite and hchi.value <= 2
-    crit = Fraction((chi - 1) * h.n, h.n - sig)
-    return _Analysis(
-        chi=chi,
-        sigma=sig,
-        d_set=tuple(sorted(dset)),
-        hcf_chi=hchi,
-        hcf_c=hc,
-        hcf_is_one=hcf1,
-        chi_cr=crit,
-        chi_star=crit if hcf1 else Fraction(chi),
-        witness_vertex=free,
-    )
-
-
 def sigma(h: Graph) -> int:
     """Smallest color-class size over all optimal colorings."""
-    return _analyse(h).sigma
+    return full_report(h).sigma
 
 
 def colour_difference_set(h: Graph) -> set[int]:
     """All differences of consecutive sorted class sizes, over all optimal
     colorings."""
-    return set(_analyse(h).d_set)
+    return set(full_report(h).d_set)
 
 
 def every_optimal_coloring_equitable(h: Graph) -> bool:
-    return _analyse(h).d_set == (0,)
+    return full_report(h).d_set == (0,)
 
 
 def critical_chromatic_number(h: Graph) -> Fraction:
     """(chi - 1) * |H| / (|H| - sigma), always in (chi - 1, chi]."""
-    return _analyse(h).chi_cr
+    return full_report(h).chi_cr
 
 
 def hcf_chi(h: Graph) -> ExtendedNat:
     """gcd of the class-size difference set; infinite when the set is {0}."""
-    return _analyse(h).hcf_chi
+    return full_report(h).hcf_chi
 
 
 def hcf_c(h: Graph) -> int:
@@ -223,7 +151,7 @@ def hcf_is_one(h: Graph) -> bool:
     """Dispatch on chi: non-bipartite graphs need gcd 1 of the difference
     set; 2-chromatic graphs need coprime component orders and difference
     gcd at most 2 (an infinite difference gcd fails that test)."""
-    return _analyse(h).hcf_is_one
+    return full_report(h).hcf_is_one
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +223,7 @@ def colour_extension_number(
 
 def chi_star(h: Graph) -> Fraction:
     """Critical chromatic number when the gcd condition holds, else chi."""
-    return _analyse(h).chi_star
+    return full_report(h).chi_star
 
 
 def _chi_prime(chi: int, ce: ExtendedNat) -> Fraction:
@@ -324,24 +252,40 @@ def ore_threshold_coefficient(h: Graph) -> Fraction:
 
 
 def full_report(h: Graph) -> ParameterReport:
-    a = _analyse(h)
-    if a.witness_vertex is None:
-        ce, witness = colour_extension_number(h, a.chi, start=1)
+    require_edge(h)
+    chi, profiles, free = class_size_profiles(h)
+    sig = min(s[0] for s in profiles)
+    dset = {s[i + 1] - s[i] for s in profiles for i in range(chi - 1)}
+    if dset == {0}:
+        hchi = ExtendedNat.infinite()
     else:
-        ce, witness = ExtendedNat.finite(0), a.witness_vertex
-    prime = _chi_prime(a.chi, ce)
-    ore = max(a.chi_star, prime)
-    assert a.chi - 1 < a.chi_cr <= a.chi
+        hchi = ExtendedNat.finite(math.gcd(*dset))
+    hc = hcf_c(h)
+    # the hcf dispatch on chi (see hcf_is_one)
+    if chi >= 3:
+        hcf1 = hchi.value == 1
+    else:
+        hcf1 = hc == 1 and hchi.is_finite and hchi.value <= 2
+    crit = Fraction((chi - 1) * h.n, h.n - sig)
+    assert chi - 1 < crit <= chi
+    star = crit if hcf1 else Fraction(chi)
+    # the lowest free vertex: the witness of CE = 0, or None when CE >= 1
+    if free is None:
+        ce, witness = colour_extension_number(h, chi, start=1)
+    else:
+        ce, witness = ExtendedNat.finite(0), free
+    prime = _chi_prime(chi, ce)
+    ore = max(star, prime)
     return ParameterReport(
-        chi=a.chi,
-        sigma=a.sigma,
-        chi_cr=a.chi_cr,
-        d_set=a.d_set,
-        hcf_chi=a.hcf_chi,
-        hcf_c=a.hcf_c,
-        hcf_is_one=a.hcf_is_one,
+        chi=chi,
+        sigma=sig,
+        chi_cr=crit,
+        d_set=tuple(sorted(dset)),
+        hcf_chi=hchi,
+        hcf_c=hc,
+        hcf_is_one=hcf1,
         ce=ce,
-        chi_star=a.chi_star,
+        chi_star=star,
         chi_ore=ore,
         chi_prime_ore=prime,
         ore_coefficient=2 * (1 - 1 / ore),

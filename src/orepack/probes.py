@@ -31,19 +31,11 @@ DEFAULT_P_SWEEP = (0.5, 0.7, 0.9)
 class ProbeConfig(FrozenRecord):
     __slots__ = ("family", "n", "samples", "seed", "r", "budget")
 
-    def __new__(
-        cls, family: str, n: int, samples: int, seed: int, r: int | None = None,
+    def __init__(
+        self, family: str, n: int, samples: int, seed: int, r: int | None = None,
         budget: int = DEFAULT_BUDGET,
-    ) -> ProbeConfig:
-        self = cls._Draft()
-        self.family = family
-        self.n = n
-        self.samples = samples
-        self.seed = seed
-        self.r = r
-        self.budget = budget
-        self.__class__ = cls
-        return self
+    ) -> None:
+        self._set(family, n, samples, seed, r, budget)
 
     def validate(self) -> None:
         if self.family not in PROBE_FAMILIES:

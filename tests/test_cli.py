@@ -509,6 +509,15 @@ def test_verify_bad_instance_exits_2(capsys, tmp_path, fdiamond_file):
         code, out, err = run_cli(capsys, "verify", str(path), k3_file)
         assert (code, out) == (2, "")
         assert "bad instance JSON: distinguished vertex out of range" in err
+    # nesting past the recursion limit, and an integer past Python's
+    # 4,300-digit limit: a traceback and exit 1 before
+    deep = "[" * 1000 + "]" * 1000
+    long_w = json.dumps(dict(good, w="W")).replace('"W"', "7" * 5000)
+    for text in (deep, long_w):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", str(path), k3_file)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: bad instance JSON: ") and err.count("\n") == 1
 
 
 def test_verify_against_the_empty_graph_exits_3(capsys, tmp_path):

@@ -164,7 +164,7 @@ def test_colour_extension_matches_search_by_rising_m():
         chi = op.chromatic_number(g)
         ce, witness = op.colour_extension_number(g, chi)
         assert (ce.value, witness) == ce_by_rising_m(g, chi), op.to_graph6(g)
-        if parameters._analyse(g).witness_vertex is None:
+        if op.class_size_profiles(g)[2] is None:
             ce, witness = op.colour_extension_number(g, chi, start=1)
             assert (ce.value, witness) == ce_by_rising_m(g, chi, start=1), op.to_graph6(g)
             from_one[ce.value] = from_one.get(ce.value, 0) + 1

@@ -1,8 +1,10 @@
 """The record types of the public API: their fields, immutability,
 constructor checks and equality, and what importing them costs."""
 
+import inspect
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import orepack as op
-from orepack import ExtendedNat, ExtremalInstance, Graph, Verdict
+from orepack import ExtendedNat, ExtremalInstance, Graph, Verdict, graphs
 
 K3 = op.complete_graph(3)
 FIVE = ExtendedNat.finite(5)
@@ -65,6 +67,42 @@ def test_record_fields_and_immutability(cls, fields, mutable):
             with pytest.raises(AttributeError):
                 delattr(record, name)
             assert getattr(record, name) == fields[name]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_record_constructors_take_their_fields_in_slot_order():
+    # FrozenRecord._set, Record.__repr__ and Record.__reduce__ all read the
+    # constructor's parameters as the fields in __slots__ order
+    classes = [cls for cls in _subclasses(graphs.Record) if cls is not graphs.FrozenRecord]
+    assert {cls for cls, _, _ in RECORDS} <= set(classes)
+    for cls in classes:
+        assert tuple(inspect.signature(cls).parameters) == cls.__slots__, cls.__name__
+
+
+def test_graphs_built_from_valid_rows_are_frozen():
+    # parse_graph6, relabel and random_graph build through
+    # Graph._of_valid_rows, which does not run Graph.__init__
+    c5 = op.cycle_graph(5)
+    built = (
+        op.parse_graph6(op.to_graph6(c5)),
+        op.relabel(c5, [2, 0, 4, 1, 3]),
+        op.random_graph(7, 0.5, random.Random(3)),
+    )
+    for g in built:
+        plain = Graph(g.n, g.adj)
+        assert g == plain and hash(g) == hash(plain) and g.labels is None
+        assert pickle.loads(pickle.dumps(g)) == g
+        for name in ("n", "adj", "labels"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        assert (g.n, g.adj, g.labels) == (plain.n, plain.adj, None)
 
 
 def test_record_defaults():
