@@ -48,6 +48,7 @@ from __future__ import annotations
 import binascii
 import math
 import re
+import struct
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cache
@@ -107,7 +108,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 # Row i of an n x n bit matrix fills bits i*w .. i*w + w - 1 of one int. The
 # stride w is the least power of two that is at least n and at least 8, so
 # each row is a whole number of bytes and goes in and out by int.to_bytes
-# and int.from_bytes.
+# and int.from_bytes; rows of up to 64 bits come out by one struct call.
 
 
 def _stride(n: int) -> int:
@@ -122,8 +123,21 @@ def _unpack(x: int, n: int, w: int) -> tuple[int, ...]:
     """The first n rows of ``x``, which must have no bits past them."""
     size = w >> 3
     data = x.to_bytes(n * size, "little")
+    if w <= 64:
+        return _row_struct(n, w).unpack(data)
     return tuple(map(int.from_bytes, [data[i:i + size] for i in range(0, n * size, size)],
                      repeat("little")))
+
+
+# struct's code for an unsigned int of w bits
+_ROW_FORMAT = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+@cache
+def _row_struct(n: int, w: int) -> struct.Struct:
+    """Reads n little-endian rows of w <= 64 bits; the cache holds at most
+    one entry per n <= 64."""
+    return struct.Struct(f"<{n}{_ROW_FORMAT[w]}")
 
 
 @cache

@@ -4,12 +4,30 @@ Each probe draws reproducible random graphs, keeps those satisfying a
 theorem's hypothesis, and checks its conclusion exactly. The theorems are
 true, so any violation indicates an artifact bug; the probe reports it
 with the offending graph6 string.
+
+``random_graph(n, p, rng)`` draws G(n, p) exactly as the loop that makes
+one ``rng.random() < p`` test per vertex pair u < v, u-major, would: the
+same graph, and the same generator state after it. It draws bit-parallel.
+On CPython, ``random()`` is (a 2^26 + b) / 2^53, where a and b are the top
+27 and 26 bits of the next two 32-bit Mersenne Twister words, so the test
+holds exactly when the 53-bit key a 2^26 + b is below t = ceil(p 2^53)
+(t = 0 when not p > 0, which takes in NaN; t = 2^53 when p >= 1, which
+takes in +inf). ``rng.getrandbits(64 k)`` returns the same 2k words, the
+first lowest, so 64-bit lane i of that int holds pair i's two words. Per
+block of at most ``_LANE_BLOCK`` pairs, masks and shifts make every lane's
+key at once, and subtracting it from 2^63 + t - 1 in every lane leaves a
+top byte of 0x80 where the key is below t and 0x7F elsewhere, with no
+borrow across lanes. Those top bytes, one per pair, become one binary
+numeral laid out as the upper triangle of the bit matrix of ``graphs``;
+its transpose gives the lower half.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from functools import lru_cache
+from operator import itemgetter
 
 from .graphs import (
     MAX_VERTICES,
@@ -17,6 +35,10 @@ from .graphs import (
     Graph,
     PreconditionError,
     Record,
+    _check_order,
+    _stride,
+    _transpose,
+    _unpack,
     average_degree,
     complete_graph,
     min_ore_degree_sum,
@@ -42,6 +64,10 @@ class ProbeConfig(FrozenRecord):
             raise PreconditionError(f"unknown probe family {self.family!r}")
         if self.samples < 1:
             raise PreconditionError("need at least one sample")
+        if self.seed < 0:
+            # sample i seeds Random with (seed << 32) + i, and Random seeds
+            # from its absolute value: sample 0 of seed -s was that of s
+            raise PreconditionError(f"need a seed of at least 0, got {self.seed}")
         if not 1 <= self.n <= MAX_VERTICES:
             raise PreconditionError(f"need 1 <= n <= {MAX_VERTICES}")
         if PROBE_FAMILIES[self.family] is not None:
@@ -84,14 +110,60 @@ class ProbeSummary(Record):
         }
 
 
+# vertex pairs drawn per getrandbits call: past a few hundred, larger
+# blocks save little time and hold more memory
+_LANE_BLOCK = 256
+# a lane's top byte after the comparison, as the digit of its pair
+_PAIR_DIGIT = bytes.maketrans(b"\x7f\x80", b"01")
+
+
+# bounded, so memory stays flat: 8 entries of at most 7 KB hold the two
+# block sizes of each of the three p a probe cycles through
+@lru_cache(maxsize=8)
+def _lane_constants(k: int, t: int) -> tuple[int, int, int]:
+    """For k lanes: the mask of bits 5-31 (a) and of bits 38-63 (b) of each
+    lane, and 2^63 + t - 1 in each lane."""
+    ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * k, "little")
+    return 0xFFFFFFE0 * ones, (0xFFFFFFC0 << 32) * ones, ((1 << 63) + t - 1) * ones
+
+
+# bounded, so memory stays flat: a plan at n = 120 holds about 23 KB
+@lru_cache(maxsize=4)
+def _row_plan(n: int):
+    """The block sizes of a draw at order n, its layout and its stride w.
+    The digits come last pair first, so row u's are those of v = n-1 down
+    to u+1, and they follow row u+1's. The layout is a binary numeral, row
+    n-1 first, each row w - n zeros, a field for its digits and u + 1
+    zeros: the digit of v lands at bit u*w + v. It leads with a zero so
+    that order 0 reads as 0. ``cut`` takes the rows' digits out of the
+    draw's; for order 1 it gives itemgetter's bare item, which ``%`` takes
+    as the one value."""
+    w = _stride(n)
+    layout, fields, start = [b"0"], [], 0
+    for u in reversed(range(n)):
+        layout.append(b"0" * (w - n) + b"%s" + b"0" * (u + 1))
+        fields.append(slice(start, start + n - 1 - u))
+        start += n - 1 - u
+    blocks = tuple(min(_LANE_BLOCK, start - i) for i in range(0, start, _LANE_BLOCK))
+    # itemgetter needs a key, and order 0 has no rows
+    cut = itemgetter(*fields) if fields else lambda digits: ()
+    return blocks, b"".join(layout), cut, w
+
+
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
-    adj = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return Graph._of_valid_rows(n, tuple(adj))
+    _check_order(n)
+    # random() < p exactly when the pair's key is below t
+    t = 0 if not p > 0 else 1 << 53 if p >= 1 else math.ceil(p * (1 << 53))
+    blocks, layout, cut, w = _row_plan(n)
+    digits = []
+    for k in blocks:
+        lo, hi, top = _lane_constants(k, t)
+        x = rng.getrandbits(64 * k)
+        # each lane's top byte, the last lane's first
+        digits.append((top - ((x & lo) << 21 | (x & hi) >> 38)).to_bytes(8 * k, "big")[::8])
+    digits.reverse()
+    upper = int(layout % cut(b"".join(digits).translate(_PAIR_DIGIT)), 2)
+    return Graph._of_valid_rows(n, _unpack(upper | _transpose(upper, w), n, w))
 
 
 def _sample_rng(seed: int, index: int) -> random.Random:

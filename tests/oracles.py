@@ -132,6 +132,24 @@ def average_degree_checks_by_loop(n: int, ore_sum, avg) -> tuple[int, bool]:
 
 
 # ---------------------------------------------------------------------------
+# random graphs, pair by pair
+#
+# ``probes.random_graph`` as it was before it drew bit-parallel: one
+# ``rng.random()`` per vertex pair u < v, u-major. An order outside 0..128
+# raises only after every pair is drawn.
+
+
+def random_graph_before(n: int, p: float, rng) -> Graph:
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
+
+
+# ---------------------------------------------------------------------------
 # set partitions and chromatic brute force
 
 

@@ -595,6 +595,25 @@ def test_probe_order_above_128_exits_3(capsys):
     assert "precondition error" in err
 
 
+def test_probe_negative_seed_exits_3(capsys):
+    # seed -5 would replay seed 5's first sample
+    code, out, err = run_cli(
+        capsys, "probe", "--family", "average-degree", "--n", "30", "--samples", "2", "--seed", "-5",
+    )
+    assert (code, out) == (3, "")
+    assert "need a seed of at least 0, got -5" in err
+
+
+def test_probe_at_order_128_matches_its_pin(capsys):
+    # the largest order of the contract: each sample draws 8,128 pairs in
+    # several blocks
+    code, out, _ = run_cli(
+        capsys, "probe", "--family", "average-degree", "--n", "128", "--samples", "3", "--seed", "7",
+    )
+    assert code == 0
+    assert out == '{"samples":3,"condition_hits":237,"violations":0,"unknowns":0,"violation_graphs":[]}\n'
+
+
 # each verb that takes --budget, with the arguments of a call that runs
 BUDGET_CALLS = {
     "pack": ["pack", "k6.g6", "k3.g6"],
