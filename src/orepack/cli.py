@@ -19,8 +19,12 @@ verb's own subparser reads the words after the verb, and the top-level
 parser runs only to print a usage error or help (no verb first, or words
 the verb does not take). Each parse fills a fresh namespace, the verb
 functions look up what they call when they run, and help text is wrapped
-to the terminal width at the time it is printed. Files are read as bytes
-and decoded once; CR and CRLF line ends read as LF, as in text mode.
+to the terminal width at the time it is printed. A file is read by
+``os.open`` and ``os.read`` to its end, without the buffered ``open``
+stack, and stdin's bytes from ``sys.stdin.buffer``; both are decoded once
+by the same codec (ASCII for graphs, UTF-8 for instances), so the same
+bytes read alike from a path and from '-'. CR and CRLF line ends read as
+LF, as in text mode. A read error names the path, as ``open`` does.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import extremal, probes
@@ -57,6 +62,10 @@ EXIT_UNKNOWN = 4
 EXIT_FOR_VERDICT = {Verdict.YES: EXIT_OK, Verdict.NO: EXIT_NO, Verdict.UNKNOWN: EXIT_UNKNOWN}
 
 _JSON = json.JSONEncoder(separators=(",", ":"))
+# bytes asked of each os.read: a graph of 128 vertices is about 1.4 KB of
+# graph6 and at most about 65 KB of bare edge list, so most files take one
+# read and one more that finds the end
+_CHUNK = 1 << 16
 
 
 def _emit(obj) -> None:
@@ -68,12 +77,24 @@ def _note(msg: str) -> None:
 
 
 def _read(path: str, encoding: str) -> str:
-    """The text of the file at ``path``, or of stdin when it is '-'. Line
-    ends become "\n" as text mode's universal newlines make them."""
+    """The text of the file at ``path``, or of stdin when it is '-', its
+    bytes decoded by ``encoding``. Line ends become "\n" as text mode's
+    universal newlines make them. A file is read by ``os.read`` to its
+    end; an error there names the path, as ``open`` would."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "rb") as fh:
-        text = fh.read().decode(encoding)
+        data = sys.stdin.buffer.read()
+    else:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _CHUNK):
+                chunks.append(chunk)
+        except OSError as exc:  # a directory opens, but reads fail
+            raise OSError(exc.errno, exc.strerror, path) from None
+        finally:
+            os.close(fd)
+        data = b"".join(chunks)
+    text = data.decode(encoding)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text

@@ -101,22 +101,27 @@ def greedy_clique(h: Graph) -> tuple[int, ...]:
     return tuple(clique)
 
 
-@lru_cache(maxsize=1)
+# _BIT_DIGITS[k] translates a byte to the digit of its bit k
+_BIT_DIGITS = tuple([(b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8)])
+
+
 def _degree_planes(adj: tuple[int, ...]) -> tuple[int, ...]:
     """The degrees of the graph with rows ``adj``, bit-sliced over vertex
-    masks, top bit first. Kept for the last graph: the colour extension
-    search runs thousands of short searches on one graph, and building
-    the planes took about as long as each of them."""
-    planes = [0] * len(adj).bit_length()
-    for v, row in enumerate(adj):
-        d = row.bit_count()
-        k = len(planes)
-        while d:
-            k -= 1
-            if d & 1:
-                planes[k] |= 1 << v
-            d >>= 1
-    return tuple(planes)
+    masks, top bit first: the degrees go into one byte each, the last
+    vertex first, and one ``translate`` per bit writes that bit of every
+    degree as the binary numeral of its plane. Both searches that read
+    degree planes get them here. The colouring search reads them through
+    ``_cached_degree_planes``, which keeps the last graph's planes: the
+    colour extension search runs thousands of short searches on one
+    graph, and building the planes took about as long as each of them.
+    The packing search needs them once per search and calls this function
+    directly, so that it does not evict them."""
+    degrees = bytes(map(int.bit_count, adj[::-1]))
+    return tuple([int(degrees.translate(_BIT_DIGITS[k]), 2)
+                  for k in reversed(range(len(adj).bit_length()))])
+
+
+_cached_degree_planes = lru_cache(maxsize=1)(_degree_planes)
 
 
 def _color_search(
@@ -150,7 +155,7 @@ def _color_search(
     adj = h.adj
     units = max(total, len(classes)).bit_length() - 1
     planes = [0] * (units + 1)
-    planes += _degree_planes(adj)
+    planes += _cached_degree_planes(adj)
     near = []
     # bits taken inline: the colour extension search pins classes on
     # thousands of short calls

@@ -5,8 +5,16 @@ search backtracks over H-vertices, always extending the vertex whose
 candidate set (a bitset intersection of the images of its already-placed
 neighbors) is smallest; vertices of an untouched component start from all
 unused vertices, components largest-first. The packing search repeatedly
-anchors on a hardest-to-cover uncovered vertex and branches over the
-copies covering it. Whether the uncovered set can be packed depends on
+anchors on a hardest-to-cover uncovered vertex, the one with the fewest
+uncovered neighbours and the lowest label on a tie, and branches over the
+copies covering it. It holds those counts bit-sliced over vertex masks,
+as the colouring kernel holds its counts (``coloring._degree_planes``
+builds them at the root), takes off each copy it descends into by one
+borrow per covered vertex, and narrows the uncovered set to the least
+count plane by plane, so no node scans the uncovered vertices. A child
+gets its own planes, so a backtrack finds its parent's unchanged, and a
+child whose set is already refuted (below) costs no update. Whether the
+uncovered set can be packed depends on
 that set alone, so a set is recorded as failed once its whole branch has
 been refuted, and is never searched again: not as the rest of a repeated
 image, nor when another order of placements reaches it (nogood
@@ -61,9 +69,9 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from enum import Enum
 from itertools import accumulate
-from operator import mul
+from operator import mul, or_
 
-from .coloring import _profile_search
+from .coloring import _degree_planes, _profile_search
 from .graphs import (
     MAX_VERTICES,
     BudgetExhausted,
@@ -135,21 +143,32 @@ class CoverSearchResult(FrozenRecord):
         self._set(verdict, embedding, nodes)
 
 
-def _twin_classes(g: Graph) -> tuple[list[int], dict[int, int]]:
+# 1 << v for each vertex v
+_SINGLETONS = tuple([1 << v for v in range(MAX_VERTICES)])
+
+
+def _twin_classes(g: Graph) -> tuple[Sequence[int], dict[int, int]]:
     """twins[v]: the mask of v's twin class, v included: the vertices u
     with N(u) - v == N(v) - u. A vertex has open twins (equal
     neighbourhoods, never adjacent) or closed twins (adjacent, equal
     closed neighbourhoods) but not both: an open twin of v would be
     adjacent to each closed twin of v, and so to v. Each kind is an
     equivalence. Also the open-twin classes, as a map from a
-    neighbourhood to the mask of the vertices that have it."""
+    neighbourhood to the mask of the vertices that have it. When no two
+    closed rows and no two rows are equal, two sets tell, and every class
+    is a singleton; the closed rows go first, as small dense hosts repeat
+    them most."""
+    adj = g.adj
+    singletons = _SINGLETONS[:g.n]
+    closed = tuple(map(or_, adj, singletons))
+    if len(set(closed)) == g.n and len(set(adj)) == g.n:
+        return singletons, dict(zip(adj, singletons))
     open_twins: dict[int, int] = {}
     closed_twins: dict[int, int] = {}
-    for v, nbrs in enumerate(g.adj):
-        bit = 1 << v
+    for nbrs, row, bit in zip(adj, closed, singletons):
         open_twins[nbrs] = open_twins.get(nbrs, 0) | bit
-        closed_twins[nbrs | bit] = closed_twins.get(nbrs | bit, 0) | bit
-    twins = [open_twins[nbrs] | closed_twins[nbrs | 1 << v] for v, nbrs in enumerate(g.adj)]
+        closed_twins[row] = closed_twins.get(row, 0) | bit
+    twins = list(map(or_, map(open_twins.__getitem__, adj), map(closed_twins.__getitem__, closed)))
     return twins, open_twins
 
 
@@ -266,25 +285,6 @@ def copy_covering_vertex(
     except BudgetExhausted:
         return CoverSearchResult(Verdict.UNKNOWN, None, meter.nodes)
     return CoverSearchResult(Verdict.NO, None, meter.nodes)
-
-
-def _pick_packing_anchor(g: Graph, uncovered: int) -> int:
-    """Fail-first: the uncovered vertex with fewest uncovered neighbors,
-    the lowest one on a tie."""
-    adj = g.adj
-    best = -1
-    best_deg = MAX_VERTICES
-    rest = uncovered
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
-        d = (adj[v] & uncovered).bit_count()
-        if d < best_deg:
-            if not d:
-                return v
-            best, best_deg = v, d
-    return best
 
 
 def _types_refute(sizes: Sequence[int], h: Graph, meter: Meter) -> bool:
@@ -412,25 +412,47 @@ def has_perfect_packing(
             pass
     meter = Meter(budget)
     embeddings = _embedder(g, h, meter, twins)
+    adj = g.adj
+    bottom = g.n.bit_length() - 1
     # uncovered masks refuted by a complete search; BudgetExhausted skips
     # the add, so a cut-off search records nothing
     failed: set[int] = set()
 
-    def solve(uncovered: int) -> list[Embedding] | None:
-        if not uncovered:
-            return []
-        if uncovered in failed:
-            return None
-        v = _pick_packing_anchor(g, uncovered)
-        for mapping, left in embeddings(uncovered, v):
-            rest = solve(left)
+    def solve(uncovered: int, planes: Sequence[int]) -> list[Embedding] | None:
+        # the anchor: the uncovered vertex with the fewest uncovered
+        # neighbours, the lowest on a tie; the counts are bit-sliced over
+        # vertex masks in ``planes``, top bit first
+        pick = uncovered
+        for plane in planes:
+            fewer = pick & ~plane
+            if fewer:
+                pick = fewer
+        for mapping, left in embeddings(uncovered, (pick & -pick).bit_length() - 1):
+            if not left:
+                return [Embedding(mapping)]
+            if left in failed:
+                continue
+            # each vertex the copy covers takes one off the count of each
+            # neighbour it leaves uncovered, by a borrow up from the lowest
+            # plane; a covered vertex's count is never read again
+            child = list(planes)
+            for x in mapping:
+                borrow = adj[x] & left
+                j = bottom
+                while borrow:
+                    plane = child[j]
+                    child[j] = plane ^ borrow
+                    borrow &= ~plane
+                    j -= 1
+            rest = solve(left, child)
             if rest is not None:
                 return [Embedding(mapping)] + rest
         failed.add(uncovered)
         return None
 
     try:
-        cert = solve(g.vertex_mask)
+        # no copy at all covers the empty host
+        cert = solve(g.vertex_mask, _degree_planes(adj)) if g.n else []
     except BudgetExhausted:
         return PackingResult(Verdict.UNKNOWN, None, meter.nodes, budget)
     if cert is None:

@@ -5,6 +5,7 @@ stay structurally unrelated to the code paths they validate."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations, permutations
 from typing import Callable
 
@@ -703,23 +704,29 @@ def _anchor_before(g: Graph, uncovered: int) -> int:
     return best
 
 
-def packing_search_before(g: Graph, h: Graph, budget=None):
+def packing_search_before(g: Graph, h: Graph, budget=None, events=None):
     """(verdict, certificate mappings or None, nodes) of the packing search
     alone, the type-count engine left out; verdict is "yes", "no" or
-    "unknown"."""
+    "unknown". ``events``, a Counter if given, counts the "memo hits" on
+    refuted sets and the "retries": copies tried after a sibling failed."""
     if g.n % h.n:
         return "no", None, 0
     meter = _Nodes(budget)
     below = _twins_below(g)
     failed: set[int] = set()
+    events = Counter() if events is None else events
 
     def solve(uncovered):
         if not uncovered:
             return []
         if uncovered in failed:
+            events["memo hits"] += 1
             return None
         v = _anchor_before(g, uncovered)
+        tried = 0
         for mapping in _embeddings_before(g, h, meter, below, uncovered, v):
+            events["retries"] += tried
+            tried = 1
             image = sum(1 << x for x in mapping)
             rest = solve(uncovered & ~image)
             if rest is not None:

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import random
@@ -640,13 +641,80 @@ def test_negative_budget_exits_2(capsys, tmp_path, monkeypatch, verb):
     assert code != 2 and out != ""
 
 
-def test_stdin_dash_input(capsys, monkeypatch):
-    import io
+def _stdin_of(monkeypatch, data: bytes) -> None:
+    """Make ``data`` the bytes of stdin, behind a text stream as in a
+    process."""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
 
-    monkeypatch.setattr(sys, "stdin", io.StringIO(op.to_graph6(op.construct_fdiamond())))
+
+def test_stdin_dash_input(capsys, monkeypatch):
+    _stdin_of(monkeypatch, op.to_graph6(op.construct_fdiamond()).encode())
     code, out, _ = run_cli(capsys, "params", "-")
     assert code == 0
     assert json.loads(out)["chi"] == 3
+
+
+def test_stdin_bytes_decode_as_a_file_does(capsys, monkeypatch, tmp_path, fdiamond_file):
+    # stdin was read as text in the locale's encoding: b"B\xc3\xa9" read
+    # as a character outside graph6's range, and 0xff as '\udcff'
+    ascii_error = "input error: 'ascii' codec can't decode byte 0x{:02x} in position 1: ordinal not in range(128)\n"
+    for data in (b"B\xc3\xa9\n", b"A\xff\n"):
+        path = tmp_path / "na.g6"
+        path.write_bytes(data)
+        _stdin_of(monkeypatch, data)
+        expected = (2, "", ascii_error.format(data[1]))
+        assert run_cli(capsys, "params", str(path)) == expected
+        assert run_cli(capsys, "params", "-") == expected
+    data = b'{"graph6":\r\n "\xff\xfe"}'
+    path = tmp_path / "inst.json"
+    path.write_bytes(data)
+    _stdin_of(monkeypatch, data)
+    expected = (2, "", "input error: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte\n")
+    assert run_cli(capsys, "verify", str(path), fdiamond_file) == expected
+    assert run_cli(capsys, "verify", "-", fdiamond_file) == expected
+    # CR and CRLF line ends read as LF from stdin too
+    _stdin_of(monkeypatch, b"# a 4-cycle\r\n4 4\r0 1\r\n1 2\r2 3\r\n3 0\r\n")
+    code, out, _ = run_cli(capsys, "params", "-")
+    assert code == 0 and json.loads(out)["chi"] == 2
+
+
+def _open_error(path) -> str:
+    """What ``open`` says when it cannot read ``path``."""
+    with pytest.raises(OSError) as raised:
+        with open(path, "rb") as fh:
+            fh.read()
+    return str(raised.value)
+
+
+def test_missing_file_error_names_the_path(capsys, tmp_path, fdiamond_file):
+    path = str(tmp_path / "missing.g6")
+    expected = (2, "", f"input error: {_open_error(path)}\n")
+    assert expected[2] == f"input error: [Errno 2] No such file or directory: {path!r}\n"
+    assert run_cli(capsys, "params", path) == expected
+    assert run_cli(capsys, "pack", fdiamond_file, path) == expected
+    assert run_cli(capsys, "verify", path, fdiamond_file) == expected
+
+
+def test_directory_error_names_the_path(capsys, tmp_path, fdiamond_file):
+    # a directory opens with os.open, and os.read fails without the path
+    path = tmp_path / "dir.g6"
+    path.mkdir()
+    expected = (2, "", f"input error: {_open_error(path)}\n")
+    assert expected[2] == f"input error: [Errno 21] Is a directory: {str(path)!r}\n"
+    assert run_cli(capsys, "params", str(path)) == expected
+    assert run_cli(capsys, "cover", fdiamond_file, str(path), "0") == expected
+    assert run_cli(capsys, "verify", str(path), fdiamond_file) == expected
+
+
+def test_files_longer_than_one_read_arrive_whole(capsys, tmp_path, monkeypatch):
+    g = op.construct_fdiamond()
+    paths = [graph_file(tmp_path, "g.g6", g), tmp_path / "g.txt"]
+    paths[1].write_text("# padding" * 10 + "\n" + op.to_edge_list(g))
+    expected = run_cli(capsys, "params", paths[0])
+    for chunk in (1, 7, 1 << 16):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        for path in paths:
+            assert run_cli(capsys, "params", str(path)) == expected
 
 
 def test_console_entry_point():

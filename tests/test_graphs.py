@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orepack as op
-from orepack import BudgetExhausted, Graph, GraphFormatError, PreconditionError, packing
+from orepack import BudgetExhausted, Graph, GraphFormatError, PreconditionError, graphs, packing
 from orepack.graphs import Meter
 
 from fixtures import pendant_triangle
@@ -190,16 +191,40 @@ def test_graph6_round_trip_large_orders():
 
 def test_writer_and_relabel_match_the_edge_by_edge_oracles():
     # every order 0-128 covers each residue of n(n-1)/2 mod 6 (the padding
-    # of the last character) and both order fields, 62 and 63 straddling them
+    # of the last character) and both order fields, 62 and 63 straddling
+    # them; p = 0 and 1 draw the empty and the complete graph. The reader,
+    # which cuts rows by one plan per order, matches a per-bit decoder, and
+    # rejects a set padding bit at every order that has padding
     rng = random.Random(30)
     for n in range(129):
         for p in (0.0, 0.1, 0.5, 0.9, 1.0):
             g = op.random_graph(n, p, rng)
             word = op.to_graph6(g)
             assert word == graph6_by_columns(g), (n, p)
-            assert op.parse_graph6(word) == g
+            assert len(word) == (n * (n - 1) // 2 + 5) // 6 + (1 if n <= 62 else 4)
+            assert op.parse_graph6(word) == decode_graph6_by_columns(word) == g, (n, p)
             for perm in (list(range(n)), list(range(n - 1, -1, -1)), rng.sample(range(n), n)):
                 assert op.relabel(g, perm).adj == relabel_edge_by_edge(g, perm).adj, (n, p, perm)
+        pad = -(n * (n - 1) // 2) % 6
+        for bit in {1, 1 << pad >> 1} if pad else ():
+            with pytest.raises(GraphFormatError, match="^nonzero padding bits$"):
+                op.parse_graph6(word[:-1] + chr((ord(word[-1]) - 63 | bit) + 63))
+
+
+def test_graph6_reader_memory_stays_flat():
+    # the reader keeps one plan per order in a bounded cache; a read at
+    # n = 128 that builds its plan, and one that finds it, stay small
+    assert graphs._lower_plan.cache_info().maxsize is not None
+    word = op.to_graph6(op.random_graph(128, 0.5, random.Random(1)))
+    graphs._lower_plan.cache_clear()
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            op.parse_graph6(word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 def test_graph6_matches_reference_implementation():

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import random
+from collections import Counter
 from itertools import combinations, islice, product
 
 import pytest
@@ -687,28 +688,72 @@ def _hs_host(rng, n, r, p):
 
 
 def test_search_matches_the_search_before_on_hosts_of_benchmark_size(monkeypatch):
-    # the comparison above on hosts of up to 120 vertices: two YES hosts of
-    # the Hajnal-Szemeredi bound, a blow-up of fdiamond, and a NO host that
-    # the search refutes only after branching
+    # the comparison above on hosts of up to 128 vertices, whose anchor the
+    # search reads off bit-sliced counts (8 planes at n = 128) and the
+    # oracle finds by a scan: YES hosts of the Hajnal-Szemeredi bound, a
+    # blow-up of fdiamond, and two NO hosts that the search refutes only
+    # after branching. On the second, a cut barrier, it backtracks and
+    # meets refuted sets again. Cut off at a few budgets, both stop alike.
     _without_engine(monkeypatch)
     rng = random.Random(71)
     fd = op.construct_fdiamond()
+    k4 = op.complete_graph(4)
     barrier, _ = op.complete_multipartite([7, 9, 8, 8])
     gone = set(random.Random(1).sample(list(barrier.edges()), 1))
     barrier = op.Graph.from_edges(barrier.n, [e for e in barrier.edges() if e not in gone])
+    # K_9 joined to six K4s less 6 edges: each K4 needs two vertices of
+    # K_9 for a K3-factor (tools/cliffs.py, Cliff E)
+    cut = op.complement(op.disjoint_union(op.empty_graph(9), op.complete_multipartite([4] * 6)[0]))
+    gone = set(random.Random(6).sample(list(cut.edges()), 6))
+    cut = op.Graph.from_edges(cut.n, [e for e in cut.edges() if e not in gone])
+    perm = list(range(cut.n))
+    random.Random(1).shuffle(perm)
     cases = [
         (_hs_host(rng, 120, 3, 0.83), K3, "yes"),
-        (_hs_host(rng, 120, 4, 0.89), op.complete_graph(4), "yes"),
+        (_hs_host(rng, 120, 4, 0.89), k4, "yes"),
         (op.blow_up(fd, 6), fd, "yes"),
-        (barrier, op.complete_graph(4), "no"),
+        (barrier, k4, "no"),
+        (_hs_host(rng, 100, 4, 0.9), k4, "yes"),
+        (_hs_host(rng, 126, 3, 0.84), K3, "yes"),
+        (_hs_host(rng, 128, 4, 0.9), k4, "yes"),
+        (op.relabel(cut, perm), K3, "no"),
     ]
+    nodes = []
     for g, h, verdict in cases:
+        events = Counter()
         full = op.has_perfect_packing(g, h)
         assert full.verdict.value == verdict
-        assert _as_before(full) == packing_search_before(g, h)
+        assert _as_before(full) == packing_search_before(g, h, None, events)
+        nodes.append(full.nodes)
+        for budget in rng.sample(range(full.nodes), 3):
+            assert _as_before(op.has_perfect_packing(g, h, budget)) == packing_search_before(g, h, budget)
         for w in rng.sample(range(g.n), 3):
             assert _cover_as_before(op.copy_covering_vertex(g, h, w)) == cover_search_before(g, h, w)
         for anchor in (None, rng.randrange(g.n)):  # the first 200 copies of each stream
             got = [e.mapping for e in islice(op.enumerate_copies(g, h, anchor), 200)]
             assert got == list(islice(copies_before(g, h, anchor), 200))
-    assert full.nodes == 2_600  # the K4 space barrier minus 1 edge (tools/cliffs.py)
+    assert len(packing._degree_planes(cases[6][0].adj)) == 8
+    # the K4 space barrier minus 1 edge and the cut barrier (tools/cliffs.py)
+    assert nodes[3] == 2_600 and nodes[7] == 53_118
+    assert events["memo hits"] > 1_000 and events["retries"] > 1_000
+
+
+def test_twin_classes_match_the_definition():
+    # the singletons that two set checks give, and the loop for hosts with
+    # twins, against u ~ v when N(u) - v == N(v) - u
+    rng = random.Random(79)
+    hosts = _twin_rich_hosts(rng, 40)
+    hosts += [op.random_graph(rng.choice([1, 2, 5, 9, 30, 128]), rng.random(), rng) for _ in range(40)]
+    hosts += [op.empty_graph(0), op.complete_graph(5), op.empty_graph(4), op.cycle_graph(4)]
+    singletons = 0
+    for g in hosts:
+        twins, open_twins = packing._twin_classes(g)
+        assert list(twins) == [
+            sum(1 << u for u in range(g.n) if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u))
+            for v in range(g.n)
+        ]
+        assert open_twins == {
+            row: sum(1 << u for u in range(g.n) if g.adj[u] == row) for row in set(g.adj)
+        }
+        singletons += all(m & (m - 1) == 0 for m in twins)
+    assert singletons > 20 and len(hosts) - singletons > 20  # both paths ran
