@@ -124,19 +124,45 @@ def _degree_planes(adj: tuple[int, ...]) -> tuple[int, ...]:
 _cached_degree_planes = lru_cache(maxsize=1)(_degree_planes)
 
 
+def _clique(h: Graph, vertices: int) -> int:
+    """The mask of a clique in the vertex mask ``vertices``, grown by
+    taking the vertex of highest degree in h, then the lowest label, among
+    the vertices adjacent to all taken so far; the pick reads the degree
+    planes as the colouring search does. Its order lower-bounds the
+    chromatic number of h[vertices] at a few plane steps per vertex taken,
+    which is what the colour extension search needs of it.
+    ``greedy_clique``, which counts degrees inside the candidates, finds
+    larger cliques for the chromatic number's start bound."""
+    planes = _cached_degree_planes(h.adj)
+    clique = 0
+    while vertices:
+        pick = vertices
+        for plane in planes:
+            if pick & plane:
+                pick &= plane
+        low = pick & -pick
+        clique |= low
+        vertices &= h.adj[low.bit_length() - 1]
+    return clique
+
+
 def _color_search(
     h: Graph,
     vertices: int,
     classes: list[int],
     total: int,
     visit: Callable[[list[int]], bool],
+    near: list[int] | None = None,
 ) -> bool:
     """Calls ``visit(classes)`` on each coloring of the vertex mask
     ``vertices`` with at most ``total`` classes, once each and in an
     order no caller reads, and returns True as soon as a call does; False
     after the whole search. ``classes`` are masks over the vertices of h:
     the ones given stay pinned, and the search appends the classes it
-    opens.
+    opens. ``near``, when given, holds the masks of the vertices adjacent
+    to each class given, which the search then need not build; it keeps
+    them current, so a visit may read the masks of the classes it is
+    shown.
 
     Each node takes the unplaced vertex adjacent to the most classes, the
     higher degree and then the lower label on a tie, and puts it into each
@@ -156,38 +182,28 @@ def _color_search(
     units = max(total, len(classes)).bit_length() - 1
     planes = [0] * (units + 1)
     planes += _cached_degree_planes(adj)
-    near = []
-    # bits taken inline: the colour extension search pins classes on
-    # thousands of short calls
-    for m in classes:
-        mask = 0
-        while m:
-            low = m & -m
-            mask |= adj[low.bit_length() - 1]
-            m ^= low
-        near.append(mask)
-        carry = mask & vertices
-        j = units
-        while carry:
-            plane = planes[j]
-            planes[j] = plane ^ carry
-            carry &= plane
-            j -= 1
 
     def finish(low: int) -> bool:
-        # each class that takes the last vertex completes a coloring
+        # each class that takes the last vertex completes a coloring, and
+        # its mask takes in the vertex's neighbours for the visit
+        row = adj[low.bit_length() - 1]
         opened = len(classes)
         for c in range(opened):
-            if near[c] & low:
+            mask = near[c]
+            if mask & low:
                 continue
             classes[c] |= low
+            near[c] = mask | row
             if visit(classes):
                 return True
+            near[c] = mask
             classes[c] ^= low
         if opened < total:
             classes.append(low)
+            near.append(row)
             if visit(classes):
                 return True
+            near.pop()
             classes.pop()
         return False
 
@@ -237,6 +253,25 @@ def _color_search(
             classes.pop()
         return False
 
+    if near is None:
+        # bits taken inline: the free-vertex search pins classes on
+        # many short calls
+        near = []
+        for m in classes:
+            mask = 0
+            while m:
+                low = m & -m
+                mask |= adj[low.bit_length() - 1]
+                m ^= low
+            near.append(mask)
+    for mask in near:
+        carry = mask & vertices
+        j = units
+        while carry:
+            plane = planes[j]
+            planes[j] = plane ^ carry
+            carry &= plane
+            j -= 1
     if vertices & (vertices - 1):
         return place(vertices)
     return finish(vertices) if vertices else visit(classes)

@@ -39,13 +39,14 @@ is one of K(P). There a copy of H is a proper colouring of H with
 labelled colours, and the packing question is one about class sizes
 alone, which ``_types_refute`` answers by counting before the search
 runs; its NO for K(P) is a NO for G. It runs when G is complete
-multipartite or P has at least |H| classes: with fewer, it would pay a
-profile search to find that K(P) packs. It reads the class sizes of each
-component's colourings from one profile search on H
-(``coloring._profile_search``), whose cap of ``TYPE_ENUMERATION_CAP``
-bounds each component's search on its own. It only ever refutes: a
-packing it finds is left to the search, so every YES, certificate and
-YES node count is the search's.
+multipartite or P has at least |H| classes, one of them above n/|H|: with
+fewer classes it would pay a profile search to find that K(P) packs, and
+at least |H| classes of at most n/|H| vertices each always pack. It reads
+the class sizes of each component's colourings from one profile search
+on H (``coloring._profile_search``), whose cap of
+``TYPE_ENUMERATION_CAP`` bounds each component's search on its own. It
+only ever refutes: a packing it finds is left to the search, so every
+YES, certificate and YES node count is the search's.
 
 Search effort is metered in node expansions (candidate assignments tried)
 on a ``graphs.Meter``, so identical inputs and budgets always reproduce
@@ -68,6 +69,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from enum import Enum
+from functools import lru_cache
 from itertools import accumulate
 from operator import mul, or_
 
@@ -172,17 +174,27 @@ def _twin_classes(g: Graph) -> tuple[Sequence[int], dict[int, int]]:
     return twins, open_twins
 
 
+@lru_cache(maxsize=1)
+def _pattern_plan(h: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """h's part of the embedding search: the order that opens h's
+    components largest first, and h's neighbour lists. It keeps the last
+    h's, as ``coloring._cached_degree_planes`` keeps the last graph's
+    planes: the probes and the cover searches build a search per host,
+    all for one h."""
+    comp_order = []
+    for comp in sorted(components(h), key=lambda c: (-c.bit_count(), c & -c)):
+        comp_order.extend(iter_bits(comp))
+    return tuple(comp_order), tuple(tuple(iter_bits(m)) for m in h.adj)
+
+
 def _embedder(g: Graph, h: Graph, meter: Meter, twins: Sequence[int]):
     """``embeddings(allowed, anchor)``: the embeddings of h into the
     vertices ``allowed`` of g, only those whose image contains ``anchor``
     unless it is None, each with the mask of the allowed vertices it
     leaves unused. The search is built once and serves every call: it
-    captures g's rows, h's neighbour lists, the order that opens h's
-    components largest first, the twin classes ``twins`` and the meter."""
-    comp_order = []
-    for comp in sorted(components(h), key=lambda c: (-c.bit_count(), c & -c)):
-        comp_order.extend(iter_bits(comp))
-    nbrs = tuple(tuple(iter_bits(m)) for m in h.adj)
+    captures g's rows, h's ``_pattern_plan``, the twin classes ``twins``
+    and the meter."""
+    comp_order, nbrs = _pattern_plan(h)
     g_adj = g.adj
 
     def search(free: int, assignment: list, left: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -311,10 +323,6 @@ def _types_refute(sizes: Sequence[int], h: Graph, meter: Meter) -> bool:
     classes, which bounds the sum of the j fullest counts. Each state
     expanded spends a node on ``meter``."""
     copies = sum(sizes) // h.n
-    if len(sizes) >= h.n and max(sizes) <= copies:
-        # copies on one vertex of each of the h.n fullest classes leave
-        # every class at most as full as the copies still to place
-        return False
     kinds: dict[tuple[tuple[int, ...], ...], int] = {}
     for profiles in _profile_search(h, TYPE_ENUMERATION_CAP, len(sizes))[0]:
         positive = {tuple(sorted(filter(None, p), reverse=True)) for p in profiles}
@@ -388,10 +396,12 @@ def has_perfect_packing(
 ) -> PackingResult:
     """Decide whether vertex-disjoint copies of h cover all of g.
 
-    When g is complete multipartite or has at least |h| open-twin classes,
-    ``_types_refute`` runs first on its own meter, on the complete
-    multipartite graph on those classes, of which g is a spanning
-    subgraph; a refutation is the NO. A packing it finds, or a search it
+    When g is complete multipartite, or has at least |h| open-twin classes
+    and one of them holds more than n/|h| vertices, ``_types_refute`` runs
+    first on its own meter, on the complete multipartite graph on those
+    classes, of which g is a spanning subgraph; a refutation is the NO.
+    At least |h| classes of at most n/|h| vertices each always pack, so
+    the engine is not called on them. A packing it finds, or a search it
     cannot finish, leaves the verdict and the certificate to the search
     below, with the whole budget."""
     if h.n == 0:
@@ -403,7 +413,14 @@ def has_perfect_packing(
     # complete multipartite graph on their classes, and equal to it when
     # every class is joined to all the rest
     full = g.vertex_mask
-    if len(open_twins) >= h.n or all(nbrs | same == full for nbrs, same in open_twins.items()):
+    if len(open_twins) >= h.n:
+        # copies on one vertex of each of the h.n fullest classes leave
+        # every class at most as full as the copies still to place, so
+        # with no class above n/|h| the multipartite graph packs
+        engine = max(map(int.bit_count, open_twins.values())) > g.n // h.n
+    else:
+        engine = all(nbrs | same == full for nbrs, same in open_twins.items())
+    if engine:
         meter = Meter(budget)
         try:
             if _types_refute([m.bit_count() for m in open_twins.values()], h, meter):

@@ -19,7 +19,11 @@ reports the lowest such free vertex: it checks the first colorings of
 each component as they complete, and decides the vertices still in
 question past them by one pinned search each. So ``full_report`` reads
 CE = 0 and its witness off the profile search, and runs the extension
-search, which stops at m = 1, only when no vertex is free.
+search, which stops at m = 1, only when no vertex is free. On the
+extremal family hdiamond, where CE = chi - 2, that search would mostly
+refute neighbourhoods holding a clique on chi - 1 vertices; its clique
+bounds pass over them, and over extensions that cannot have fewer
+classes, without a search.
 
 ``ExtendedNat`` and ``ParameterReport`` are ``graphs.FrozenRecord``s
 whose ``__init__`` fills the fields with one ``_set`` call: a dataclass or
@@ -30,12 +34,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 from .coloring import (
     chromatic_number,
     class_size_profiles,
     optimal_colorings,  # noqa: F401  unused here; perfbench/tracing.py wraps this name
     require_edge,
+    _clique,
     _color_search,
 )
 from .graphs import FrozenRecord, Graph, PreconditionError, components
@@ -182,9 +189,20 @@ def colour_extension_number(
     bound starts at r - 2 and the first eligible x attains it. Each
     (r-2)-coloring of N(x) is then searched for an extension with fewer
     than r + bound classes, and each one found lowers the bound to its
-    class count less r. The pinned search of N(x) is the eligibility test:
-    x is eligible exactly when it reaches a coloring. A vertex with the
-    neighbourhood of a lower one runs the same searches, so it is skipped.
+    class count less r. A vertex with the neighbourhood of a lower one runs
+    the same searches, so it is skipped.
+
+    Two clique bounds (``coloring._clique``) skip searches that could
+    only fail, so the value and witness are those of the searches alone.
+    x is eligible exactly when the search of N(x) with r - 2 classes
+    reaches a coloring, so a clique on r - 1 vertices in N(x) makes x
+    ineligible without it. An extension with T classes gives each vertex
+    outside N(x) that every pinned class blocks a class of its own beside
+    the pinned ones, and a clique of k such vertices k of them: past
+    T - (pinned classes) no extension exists, and as T only falls, the
+    coloring of N(x) is done. The search of N(x) keeps the neighbour masks
+    of its classes, and hands them to the bound and to each extension
+    search, which would otherwise rebuild them.
     """
     require_edge(h)
     r = chromatic_number(h) if chi is None else chi
@@ -200,7 +218,12 @@ def colour_extension_number(
         nonlocal witness
         if witness is None:
             witness = x
-        while best > start and _color_search(h, outside, list(pinned), r + best - 1, lower):
+        # the vertices outside N(x) that every pinned class blocks take
+        # other classes, a clique of them one each
+        clique = _clique(h, reduce(and_, near, outside)).bit_count()
+        while best > start and len(pinned) + clique < r + best and _color_search(
+            h, outside, list(pinned), r + best - 1, lower, list(near)
+        ):
             pass
         return best == start
 
@@ -209,8 +232,12 @@ def colour_extension_number(
         if nbrs in seen:
             continue
         seen.add(nbrs)
+        # a clique on r - 1 vertices leaves N(x) no (r-2)-coloring
+        if _clique(h, nbrs).bit_count() > r - 2:
+            continue
         outside = h.vertex_mask ^ nbrs
-        if _color_search(h, nbrs, [], r - 2, extend):
+        near: list[int] = []
+        if _color_search(h, nbrs, [], r - 2, extend, near):
             break
     if witness is None:
         return ExtendedNat.infinite(), None

@@ -96,6 +96,25 @@ def test_chromatic_at_least_greedy_clique():
         assert op.chromatic_number(g) >= len(clique)
 
 
+def test_clique_grows_by_degree_in_h():
+    # the clique bound of the colour extension search: within a vertex
+    # mask, take the vertex of highest degree in h, then the lowest label,
+    # among those adjacent to all taken so far, as a plain loop over the
+    # vertices by falling degree does; never more vertices than the
+    # chromatic number of the subgraph
+    rng = random.Random(3613)
+    for _ in range(200):
+        g = op.random_graph(rng.randrange(1, 12), rng.random(), rng)
+        mask = rng.getrandbits(g.n)
+        cand, clique = mask, 0
+        for v in _by_degree(g):
+            if cand >> v & 1:
+                cand &= g.adj[v]
+                clique |= 1 << v
+        assert coloring._clique(g, mask) == clique
+        assert clique.bit_count() <= brute_chromatic_number(op.induced_subgraph(g, iter_bits(mask)))
+
+
 def test_optimal_colorings_k3():
     parts = op.optimal_colorings(op.complete_graph(3))
     assert len(parts) == 1
@@ -652,6 +671,48 @@ def test_kernel_visits_as_without_cuts():
         compared += runs[0]
         stopped += runs[1]
     assert compared >= 700 and pinned_runs >= 80 and twins >= 200 and stopped >= 400
+
+
+def _neighbour_masks(g, classes):
+    return [reduce(lambda a, v: a | g.adj[v], iter_bits(c), 0) for c in classes]
+
+
+def test_kernel_keeps_the_neighbour_masks_it_is_given():
+    # the colour extension search passes the neighbour masks of the classes
+    # it pins and reads them back at each visit: given them, the search
+    # visits the same colorings in the same order as without, and at each
+    # visit they are the masks of the classes visited, also after a visit
+    # that stops the search. The cases: N(x) with chi - 2 classes, as the
+    # eligibility search colours it, the whole vertex set, and the rest of
+    # h with a coloring of N(x) pinned, as the extension search colours it
+    rng = random.Random(3611)
+    runs = kept = 0
+    for g in _visit_graphs(rng):
+        chi = op.chromatic_number(g)
+        x = rng.randrange(g.n)
+        colorings = []
+        _color_search(g, g.adj[x], [], max(chi - 2, 1), lambda c: colorings.append(list(c)) or len(colorings) == 3)
+        cases = [(g.adj[x], [], max(chi - 2, 1)), (g.vertex_mask, [], chi)]
+        cases += [(g.vertex_mask ^ g.adj[x], pinned, total) for pinned in colorings for total in (chi, chi + 1)]
+        for vertices, pinned, total in cases:
+            plain = []
+            _color_search(g, vertices, list(pinned), total, lambda c: plain.append(list(c)) or len(plain) == 500)
+            stop_at = rng.randint(1, len(plain)) if plain else None
+            seen = []
+            near = _neighbour_masks(g, pinned)
+
+            def visit(classes):
+                seen.append(list(classes))
+                assert near == _neighbour_masks(g, classes)
+                return len(seen) == stop_at
+
+            done = _color_search(g, vertices, list(pinned), total, visit, near)
+            assert seen == plain[: len(seen)] and done == bool(plain)
+            if plain:
+                assert near == _neighbour_masks(g, seen[-1])
+                kept += 1
+            runs += 1
+    assert runs >= 400 and kept >= 350
 
 
 def test_tailless_component_visits_each_coloring_once_on_one_meter(monkeypatch):

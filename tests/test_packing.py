@@ -554,6 +554,44 @@ def test_engine_refutes_near_multipartite_cliff_rows_at_the_root():
         assert (res.verdict, res.nodes) == (Verdict.NO, 1)
 
 
+def test_engine_skips_hosts_whose_classes_all_fit(monkeypatch):
+    # at least |H| open-twin classes of at most n/|H| vertices each always
+    # pack, so the engine is called only with a class above n/|H|: not on
+    # K_{2,2,2} for K3 or K_{3,3,2,2,2} for C4, and on random hosts of the
+    # packing probes only where twins fill a class past n/3
+    calls = []
+    types_refute = packing._types_refute
+
+    def counted(sizes, h, meter):
+        calls.append(max(sizes) > sum(sizes) // h.n)
+        return types_refute(sizes, h, meter)
+
+    monkeypatch.setattr(packing, "_types_refute", counted)
+    for sizes, h in (([2, 2, 2], K3), ([3, 3, 2, 2, 2], op.cycle_graph(4))):
+        assert op.has_perfect_packing(op.complete_multipartite(sizes)[0], h).verdict is Verdict.YES
+    assert calls == []
+    rng = random.Random(3617)
+    for _ in range(30):
+        g = op.random_graph(9, 0.7, rng)
+        assert (op.has_perfect_packing(g, K3).verdict is Verdict.YES) == naive_has_perfect_packing(g, K3)
+    assert op.has_perfect_packing(op.complete_multipartite([4, 1, 1])[0], K3).verdict is Verdict.NO
+    assert calls and all(calls)
+
+
+def test_embedder_builds_h_part_once():
+    # h's component order and neighbour lists are built once for all the
+    # searches on one h, and again for the next h
+    packing._pattern_plan.cache_clear()
+    rng = random.Random(3619)
+    hosts = [op.random_graph(9, 0.7, rng) for _ in range(10)]
+    for h in (K3, K3, op.path_graph(3)):
+        for g in hosts:
+            op.has_perfect_packing(g, h)
+            op.copy_covering_vertex(g, h, 4)
+    info = packing._pattern_plan.cache_info()
+    assert info.misses == 2 and info.hits >= 2 * len(hosts)
+
+
 def test_engine_skips_hosts_with_fewer_twin_classes_than_h(monkeypatch):
     # an fdiamond blow-up has 6 open-twin classes against |fdiamond| = 7 and
     # is not complete multipartite: the engine would pay a profile search

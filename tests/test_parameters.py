@@ -171,6 +171,99 @@ def test_colour_extension_matches_search_by_rising_m():
     assert from_one.get(None, 0) >= 20 and sum(v for k, v in from_one.items() if k) >= 20
 
 
+def _toggled(g, rng):
+    """g relabelled by ``rng.shuffle``, with 1 to 3 vertex pairs drawn by
+    ``rng`` toggled: an edge deleted or a non-edge added."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = set(op.relabel(g, perm).edges())
+    for _ in range(rng.randint(1, 3)):
+        edges ^= {tuple(sorted(rng.sample(range(g.n), 2)))}
+    return op.Graph.from_edges(g.n, edges)
+
+
+def test_colour_extension_clique_bounds_match_search_by_rising_m():
+    # the clique bounds skip eligibility and extension searches that
+    # cannot succeed; on graphs with CE >= 1, where the extension searches
+    # run, the value and witness from start = 0 and from start = 1 must be
+    # the oracle's. Toggled hdiamonds, fdiamond blow-ups and dense G(n, 0.7)
+    # draws, each drawn until the oracle gives enough of them CE >= 1
+    rng = random.Random(3607)
+    graphs = [(op.blow_up(FD, t), 1) for t in (2, 3)]
+
+    def draw(make, wanted):
+        found = 0
+        for _ in range(100):
+            g = make()
+            want = ce_by_rising_m(g, op.chromatic_number(g))[0]
+            graphs.append((g, want))
+            found += want is not None and want >= 1
+            if found == wanted:
+                return
+        raise AssertionError("too few draws with CE >= 1")
+
+    for k, r, sizes in ((2, 4, [3, 4, 7, 7]), (3, 5, [4, 6, 7, 7, 7]), (2, 5, [3] * 5)):
+        hd = op.construct_hdiamond(k, r, sizes)
+        draw(lambda: _toggled(hd, rng), 8)
+    for n in range(12, 19):
+        draw(lambda: op.random_graph(n, 0.7, rng), 3)
+    for g, want in graphs:
+        chi = op.chromatic_number(g)
+        for start in (0, 1):
+            ce, witness = op.colour_extension_number(g, chi, start)
+            got = ce.value, witness
+            assert got == ce_by_rising_m(g, chi, start), (op.to_graph6(g), start)
+    assert sum(want is not None and want >= 2 for _, want in graphs) >= 16
+
+
+def test_colour_extension_clique_bounds_match_exhaustive_oracle():
+    # random graphs on at most 9 vertices seldom have CE >= 1, so toggled
+    # relabellings of fdiamond (CE = 1) join them
+    rng = random.Random(3609)
+    values = []
+    while len(values) < 300 or sum(v is not None and v >= 1 for v in values) < 12:
+        if len(values) % 3:
+            g = op.random_graph(rng.randint(4, 9), rng.choice((0.5, 0.7, 0.8, 0.9)), rng)
+        else:
+            g = _toggled(FD, rng)
+        if not g.edge_count():
+            continue
+        ce, witness = op.colour_extension_number(g)
+        want = brute_colour_extension_number(g)
+        assert (ce.value, witness) == want, op.to_graph6(g)
+        values.append(want[0])
+
+
+def test_clique_bound_leaves_one_eligibility_search_on_hdiamond(monkeypatch):
+    # hd(5,7,[6]*7), relabelled by Random(2).shuffle as tools/cliffs.py
+    # relabels it: chi = 7 and 38 distinct neighbourhoods, of which all but
+    # one hold a clique on chi - 1 vertices. Only that one reaches the
+    # eligibility search with chi - 2 classes; the extension bound then
+    # refutes every extension search. A clique on 6 vertices, grown in
+    # each, rules out the other 37 neighbourhoods. The eligible one, the
+    # fourth, holds a clique on 5 and has one 5-coloring, which blocks a
+    # clique on 7 outside it: 5 + 7 classes are not fewer than chi + 5
+    g = op.construct_hdiamond(5, 7, [6] * 7)
+    perm = list(range(g.n))
+    random.Random(2).shuffle(perm)
+    g = op.relabel(g, perm)
+    totals = []
+    search = parameters._color_search
+
+    def counted(h, vertices, classes, total, visit, near=None):
+        totals.append(total)
+        return search(h, vertices, classes, total, visit, near)
+
+    grown = []
+    clique = parameters._clique
+    monkeypatch.setattr(parameters, "_color_search", counted)
+    monkeypatch.setattr(parameters, "_clique", lambda h, vertices: grown.append(clique(h, vertices)) or grown[-1])
+    ce, witness = op.colour_extension_number(g, 7)
+    assert (ce.value, witness) == (5, 3)
+    assert len(set(g.adj)) == 38 and totals == [5]
+    assert [k.bit_count() for k in grown] == [6, 6, 6, 5, 7] + [6] * 34
+
+
 def test_full_report_calls(monkeypatch):
     # chi is computed once per report; CE = 0 needs no extension search,
     # and CE >= 1 needs one, from m = 1

@@ -28,15 +28,20 @@ one run.
 - CE and its witness from `full_report` on the costliest `params` inputs
   of the benchmark: the fdiamond blow-ups fd*4 and fd*5, the complete
   multipartite K[2,3,4,5,6,7], the dense G(n, 0.7) draws from
-  `Random(1000 n + index)` and hd(5,7,[6]*7). Two draws also appear
-  relabelled by `Random(2).shuffle`, which leaves vertex 0 not free: the
-  CE = 0 witness is then not the first vertex, and the profile search must
-  decide every vertex below it. The last row is a 128-vertex host whose
-  119 lowest vertices are not free.
+  `Random(1000 n + index)`, hd(5,7,[6]*7) and hd(3,5,[4,6,7,7,7]). Two
+  draws and hd(5,7,[6]*7) also appear relabelled by `Random(2).shuffle`,
+  which leaves vertex 0 not free: the CE = 0 witness is then not the
+  first vertex, and the profile search must decide every vertex below
+  it. The last row is a 128-vertex host whose 119 lowest vertices are not
+  free.
 - The same from `colour_extension_number` alone, the search that
-  `orepack verify` runs. On G(40,0.5) from `Random(40)`, `full_report`
-  reads CE = 0 off the profile search, while the search alone tries
-  thousands of colourings of N(x) for an extension.
+  `orepack verify` runs, with the number of colouring searches it starts
+  (`parameters._color_search` calls), a count that does not depend on
+  the machine. On the hdiamonds the clique bounds leave one: the
+  eligibility search of the one neighbourhood without a clique on chi - 1
+  vertices. On G(40,0.5) from `Random(40)`, `full_report` reads CE = 0
+  off the profile search, while the search alone tries thousands of
+  colourings of N(x) for an extension.
 - Cliffs B and C, NO verdicts that only a complete search proves, with
   the search nodes and the wall time per node. Cliff B: perfect-packing
   refutations in K_a+K_b, K_{a,b}, K_{a,b,c} and K_{3,...,3,3(k-1)} hosts
@@ -76,7 +81,7 @@ from functools import partial
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 import orepack as op  # noqa: E402
-from orepack import packing  # noqa: E402
+from orepack import packing, parameters  # noqa: E402
 from orepack.graphs import Meter  # noqa: E402
 
 
@@ -204,8 +209,22 @@ def _full_report(g: op.Graph):
 
 
 def _extension(g: op.Graph):
-    ce, witness = op.colour_extension_number(g)
-    return (ce.value, witness), None
+    """CE and its witness, and the colouring searches the CE search
+    starts, counted by wrapping ``parameters._color_search``."""
+    search = parameters._color_search
+    searches = 0
+
+    def counted(*args):
+        nonlocal searches
+        searches += 1
+        return search(*args)
+
+    parameters._color_search = counted
+    try:
+        ce, witness = op.colour_extension_number(g)
+    finally:
+        parameters._color_search = search
+    return (ce.value, witness), searches
 
 
 def _pack(g: op.Graph, h: op.Graph, budget: int = packing.DEFAULT_BUDGET):
@@ -240,6 +259,10 @@ def _profile_cells(answer, nodes, ms):
 def _ce_cells(answer, nodes, ms):
     ce, witness = answer
     return f"{'inf' if ce is None else ce:>3}  {witness!s:>7}  {ms:8.1f}"
+
+
+def _ce_search_cells(answer, searches, ms):
+    return f"{_ce_cells(answer, searches, ms)}  {searches:9d}"
 
 
 def _search_cells(answer, nodes, ms):
@@ -289,12 +312,16 @@ TABLES = (
             (0, 2),
         ),
         ("hd(5,7,[6]*7)", partial(_full_report, op.construct_hdiamond(5, 7, [6] * 7)), (5, 42)),
+        ("hd(5,7,[6]*7) shuffled", partial(_full_report, _shuffled(op.construct_hdiamond(5, 7, [6] * 7))), (5, 3)),
+        ("hd(3,5,[4,6,7,7,7])", partial(_full_report, op.construct_hdiamond(3, 5, [4, 6, 7, 7, 7])), (3, 31)),
         ("C11 on a path square", partial(_full_report, _cycle_on_path_square(119, 11)), (0, 119)),
     )),
-    ("colour_extension_number", " CE  witness        ms", _ce_cells, (
+    ("colour_extension_number", " CE  witness        ms   searches", _ce_search_cells, (
         ("fdiamond", partial(_extension, op.construct_fdiamond()), (1, 6)),
         ("fd*5", partial(_extension, op.blow_up(op.construct_fdiamond(), 5)), (1, 30)),
         ("hd(5,7,[6]*7)", partial(_extension, op.construct_hdiamond(5, 7, [6] * 7)), (5, 42)),
+        ("hd(5,7,[6]*7) shuffled", partial(_extension, _shuffled(op.construct_hdiamond(5, 7, [6] * 7))), (5, 3)),
+        ("hd(3,5,[4,6,7,7,7])", partial(_extension, op.construct_hdiamond(3, 5, [4, 6, 7, 7, 7])), (3, 31)),
         ("G(24,0.7)#0", partial(_extension, op.random_graph(24, 0.7, random.Random(1000 * 24 + 0))), (1, 2)),
         ("G(40,0.5) from Random(40)", partial(_extension, op.random_graph(40, 0.5, random.Random(40))), (0, 2)),
     )),
