@@ -61,7 +61,8 @@ EXIT_PRECONDITION = 3
 EXIT_UNKNOWN = 4
 EXIT_FOR_VERDICT = {Verdict.YES: EXIT_OK, Verdict.NO: EXIT_NO, Verdict.UNKNOWN: EXIT_UNKNOWN}
 
-_JSON = json.JSONEncoder(separators=(",", ":"))
+# no output nests a container in itself
+_JSON = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 # bytes asked of each os.read: a graph of 128 vertices is about 1.4 KB of
 # graph6 and at most about 65 KB of bare edge list, so most files take one
 # read and one more that finds the end

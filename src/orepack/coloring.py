@@ -27,13 +27,14 @@ collects; the profiles are sets; and the checks of the window pass only
 bound the lowest free vertex, which the pinned searches then decide
 exactly. So the search may take its vertices in whatever order each
 branch makes cheapest. The chromatic number is the largest over the
-components, so it is found one component at a time: k starts at a
-greedy clique lower bound and rises while the next component is not
-k-colorable.
+components, so ``chromatic_number`` finds it one component at a time: k
+starts at a greedy clique lower bound and rises while the next component
+is not k-colorable.
 
 ``class_size_profiles`` gives the set of sorted class-size profiles of
 the optimal colorings (proper partitions into exactly chi classes), which
-is all the parameter layer needs. It reads them from ``_profile_search``,
+is all the parameter layer needs, and chi with them: it makes no
+``chromatic_number`` call. It reads them from ``_profile_search``,
 which searches each component on its own with up to r classes and keeps
 only the class sizes, sorting each distinct size tuple of a component
 once; the components are then merged by matching their classes up in
@@ -72,7 +73,7 @@ the class-size differences are only correct when the search is complete.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import add, and_, or_
 
 from .graphs import FrozenRecord, Graph, Meter, PreconditionError, components, iter_bits
@@ -81,8 +82,13 @@ DEFAULT_ENUMERATION_CAP = 10**6
 
 
 def require_edge(h: Graph) -> None:
-    if h.n == 0 or h.edge_count() == 0:
+    if not any(h.adj):
         raise PreconditionError("graph must contain at least one edge")
+
+
+def _require_vertex(h: Graph) -> None:
+    if h.n == 0:
+        raise PreconditionError("chromatic number of the empty graph is undefined")
 
 
 def greedy_clique(h: Graph) -> tuple[int, ...]:
@@ -121,7 +127,19 @@ def _degree_planes(adj: tuple[int, ...]) -> tuple[int, ...]:
                   for k in reversed(range(len(adj).bit_length()))])
 
 
-_cached_degree_planes = lru_cache(maxsize=1)(_degree_planes)
+# the rows last asked for and their planes
+_last_planes: list[tuple[int, ...]] = [(), ()]
+
+
+def _cached_degree_planes(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """``_degree_planes(adj)``, kept for the last rows asked for and found
+    again by identity: a lookup by value would hash all n rows on every
+    call. The entry holds the rows, so their id cannot be reused while it
+    stands."""
+    last = _last_planes
+    if last[0] is not adj:
+        last[:] = adj, _degree_planes(adj)
+    return last[1]
 
 
 def _clique(h: Graph, vertices: int) -> int:
@@ -130,16 +148,18 @@ def _clique(h: Graph, vertices: int) -> int:
     the vertices adjacent to all taken so far; the pick reads the degree
     planes as the colouring search does. Its order lower-bounds the
     chromatic number of h[vertices] at a few plane steps per vertex taken,
-    which is what the colour extension search needs of it.
-    ``greedy_clique``, which counts degrees inside the candidates, finds
-    larger cliques for the chromatic number's start bound."""
+    which is what the colour extension search and the first round of
+    ``class_size_profiles`` need of it. ``greedy_clique``, which counts
+    degrees inside the candidates, finds larger cliques for the start
+    bound of ``chromatic_number``."""
     planes = _cached_degree_planes(h.adj)
     clique = 0
     while vertices:
         pick = vertices
-        for plane in planes:
-            if pick & plane:
-                pick &= plane
+        if pick & (pick - 1):
+            for plane in planes:
+                if pick & plane:
+                    pick &= plane
         low = pick & -pick
         clique |= low
         vertices &= h.adj[low.bit_length() - 1]
@@ -278,9 +298,8 @@ def _color_search(
 
 
 def chromatic_number(h: Graph) -> int:
-    if h.n == 0:
-        raise PreconditionError("chromatic number of the empty graph is undefined")
-    if h.edge_count() == 0:
+    _require_vertex(h)
+    if not any(h.adj):
         return 1
     k = max(2, len(greedy_clique(h)))
     for comp in components(h):
@@ -338,6 +357,16 @@ def class_size_profiles(
     """chi(h), the sorted class sizes of every optimal coloring of h, and
     the lowest free vertex, or None when no vertex is free.
 
+    chi is found by the profile search itself. Its first round runs with
+    r classes, r the order of the clique that ``_clique`` grows in all of
+    h, and while some component has no coloring with r classes, r rises
+    by one and the round runs again; the first round in which every
+    component has one is the round at chi. A round below chi refutes as
+    the failing rounds of ``chromatic_number`` do, by a complete search,
+    and is otherwise spent. A component has at most as many colorings
+    with r classes as with chi, so one past the cap in such a round would
+    be past it at chi too: the cap raises where it would with chi known.
+
     A partition of V(h) into chi classes restricts to a coloring of each
     component with at most chi classes, and any such colorings of the
     components, with their classes matched up, give one. So the profiles
@@ -361,19 +390,25 @@ def class_size_profiles(
     pinned class stands for a closed twin of x, which no vertex of N(x)
     can join, so the search reaches a coloring exactly when some coloring
     of C with at most chi classes has a second class that misses N(x), or
-    has fewer than chi classes. A check costs O(chi) per vertex. On the
-    benchmark's params inputs a pinned search past |C| colorings visits a
-    median 0.94 |C| nodes, so the switch comes where the checks would
-    have cost about one search. On components with at most |C| colorings
-    the checks stay: there the pinned searches mostly fail, a failing one
-    visits up to 8.7 |C| nodes, and deciding G(24,0.7)#0 by them alone
-    takes ``full_report`` from about 0.7 to 3.3 ms. The pinned searches
+    has fewer than chi classes. A check takes O(chi) operations on vertex
+    masks: a vertex is free when the neighbour masks of two classes, which
+    the search keeps, both miss it. On the benchmark's params inputs a
+    pinned search past |C| colorings visits a median 0.94 |C| nodes. On
+    components with at most |C| colorings the checks stay: there the
+    pinned searches mostly fail, a failing one visits up to 8.7 |C|
+    nodes, and deciding G(24,0.7)#0 by them alone takes ``full_report``
+    from about 0.7 to 3.3 ms. The pinned searches
     are not metered, and run only here: the packing layer reads the
     profiles of ``_profile_search`` alone. The lowest free vertex is the
     witness of colour extension number 0 (see ``parameters``).
     """
-    r = chromatic_number(h)
+    _require_vertex(h)
+    # below chi, some component's set of profiles is empty
+    r = _clique(h, h.vertex_mask).bit_count()
     parts, free, unchecked = _profile_search(h, cap, r)
+    while not all(parts):
+        r += 1
+        parts, free, unchecked = _profile_search(h, cap, r)
     adj = h.adj
     for comp in unchecked:
         seen = set()
@@ -397,7 +432,10 @@ def _profile_search(
     most r classes, counted on a ``Meter(cap)`` of its own; the lowest
     vertex that the first |C| colorings visited of each component C show
     free, or h.n; and the masks of the components with more colorings than
-    vertices, whose vertices below that bound are not yet decided.
+    vertices, whose vertices below that bound are not yet decided. The
+    search stops after the first component with no such coloring: its
+    set, empty, is the last, since h then has no coloring with r classes
+    whatever the later components hold.
 
     The window pass visits the colorings of C one by one and checks the
     first |C| of them. Past them, a component without a ``_tail`` runs on
@@ -422,14 +460,16 @@ def _profile_search(
         if len(classes) < r:
             free = min(free, low)
         else:
+            # x's own class misses N(x), so x is free when it is outside
+            # the neighbour masks of two classes
             below = comp & ((1 << free) - 1)
-            while below:
-                x = (below & -below).bit_length() - 1
-                # x's own class misses N(x); one more must
-                if [m & adj[x] for m in classes].count(0) >= 2:
-                    free = x
-                    break
-                below &= below - 1
+            once = twice = 0
+            for mask in near:
+                missed = below & ~mask
+                twice |= once & missed
+                once |= missed
+            if twice:
+                free = (twice & -twice).bit_length() - 1
         return False
 
     parts = []
@@ -441,12 +481,15 @@ def _profile_search(
         # the completed colorings up to this count are checked
         checked = comp.bit_count()
         tail = 0
-        _color_search(h, comp, [], r, collect)
+        near: list[int] = []
+        _color_search(h, comp, [], r, collect, near)
         if meter.nodes > checked:
             unchecked.append(comp)
             if tail:
                 found = _counted_sizes(h, comp, tail, r, Meter(cap))
         parts.append({(0,) * (r - len(s)) + tuple(sorted(s)) for s in found})
+        if not found:
+            break
     return parts, free, unchecked
 
 
@@ -535,7 +578,8 @@ def _distinct_permutations(b: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The distinct orderings of the sorted tuple ``b``; unlike
     ``itertools.permutations``, once each, so chi equal entries cost one
     ordering rather than chi!."""
-    if len(b) <= 1:
+    if b[:1] == b[-1:]:
+        # all entries equal
         return [b]
     out = []
     for i, x in enumerate(b):

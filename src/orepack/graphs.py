@@ -301,7 +301,7 @@ class Graph(FrozenRecord):
                 yield (u, v)
 
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +408,17 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 
 def components(g: Graph) -> list[int]:
     """Vertex masks of the connected components, ordered by least vertex."""
+    adj = g.adj
     out = []
     rest = g.vertex_mask
     while rest:
         comp = frontier = rest & -rest
         while frontier:
             nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= g.adj[u]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = nxt & ~comp
             comp |= nxt
         out.append(comp)

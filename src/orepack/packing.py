@@ -70,7 +70,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import mul, or_
 
 from .coloring import _degree_planes, _profile_search
@@ -89,6 +89,8 @@ DEFAULT_BUDGET = 10**8
 # the most colourings of one component of H that the type-count engine
 # enumerates before it leaves a complete multipartite host to the search
 TYPE_ENUMERATION_CAP = 1_000
+# the JSON keys of the vertices of h, which has at most MAX_VERTICES
+_VERTEX_KEYS = tuple(map(str, range(MAX_VERTICES)))
 
 
 class Verdict(str, Enum):
@@ -105,18 +107,11 @@ class Embedding(FrozenRecord):
     def __init__(self, mapping: tuple[int, ...]) -> None:
         self._set(mapping)
 
-    @property
-    def image_mask(self) -> int:
-        m = 0
-        for g in self.mapping:
-            m |= 1 << g
-        return m
-
     def image(self) -> frozenset[int]:
         return frozenset(self.mapping)
 
     def to_json(self) -> dict:
-        return {str(i): g for i, g in enumerate(self.mapping)}
+        return dict(zip(_VERTEX_KEYS, self.mapping))
 
 
 class PackingResult(FrozenRecord):
@@ -312,7 +307,10 @@ def _types_refute(sizes: Sequence[int], h: Graph, meter: Meter) -> bool:
     n/|h| of them for each component. The types of every component come
     from one ``_profile_search`` of h with r classes; no coloring has more
     classes than its component has vertices, and the zeros of the
-    padding are dropped. Components with the same types form one kind.
+    padding are dropped. Components with the same types form one kind. A
+    component with no coloring has no types, and that search stops there,
+    so the kinds of the later components are missing; the bound below
+    then refutes at the root, as it would with them.
 
     The search takes types off the class counts, and branches only over
     types that cover a vertex of a fullest class. Classes with equal
@@ -497,11 +495,26 @@ def is_copy(g: Graph, h: Graph, emb: Embedding) -> bool:
 
 def verify_packing(g: Graph, h: Graph, cert: Sequence[Embedding]) -> bool:
     """True iff every embedding is a valid copy of h, images are pairwise
-    disjoint, and their union is all of V(g)."""
-    covered = 0
-    for emb in cert:
-        image = emb.image_mask
-        if not is_copy(g, h, emb) or image & covered:
-            return False
-        covered |= image
-    return covered == g.vertex_mask
+    disjoint, and their union is all of V(g).
+
+    The images are checked together: each mapping has |h| entries and
+    there are |g| in all, so they are distinct (each mapping injective,
+    the images disjoint) and cover V(g) exactly when they make |g|
+    distinct values from 0 to |g| - 1. Each edge of h is then checked in
+    every copy, read once, from the row of its lower end."""
+    maps = [emb.mapping for emb in cert]
+    if any(len(m) != h.n for m in maps) or len(maps) * h.n != g.n:
+        return False
+    image = set(chain.from_iterable(maps))
+    if len(image) != g.n or image and (min(image) != 0 or max(image) != g.n - 1):
+        return False
+    adj = g.adj
+    for u, row in enumerate(h.adj):
+        row &= -2 << u  # the neighbours above u
+        while row:
+            low = row & -row
+            row ^= low
+            v = low.bit_length() - 1
+            if not all(adj[m[u]] >> m[v] & 1 for m in maps):
+                return False
+    return True

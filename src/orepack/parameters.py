@@ -8,8 +8,10 @@ Together with the critical chromatic number and the class-size gcd
 machinery it determines the Ore-type packing threshold coefficient.
 Every invariant but the extension number depends only on the set of
 sorted class-size profiles of the optimal colorings; ``full_report`` reads
-that set once from ``coloring.class_size_profiles``, and the standalone
-functions read ``full_report``, extension search included.
+that set and chi once from ``coloring.class_size_profiles``, whose
+profile search finds chi itself, so a report makes no
+``chromatic_number`` call. The standalone functions read ``full_report``,
+extension search included.
 
 The extension number is 0 exactly when some optimal coloring leaves some
 vertex x non-adjacent to two of its classes (x's own class is always

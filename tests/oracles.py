@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import reduce
 from itertools import combinations, permutations
 from typing import Callable
 
-from orepack import BudgetExhausted, Graph, graphs
+from orepack import BudgetExhausted, Graph, coloring, graphs, packing
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +353,35 @@ def profile_search_before(h: Graph, cap: int, r: int):
         if count > len(comp):
             unchecked.append(part)
     return parts, free, unchecked
+
+
+# ---------------------------------------------------------------------------
+# class-size profiles after a separate chromatic number
+#
+# ``coloring.class_size_profiles`` as it was before its profile searches
+# found chi themselves: ``chromatic_number`` first, then one profile
+# search with chi classes, then the pinned free-vertex searches.
+
+
+def class_size_profiles_before(h: Graph, cap: int = coloring.DEFAULT_ENUMERATION_CAP):
+    """(chi, profiles, lowest free vertex or None) as
+    ``coloring.class_size_profiles`` gave them when it called
+    ``chromatic_number`` first."""
+    r = coloring.chromatic_number(h)
+    parts, free, unchecked = coloring._profile_search(h, cap, r)
+    adj = h.adj
+    for comp in unchecked:
+        seen = set()
+        for x in graphs.iter_bits(comp):
+            if x >= free:
+                break
+            if adj[x] in seen:
+                continue
+            seen.add(adj[x])
+            if coloring._color_search(h, comp ^ 1 << x, [1 << x, 1 << x], r, lambda _: True):
+                free = x
+                break
+    return r, reduce(coloring._labelled_sums, parts), free if free < h.n else None
 
 
 # ---------------------------------------------------------------------------
@@ -758,3 +788,23 @@ def copies_before(g: Graph, h: Graph, anchor=None):
     """Every labelled embedding of h into g, in the order of the plain
     search, with no twin skipped."""
     return _embeddings_before(g, h, _Nodes(None), [0] * g.n, (1 << g.n) - 1, anchor)
+
+
+# ---------------------------------------------------------------------------
+# certificate checking copy by copy
+#
+# ``packing.verify_packing`` as it was before it checked the images of all
+# copies together: ``is_copy`` on each embedding, then its image against
+# the union of the images before it.
+
+
+def verify_packing_before(g: Graph, h: Graph, cert) -> bool:
+    covered = 0
+    for emb in cert:
+        image = 0
+        for x in emb.mapping:
+            image |= 1 << x
+        if not packing.is_copy(g, h, emb) or image & covered:
+            return False
+        covered |= image
+    return covered == g.vertex_mask

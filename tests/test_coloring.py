@@ -6,6 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from functools import reduce
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from fixtures import corpus, dense_g30, k4_minus, small_corpus
 from oracles import (
     brute_chromatic_number,
     brute_optimal_partitions,
+    class_size_profiles_before,
     independent_set_partitions,
     plain_color_search,
     profile_search_before,
@@ -240,6 +242,15 @@ def _merged_profiles(g, r):
     return reduce(_labelled_sums, _profile_search(g, DEFAULT_ENUMERATION_CAP, r)[0])
 
 
+def test_distinct_permutations_are_each_ordering_once():
+    # sorted tuples of 0 to 5 entries from 0 to 2: every distinct
+    # ordering, none twice, an all-equal tuple as its one ordering
+    for k in range(6):
+        for b in sorted({tuple(sorted(c)) for c in product(range(3), repeat=k)}):
+            got = coloring._distinct_permutations(b)
+            assert sorted(got) == sorted(set(permutations(b))) and len(got) == len(set(got)), b
+
+
 def test_class_size_profiles_with_a_given_class_count():
     # the colorings with at most r classes, r from chi - 1 to chi + 3:
     # class_size_profiles at chi, the merged profile search at the others
@@ -344,15 +355,70 @@ def test_class_size_profiles_cap_is_hard_error():
     assert op.class_size_profiles(c15, cap=5_461)[:2] == _enumerated_profiles(c15)
 
 
+def _below_clique_bound(rng):
+    """Relabelled graphs whose plane-clique bound is below chi: C5+K2,
+    P3+C5, 3C5 and C5+C7+K2, five labellings each, and odd cycles of 5 to
+    9 vertices beside G(n, 0.15) on 4 to 12 vertices, kept when the bound
+    is below chi."""
+    c5, k2 = op.cycle_graph(5), op.complete_graph(2)
+    bases = [
+        op.disjoint_union(c5, k2),
+        op.disjoint_union(op.path_graph(3), c5),
+        _copies(c5, 3),
+        op.disjoint_union(op.disjoint_union(c5, op.cycle_graph(7)), k2),
+    ]
+    graphs = [op.relabel(g, rng.sample(range(g.n), g.n)) for g in bases for _ in range(5)]
+    while len(graphs) < 60:
+        g = op.random_graph(rng.randint(4, 12), 0.15, rng)
+        for k in rng.sample((5, 7, 9), rng.randint(1, 2)):
+            g = op.disjoint_union(g, op.cycle_graph(k))
+        g = op.relabel(g, rng.sample(range(g.n), g.n))
+        if coloring._clique(g, g.vertex_mask).bit_count() < op.chromatic_number(g):
+            graphs.append(g)
+    return graphs
+
+
+def test_class_size_profiles_find_chi_in_their_own_search():
+    # the profile search starts at the plane-clique bound and searches
+    # again with one class more while a component has no coloring: the
+    # same chi, profiles and lowest free vertex as chromatic_number
+    # followed by one profile search at chi, on the corpus, edgeless
+    # graphs and G(30,0.7)#2 (plane clique 8, chi 10), and on relabelled
+    # graphs whose clique bound is below chi
+    graphs = list(corpus().values()) + [op.empty_graph(1), op.empty_graph(3), dense_g30()]
+    graphs += _below_clique_bound(random.Random(3838))
+    below = 0
+    for g in graphs:
+        want = class_size_profiles_before(g)
+        assert op.class_size_profiles(g) == want, op.to_graph6(g)
+        below += coloring._clique(g, g.vertex_mask).bit_count() < want[0]
+    assert below >= 61
+
+
+def test_class_size_profiles_cap_as_before():
+    # a component past the cap at some r below chi is past it at chi too,
+    # so the cap raises where it did with chi found first, with the same
+    # message: caps one below and at the count of C15 (5,461 colorings)
+    # and 3C5 (5 per component), also relabelled
+    rng = random.Random(3839)
+    cases = [(op.cycle_graph(15), 5_461), (_copies(op.cycle_graph(5), 3), 5)]
+    cases += [(op.relabel(g, rng.sample(range(g.n), g.n)), count) for g, count in cases]
+    for g, count in cases:
+        for cap in (count - 1, count):
+            want = _outcome(class_size_profiles_before, g, cap)
+            assert _outcome(op.class_size_profiles, g, cap) == want, (op.to_graph6(g), cap)
+            assert isinstance(want, str) == (cap < count)
+
+
 def _pinned_searches(monkeypatch):
     """Record the components that ``class_size_profiles`` runs a pinned
     search on: the vertices of the call's mask and the pinned vertex."""
     calls = []
 
-    def counted(h, vertices, classes, total, visit):
+    def counted(h, vertices, classes, total, visit, near=None):
         if classes:
             calls.append(frozenset(iter_bits(vertices | classes[0])))
-        return _color_search(h, vertices, classes, total, visit)
+        return _color_search(h, vertices, classes, total, visit, near)
 
     monkeypatch.setattr(coloring, "_color_search", counted)
     return calls
@@ -468,9 +534,9 @@ def _with_pendants(rng):
     return op.relabel(g, rng.sample(range(g.n), g.n))
 
 
-def _outcome(search, h, cap, r):
+def _outcome(search, h, *args):
     try:
-        return search(h, cap, r)
+        return search(h, *args)
     except BudgetExhausted as exc:
         return str(exc)
 
@@ -724,12 +790,12 @@ def test_tailless_component_visits_each_coloring_once_on_one_meter(monkeypatch):
     meters = []
     search = coloring._color_search
 
-    def tallied(h, vertices, classes, total, visit):
+    def tallied(h, vertices, classes, total, visit, near=None):
         def counted(classes):
             seen[frozenset(classes)] += 1
             return visit(classes)
 
-        return search(h, vertices, classes, total, counted)
+        return search(h, vertices, classes, total, counted, near)
 
     monkeypatch.setattr(coloring, "_color_search", tallied)
     monkeypatch.setattr(coloring, "Meter", lambda cap: meters.append(cap) or Meter(cap))

@@ -19,6 +19,7 @@ from oracles import (
     naive_copy_covering,
     naive_has_perfect_packing,
     packing_search_before,
+    verify_packing_before,
 )
 
 
@@ -159,6 +160,63 @@ def test_verify_packing_rejects_bad_certificates():
     assert not op.verify_packing(c4, K2, non_edge)
     wrong_arity = (Embedding((0,)), Embedding((1, 2)), Embedding((3,)))
     assert not op.verify_packing(c4, K2, wrong_arity)
+
+
+def _corrupted(g, cert, rng):
+    """(kind, certificate) pairs from a valid certificate: itself, and
+    copies of it with two copies overlapping, one copy left out, one copy
+    twice, a vertex out of range, a mapping not injective, and two copies
+    trading a vertex,
+    which keeps the images disjoint and covering but may map an edge of h
+    onto a non-edge."""
+    maps = [list(e.mapping) for e in cert]
+    i, j = rng.sample(range(len(maps)), 2)
+    a, b = rng.randrange(len(maps[i])), rng.randrange(len(maps[j]))
+    overlapping = [list(m) for m in maps]
+    overlapping[i][a] = maps[j][b]
+    out_of_range = [list(m) for m in maps]
+    out_of_range[i][a] = g.n + rng.randrange(3)
+    traded = [list(m) for m in maps]
+    traded[i][a], traded[j][b] = maps[j][b], maps[i][a]
+    cases = [("good", maps), ("overlapping", overlapping), ("not covering", maps[:-1])]
+    cases.append(("copy twice", maps + [maps[i]]))
+    cases += [("out of range", out_of_range), ("traded", traded)]
+    if len(maps[i]) > 1:
+        c = (a + 1) % len(maps[i])
+        repeated = [list(m) for m in maps]
+        repeated[i][c] = maps[i][a]
+        cases.append(("not injective", repeated))
+    return [(kind, [Embedding(tuple(m)) for m in c]) for kind, c in cases]
+
+
+def test_verify_packing_agrees_with_checking_copy_by_copy():
+    # verify_packing checks the images of all copies together; the check
+    # copy by copy gives the same answer on the certificates the search
+    # finds and on corrupted copies of them
+    rng = random.Random(3840)
+    hs = [K2, op.complete_graph(3), op.path_graph(3), op.cycle_graph(4)]
+    answers = Counter()
+    while answers["traded", False] < 40:
+        h = rng.choice(hs)
+        g = op.random_graph(h.n * rng.randint(2, 5), rng.choice((0.5, 0.7, 0.9)), rng)
+        res = op.has_perfect_packing(g, h)
+        if res.verdict is not Verdict.YES:
+            continue
+        for kind, cert in _corrupted(g, res.certificate, rng):
+            got = op.verify_packing(g, h, cert)
+            assert got == verify_packing_before(g, h, cert), (op.to_graph6(g), op.to_graph6(h), kind)
+            answers[kind, got] += 1
+    assert answers["good", False] == 0 and answers["traded", True] >= 10
+    for kind in ("overlapping", "not covering", "copy twice", "out of range", "not injective"):
+        assert answers[kind, True] == 0 and answers[kind, False] >= 40, kind
+    # a vertex below 0 is out of range too
+    assert not op.verify_packing(op.cycle_graph(4), K2, (Embedding((0, 1)), Embedding((-1, 3))))
+
+
+def test_embedding_json_keys_are_h_vertices():
+    for n in (0, 1, 7, op.MAX_VERTICES):
+        mapping = tuple(range(n, 0, -1))
+        assert Embedding(mapping).to_json() == {str(i): v for i, v in enumerate(mapping)}
 
 
 def test_matching_oracle_agreement():
@@ -552,6 +610,20 @@ def test_engine_refutes_near_multipartite_cliff_rows_at_the_root():
         g = op.Graph.from_edges(g.n, [e for e in g.edges() if e not in gone])
         res = op.has_perfect_packing(g, h)
         assert (res.verdict, res.nodes) == (Verdict.NO, 1)
+
+
+def test_engine_refutes_at_a_component_without_colouring():
+    # K4 has no 3-colouring, so the profile search of K4 + C15 with 3
+    # classes stops at K4, before C15's 5,461 colourings pass the engine's
+    # cap, and the engine refutes at its root; the packing search took
+    # 1,641,215 nodes to refute it. With C15 first the cap still leaves
+    # the host to the search
+    h = op.disjoint_union(op.complete_graph(4), op.cycle_graph(15))
+    g = op.complete_multipartite([6, 6, 7])[0]
+    res = op.has_perfect_packing(g, h)
+    assert (res.verdict, res.nodes) == (Verdict.NO, 1)
+    with pytest.raises(BudgetExhausted):
+        packing._types_refute([6, 6, 7], op.disjoint_union(op.cycle_graph(15), op.complete_graph(4)), Meter())
 
 
 def test_engine_skips_hosts_whose_classes_all_fit(monkeypatch):

@@ -19,7 +19,9 @@ one run.
   has 4,096 colourings, which the profile search counts in bulk from the
   one colouring of the triangle. The last four rows have no tail: the
   dense G(22,0.5) and G(28,0.6), drawn from `Random(2205)` and
-  `Random(2806)`, and the cycles C15 and C21.
+  `Random(2806)`, and the cycles C15 and C21. On 3C5, 4C5, C5+C7+K2 and
+  16P3+C5 the clique bound that the profile search starts from is 2,
+  below chi = 3, so it searches the components again with 3 classes.
 - `chromatic_number` on unions of many paths and a 5-cycle, where a
   search that backtracks across components retries every colouring of
   the paths, and on G(40,0.5) from `Random(40)`, where a search that
@@ -32,8 +34,8 @@ one run.
   draws and hd(5,7,[6]*7) also appear relabelled by `Random(2).shuffle`,
   which leaves vertex 0 not free: the CE = 0 witness is then not the
   first vertex, and the profile search must decide every vertex below
-  it. The last row is a 128-vertex host whose 119 lowest vertices are not
-  free.
+  it. Then a 128-vertex host whose 119 lowest vertices are not free, and
+  the unions 3C5, C5+C7+K2 and 16P3+C5, whose clique bound is below chi.
 - The same from `colour_extension_number` alone, the search that
   `orepack verify` runs, with the number of colouring searches it starts
   (`parameters._color_search` calls), a count that does not depend on
@@ -46,7 +48,9 @@ one run.
   the search nodes and the wall time per node. Cliff B: perfect-packing
   refutations in K_a+K_b, K_{a,b}, K_{a,b,c} and K_{3,...,3,3(k-1)} hosts
   (k = 4..10), the space barriers of K_r (r = 4..9), the divisibility
-  barriers of K_{1,...,1,3} (r = 2..6 classes), and the covering
+  barriers of K_{1,...,1,3} (r = 2..6 classes), K4 + C15 into K_{6,6,7}
+  (K4 has no 3-colouring, so the profile search stops before the
+  5,461 colourings of C15 pass the engine's cap), and the covering
   refutation that `orepack verify` runs for prop2(3,1,7,7) against
   fdiamond. Cliff C: five of those hosts (the K4, K5 and K6 space barriers
   and K3 into K_{3^5,12} and K_{3^6,15}) with 1 or 3 edges deleted. They
@@ -101,6 +105,14 @@ def _pendant_triangle(k: int) -> op.Graph:
 
 def _paths_and_c5(k: int) -> op.Graph:
     return op.disjoint_union(_copies(op.path_graph(3), k), op.cycle_graph(5))
+
+
+def _c5_c7_k2() -> op.Graph:
+    return op.disjoint_union(op.disjoint_union(op.cycle_graph(5), op.cycle_graph(7)), op.complete_graph(2))
+
+
+def _k4_c15() -> op.Graph:
+    return op.disjoint_union(op.complete_graph(4), op.cycle_graph(15))
 
 
 def _shuffled(g: op.Graph, seed: int = 2) -> op.Graph:
@@ -280,6 +292,8 @@ TABLES = (
         ("22K2", partial(_profiles, _copies(op.complete_graph(2), 22)), (2, 1)),
         ("3C5", partial(_profiles, _copies(op.cycle_graph(5), 3)), (3, 3)),
         ("4C5", partial(_profiles, _copies(op.cycle_graph(5), 4)), (3, 4)),
+        ("C5+C7+K2", partial(_profiles, _c5_c7_k2()), (3, 4)),
+        ("16P3+C5", partial(_profiles, _paths_and_c5(16)), (3, 153)),
         ("G(16,0.15)#1 from Random(16001)", partial(_profiles, op.random_graph(16, 0.15, random.Random(16001))), (3, 11)),
         ("G(20,0.15) from Random(20)", partial(_profiles, op.random_graph(20, 0.15, random.Random(20))), (4, 39)),
         ("G(24,0.2) from Random(24)", partial(_profiles, op.random_graph(24, 0.2, random.Random(24))), "CAP"),
@@ -315,6 +329,9 @@ TABLES = (
         ("hd(5,7,[6]*7) shuffled", partial(_full_report, _shuffled(op.construct_hdiamond(5, 7, [6] * 7))), (5, 3)),
         ("hd(3,5,[4,6,7,7,7])", partial(_full_report, op.construct_hdiamond(3, 5, [4, 6, 7, 7, 7])), (3, 31)),
         ("C11 on a path square", partial(_full_report, _cycle_on_path_square(119, 11)), (0, 119)),
+        ("3C5", partial(_full_report, _copies(op.cycle_graph(5), 3)), (0, 0)),
+        ("C5+C7+K2", partial(_full_report, _c5_c7_k2()), (0, 0)),
+        ("16P3+C5", partial(_full_report, _paths_and_c5(16)), (0, 0)),
     )),
     ("colour_extension_number", " CE  witness        ms   searches", _ce_search_cells, (
         ("fdiamond", partial(_extension, op.construct_fdiamond()), (1, 6)),
@@ -345,6 +362,7 @@ TABLES = (
             (f"K_{{1,...,1,3}} parity barrier, r={r}, t={_parity_t(r)}", lambda r=r: _pack(*_divisibility_barrier(r)), "NO")
             for r in range(2, 7)
         ),
+        ("K4+C15 into K_{6,6,7}", lambda: _pack(op.complete_multipartite([6, 6, 7])[0], _k4_c15()), "NO"),
         ("verify prop2(3,1,7,7) vs fdiamond", _verify_prop2, "NO"),
         # Cliff C: Cliff B hosts that are refuted at the root, each with k
         # edges deleted
