@@ -31,7 +31,6 @@ from .coloring import (
     ColoringPartition,
     chromatic_number,
     class_size_profiles,
-    greedy_clique,
     optimal_colorings,
 )
 from .parameters import (

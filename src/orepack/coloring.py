@@ -28,8 +28,9 @@ bound the lowest free vertex, which the pinned searches then decide
 exactly. So the search may take its vertices in whatever order each
 branch makes cheapest. The chromatic number is the largest over the
 components, so ``chromatic_number`` finds it one component at a time: k
-starts at a greedy clique lower bound and rises while the next component
-is not k-colorable.
+starts at the order of the clique that ``_clique`` grows in h, the lower
+bound that ``class_size_profiles`` starts from, and rises while the next
+component is not k-colorable.
 
 ``class_size_profiles`` gives the set of sorted class-size profiles of
 the optimal colorings (proper partitions into exactly chi classes), which
@@ -91,22 +92,6 @@ def _require_vertex(h: Graph) -> None:
         raise PreconditionError("chromatic number of the empty graph is undefined")
 
 
-def greedy_clique(h: Graph) -> tuple[int, ...]:
-    """Grow a clique greedily by most-constrained degree; lower-bounds chi."""
-    cand = h.vertex_mask
-    clique = []
-    while cand:
-        best = -1
-        best_deg = -1
-        for v in iter_bits(cand):
-            d = (h.adj[v] & cand).bit_count()
-            if d > best_deg:
-                best, best_deg = v, d
-        clique.append(best)
-        cand &= h.adj[best]
-    return tuple(clique)
-
-
 # _BIT_DIGITS[k] translates a byte to the digit of its bit k
 _BIT_DIGITS = tuple([(b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8)])
 
@@ -147,11 +132,9 @@ def _clique(h: Graph, vertices: int) -> int:
     taking the vertex of highest degree in h, then the lowest label, among
     the vertices adjacent to all taken so far; the pick reads the degree
     planes as the colouring search does. Its order lower-bounds the
-    chromatic number of h[vertices] at a few plane steps per vertex taken,
-    which is what the colour extension search and the first round of
-    ``class_size_profiles`` need of it. ``greedy_clique``, which counts
-    degrees inside the candidates, finds larger cliques for the start
-    bound of ``chromatic_number``."""
+    chromatic number of h[vertices] at a few plane steps per vertex taken:
+    the start of ``chromatic_number`` and ``class_size_profiles``, and the
+    bounds of the colour extension search."""
     planes = _cached_degree_planes(h.adj)
     clique = 0
     while vertices:
@@ -172,16 +155,17 @@ def _color_search(
     classes: list[int],
     total: int,
     visit: Callable[[list[int]], bool],
-    near: list[int] | None = None,
+    near: list[int],
 ) -> bool:
     """Calls ``visit(classes)`` on each coloring of the vertex mask
     ``vertices`` with at most ``total`` classes, once each and in an
     order no caller reads, and returns True as soon as a call does; False
     after the whole search. ``classes`` are masks over the vertices of h:
     the ones given stay pinned, and the search appends the classes it
-    opens. ``near``, when given, holds the masks of the vertices adjacent
-    to each class given, which the search then need not build; it keeps
-    them current, so a visit may read the masks of the classes it is
+    opens. ``near`` holds the mask of the vertices adjacent to each class
+    given, in their order, and is empty when none is; every caller has
+    them at hand. The search keeps them current, with one more for each
+    class it opens, so a visit may read the masks of the classes it is
     shown.
 
     Each node takes the unplaced vertex adjacent to the most classes, the
@@ -273,17 +257,6 @@ def _color_search(
             classes.pop()
         return False
 
-    if near is None:
-        # bits taken inline: the free-vertex search pins classes on
-        # many short calls
-        near = []
-        for m in classes:
-            mask = 0
-            while m:
-                low = m & -m
-                mask |= adj[low.bit_length() - 1]
-                m ^= low
-            near.append(mask)
     for mask in near:
         carry = mask & vertices
         j = units
@@ -299,11 +272,9 @@ def _color_search(
 
 def chromatic_number(h: Graph) -> int:
     _require_vertex(h)
-    if not any(h.adj):
-        return 1
-    k = max(2, len(greedy_clique(h)))
+    k = _clique(h, h.vertex_mask).bit_count()
     for comp in components(h):
-        while not _color_search(h, comp, [], k, lambda _: True):
+        while not _color_search(h, comp, [], k, lambda _: True, []):
             k += 1
     return k
 
@@ -346,7 +317,7 @@ def optimal_colorings(h: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Colo
         )
         return False
 
-    _color_search(h, h.vertex_mask, [], r, emit)
+    _color_search(h, h.vertex_mask, [], r, emit, [])
     out.sort(key=lambda p: tuple(tuple(sorted(c)) for c in p.classes))
     return out
 
@@ -418,7 +389,7 @@ def class_size_profiles(
             if adj[x] in seen:
                 continue
             seen.add(adj[x])
-            if _color_search(h, comp ^ 1 << x, [1 << x, 1 << x], r, lambda _: True):
+            if _color_search(h, comp ^ 1 << x, [1 << x, 1 << x], r, lambda _: True, [adj[x], adj[x]]):
                 free = x
                 break
     return r, reduce(_labelled_sums, parts), free if free < h.n else None
@@ -530,6 +501,9 @@ def _counted_sizes(
     found: set[tuple[int, ...]] = set()
     bulk: dict[tuple[int, ...], tuple[int, set[int]]] = {}
     pending = set()
+    # the neighbour masks of the head's classes, which the search keeps
+    # current at each visit
+    head: list[int] = []
 
     def placed(classes: list[int]) -> bool:
         meter.spend()
@@ -538,7 +512,7 @@ def _counted_sizes(
 
     def counted(classes: list[int]) -> bool:
         if len(classes) < r - 1:
-            return _color_search(h, tail, list(classes), r, placed)
+            return _color_search(h, tail, list(classes), r, placed, list(head))
         if len(classes) < r:
             classes = classes + [0]
         key = tuple(m & near for m in classes)
@@ -553,7 +527,7 @@ def _counted_sizes(
         pending.add((tuple(map(int.bit_count, classes)), key))
         return False
 
-    _color_search(h, comp ^ tail, [], r, counted)
+    _color_search(h, comp ^ tail, [], r, counted, head)
     sums = set()
     for sizes, key in pending:
         base = sum(k << 8 * c for c, k in enumerate(sizes))

@@ -44,7 +44,8 @@ fewer classes it would pay a profile search to find that K(P) packs, and
 at least |H| classes of at most n/|H| vertices each always pack. It reads
 the class sizes of each component's colourings from one profile search
 on H (``coloring._profile_search``), whose cap of
-``TYPE_ENUMERATION_CAP`` bounds each component's search on its own. It
+``TYPE_ENUMERATION_CAP`` bounds each component's search on its own; a
+clique of H on more than |P| vertices refutes without one. It
 only ever refutes: a packing it finds is left to the search, so every
 YES, certificate and YES node count is the search's.
 
@@ -73,7 +74,7 @@ from functools import lru_cache
 from itertools import accumulate, chain
 from operator import mul, or_
 
-from .coloring import _degree_planes, _profile_search
+from .coloring import _clique, _degree_planes, _profile_search
 from .graphs import (
     MAX_VERTICES,
     BudgetExhausted,
@@ -271,8 +272,7 @@ def enumerate_copies(
     consuming it to bound work."""
     if anchor is not None and not 0 <= anchor < g.n:
         raise PreconditionError(f"anchor {anchor} out of range")
-    singletons = [1 << v for v in range(g.n)]
-    for mapping, _ in _embedder(g, h, Meter(), singletons)(g.vertex_mask, anchor):
+    for mapping, _ in _embedder(g, h, Meter(), _SINGLETONS[:g.n])(g.vertex_mask, anchor):
         yield Embedding(mapping)
 
 
@@ -310,7 +310,11 @@ def _types_refute(sizes: Sequence[int], h: Graph, meter: Meter) -> bool:
     padding are dropped. Components with the same types form one kind. A
     component with no coloring has no types, and that search stops there,
     so the kinds of the later components are missing; the bound below
-    then refutes at the root, as it would with them.
+    then refutes at the root, as it would with them. A clique of h on more
+    than r vertices (``coloring._clique``) has no coloring wherever it
+    lies, so then no search runs and the one kind has no types: a
+    component before it with colorings past the cap does not decide the
+    call.
 
     The search takes types off the class counts, and branches only over
     types that cover a vertex of a fullest class. Classes with equal
@@ -322,7 +326,11 @@ def _types_refute(sizes: Sequence[int], h: Graph, meter: Meter) -> bool:
     expanded spends a node on ``meter``."""
     copies = sum(sizes) // h.n
     kinds: dict[tuple[tuple[int, ...], ...], int] = {}
-    for profiles in _profile_search(h, TYPE_ENUMERATION_CAP, len(sizes))[0]:
+    if _clique(h, h.vertex_mask).bit_count() > len(sizes):
+        parts: list[set[tuple[int, ...]]] = [set()]
+    else:
+        parts = _profile_search(h, TYPE_ENUMERATION_CAP, len(sizes))[0]
+    for profiles in parts:
         positive = {tuple(sorted(filter(None, p), reverse=True)) for p in profiles}
         types = tuple(sorted(positive, reverse=True))
         kinds[types] = kinds.get(types, 0) + copies

@@ -11,7 +11,9 @@ sorted class-size profiles of the optimal colorings; ``full_report`` reads
 that set and chi once from ``coloring.class_size_profiles``, whose
 profile search finds chi itself, so a report makes no
 ``chromatic_number`` call. The standalone functions read ``full_report``,
-extension search included.
+extension search included, but for ``chi_prime_ore``, which needs only
+chi and the extension number and calls ``chromatic_number`` and
+``colour_extension_number``.
 
 The extension number is 0 exactly when some optimal coloring leaves some
 vertex x non-adjacent to two of its classes (x's own class is always

@@ -378,7 +378,7 @@ def class_size_profiles_before(h: Graph, cap: int = coloring.DEFAULT_ENUMERATION
             if adj[x] in seen:
                 continue
             seen.add(adj[x])
-            if coloring._color_search(h, comp ^ 1 << x, [1 << x, 1 << x], r, lambda _: True):
+            if coloring._color_search(h, comp ^ 1 << x, [1 << x, 1 << x], r, lambda _: True, [adj[x], adj[x]]):
                 free = x
                 break
     return r, reduce(coloring._labelled_sums, parts), free if free < h.n else None

@@ -86,21 +86,9 @@ def test_chromatic_number_does_not_backtrack_across_components():
     assert (proc.returncode, proc.stdout) == (0, "3\n")
 
 
-def test_chromatic_at_least_greedy_clique():
-    rng = random.Random(5)
-    for _ in range(100):
-        g = op.random_graph(rng.randrange(1, 12), rng.random(), rng)
-        clique = op.greedy_clique(g)
-        # the heuristic must return an actual clique
-        for i, u in enumerate(clique):
-            for v in clique[i + 1:]:
-                assert g.has_edge(u, v)
-        assert op.chromatic_number(g) >= len(clique)
-
-
 def test_clique_grows_by_degree_in_h():
-    # the clique bound of the colour extension search: within a vertex
-    # mask, take the vertex of highest degree in h, then the lowest label,
+    # the clique bound of the chromatic number, the profile search and the
+    # colour extension search: within a vertex mask, take the vertex of highest degree in h, then the lowest label,
     # among those adjacent to all taken so far, as a plain loop over the
     # vertices by falling degree does; never more vertices than the
     # chromatic number of the subgraph
@@ -115,6 +103,31 @@ def test_clique_grows_by_degree_in_h():
                 clique |= 1 << v
         assert coloring._clique(g, mask) == clique
         assert clique.bit_count() <= brute_chromatic_number(op.induced_subgraph(g, iter_bits(mask)))
+
+
+def test_chromatic_number_starts_at_the_clique_bound(monkeypatch):
+    # k starts at the order of the clique that _clique grows in all of h
+    # and rises only past a component with no k-coloring: the searches run
+    # with that many classes first and with chi last, and on an edgeless
+    # graph, where the clique is one vertex, each component takes one class
+    totals = []
+    search = coloring._color_search
+
+    def counted(h, vertices, classes, total, visit, near):
+        totals.append(total)
+        return search(h, vertices, classes, total, visit, near)
+
+    monkeypatch.setattr(coloring, "_color_search", counted)
+    rng = random.Random(3623)
+    for _ in range(100):
+        g = op.random_graph(rng.randrange(1, 12), rng.random(), rng)
+        totals.clear()
+        chi = op.chromatic_number(g)
+        assert totals[0] == coloring._clique(g, g.vertex_mask).bit_count()
+        assert totals == sorted(totals) and totals[-1] == chi
+    for n in (1, 5):
+        totals.clear()
+        assert op.chromatic_number(op.empty_graph(n)) == 1 and totals == [1] * n
 
 
 def test_optimal_colorings_k3():
@@ -415,7 +428,7 @@ def _pinned_searches(monkeypatch):
     search on: the vertices of the call's mask and the pinned vertex."""
     calls = []
 
-    def counted(h, vertices, classes, total, visit, near=None):
+    def counted(h, vertices, classes, total, visit, near):
         if classes:
             calls.append(frozenset(iter_bits(vertices | classes[0])))
         return _color_search(h, vertices, classes, total, visit, near)
@@ -629,6 +642,15 @@ def test_profile_search_matches_the_search_before_bulk_counting(monkeypatch):
     assert len(tailless) >= 12 and recounted >= 15 and kept >= 6
 
 
+def _neighbour_masks(g, classes):
+    return [reduce(lambda a, v: a | g.adj[v], iter_bits(c), 0) for c in classes]
+
+
+def _kernel(g, vertices, classes, total, visit):
+    """``_color_search`` handed the neighbour masks of the classes pinned."""
+    return _color_search(g, vertices, classes, total, visit, _neighbour_masks(g, classes))
+
+
 def _partitions_visited(search, g, vertices, pinned, total, stop_at=None):
     """What one search returns, and the multiset of colorings it visits,
     each as its pinned classes in order and the set of the classes it
@@ -663,12 +685,12 @@ def _compare_with_plain(g, cases, rng):
         if done:
             continue
         assert set(want.values()) <= {1}
-        got = _partitions_visited(_color_search, g, part, pinned, total)
+        got = _partitions_visited(_kernel, g, part, pinned, total)
         assert got == (False, want), (op.to_graph6(g), part, pinned, total)
         compared += 1
         if want:
             k = rng.randint(1, len(want))
-            done, seen = _partitions_visited(_color_search, g, part, pinned, total, stop_at=k)
+            done, seen = _partitions_visited(_kernel, g, part, pinned, total, stop_at=k)
             assert done and set(seen.values()) == {1} and len(seen) == k and seen.keys() <= want.keys()
             stopped += 1
     return compared, stopped
@@ -739,31 +761,37 @@ def test_kernel_visits_as_without_cuts():
     assert compared >= 700 and pinned_runs >= 80 and twins >= 200 and stopped >= 400
 
 
-def _neighbour_masks(g, classes):
-    return [reduce(lambda a, v: a | g.adj[v], iter_bits(c), 0) for c in classes]
-
-
 def test_kernel_keeps_the_neighbour_masks_it_is_given():
-    # the colour extension search passes the neighbour masks of the classes
-    # it pins and reads them back at each visit: given them, the search
-    # visits the same colorings in the same order as without, and at each
-    # visit they are the masks of the classes visited, also after a visit
-    # that stops the search. The cases: N(x) with chi - 2 classes, as the
-    # eligibility search colours it, the whole vertex set, and the rest of
-    # h with a coloring of N(x) pinned, as the extension search colours it
+    # every caller hands the search the neighbour masks of the classes it
+    # pins, and the colour extension search reads them back at each visit:
+    # at each visit they are the masks of the classes visited, also after
+    # a visit that stops the search, and after the whole search they are
+    # the pinned classes' again; a stopped search has visited the first
+    # colorings of the whole one. The cases: N(x) with chi - 2 classes, as
+    # the eligibility search colours it, the whole vertex set, and the
+    # rest of h with a coloring of N(x) pinned, as the extension search
+    # colours it
     rng = random.Random(3611)
     runs = kept = 0
     for g in _visit_graphs(rng):
         chi = op.chromatic_number(g)
         x = rng.randrange(g.n)
         colorings = []
-        _color_search(g, g.adj[x], [], max(chi - 2, 1), lambda c: colorings.append(list(c)) or len(colorings) == 3)
+        _color_search(g, g.adj[x], [], max(chi - 2, 1), lambda c: colorings.append(list(c)) or len(colorings) == 3, [])
         cases = [(g.adj[x], [], max(chi - 2, 1)), (g.vertex_mask, [], chi)]
         cases += [(g.vertex_mask ^ g.adj[x], pinned, total) for pinned in colorings for total in (chi, chi + 1)]
         for vertices, pinned, total in cases:
-            plain = []
-            _color_search(g, vertices, list(pinned), total, lambda c: plain.append(list(c)) or len(plain) == 500)
-            stop_at = rng.randint(1, len(plain)) if plain else None
+            whole = []
+            near = _neighbour_masks(g, pinned)
+
+            def visit_all(classes):
+                whole.append(list(classes))
+                assert near == _neighbour_masks(g, classes)
+                return len(whole) == 500
+
+            if not _color_search(g, vertices, list(pinned), total, visit_all, near):
+                assert near == _neighbour_masks(g, pinned)
+            stop_at = rng.randint(1, len(whole)) if whole else None
             seen = []
             near = _neighbour_masks(g, pinned)
 
@@ -773,8 +801,8 @@ def test_kernel_keeps_the_neighbour_masks_it_is_given():
                 return len(seen) == stop_at
 
             done = _color_search(g, vertices, list(pinned), total, visit, near)
-            assert seen == plain[: len(seen)] and done == bool(plain)
-            if plain:
+            assert seen == whole[: len(seen)] and done == bool(whole)
+            if whole:
                 assert near == _neighbour_masks(g, seen[-1])
                 kept += 1
             runs += 1
@@ -790,7 +818,7 @@ def test_tailless_component_visits_each_coloring_once_on_one_meter(monkeypatch):
     meters = []
     search = coloring._color_search
 
-    def tallied(h, vertices, classes, total, visit, near=None):
+    def tallied(h, vertices, classes, total, visit, near):
         def counted(classes):
             seen[frozenset(classes)] += 1
             return visit(classes)

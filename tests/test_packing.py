@@ -613,17 +613,17 @@ def test_engine_refutes_near_multipartite_cliff_rows_at_the_root():
 
 
 def test_engine_refutes_at_a_component_without_colouring():
-    # K4 has no 3-colouring, so the profile search of K4 + C15 with 3
-    # classes stops at K4, before C15's 5,461 colourings pass the engine's
-    # cap, and the engine refutes at its root; the packing search took
-    # 1,641,215 nodes to refute it. With C15 first the cap still leaves
-    # the host to the search
-    h = op.disjoint_union(op.complete_graph(4), op.cycle_graph(15))
+    # K4 has no 3-colouring, so the engine refutes K4 + C15 into K_{6,6,7}
+    # at its root, before C15's 5,461 colourings pass its cap; the packing
+    # search took 1,641,215 nodes to refute it. The clique bound finds K4
+    # wherever it lies, so C15 first refutes at the root too
     g = op.complete_multipartite([6, 6, 7])[0]
-    res = op.has_perfect_packing(g, h)
-    assert (res.verdict, res.nodes) == (Verdict.NO, 1)
-    with pytest.raises(BudgetExhausted):
-        packing._types_refute([6, 6, 7], op.disjoint_union(op.cycle_graph(15), op.complete_graph(4)), Meter())
+    c15, k4 = op.cycle_graph(15), op.complete_graph(4)
+    for h in (op.disjoint_union(k4, c15), op.disjoint_union(c15, k4)):
+        res = op.has_perfect_packing(g, h)
+        assert (res.verdict, res.nodes) == (Verdict.NO, 1)
+        meter = Meter()
+        assert packing._types_refute([6, 6, 7], h, meter) is True and meter.nodes == 1
 
 
 def test_engine_skips_hosts_whose_classes_all_fit(monkeypatch):

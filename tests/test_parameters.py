@@ -250,7 +250,7 @@ def test_clique_bound_leaves_one_eligibility_search_on_hdiamond(monkeypatch):
     totals = []
     search = parameters._color_search
 
-    def counted(h, vertices, classes, total, visit, near=None):
+    def counted(h, vertices, classes, total, visit, near):
         totals.append(total)
         return search(h, vertices, classes, total, visit, near)
 

@@ -26,7 +26,9 @@ one run.
   search that backtracks across components retries every colouring of
   the paths, and on G(40,0.5) from `Random(40)`, where a search that
   takes the vertices in a fixed order branches on many vertices below one
-  that no class can take.
+  that no class can take, and on G(50,0.8) from `Random(50)`, where the
+  clique that k starts from has 11 vertices and chi is 17, so six rounds
+  below chi each refute by a complete search.
 - CE and its witness from `full_report` on the costliest `params` inputs
   of the benchmark: the fdiamond blow-ups fd*4 and fd*5, the complete
   multipartite K[2,3,4,5,6,7], the dense G(n, 0.7) draws from
@@ -48,9 +50,10 @@ one run.
   the search nodes and the wall time per node. Cliff B: perfect-packing
   refutations in K_a+K_b, K_{a,b}, K_{a,b,c} and K_{3,...,3,3(k-1)} hosts
   (k = 4..10), the space barriers of K_r (r = 4..9), the divisibility
-  barriers of K_{1,...,1,3} (r = 2..6 classes), K4 + C15 into K_{6,6,7}
-  (K4 has no 3-colouring, so the profile search stops before the
-  5,461 colourings of C15 pass the engine's cap), and the covering
+  barriers of K_{1,...,1,3} (r = 2..6 classes), K4 + C15 and C15 + K4
+  into K_{6,6,7} (K4 is a clique on more than 3 vertices, so the engine
+  refutes at its root in either order, with no profile search to take
+  C15's 5,461 colourings past its cap), and the covering
   refutation that `orepack verify` runs for prop2(3,1,7,7) against
   fdiamond. Cliff C: five of those hosts (the K4, K5 and K6 space barriers
   and K3 into K_{3^5,12} and K_{3^6,15}) with 1 or 3 edges deleted. They
@@ -109,10 +112,6 @@ def _paths_and_c5(k: int) -> op.Graph:
 
 def _c5_c7_k2() -> op.Graph:
     return op.disjoint_union(op.disjoint_union(op.cycle_graph(5), op.cycle_graph(7)), op.complete_graph(2))
-
-
-def _k4_c15() -> op.Graph:
-    return op.disjoint_union(op.complete_graph(4), op.cycle_graph(15))
 
 
 def _shuffled(g: op.Graph, seed: int = 2) -> op.Graph:
@@ -308,6 +307,7 @@ TABLES = (
         ("16P3+C5", partial(_chi, _paths_and_c5(16)), 3),
         ("18P3+C5", partial(_chi, _paths_and_c5(18)), 3),
         ("G(40,0.5) from Random(40)", partial(_chi, op.random_graph(40, 0.5, random.Random(40))), 8),
+        ("G(50,0.8) from Random(50)", partial(_chi, op.random_graph(50, 0.8, random.Random(50))), 17),
     )),
     ("full_report", " CE  witness        ms", _ce_cells, (
         ("fd*4", partial(_full_report, op.blow_up(op.construct_fdiamond(), 4)), (1, 24)),
@@ -362,7 +362,8 @@ TABLES = (
             (f"K_{{1,...,1,3}} parity barrier, r={r}, t={_parity_t(r)}", lambda r=r: _pack(*_divisibility_barrier(r)), "NO")
             for r in range(2, 7)
         ),
-        ("K4+C15 into K_{6,6,7}", lambda: _pack(op.complete_multipartite([6, 6, 7])[0], _k4_c15()), "NO"),
+        ("K4+C15 into K_{6,6,7}", lambda: _pack(op.complete_multipartite([6, 6, 7])[0], op.disjoint_union(op.complete_graph(4), op.cycle_graph(15))), "NO"),
+        ("C15+K4 into K_{6,6,7}", lambda: _pack(op.complete_multipartite([6, 6, 7])[0], op.disjoint_union(op.cycle_graph(15), op.complete_graph(4))), "NO"),
         ("verify prop2(3,1,7,7) vs fdiamond", _verify_prop2, "NO"),
         # Cliff C: Cliff B hosts that are refuted at the root, each with k
         # edges deleted
