@@ -36,19 +36,10 @@ from .coloring import (
 from .parameters import (
     ExtendedNat,
     ParameterReport,
-    chi_ore,
     chi_prime_ore,
-    chi_star,
-    colour_difference_set,
     colour_extension_number,
-    critical_chromatic_number,
-    every_optimal_coloring_equitable,
     full_report,
     hcf_c,
-    hcf_chi,
-    hcf_is_one,
-    ore_threshold_coefficient,
-    sigma,
 )
 from .packing import (
     CoverSearchResult,

@@ -45,9 +45,10 @@ at least |H| classes of at most n/|H| vertices each always pack. It reads
 the class sizes of each component's colourings from one profile search
 on H (``coloring._profile_search``), whose cap of
 ``TYPE_ENUMERATION_CAP`` bounds each component's search on its own; a
-clique of H on more than |P| vertices refutes without one. It
-only ever refutes: a packing it finds is left to the search, so every
-YES, certificate and YES node count is the search's.
+component of H with no colouring with |P| classes, in whatever place
+among the components, refutes without one. It only ever refutes: a
+packing it finds is left to the search, so every YES, certificate and
+YES node count is the search's.
 
 Search effort is metered in node expansions (candidate assignments tried)
 on a ``graphs.Meter``, so identical inputs and budgets always reproduce
@@ -74,7 +75,7 @@ from functools import lru_cache
 from itertools import accumulate, chain
 from operator import mul, or_
 
-from .coloring import _clique, _degree_planes, _profile_search
+from .coloring import _color_search, _degree_planes, _profile_search
 from .graphs import (
     MAX_VERTICES,
     BudgetExhausted,
@@ -304,17 +305,16 @@ def _types_refute(sizes: Sequence[int], h: Graph, meter: Meter) -> bool:
     copy of a component is a proper colouring of it with at most
     r = len(sizes) labelled colours; its type is the vector of its class
     sizes. So a packing exists exactly when ``sizes`` is a sum of types,
-    n/|h| of them for each component. The types of every component come
-    from one ``_profile_search`` of h with r classes; no coloring has more
-    classes than its component has vertices, and the zeros of the
-    padding are dropped. Components with the same types form one kind. A
-    component with no coloring has no types, and that search stops there,
-    so the kinds of the later components are missing; the bound below
-    then refutes at the root, as it would with them. A clique of h on more
-    than r vertices (``coloring._clique``) has no coloring wherever it
-    lies, so then no search runs and the one kind has no types: a
-    component before it with colorings past the cap does not decide the
-    call.
+    n/|h| of them for each component. A component with no coloring has no
+    types, and the bound below then refutes at the root. So one search
+    per component first asks whether it has a coloring with r classes, as
+    ``coloring.chromatic_number`` does; when one has none, no profile
+    search runs and the one kind has no types, so a component with
+    colorings past the cap does not decide the call, whichever order the
+    components come in. Otherwise the types of every component come from
+    one ``_profile_search`` of h with r classes; no coloring has more
+    classes than its component has vertices, and the zeros of the padding
+    are dropped. Components with the same types form one kind.
 
     The search takes types off the class counts, and branches only over
     types that cover a vertex of a fullest class. Classes with equal
@@ -325,11 +325,12 @@ def _types_refute(sizes: Sequence[int], h: Graph, meter: Meter) -> bool:
     classes, which bounds the sum of the j fullest counts. Each state
     expanded spends a node on ``meter``."""
     copies = sum(sizes) // h.n
+    r = len(sizes)
     kinds: dict[tuple[tuple[int, ...], ...], int] = {}
-    if _clique(h, h.vertex_mask).bit_count() > len(sizes):
-        parts: list[set[tuple[int, ...]]] = [set()]
+    if all(_color_search(h, comp, [], r, lambda _: True, []) for comp in components(h)):
+        parts = _profile_search(h, TYPE_ENUMERATION_CAP, r)[0]
     else:
-        parts = _profile_search(h, TYPE_ENUMERATION_CAP, len(sizes))[0]
+        parts = [set()]
     for profiles in parts:
         positive = {tuple(sorted(filter(None, p), reverse=True)) for p in profiles}
         types = tuple(sorted(positive, reverse=True))
@@ -483,39 +484,10 @@ def has_perfect_packing(
     return PackingResult(Verdict.YES, tuple(cert), meter.nodes, budget)
 
 
-def is_copy(g: Graph, h: Graph, emb: Embedding) -> bool:
-    """True iff emb maps V(h) injectively into V(g) and every edge of h
-    onto an edge of g. Each edge is read once, from the row of its lower
-    end."""
-    m = emb.mapping
-    if len(m) != h.n or len(set(m)) != h.n or m and not (0 <= min(m) and max(m) < g.n):
-        return False
-    for u, row in enumerate(h.adj):
-        target = g.adj[m[u]]
-        row &= -2 << u  # the neighbours above u
-        while row:
-            low = row & -row
-            row ^= low
-            if not target >> m[low.bit_length() - 1] & 1:
-                return False
-    return True
-
-
-def verify_packing(g: Graph, h: Graph, cert: Sequence[Embedding]) -> bool:
-    """True iff every embedding is a valid copy of h, images are pairwise
-    disjoint, and their union is all of V(g).
-
-    The images are checked together: each mapping has |h| entries and
-    there are |g| in all, so they are distinct (each mapping injective,
-    the images disjoint) and cover V(g) exactly when they make |g|
-    distinct values from 0 to |g| - 1. Each edge of h is then checked in
-    every copy, read once, from the row of its lower end."""
-    maps = [emb.mapping for emb in cert]
-    if any(len(m) != h.n for m in maps) or len(maps) * h.n != g.n:
-        return False
-    image = set(chain.from_iterable(maps))
-    if len(image) != g.n or image and (min(image) != 0 or max(image) != g.n - 1):
-        return False
+def _edges_kept(g: Graph, h: Graph, maps: Sequence[Sequence[int]]) -> bool:
+    """True iff every map sends every edge of h onto an edge of g. Each
+    edge of h is read once, from the row of its lower end, and checked in
+    every map."""
     adj = g.adj
     for u, row in enumerate(h.adj):
         row &= -2 << u  # the neighbours above u
@@ -526,3 +498,30 @@ def verify_packing(g: Graph, h: Graph, cert: Sequence[Embedding]) -> bool:
             if not all(adj[m[u]] >> m[v] & 1 for m in maps):
                 return False
     return True
+
+
+def is_copy(g: Graph, h: Graph, emb: Embedding) -> bool:
+    """True iff emb maps V(h) injectively into V(g) and every edge of h
+    onto an edge of g."""
+    m = emb.mapping
+    if len(m) != h.n or len(set(m)) != h.n or m and not (0 <= min(m) and max(m) < g.n):
+        return False
+    return _edges_kept(g, h, [m])
+
+
+def verify_packing(g: Graph, h: Graph, cert: Sequence[Embedding]) -> bool:
+    """True iff every embedding is a valid copy of h, images are pairwise
+    disjoint, and their union is all of V(g).
+
+    The images are checked together: each mapping has |h| entries and
+    there are |g| in all, so they are distinct (each mapping injective,
+    the images disjoint) and cover V(g) exactly when they make |g|
+    distinct values from 0 to |g| - 1. Then ``_edges_kept`` checks each
+    edge of h in every copy."""
+    maps = [emb.mapping for emb in cert]
+    if any(len(m) != h.n for m in maps) or len(maps) * h.n != g.n:
+        return False
+    image = set(chain.from_iterable(maps))
+    if len(image) != g.n or image and (min(image) != 0 or max(image) != g.n - 1):
+        return False
+    return _edges_kept(g, h, maps)

@@ -10,10 +10,13 @@ Every invariant but the extension number depends only on the set of
 sorted class-size profiles of the optimal colorings; ``full_report`` reads
 that set and chi once from ``coloring.class_size_profiles``, whose
 profile search finds chi itself, so a report makes no
-``chromatic_number`` call. The standalone functions read ``full_report``,
-extension search included, but for ``chi_prime_ore``, which needs only
-chi and the extension number and calls ``chromatic_number`` and
-``colour_extension_number``.
+``chromatic_number`` call. Each invariant is a field of that report,
+defined in ``ParameterReport``'s docstring, and is read there. The other
+public functions compute their own value: ``chromatic_number``,
+``colour_extension_number`` (which ``orepack verify`` runs), ``hcf_c``
+(which ``full_report`` calls) and ``chi_prime_ore``, which needs only chi
+and the extension number and calls ``chromatic_number`` and
+``colour_extension_number``, with no profile search.
 
 The extension number is 0 exactly when some optimal coloring leaves some
 vertex x non-adjacent to two of its classes (x's own class is always
@@ -86,7 +89,30 @@ def fraction_json(q: Fraction) -> dict:
 
 
 class ParameterReport(FrozenRecord):
-    """Every packing-threshold invariant of one graph H."""
+    """Every packing-threshold invariant of one graph H, one per field:
+
+    - chi: the chromatic number of H.
+    - sigma: the smallest colour-class size over all optimal colourings.
+    - chi_cr: the critical chromatic number (chi - 1) * |H| / (|H| - sigma),
+      always in (chi - 1, chi].
+    - d_set: the differences of consecutive sorted class sizes over all
+      optimal colourings, ascending; (0,) exactly when every optimal
+      colouring is equitable.
+    - hcf_chi: the gcd of d_set; infinite when d_set is (0,).
+    - hcf_c: the gcd of the component orders (``hcf_c``).
+    - hcf_is_one: dispatched on chi: hcf_chi == 1 when chi >= 3; when
+      chi = 2, hcf_c == 1 and hcf_chi at most 2 (an infinite hcf_chi fails).
+    - ce: the colour extension number (``colour_extension_number``).
+    - chi_star: chi_cr when hcf_is_one holds, else chi.
+    - chi_ore: max(chi_star, chi_prime_ore), the threshold parameter for
+      perfect H-packings under degree-sum conditions.
+    - chi_prime_ore: chi - 2 / (ce + 2), or chi when ce is infinite, the
+      threshold parameter for covering a fixed vertex by a copy of H.
+    - ore_coefficient: 2 * (1 - 1/chi_ore), the leading coefficient of
+      the degree-sum threshold.
+    - witness_vertex: the lowest vertex attaining ce; None when ce is
+      infinite.
+    """
 
     __slots__ = (
         "chi", "sigma", "chi_cr", "d_set", "hcf_chi", "hcf_c", "hcf_is_one", "ce",
@@ -123,32 +149,7 @@ class ParameterReport(FrozenRecord):
 
 
 # ---------------------------------------------------------------------------
-# critical chromatic number and gcd machinery
-
-
-def sigma(h: Graph) -> int:
-    """Smallest color-class size over all optimal colorings."""
-    return full_report(h).sigma
-
-
-def colour_difference_set(h: Graph) -> set[int]:
-    """All differences of consecutive sorted class sizes, over all optimal
-    colorings."""
-    return set(full_report(h).d_set)
-
-
-def every_optimal_coloring_equitable(h: Graph) -> bool:
-    return full_report(h).d_set == (0,)
-
-
-def critical_chromatic_number(h: Graph) -> Fraction:
-    """(chi - 1) * |H| / (|H| - sigma), always in (chi - 1, chi]."""
-    return full_report(h).chi_cr
-
-
-def hcf_chi(h: Graph) -> ExtendedNat:
-    """gcd of the class-size difference set; infinite when the set is {0}."""
-    return full_report(h).hcf_chi
+# gcd of the component orders
 
 
 def hcf_c(h: Graph) -> int:
@@ -156,13 +157,6 @@ def hcf_c(h: Graph) -> int:
     if h.n == 0:
         raise PreconditionError("graph must have at least one vertex")
     return math.gcd(*(comp.bit_count() for comp in components(h)))
-
-
-def hcf_is_one(h: Graph) -> bool:
-    """Dispatch on chi: non-bipartite graphs need gcd 1 of the difference
-    set; 2-chromatic graphs need coprime component orders and difference
-    gcd at most 2 (an infinite difference gcd fails that test)."""
-    return full_report(h).hcf_is_one
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +246,6 @@ def colour_extension_number(
 # derived thresholds
 
 
-def chi_star(h: Graph) -> Fraction:
-    """Critical chromatic number when the gcd condition holds, else chi."""
-    return full_report(h).chi_star
-
-
 def _chi_prime(chi: int, ce: ExtendedNat) -> Fraction:
     if not ce.is_finite:
         return Fraction(chi)
@@ -271,17 +260,6 @@ def chi_prime_ore(h: Graph) -> Fraction:
     return _chi_prime(chi, ce)
 
 
-def chi_ore(h: Graph) -> Fraction:
-    """Threshold parameter for perfect H-packings under degree-sum
-    conditions; equals max(chi_star, chi_prime_ore)."""
-    return full_report(h).chi_ore
-
-
-def ore_threshold_coefficient(h: Graph) -> Fraction:
-    """Leading coefficient 2 * (1 - 1/chi_ore) of the degree-sum threshold."""
-    return full_report(h).ore_coefficient
-
-
 def full_report(h: Graph) -> ParameterReport:
     require_edge(h)
     chi, profiles, free = class_size_profiles(h)
@@ -292,7 +270,7 @@ def full_report(h: Graph) -> ParameterReport:
     else:
         hchi = ExtendedNat.finite(math.gcd(*dset))
     hc = hcf_c(h)
-    # the hcf dispatch on chi (see hcf_is_one)
+    # the hcf dispatch on chi (see ParameterReport)
     if chi >= 3:
         hcf1 = hchi.value == 1
     else:

@@ -628,11 +628,13 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # the packing, cover and copy searches before their per-node cost was cut
 #
-# ``packing._search``, ``_pick_packing_anchor`` and the ``solve`` loop of
-# ``has_perfect_packing`` as they were while each node scanned H's rows
-# with ``iter_bits``, tested ``None not in assignment`` and built an
-# ``Embedding`` for every copy tried: the same order, twin rule, failed-set
-# memo and node count, so every verdict, certificate and count must match.
+# The embedding search (now the closure that ``packing._embedder``
+# builds), the anchor pick (now read off bit-sliced counts) and the
+# ``solve`` loop of ``has_perfect_packing`` as they were while each node
+# scanned H's rows with ``iter_bits``, tested ``None not in assignment``,
+# scanned the uncovered vertices for the anchor and built an ``Embedding``
+# for every copy tried: the same order, twin rule, failed-set memo and
+# node count, so every verdict, certificate and count must match.
 
 
 class OutOfNodes(Exception):

@@ -144,7 +144,7 @@ def test_criterion_07_parameter_law_suite():
         for name, h in graphs.items():
             rep = op.full_report(h)
             assert rep.chi - 1 < rep.chi_cr <= rep.chi, name
-            assert (rep.chi_cr == rep.chi) == op.every_optimal_coloring_equitable(h), name
+            assert (rep.chi_cr == rep.chi) == (rep.d_set == (0,)), name
             if rep.ce.is_finite and rep.ce.value >= 1:
                 assert rep.ce.value <= rep.chi - 2, name
             if rep.chi == 2:

@@ -186,31 +186,31 @@ def test_enumeration_cap_is_hard_error():
 
 
 def test_sigma_examples():
-    assert op.sigma(k4_minus()) == 1
-    assert op.sigma(op.construct_fdiamond()) == 2
-    assert op.sigma(op.complete_graph(5)) == 1
+    assert op.full_report(k4_minus()).sigma == 1
+    assert op.full_report(op.construct_fdiamond()).sigma == 2
+    assert op.full_report(op.complete_graph(5)).sigma == 1
     with pytest.raises(PreconditionError):
-        op.sigma(op.empty_graph(3))
+        op.full_report(op.empty_graph(3))
 
 
 def test_sigma_consistent_with_enumeration():
     for name, g in corpus().items():
         parts = op.optimal_colorings(g)
-        assert op.sigma(g) == min(p.sizes_sorted[0] for p in parts), name
+        assert op.full_report(g).sigma == min(p.sizes_sorted[0] for p in parts), name
 
 
 def test_colour_difference_set_examples():
-    assert op.colour_difference_set(op.complete_graph(3)) == {0}
-    assert op.colour_difference_set(op.construct_fdiamond()) == {0, 1}
-    assert op.colour_difference_set(op.cycle_graph(5)) == {0, 1}
-    assert op.colour_difference_set(op.star_graph(3)) == {2}
+    assert set(op.full_report(op.complete_graph(3)).d_set) == {0}
+    assert set(op.full_report(op.construct_fdiamond()).d_set) == {0, 1}
+    assert set(op.full_report(op.cycle_graph(5)).d_set) == {0, 1}
+    assert set(op.full_report(op.star_graph(3)).d_set) == {2}
 
 
 def test_every_optimal_coloring_equitable():
-    assert op.every_optimal_coloring_equitable(op.complete_graph(3))
-    assert not op.every_optimal_coloring_equitable(k4_minus())
-    assert op.every_optimal_coloring_equitable(op.cycle_graph(6))
-    assert not op.every_optimal_coloring_equitable(op.path_graph(3))
+    assert op.full_report(op.complete_graph(3)).d_set == (0,)
+    assert op.full_report(k4_minus()).d_set != (0,)
+    assert op.full_report(op.cycle_graph(6)).d_set == (0,)
+    assert op.full_report(op.path_graph(3)).d_set != (0,)
 
 
 def _random_union(rng, max_n):

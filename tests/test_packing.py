@@ -8,7 +8,7 @@ from itertools import combinations, islice, product
 import pytest
 
 import orepack as op
-from orepack import BudgetExhausted, Embedding, PreconditionError, Verdict, packing
+from orepack import BudgetExhausted, Embedding, PreconditionError, Verdict, coloring, packing
 from orepack.graphs import Meter
 
 from oracles import (
@@ -615,8 +615,8 @@ def test_engine_refutes_near_multipartite_cliff_rows_at_the_root():
 def test_engine_refutes_at_a_component_without_colouring():
     # K4 has no 3-colouring, so the engine refutes K4 + C15 into K_{6,6,7}
     # at its root, before C15's 5,461 colourings pass its cap; the packing
-    # search took 1,641,215 nodes to refute it. The clique bound finds K4
-    # wherever it lies, so C15 first refutes at the root too
+    # search took 1,641,215 nodes to refute it. Each component is asked
+    # for a 3-colouring first, so C15 first refutes at the root too
     g = op.complete_multipartite([6, 6, 7])[0]
     c15, k4 = op.cycle_graph(15), op.complete_graph(4)
     for h in (op.disjoint_union(k4, c15), op.disjoint_union(c15, k4)):
@@ -624,6 +624,27 @@ def test_engine_refutes_at_a_component_without_colouring():
         assert (res.verdict, res.nodes) == (Verdict.NO, 1)
         meter = Meter()
         assert packing._types_refute([6, 6, 7], h, meter) is True and meter.nodes == 1
+
+
+def test_engine_refutes_whichever_order_the_components_come_in():
+    # the 5-wheel W5 has no 3-colouring but no clique on 4 vertices, and
+    # C15 has 5,461 colourings with at most 3 classes, past the engine's
+    # cap; each component is asked for a 3-colouring before the profile
+    # search runs, so C15 + W5 refutes at the root as W5 + C15 does, where
+    # the search spent its 2*10^6 nodes without an answer
+    g = op.complete_multipartite([7, 7, 7])[0]
+    c15 = op.cycle_graph(15)
+    w5 = op.Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+    assert (op.chromatic_number(w5), coloring._clique(w5, w5.vertex_mask).bit_count()) == (4, 3)
+    for h in (op.disjoint_union(w5, c15), op.disjoint_union(c15, w5)):
+        res = op.has_perfect_packing(g, h, 2 * 10**6)
+        assert (res.verdict, res.nodes) == (Verdict.NO, 1)
+        meter = Meter()
+        assert packing._types_refute([7, 7, 7], h, meter) is True and meter.nodes == 1
+    # the empty host has no classes, so no component has a colouring
+    # with them, and it still packs
+    for h in (op.disjoint_union(w5, c15), K2):
+        assert op.has_perfect_packing(op.empty_graph(0), h).verdict is Verdict.YES
 
 
 def test_engine_skips_hosts_whose_classes_all_fit(monkeypatch):

@@ -25,18 +25,18 @@ def test_extended_nat_invariants():
 
 
 def test_critical_chromatic_number_examples():
-    assert op.critical_chromatic_number(FD) == Fraction(14, 5)
-    assert op.critical_chromatic_number(k4_minus()) == Fraction(8, 3)
+    assert op.full_report(FD).chi_cr == Fraction(14, 5)
+    assert op.full_report(k4_minus()).chi_cr == Fraction(8, 3)
     for r in range(2, 6):
-        assert op.critical_chromatic_number(op.complete_graph(r)) == r
+        assert op.full_report(op.complete_graph(r)).chi_cr == r
     with pytest.raises(PreconditionError):
-        op.critical_chromatic_number(op.empty_graph(3))
+        op.full_report(op.empty_graph(3))
 
 
 def test_hcf_chi_examples():
-    assert op.hcf_chi(op.complete_graph(3)) == ExtendedNat.infinite()
-    assert op.hcf_chi(FD) == ExtendedNat.finite(1)
-    assert op.hcf_chi(op.star_graph(3)) == ExtendedNat.finite(2)
+    assert op.full_report(op.complete_graph(3)).hcf_chi == ExtendedNat.infinite()
+    assert op.full_report(FD).hcf_chi == ExtendedNat.finite(1)
+    assert op.full_report(op.star_graph(3)).hcf_chi == ExtendedNat.finite(2)
 
 
 def test_hcf_c_examples():
@@ -48,14 +48,15 @@ def test_hcf_c_examples():
 
 
 def test_hcf_is_one_examples():
-    assert op.hcf_is_one(FD)
-    assert not op.hcf_is_one(op.complete_graph(3))
-    assert not op.hcf_is_one(op.complete_graph(2))
-    assert op.hcf_is_one(op.cycle_graph(5))
+    assert op.full_report(FD).hcf_is_one
+    assert not op.full_report(op.complete_graph(3)).hcf_is_one
+    assert not op.full_report(op.complete_graph(2)).hcf_is_one
+    assert op.full_report(op.cycle_graph(5)).hcf_is_one
     # bipartite with coprime components and small difference gcd
     g = op.disjoint_union(op.path_graph(3), op.complete_graph(2))
     assert op.hcf_c(g) == 1
-    assert op.hcf_is_one(g) == (op.hcf_chi(g).is_finite and op.hcf_chi(g).value <= 2)
+    rep = op.full_report(g)
+    assert rep.hcf_is_one == (rep.hcf_chi.is_finite and rep.hcf_chi.value <= 2)
 
 
 def test_colour_extension_number_examples():
@@ -295,15 +296,15 @@ def test_full_report_calls(monkeypatch):
 
 
 def test_chi_star_examples():
-    assert op.chi_star(FD) == Fraction(14, 5)
-    assert op.chi_star(op.complete_graph(3)) == 3
-    assert op.chi_star(op.cycle_graph(5)) == Fraction(5, 2)
+    assert op.full_report(FD).chi_star == Fraction(14, 5)
+    assert op.full_report(op.complete_graph(3)).chi_star == 3
+    assert op.full_report(op.cycle_graph(5)).chi_star == Fraction(5, 2)
 
 
 def test_chi_ore_examples():
-    assert op.chi_ore(k4_minus()) == 3
-    assert op.chi_ore(FD) == Fraction(14, 5)
-    assert op.chi_ore(op.cycle_graph(5)) == Fraction(5, 2)
+    assert op.full_report(k4_minus()).chi_ore == 3
+    assert op.full_report(FD).chi_ore == Fraction(14, 5)
+    assert op.full_report(op.cycle_graph(5)).chi_ore == Fraction(5, 2)
 
 
 def test_chi_prime_ore_examples():
@@ -313,9 +314,9 @@ def test_chi_prime_ore_examples():
 
 
 def test_ore_threshold_coefficient_examples():
-    assert op.ore_threshold_coefficient(k4_minus()) == Fraction(4, 3)
-    assert op.ore_threshold_coefficient(FD) == Fraction(9, 7)
-    assert op.ore_threshold_coefficient(op.complete_graph(2)) == 1
+    assert op.full_report(k4_minus()).ore_coefficient == Fraction(4, 3)
+    assert op.full_report(FD).ore_coefficient == Fraction(9, 7)
+    assert op.full_report(op.complete_graph(2)).ore_coefficient == 1
 
 
 def test_full_report_fdiamond():
@@ -378,7 +379,7 @@ def test_parameter_laws_over_corpus():
         rep = op.full_report(h)
         chi = rep.chi
         assert chi - 1 < rep.chi_cr <= chi, name
-        assert (rep.chi_cr == chi) == op.every_optimal_coloring_equitable(h), name
+        assert (rep.chi_cr == chi) == (rep.d_set == (0,)), name
         if rep.ce.is_finite and rep.ce.value >= 1:
             assert rep.ce.value <= chi - 2, name
         if _bipartite_parts(h) is not None:
@@ -388,19 +389,11 @@ def test_parameter_laws_over_corpus():
             else:
                 assert rep.ce == ExtendedNat.infinite(), name
         assert rep.chi_ore == max(rep.chi_star, rep.chi_prime_ore), name
-        # every standalone function agrees with its report field
+        # the functions that compute their own value agree with the report
         assert op.chromatic_number(h) == chi, name
-        assert op.sigma(h) == rep.sigma, name
-        assert op.colour_difference_set(h) == set(rep.d_set), name
-        assert op.critical_chromatic_number(h) == rep.chi_cr, name
-        assert op.hcf_chi(h) == rep.hcf_chi, name
         assert op.hcf_c(h) == rep.hcf_c, name
-        assert op.hcf_is_one(h) == rep.hcf_is_one, name
         assert op.colour_extension_number(h) == (rep.ce, rep.witness_vertex), name
-        assert op.chi_star(h) == rep.chi_star, name
         assert op.chi_prime_ore(h) == rep.chi_prime_ore, name
-        assert op.chi_ore(h) == rep.chi_ore, name
-        assert op.ore_threshold_coefficient(h) == rep.ore_coefficient, name
 
 
 def test_full_report_invariant_under_relabel():
@@ -423,8 +416,9 @@ def test_full_report_invariant_under_relabel():
 def test_multipartite_class_sizes_drive_chi_cr():
     # complete multipartite graphs have a unique optimal coloring: the parts
     g, _ = op.complete_multipartite([2, 3, 3])
-    assert op.sigma(g) == 2
-    assert op.critical_chromatic_number(g) == Fraction(16, 6)
+    rep = op.full_report(g)
+    assert rep.sigma == 2
+    assert rep.chi_cr == Fraction(16, 6)
     assert len(op.optimal_colorings(g)) == 1
 
 

@@ -51,11 +51,14 @@ one run.
   refutations in K_a+K_b, K_{a,b}, K_{a,b,c} and K_{3,...,3,3(k-1)} hosts
   (k = 4..10), the space barriers of K_r (r = 4..9), the divisibility
   barriers of K_{1,...,1,3} (r = 2..6 classes), K4 + C15 and C15 + K4
-  into K_{6,6,7} (K4 is a clique on more than 3 vertices, so the engine
-  refutes at its root in either order, with no profile search to take
-  C15's 5,461 colourings past its cap), and the covering
+  into K_{6,6,7}, W5 + C15 and C15 + W5 into K_{7,7,7} (W5 the 5-wheel,
+  with no 3-colouring and no clique on 4 vertices; a budget of 2*10^6
+  nodes), and the covering
   refutation that `orepack verify` runs for prop2(3,1,7,7) against
-  fdiamond. Cliff C: five of those hosts (the K4, K5 and K6 space barriers
+  fdiamond. The engine asks each component of H for a colouring with
+  one class per host class before its profile search, so K4 or W5
+  refutes at its root in 1 node in either order, with no profile search
+  to take C15's 5,461 colourings past its cap. Cliff C: five of those hosts (the K4, K5 and K6 space barriers
   and K3 into K_{3^5,12} and K_{3^6,15}) with 1 or 3 edges deleted. They
   are no longer complete multipartite, but the type-count engine still
   refutes those that keep at least |H| open-twin classes.
@@ -108,6 +111,11 @@ def _pendant_triangle(k: int) -> op.Graph:
 
 def _paths_and_c5(k: int) -> op.Graph:
     return op.disjoint_union(_copies(op.path_graph(3), k), op.cycle_graph(5))
+
+
+def _wheel(k: int) -> op.Graph:
+    """The k-cycle joined to one hub, vertex k."""
+    return op.Graph.from_edges(k + 1, [(i, (i + 1) % k) for i in range(k)] + [(i, k) for i in range(k)])
 
 
 def _c5_c7_k2() -> op.Graph:
@@ -364,6 +372,8 @@ TABLES = (
         ),
         ("K4+C15 into K_{6,6,7}", lambda: _pack(op.complete_multipartite([6, 6, 7])[0], op.disjoint_union(op.complete_graph(4), op.cycle_graph(15))), "NO"),
         ("C15+K4 into K_{6,6,7}", lambda: _pack(op.complete_multipartite([6, 6, 7])[0], op.disjoint_union(op.cycle_graph(15), op.complete_graph(4))), "NO"),
+        ("W5+C15 into K_{7,7,7}", lambda: _pack(op.complete_multipartite([7, 7, 7])[0], op.disjoint_union(_wheel(5), op.cycle_graph(15)), 2 * 10**6), "NO"),
+        ("C15+W5 into K_{7,7,7}", lambda: _pack(op.complete_multipartite([7, 7, 7])[0], op.disjoint_union(op.cycle_graph(15), _wheel(5)), 2 * 10**6), "NO"),
         ("verify prop2(3,1,7,7) vs fdiamond", _verify_prop2, "NO"),
         # Cliff C: Cliff B hosts that are refuted at the root, each with k
         # edges deleted
