@@ -17,7 +17,9 @@ first branch on many vertices below it: G(30,0.7)#2 completes its 4,102
 colorings in 4,990 nodes, where the fixed degree order took 13,424. A
 node also ends when its vertex can only open the last class and a
 neighbour of it is blocked by every open class, since that neighbour
-would then have no class left.
+would then have no class left. The degree counts each search starts
+from come from ``_degree_planes``, the one entry for them, which the
+packing search reads too.
 
 No output depends on the order in which the colorings are visited. The
 chromatic number, the pinned searches and the extension searches ask
@@ -41,13 +43,15 @@ only the class sizes, sorting each distinct size tuple of a component
 once; the components are then merged by matching their classes up in
 every way. The packing layer reads the same per-component sets, with r
 the number of classes of a complete r-partite host, as the copies of
-each component of H there. ``class_size_profiles`` also reports the
-lowest free vertex, which the parameter layer reads as the witness of
-colour extension number 0: the profile search checks the first |C|
-colorings of each component C as they complete (the window pass), and
-past them ``class_size_profiles`` decides each vertex still in question
-by one search with the vertex's class pinned twice; the packing layer
-runs no pinned search.
+each component of H there; the search ends at the first component with
+none, and only a search stopped at its cap leaves the packing layer to
+ask ``chromatic_number`` whether h has an r-colouring at all.
+``class_size_profiles`` also reports the lowest free vertex, which the
+parameter layer reads as the witness of colour extension number 0: the
+profile search checks the first |C| colorings of each component C as
+they complete (the window pass), and past them ``class_size_profiles``
+decides each vertex still in question by one search with the vertex's
+class pinned twice; the packing layer runs no pinned search.
 
 A component with more than |C| colorings runs on to the end on its one
 meter, unless it has a tail: then it is counted afresh (the counting
@@ -96,34 +100,26 @@ def _require_vertex(h: Graph) -> None:
 _BIT_DIGITS = tuple([(b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8)])
 
 
-def _degree_planes(adj: tuple[int, ...]) -> tuple[int, ...]:
-    """The degrees of the graph with rows ``adj``, bit-sliced over vertex
-    masks, top bit first: the degrees go into one byte each, the last
-    vertex first, and one ``translate`` per bit writes that bit of every
-    degree as the binary numeral of its plane. Both searches that read
-    degree planes get them here. The colouring search reads them through
-    ``_cached_degree_planes``, which keeps the last graph's planes: the
-    colour extension search runs thousands of short searches on one
-    graph, and building the planes took about as long as each of them.
-    The packing search needs them once per search and calls this function
-    directly, so that it does not evict them."""
-    degrees = bytes(map(int.bit_count, adj[::-1]))
-    return tuple([int(degrees.translate(_BIT_DIGITS[k]), 2)
-                  for k in reversed(range(len(adj).bit_length()))])
-
-
 # the rows last asked for and their planes
 _last_planes: list[tuple[int, ...]] = [(), ()]
 
 
-def _cached_degree_planes(adj: tuple[int, ...]) -> tuple[int, ...]:
-    """``_degree_planes(adj)``, kept for the last rows asked for and found
-    again by identity: a lookup by value would hash all n rows on every
-    call. The entry holds the rows, so their id cannot be reused while it
-    stands."""
+def _degree_planes(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """The degrees of the graph with rows ``adj``, bit-sliced over vertex
+    masks, top bit first: the degrees go into one byte each, the last
+    vertex first, and one ``translate`` per bit writes that bit of every
+    degree as the binary numeral of its plane. The colouring search, the
+    clique pick and the packing search all read them here. The planes of
+    the last rows asked for are kept, found again by identity: the colour
+    extension search runs thousands of short searches on one graph, and
+    building the planes took about as long as each of them, while a lookup
+    by value would hash all n rows on every call. The entry holds the
+    rows, so their id cannot be reused while it stands."""
     last = _last_planes
     if last[0] is not adj:
-        last[:] = adj, _degree_planes(adj)
+        degrees = bytes(map(int.bit_count, adj[::-1]))
+        last[:] = adj, tuple([int(degrees.translate(_BIT_DIGITS[k]), 2)
+                              for k in reversed(range(len(adj).bit_length()))])
     return last[1]
 
 
@@ -135,7 +131,7 @@ def _clique(h: Graph, vertices: int) -> int:
     chromatic number of h[vertices] at a few plane steps per vertex taken:
     the start of ``chromatic_number`` and ``class_size_profiles``, and the
     bounds of the colour extension search."""
-    planes = _cached_degree_planes(h.adj)
+    planes = _degree_planes(h.adj)
     clique = 0
     while vertices:
         pick = vertices
@@ -185,7 +181,7 @@ def _color_search(
     adj = h.adj
     units = max(total, len(classes)).bit_length() - 1
     planes = [0] * (units + 1)
-    planes += _cached_degree_planes(adj)
+    planes += _degree_planes(adj)
 
     def finish(low: int) -> bool:
         # each class that takes the last vertex completes a coloring, and

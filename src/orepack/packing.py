@@ -8,17 +8,17 @@ unused vertices, components largest-first. The packing search repeatedly
 anchors on a hardest-to-cover uncovered vertex, the one with the fewest
 uncovered neighbours and the lowest label on a tie, and branches over the
 copies covering it. It holds those counts bit-sliced over vertex masks,
-as the colouring kernel holds its counts (``coloring._degree_planes``
-builds them at the root), takes off each copy it descends into by one
-borrow per covered vertex, and narrows the uncovered set to the least
-count plane by plane, so no node scans the uncovered vertices. A child
-gets its own planes, so a backtrack finds its parent's unchanged, and a
-child whose set is already refuted (below) costs no update. Whether the
-uncovered set can be packed depends on
-that set alone, so a set is recorded as failed once its whole branch has
-been refuted, and is never searched again: not as the rest of a repeated
-image, nor when another order of placements reaches it (nogood
-recording). Only complete refutations are recorded.
+as the colouring kernel holds its counts, and reads them at the root
+from ``coloring._degree_planes``, the kernel's one entry for them. It
+takes off each copy it descends into by one borrow per covered vertex,
+and narrows the uncovered set to the least count plane by plane, so no
+node scans the uncovered vertices. A child gets its own planes, so a
+backtrack finds its parent's unchanged, and a child whose set is already
+refuted (below) costs no update. Whether the uncovered set can be packed
+depends on that set alone, so a set is recorded as failed once its whole
+branch has been refuted, and is never searched again: not as the rest of
+a repeated image, nor when another order of placements reaches it
+(nogood recording). Only complete refutations are recorded.
 
 Twin vertices (equal neighbourhoods apart from each other, adjacent or
 not) are interchangeable: swapping two unplaced candidates is an
@@ -44,9 +44,11 @@ fewer classes it would pay a profile search to find that K(P) packs, and
 at least |H| classes of at most n/|H| vertices each always pack. It reads
 the class sizes of each component's colourings from one profile search
 on H (``coloring._profile_search``), whose cap of
-``TYPE_ENUMERATION_CAP`` bounds each component's search on its own; a
-component of H with no colouring with |P| classes, in whatever place
-among the components, refutes without one. It only ever refutes: a
+``TYPE_ENUMERATION_CAP`` bounds each component's search on its own. A
+component of H with no colouring with |P| classes refutes at the root in
+whatever place among the components: the profile search ends there, and
+only one stopped at its cap asks ``chromatic_number`` whether H has such
+a colouring at all. It only ever refutes: a
 packing it finds is left to the search, so every YES, certificate and
 YES node count is the search's.
 
@@ -75,7 +77,7 @@ from functools import lru_cache
 from itertools import accumulate, chain
 from operator import mul, or_
 
-from .coloring import _color_search, _degree_planes, _profile_search
+from .coloring import _degree_planes, _profile_search, chromatic_number
 from .graphs import (
     MAX_VERTICES,
     BudgetExhausted,
@@ -175,9 +177,9 @@ def _twin_classes(g: Graph) -> tuple[Sequence[int], dict[int, int]]:
 def _pattern_plan(h: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """h's part of the embedding search: the order that opens h's
     components largest first, and h's neighbour lists. It keeps the last
-    h's, as ``coloring._cached_degree_planes`` keeps the last graph's
-    planes: the probes and the cover searches build a search per host,
-    all for one h."""
+    h's, as ``coloring._degree_planes`` keeps the last graph's planes: the
+    probes and the cover searches build a search per host, all for one
+    h."""
     comp_order = []
     for comp in sorted(components(h), key=lambda c: (-c.bit_count(), c & -c)):
         comp_order.extend(iter_bits(comp))
@@ -286,10 +288,8 @@ def copy_covering_vertex(
         raise PreconditionError(f"vertex {w} out of range for order {g.n}")
     meter = Meter(budget)
     try:
-        if 0 < h.n <= g.n:
-            embeddings = _embedder(g, h, meter, _twin_classes(g)[0])
-            for mapping, _ in embeddings(g.vertex_mask, w):
-                return CoverSearchResult(Verdict.YES, Embedding(mapping), meter.nodes)
+        for mapping, _ in _embedder(g, h, meter, _twin_classes(g)[0])(g.vertex_mask, w):
+            return CoverSearchResult(Verdict.YES, Embedding(mapping), meter.nodes)
     except BudgetExhausted:
         return CoverSearchResult(Verdict.UNKNOWN, None, meter.nodes)
     return CoverSearchResult(Verdict.NO, None, meter.nodes)
@@ -298,23 +298,20 @@ def copy_covering_vertex(
 def _types_refute(sizes: Sequence[int], h: Graph, meter: Meter) -> bool:
     """True iff the complete multipartite graph with class sizes ``sizes``
     has no perfect h-packing. Raises BudgetExhausted when ``meter`` runs
-    out or a component of h has more than ``TYPE_ENUMERATION_CAP``
-    colourings.
+    out, or when a component of h has more than ``TYPE_ENUMERATION_CAP``
+    colourings and h has one with len(sizes) classes.
 
     A copy of h there is a copy of each component of h, placed apart. A
     copy of a component is a proper colouring of it with at most
     r = len(sizes) labelled colours; its type is the vector of its class
     sizes. So a packing exists exactly when ``sizes`` is a sum of types,
-    n/|h| of them for each component. A component with no coloring has no
-    types, and the bound below then refutes at the root. So one search
-    per component first asks whether it has a coloring with r classes, as
-    ``coloring.chromatic_number`` does; when one has none, no profile
-    search runs and the one kind has no types, so a component with
-    colorings past the cap does not decide the call, whichever order the
-    components come in. Otherwise the types of every component come from
-    one ``_profile_search`` of h with r classes; no coloring has more
-    classes than its component has vertices, and the zeros of the padding
-    are dropped. Components with the same types form one kind.
+    n/|h| of them for each component. The types come from one
+    ``_profile_search`` of h with r classes, with the zeros of the padding
+    dropped; components with the same types form one kind. A component
+    with no coloring has no types, and the bound below then refutes at the
+    root. The search ends at such a component, and one stopped at its cap
+    takes h to have one when ``chromatic_number(h)`` exceeds r, so it
+    refutes whichever order the components come in.
 
     The search takes types off the class counts, and branches only over
     types that cover a vertex of a fullest class. Classes with equal
@@ -327,9 +324,11 @@ def _types_refute(sizes: Sequence[int], h: Graph, meter: Meter) -> bool:
     copies = sum(sizes) // h.n
     r = len(sizes)
     kinds: dict[tuple[tuple[int, ...], ...], int] = {}
-    if all(_color_search(h, comp, [], r, lambda _: True, []) for comp in components(h)):
+    try:
         parts = _profile_search(h, TYPE_ENUMERATION_CAP, r)[0]
-    else:
+    except BudgetExhausted:
+        if chromatic_number(h) <= r:
+            raise
         parts = [set()]
     for profiles in parts:
         positive = {tuple(sorted(filter(None, p), reverse=True)) for p in profiles}

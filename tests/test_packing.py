@@ -80,6 +80,10 @@ def test_copy_covering_vertex_examples():
     assert 2 in res2.embedding.image()
     with pytest.raises(PreconditionError):
         op.copy_covering_vertex(K3, K2, 5)
+    # the empty map's image holds no vertex, and K3 does not fit in K2
+    for g, h in ((K3, op.empty_graph(0)), (K2, K3)):
+        res = op.copy_covering_vertex(g, h, 1)
+        assert (res.verdict, res.embedding, res.nodes) == (Verdict.NO, None, 0)
 
 
 def test_copy_covering_budget_unknown():
@@ -615,8 +619,9 @@ def test_engine_refutes_near_multipartite_cliff_rows_at_the_root():
 def test_engine_refutes_at_a_component_without_colouring():
     # K4 has no 3-colouring, so the engine refutes K4 + C15 into K_{6,6,7}
     # at its root, before C15's 5,461 colourings pass its cap; the packing
-    # search took 1,641,215 nodes to refute it. Each component is asked
-    # for a 3-colouring first, so C15 first refutes at the root too
+    # search took 1,641,215 nodes to refute it. With C15 first the profile
+    # search stops at its cap, and chromatic_number then finds no
+    # 3-colouring of h, so that order refutes at the root too
     g = op.complete_multipartite([6, 6, 7])[0]
     c15, k4 = op.cycle_graph(15), op.complete_graph(4)
     for h in (op.disjoint_union(k4, c15), op.disjoint_union(c15, k4)):
@@ -629,9 +634,10 @@ def test_engine_refutes_at_a_component_without_colouring():
 def test_engine_refutes_whichever_order_the_components_come_in():
     # the 5-wheel W5 has no 3-colouring but no clique on 4 vertices, and
     # C15 has 5,461 colourings with at most 3 classes, past the engine's
-    # cap; each component is asked for a 3-colouring before the profile
-    # search runs, so C15 + W5 refutes at the root as W5 + C15 does, where
-    # the search spent its 2*10^6 nodes without an answer
+    # cap; the profile search ends at W5 when it comes first, and stops at
+    # C15's cap when it comes second, where chromatic_number finds no
+    # 3-colouring of h, so C15 + W5 refutes at the root as W5 + C15 does,
+    # where the search spent its 2*10^6 nodes without an answer
     g = op.complete_multipartite([7, 7, 7])[0]
     c15 = op.cycle_graph(15)
     w5 = op.Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
@@ -645,6 +651,38 @@ def test_engine_refutes_whichever_order_the_components_come_in():
     # with them, and it still packs
     for h in (op.disjoint_union(w5, c15), K2):
         assert op.has_perfect_packing(op.empty_graph(0), h).verdict is Verdict.YES
+
+
+def test_engine_asks_the_colouring_layer_each_question_once(monkeypatch):
+    # on pack-refute's hosts the profile search finishes, and the engine
+    # starts no colouring search beyond it and never asks chromatic_number;
+    # a profile search stopped at its cap asks it once
+    searches = []
+    search = coloring._color_search
+
+    def counted(*args):
+        searches.append((args[1], args[3]))
+        return search(*args)
+
+    # a search that packing started under its own name would count too
+    for module in (coloring, packing):
+        monkeypatch.setattr(module, "_color_search", counted, raising=False)
+    asked = []
+    chromatic_number = packing.chromatic_number
+    monkeypatch.setattr(packing, "chromatic_number", lambda h: asked.append(h) or chromatic_number(h))
+    c4 = op.cycle_graph(4)
+    for sizes, h in (([3, 4, 5], K3), ([4, 4, 7], K3), ([4, 5, 6], K3), ([4, 8], c4), ([5, 7], c4)):
+        coloring._profile_search(h, packing.TYPE_ENUMERATION_CAP, len(sizes))
+        alone = searches[:]
+        del searches[:]
+        packing._types_refute(sizes, h, Meter())
+        assert searches == alone and alone and asked == []
+        del searches[:]
+    w5 = op.Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+    h = op.disjoint_union(op.cycle_graph(15), w5)
+    meter = Meter()
+    assert packing._types_refute([7, 7, 7], h, meter) is True
+    assert meter.nodes == 1 and asked == [h]
 
 
 def test_engine_skips_hosts_whose_classes_all_fit(monkeypatch):

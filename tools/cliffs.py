@@ -4,10 +4,12 @@
 
 The instances are where orepack's exact searches fall off cliffs
 (ROADMAP.md, Baseline). They come as tables, each a header and rows, and
-each row is a name, the work it times and the answer it pins. One loop
+each row is a name, the work it times and the answer it pins. A row that
+counts the nodes of a search, or the searches of the CE search, pins its
+answer with that count, which does not depend on the machine. One loop
 times and prints every row; the script exits 1, with one stderr line per
 row that names it and shows its answer and its pin, when a row answers
-other than its pin. A packing row times building its host too; every
+or counts other than its pin. A packing row times building its host too; every
 other row times only its call. Times are `time.perf_counter` wall times of
 one run.
 
@@ -55,10 +57,11 @@ one run.
   with no 3-colouring and no clique on 4 vertices; a budget of 2*10^6
   nodes), and the covering
   refutation that `orepack verify` runs for prop2(3,1,7,7) against
-  fdiamond. The engine asks each component of H for a colouring with
-  one class per host class before its profile search, so K4 or W5
-  refutes at its root in 1 node in either order, with no profile search
-  to take C15's 5,461 colourings past its cap. Cliff C: five of those hosts (the K4, K5 and K6 space barriers
+  fdiamond. The engine's profile search ends at K4 or W5 when it comes
+  first; when C15 comes first, its 5,461 colourings stop the search at
+  its cap, and `chromatic_number` then finds no 3-colouring of H. So
+  each refutes at its root in 1 node in either order, and the rows pin
+  that count. Cliff C: five of those hosts (the K4, K5 and K6 space barriers
   and K3 into K_{3^5,12} and K_{3^6,15}) with 1 or 3 edges deleted. They
   are no longer complete multipartite, but the type-count engine still
   refutes those that keep at least |H| open-twin classes.
@@ -291,7 +294,8 @@ def _search_cells(answer, nodes, ms):
 SEARCH_COLUMNS = "verdict      nodes        ms  us/node"
 
 # (title, the columns after the name, the cells of a row from its answer,
-# nodes and ms, rows); a row is (name, work, pinned answer)
+# nodes and ms, rows); a row is (name, work, pin), and the pin is the
+# answer, with the count after it where the work counts one
 TABLES = (
     ("instance", "chi  profiles        ms", _profile_cells, (
         ("16K2", partial(_profiles, _copies(op.complete_graph(2), 16)), (2, 1)),
@@ -342,61 +346,60 @@ TABLES = (
         ("16P3+C5", partial(_full_report, _paths_and_c5(16)), (0, 0)),
     )),
     ("colour_extension_number", " CE  witness        ms   searches", _ce_search_cells, (
-        ("fdiamond", partial(_extension, op.construct_fdiamond()), (1, 6)),
-        ("fd*5", partial(_extension, op.blow_up(op.construct_fdiamond(), 5)), (1, 30)),
-        ("hd(5,7,[6]*7)", partial(_extension, op.construct_hdiamond(5, 7, [6] * 7)), (5, 42)),
-        ("hd(5,7,[6]*7) shuffled", partial(_extension, _shuffled(op.construct_hdiamond(5, 7, [6] * 7))), (5, 3)),
-        ("hd(3,5,[4,6,7,7,7])", partial(_extension, op.construct_hdiamond(3, 5, [4, 6, 7, 7, 7])), (3, 31)),
-        ("G(24,0.7)#0", partial(_extension, op.random_graph(24, 0.7, random.Random(1000 * 24 + 0))), (1, 2)),
-        ("G(40,0.5) from Random(40)", partial(_extension, op.random_graph(40, 0.5, random.Random(40))), (0, 2)),
+        ("fdiamond", partial(_extension, op.construct_fdiamond()), ((1, 6), 1)),
+        ("fd*5", partial(_extension, op.blow_up(op.construct_fdiamond(), 5)), ((1, 30), 1)),
+        ("hd(5,7,[6]*7)", partial(_extension, op.construct_hdiamond(5, 7, [6] * 7)), ((5, 42), 1)),
+        ("hd(5,7,[6]*7) shuffled", partial(_extension, _shuffled(op.construct_hdiamond(5, 7, [6] * 7))), ((5, 3), 1)),
+        ("hd(3,5,[4,6,7,7,7])", partial(_extension, op.construct_hdiamond(3, 5, [4, 6, 7, 7, 7])), ((3, 31), 1)),
+        ("G(24,0.7)#0", partial(_extension, op.random_graph(24, 0.7, random.Random(1000 * 24 + 0))), ((1, 2), 90)),
+        ("G(40,0.5) from Random(40)", partial(_extension, op.random_graph(40, 0.5, random.Random(40))), ((0, 2), 20542)),
     )),
     ("instance", SEARCH_COLUMNS, _search_cells, (
-        ("K3 into K13+K14", lambda: _pack(_union(13, 14), op.complete_graph(3)), "NO"),
-        ("C4 into K13+K15", lambda: _pack(_union(13, 15), op.cycle_graph(4)), "NO"),
-        ("C4 into K_{7,9}", lambda: _pack(_bipartite(7, 9), op.cycle_graph(4)), "NO"),
-        ("C4 into K_{9,11}", lambda: _pack(_bipartite(9, 11), op.cycle_graph(4)), "NO"),
-        ("C4 into K_{30,34}", lambda: _pack(_bipartite(30, 34), op.cycle_graph(4)), "NO"),
-        ("K3 into K40+K41", lambda: _pack(_union(40, 41), op.complete_graph(3)), "NO"),
-        ("K3 into K_{20,20,23}", lambda: _pack(op.complete_multipartite([20, 20, 23])[0], op.complete_graph(3)), "NO"),
+        ("K3 into K13+K14", lambda: _pack(_union(13, 14), op.complete_graph(3)), ("NO", 39)),
+        ("C4 into K13+K15", lambda: _pack(_union(13, 15), op.cycle_graph(4)), ("NO", 52)),
+        ("C4 into K_{7,9}", lambda: _pack(_bipartite(7, 9), op.cycle_graph(4)), ("NO", 1)),
+        ("C4 into K_{9,11}", lambda: _pack(_bipartite(9, 11), op.cycle_graph(4)), ("NO", 1)),
+        ("C4 into K_{30,34}", lambda: _pack(_bipartite(30, 34), op.cycle_graph(4)), ("NO", 1)),
+        ("K3 into K40+K41", lambda: _pack(_union(40, 41), op.complete_graph(3)), ("NO", 120)),
+        ("K3 into K_{20,20,23}", lambda: _pack(op.complete_multipartite([20, 20, 23])[0], op.complete_graph(3)), ("NO", 1)),
         *(
-            (f"K3 into K_{{3,...,3,{3 * (k - 1)}}}, k={k}", lambda k=k: _pack(_skewed(k), op.complete_graph(3)), "NO")
+            (f"K3 into K_{{3,...,3,{3 * (k - 1)}}}, k={k}", lambda k=k: _pack(_skewed(k), op.complete_graph(3)), ("NO", 1))
             for k in range(4, 11)
         ),
         *(
-            (f"K{r} space barrier, t=8", lambda r=r: _pack(_space_barrier(r), op.complete_graph(r)), "NO")
+            (f"K{r} space barrier, t=8", lambda r=r: _pack(_space_barrier(r), op.complete_graph(r)), ("NO", 1))
             for r in range(4, 10)
         ),
         *(
-            (f"K_{{1,...,1,3}} parity barrier, r={r}, t={_parity_t(r)}", lambda r=r: _pack(*_divisibility_barrier(r)), "NO")
-            for r in range(2, 7)
+            (f"K_{{1,...,1,3}} parity barrier, r={r}, t={_parity_t(r)}", lambda r=r: _pack(*_divisibility_barrier(r)), ("NO", nodes))
+            for r, nodes in zip(range(2, 7), (7, 26, 59, 106, 24))
         ),
-        ("K4+C15 into K_{6,6,7}", lambda: _pack(op.complete_multipartite([6, 6, 7])[0], op.disjoint_union(op.complete_graph(4), op.cycle_graph(15))), "NO"),
-        ("C15+K4 into K_{6,6,7}", lambda: _pack(op.complete_multipartite([6, 6, 7])[0], op.disjoint_union(op.cycle_graph(15), op.complete_graph(4))), "NO"),
-        ("W5+C15 into K_{7,7,7}", lambda: _pack(op.complete_multipartite([7, 7, 7])[0], op.disjoint_union(_wheel(5), op.cycle_graph(15)), 2 * 10**6), "NO"),
-        ("C15+W5 into K_{7,7,7}", lambda: _pack(op.complete_multipartite([7, 7, 7])[0], op.disjoint_union(op.cycle_graph(15), _wheel(5)), 2 * 10**6), "NO"),
-        ("verify prop2(3,1,7,7) vs fdiamond", _verify_prop2, "NO"),
+        ("K4+C15 into K_{6,6,7}", lambda: _pack(op.complete_multipartite([6, 6, 7])[0], op.disjoint_union(op.complete_graph(4), op.cycle_graph(15))), ("NO", 1)),
+        ("C15+K4 into K_{6,6,7}", lambda: _pack(op.complete_multipartite([6, 6, 7])[0], op.disjoint_union(op.cycle_graph(15), op.complete_graph(4))), ("NO", 1)),
+        ("W5+C15 into K_{7,7,7}", lambda: _pack(op.complete_multipartite([7, 7, 7])[0], op.disjoint_union(_wheel(5), op.cycle_graph(15)), 2 * 10**6), ("NO", 1)),
+        ("C15+W5 into K_{7,7,7}", lambda: _pack(op.complete_multipartite([7, 7, 7])[0], op.disjoint_union(op.cycle_graph(15), _wheel(5)), 2 * 10**6), ("NO", 1)),
+        ("verify prop2(3,1,7,7) vs fdiamond", _verify_prop2, ("NO", 19)),
         # Cliff C: Cliff B hosts that are refuted at the root, each with k
         # edges deleted
         *(
-            (f"{name} -{k} edge{'s' * (k > 1)}", lambda build=build, h=h, k=k: _pack(_minus_edges(build(), k), h), "NO")
-            for name, build, h in (
-                ("K4 space barrier, t=8", lambda: _space_barrier(4), op.complete_graph(4)),
-                ("K5 space barrier, t=8", lambda: _space_barrier(5), op.complete_graph(5)),
-                ("K6 space barrier, t=6", lambda: _space_barrier(6, 6), op.complete_graph(6)),
-                ("K3 into K_{3^5,12}", lambda: _skewed(5), op.complete_graph(3)),
-                ("K3 into K_{3^6,15}", lambda: _skewed(6), op.complete_graph(3)),
+            (f"{name} -{k} edge{'s' * (k > 1)}", lambda build=build, h=h, k=k: _pack(_minus_edges(build(), k), h), ("NO", nodes))
+            for name, build, h, counts in (
+                ("K4 space barrier, t=8", lambda: _space_barrier(4), op.complete_graph(4), (1, 19_732)),
+                ("K5 space barrier, t=8", lambda: _space_barrier(5), op.complete_graph(5), (5_205, 208_735)),
+                ("K6 space barrier, t=6", lambda: _space_barrier(6, 6), op.complete_graph(6), (1, 838_260)),
+                ("K3 into K_{3^5,12}", lambda: _skewed(5), op.complete_graph(3), (1, 1)),
+                ("K3 into K_{3^6,15}", lambda: _skewed(6), op.complete_graph(3), (1, 1)),
             )
-            for k in (1, 3)
+            for k, nodes in zip((1, 3), counts)
         ),
     )),
     ("Kierstead-Kostochka bound", SEARCH_COLUMNS, _search_cells, tuple(
         (
             f"K{r}, n={r * t}, Random({seed})",
             lambda r=r, t=t, seed=seed: _pack(_kk_host(r, t, seed), op.complete_graph(r), 2 * 10**6),
-            "YES",
+            ("YES", nodes),
         )
-        for r, t in ((3, 8), (4, 10))
-        for seed in (1, 2)
+        for r, t, seed, nodes in ((3, 8, 1, 285), (3, 8, 2, 24), (4, 10, 1, 40), (4, 10, 2, 1_665))
     )),
     # H is K_{part-1}: K3 into K4s, K2 into triangles
     ("cut barrier", SEARCH_COLUMNS, _search_cells, tuple(
@@ -406,21 +409,21 @@ TABLES = (
             pin,
         )
         for d, s, part, k, pin in (
-            (0, 9, 4, 6, "NO"),
-            (0, 21, 4, 12, "NO"),
-            (0, 37, 4, 20, "NO"),
-            (0, 14, 3, 16, "NO"),
-            (0, 30, 3, 32, "NO"),
-            (6, 9, 4, 6, "NO"),
-            (6, 21, 4, 12, "NO"),
-            (6, 37, 4, 20, "UNKNOWN"),
-            (6, 14, 3, 16, "NO"),
-            (6, 30, 3, 32, "NO"),
+            (0, 9, 4, 6, ("NO", 504)),
+            (0, 21, 4, 12, ("NO", 2_253)),
+            (0, 37, 4, 20, ("NO", 6_513)),
+            (0, 14, 3, 16, ("NO", 678)),
+            (0, 30, 3, 32, ("NO", 2_726)),
+            (6, 9, 4, 6, ("NO", 53_118)),
+            (6, 21, 4, 12, ("NO", 1_286_859)),
+            (6, 37, 4, 20, ("UNKNOWN", 2_000_001)),
+            (6, 14, 3, 16, ("NO", 48_156)),
+            (6, 30, 3, 32, ("NO", 223_192)),
         )
     )),
     ("type-count engine", "verdict      nodes        ms", lambda verdict, nodes, ms: f"{verdict:<7}  {nodes:9d}  {ms:8.1f}", (
-        ("K_{1,1,1,1,3} into K_{35,1,2,...,13}", partial(_engine, [1, 1, 1, 1, 3], [35, *range(1, 14)]), "YES"),
-        ("K_{1,1,1,3} into K_{35,1,2,...,13}", partial(_engine, [1, 1, 1, 3], [35, *range(1, 14)]), "YES"),
+        ("K_{1,1,1,1,3} into K_{35,1,2,...,13}", partial(_engine, [1, 1, 1, 1, 3], [35, *range(1, 14)]), ("YES", 18)),
+        ("K_{1,1,1,3} into K_{35,1,2,...,13}", partial(_engine, [1, 1, 1, 3], [35, *range(1, 14)]), ("YES", 21)),
     )),
 )
 
@@ -436,8 +439,9 @@ def main() -> int:
             start = time.perf_counter()
             answer, nodes = work()
             print(f"{name:<{width}}  {cells(answer, nodes, (time.perf_counter() - start) * 1000)}")
-            if answer != pin:
-                wrong.append(f"cliffs.py: {title} {name}: answered {answer}, pinned {pin}")
+            got = answer if nodes is None else (answer, nodes)
+            if got != pin:
+                wrong.append(f"cliffs.py: {title} {name}: answered {got}, pinned {pin}")
     for line in wrong:
         print(line, file=sys.stderr)
     return 1 if wrong else 0
