@@ -223,13 +223,12 @@ def _prop2(
 
 def construct_fdiamond() -> Graph:
     """Octahedron minus an edge xy, plus a new vertex z adjacent to x and y
-    only: 7 vertices, 13 edges, the smallest graph with extension number 1."""
-    return construct_hdiamond(1, 3, [2, 2, 2], labels=("x", "x'", "y", "y'", "c1", "c2", "z"))
+    only: 7 vertices, 13 edges, the smallest graph with extension number 1.
+    The vertices are x=0, x'=1, y=2, y'=3, c1=4, c2=5 and z=6."""
+    return construct_hdiamond(1, 3, [2, 2, 2])
 
 
-def construct_hdiamond(
-    k: int, r: int, sizes: list[int], labels: tuple[str, ...] | None = None
-) -> Graph:
+def construct_hdiamond(k: int, r: int, sizes: list[int]) -> Graph:
     """Apex construction with extension number exactly k at chromatic
     number r.
 
@@ -256,7 +255,7 @@ def construct_hdiamond(
         _cut(adj, clique, clique)
     keep = sum(transversals) | ((1 << starts[r - 1]) - (1 << starts[k + 1]))
     _cut(adj, 1 << apex, ((1 << apex) - 1) ^ keep)
-    return Graph(apex + 1, tuple(adj), tuple(labels) if labels is not None else None)
+    return Graph(apex + 1, tuple(adj))
 
 
 # bounded family -> (its builder, the parameters the builder takes in

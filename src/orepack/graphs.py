@@ -176,8 +176,8 @@ def _check_order(n: int) -> None:
 class Record:
     """Base of the package's record types. Each names its fields in
     ``__slots__``, in constructor order. Two objects of one class are
-    equal when their ``_key()`` is, every field unless the type says
-    otherwise, and the repr lists the fields. Unhashable."""
+    equal when their ``_key()`` is, the tuple of every field, and the repr
+    lists the fields. Unhashable."""
 
     __slots__ = ()
 
@@ -219,15 +219,12 @@ class FrozenRecord(Record):
 
 
 class Graph(FrozenRecord):
-    """Undirected simple graph; ``adj[v]`` is the neighbor bitmask of ``v``.
+    """Undirected simple graph on vertices 0..n-1; ``adj[v]`` is the
+    neighbor bitmask of ``v``. Two graphs are equal when their rows are."""
 
-    ``labels`` are optional decoration (constructions use them to name a
-    distinguished vertex); structural equality and hashing ignore them.
-    """
+    __slots__ = ("n", "adj")
 
-    __slots__ = ("n", "adj", "labels")
-
-    def __init__(self, n: int, adj: tuple[int, ...], labels: tuple[str, ...] | None = None) -> None:
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
         _check_order(n)
         if len(adj) != n:
             raise ValueError("adjacency row count does not match vertex count")
@@ -243,9 +240,7 @@ class Graph(FrozenRecord):
             v, u = next((v, u) for v, mask in enumerate(adj)
                         for u in iter_bits(mask) if not adj[u] >> v & 1)
             raise ValueError(f"asymmetric edge {v}-{u}")
-        if labels is not None and len(labels) != n:
-            raise ValueError("label count does not match vertex count")
-        self._set(n, adj, labels)
+        self._set(n, adj)
 
     @classmethod
     def _of_valid_rows(cls, n: int, adj: tuple[int, ...]) -> "Graph":
@@ -253,22 +248,18 @@ class Graph(FrozenRecord):
         range(n) by how the caller built them; only the order is checked."""
         _check_order(n)
         g = object.__new__(cls)
-        g._set(n, adj, None)
+        g._set(n, adj)
         return g
 
     def _key(self) -> tuple:
+        # Record's key, written out: the packing caches hash H on every call
         return self.n, self.adj
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count()})"
 
     @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        labels: Sequence[str] | None = None,
-    ) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -277,7 +268,7 @@ class Graph(FrozenRecord):
                 raise ValueError(f"loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, tuple(adj), tuple(labels) if labels is not None else None)
+        return cls(n, tuple(adj))
 
     @property
     def vertex_mask(self) -> int:
@@ -370,6 +361,8 @@ def blow_up(g: Graph, t: int) -> Graph:
     if t < 1:
         raise PreconditionError("blow-up factor must be >= 1")
     require_order(t * g.n)
+    if not g.n:
+        return g
     block = (1 << t) - 1
     adj = []
     for x in range(g.n):

@@ -111,9 +111,6 @@ class Embedding(FrozenRecord):
     def __init__(self, mapping: tuple[int, ...]) -> None:
         self._set(mapping)
 
-    def image(self) -> frozenset[int]:
-        return frozenset(self.mapping)
-
     def to_json(self) -> dict:
         return dict(zip(_VERTEX_KEYS, self.mapping))
 

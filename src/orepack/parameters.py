@@ -65,14 +65,6 @@ class ExtendedNat(FrozenRecord):
             raise ValueError("ExtendedNat must be nonnegative")
         self._set(value)
 
-    @classmethod
-    def finite(cls, value: int) -> "ExtendedNat":
-        return cls(value)
-
-    @classmethod
-    def infinite(cls) -> "ExtendedNat":
-        return cls(None)
-
     @property
     def is_finite(self) -> bool:
         return self.value is not None
@@ -194,7 +186,8 @@ def colour_extension_number(
     only fail, so the value and witness are those of the searches alone.
     x is eligible exactly when the search of N(x) with r - 2 classes
     reaches a coloring, so a clique on r - 1 vertices in N(x) makes x
-    ineligible without it. An extension with T classes gives each vertex
+    ineligible without it; at r = 2 one neighbour is such a clique, so the
+    mask N(x) decides. An extension with T classes gives each vertex
     outside N(x) that every pinned class blocks a class of its own beside
     the pinned ones, and a clique of k such vertices k of them: past
     T - (pinned classes) no extension exists, and as T only falls, the
@@ -231,15 +224,15 @@ def colour_extension_number(
             continue
         seen.add(nbrs)
         # a clique on r - 1 vertices leaves N(x) no (r-2)-coloring
-        if _clique(h, nbrs).bit_count() > r - 2:
+        if nbrs if r == 2 else _clique(h, nbrs).bit_count() > r - 2:
             continue
         outside = h.vertex_mask ^ nbrs
         near: list[int] = []
         if _color_search(h, nbrs, [], r - 2, extend, near):
             break
     if witness is None:
-        return ExtendedNat.infinite(), None
-    return ExtendedNat.finite(best), witness
+        return ExtendedNat(None), None
+    return ExtendedNat(best), witness
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +259,9 @@ def full_report(h: Graph) -> ParameterReport:
     sig = min(s[0] for s in profiles)
     dset = {s[i + 1] - s[i] for s in profiles for i in range(chi - 1)}
     if dset == {0}:
-        hchi = ExtendedNat.infinite()
+        hchi = ExtendedNat(None)
     else:
-        hchi = ExtendedNat.finite(math.gcd(*dset))
+        hchi = ExtendedNat(math.gcd(*dset))
     hc = hcf_c(h)
     # the hcf dispatch on chi (see ParameterReport)
     if chi >= 3:
@@ -282,7 +275,7 @@ def full_report(h: Graph) -> ParameterReport:
     if free is None:
         ce, witness = colour_extension_number(h, chi, start=1)
     else:
-        ce, witness = ExtendedNat.finite(0), free
+        ce, witness = ExtendedNat(0), free
     prime = _chi_prime(chi, ce)
     ore = max(star, prime)
     return ParameterReport(

@@ -386,9 +386,16 @@ def test_construct_multipartite_and_blowup(capsys, tmp_path):
     assert json.loads(lines[1])["classes"] == [[0, 1], [2, 3], [4, 5]]
 
     k3 = graph_file(tmp_path, "k3.g6", op.complete_graph(3))
-    code, out, _ = run_cli(capsys, "construct", "blowup", "--graph", k3, "--t", "2")
-    assert code == 0
-    assert op.parse_graph6(out.splitlines()[0]) == op.complete_multipartite([2, 2, 2])[0]
+    empty = graph_file(tmp_path, "empty.g6", op.empty_graph(0))
+    # a blow-up of the 0-vertex graph has no vertex, however large t is
+    cases = (
+        (k3, 2, op.to_graph6(op.complete_multipartite([2, 2, 2])[0])),
+        (empty, 10**12, "?"),
+    )
+    for base, t, word in cases:
+        code, out, _ = run_cli(capsys, "construct", "blowup", "--graph", base, "--t", str(t))
+        assert code == 0 and out.splitlines()[0] == word
+    assert op.blow_up(op.empty_graph(0), 10**12) == op.empty_graph(0)
 
 
 def test_construct_prints_the_four_byte_order_field(capsys, fdiamond_file):

@@ -97,12 +97,6 @@ def test_adjacency_check_matches_edge_by_edge_scan():
     assert min(outcomes[k] for k in ("accepted", "asymmetric", "loop", "adjacency")) > 20
 
 
-def test_structural_equality_ignores_labels():
-    a = Graph.from_edges(2, [(0, 1)])
-    b = Graph.from_edges(2, [(0, 1)], labels=["u", "v"])
-    assert a == b and hash(a) == hash(b)
-
-
 def test_degree_bound():
     g = op.complete_graph(5)
     assert all(g.degree(v) == 4 for v in range(5))
@@ -168,7 +162,7 @@ def test_graphs_built_without_the_check_pass_it():
             for g in built:
                 checked = Graph(g.n, g.adj)
                 assert checked == g and hash(checked) == hash(g)
-                assert type(g.adj) is tuple and g.labels is None
+                assert type(g.adj) is tuple
 
 
 def test_graph6_optional_header():
@@ -442,7 +436,6 @@ def test_induced_subgraph():
 def test_constructor_and_generator_errors():
     cases = [
         (lambda: Graph(2, (0,)), "adjacency row count does not match vertex count"),
-        (lambda: Graph(2, (0, 0), ("a",)), "label count does not match vertex count"),
         (lambda: op.relabel(op.path_graph(3), [0, 0, 1]), "perm is not a permutation of the vertex set"),
         (lambda: op.cycle_graph(2), "cycle needs at least 3 vertices"),
         (lambda: op.path_graph(0), "path needs at least 1 vertex"),

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import orepack as op
-from orepack import ExtendedNat, PreconditionError, coloring, parameters
+from orepack import ExtendedNat, Graph, PreconditionError, coloring, parameters
 
 from fixtures import corpus, k4_minus, small_corpus
 from oracles import brute_colour_extension_number, ce_by_rising_m
@@ -15,13 +15,13 @@ FD = op.construct_fdiamond()
 
 
 def test_extended_nat_invariants():
-    inf = ExtendedNat.infinite()
+    inf = ExtendedNat(None)
     assert not inf.is_finite
     assert inf.to_json() == {"finite": False, "value": None}
-    five = ExtendedNat.finite(5)
+    five = ExtendedNat(5)
     assert five.is_finite and five.value == 5
     with pytest.raises(ValueError):
-        ExtendedNat.finite(-1)
+        ExtendedNat(-1)
 
 
 def test_critical_chromatic_number_examples():
@@ -34,9 +34,9 @@ def test_critical_chromatic_number_examples():
 
 
 def test_hcf_chi_examples():
-    assert op.full_report(op.complete_graph(3)).hcf_chi == ExtendedNat.infinite()
-    assert op.full_report(FD).hcf_chi == ExtendedNat.finite(1)
-    assert op.full_report(op.star_graph(3)).hcf_chi == ExtendedNat.finite(2)
+    assert op.full_report(op.complete_graph(3)).hcf_chi == ExtendedNat(None)
+    assert op.full_report(FD).hcf_chi == ExtendedNat(1)
+    assert op.full_report(op.star_graph(3)).hcf_chi == ExtendedNat(2)
 
 
 def test_hcf_c_examples():
@@ -61,16 +61,16 @@ def test_hcf_is_one_examples():
 
 def test_colour_extension_number_examples():
     ce, _ = op.colour_extension_number(k4_minus())
-    assert ce == ExtendedNat.infinite()
+    assert ce == ExtendedNat(None)
     ce, witness = op.colour_extension_number(FD)
-    assert ce == ExtendedNat.finite(1)
+    assert ce == ExtendedNat(1)
     assert witness == 6  # the degree-2 vertex attached across the deleted edge
     ce, _ = op.colour_extension_number(op.cycle_graph(5))
-    assert ce == ExtendedNat.finite(0)
+    assert ce == ExtendedNat(0)
     hd = op.construct_hdiamond(2, 5, [3, 3, 3, 3, 3])
     assert hd.n == 16
     ce, witness = op.colour_extension_number(hd)
-    assert ce == ExtendedNat.finite(2)
+    assert ce == ExtendedNat(2)
     assert witness == 15
 
 
@@ -265,6 +265,21 @@ def test_clique_bound_leaves_one_eligibility_search_on_hdiamond(monkeypatch):
     assert [k.bit_count() for k in grown] == [6, 6, 6, 5, 7] + [6] * 34
 
 
+def test_bipartite_eligibility_needs_no_clique(monkeypatch):
+    # at chi = 2 a neighbourhood is eligible only when it is empty, so the
+    # mask N(x) decides and no clique is grown in it; 10K2 has 20 distinct
+    # neighbourhoods, P3 two, and no vertex of either is eligible
+    grown = []
+    clique = parameters._clique
+    monkeypatch.setattr(parameters, "_clique", lambda h, vertices: grown.append(vertices) or clique(h, vertices))
+    ten_k2 = Graph.from_edges(20, [(2 * i, 2 * i + 1) for i in range(10)])
+    for g in (ten_k2, op.path_graph(3)):
+        assert op.colour_extension_number(g) == (ExtendedNat(None), None)
+        rep = op.full_report(g)
+        assert (rep.ce, rep.witness_vertex) == (ExtendedNat(None), None)
+        assert grown == []
+
+
 def test_full_report_calls(monkeypatch):
     # the profile search finds chi itself, so a report makes no
     # chromatic_number call; CE = 0 needs no extension search, and CE >= 1
@@ -290,7 +305,7 @@ def test_full_report_calls(monkeypatch):
         (op.construct_hdiamond(2, 5, [3, 3, 3, 3, 3]), 2, [("colour_extension_number", (5,), {"start": 1})]),
     ]:
         calls.clear()
-        assert op.full_report(g).ce == ExtendedNat.finite(ce)
+        assert op.full_report(g).ce == ExtendedNat(ce)
         assert [c for c in calls if c[0] != "colour_extension_number"] == []
         assert [c for c in calls if c[0] == "colour_extension_number"] == ce_calls
 
@@ -325,7 +340,7 @@ def test_full_report_fdiamond():
     assert rep.sigma == 2
     assert rep.chi_cr == Fraction(14, 5)
     assert rep.hcf_is_one
-    assert rep.ce == ExtendedNat.finite(1)
+    assert rep.ce == ExtendedNat(1)
     assert rep.chi_ore == Fraction(14, 5)
     assert rep.ore_coefficient == Fraction(9, 7)
 
@@ -334,7 +349,7 @@ def test_full_report_k4_minus():
     rep = op.full_report(k4_minus())
     assert rep.chi == 3
     assert rep.sigma == 1
-    assert rep.ce == ExtendedNat.infinite()
+    assert rep.ce == ExtendedNat(None)
     assert rep.chi_ore == 3
     assert rep.ore_coefficient == Fraction(4, 3)
 
@@ -385,9 +400,9 @@ def test_parameter_laws_over_corpus():
         if _bipartite_parts(h) is not None:
             has_isolated = any(h.degree(v) == 0 for v in range(h.n))
             if has_isolated:
-                assert rep.ce == ExtendedNat.finite(0), name
+                assert rep.ce == ExtendedNat(0), name
             else:
-                assert rep.ce == ExtendedNat.infinite(), name
+                assert rep.ce == ExtendedNat(None), name
         assert rep.chi_ore == max(rep.chi_star, rep.chi_prime_ore), name
         # the functions that compute their own value agree with the report
         assert op.chromatic_number(h) == chi, name

@@ -116,7 +116,7 @@ def test_random_graph_draws_as_the_pair_loop():
             g = op.random_graph(n, p, ours)
             assert g.adj == random_graph_before(n, p, theirs).adj, (n, p)
             assert ours.getstate() == theirs.getstate(), (n, p)
-            assert type(g.adj) is tuple and g.labels is None
+            assert type(g.adj) is tuple
 
 
 def test_random_graph_rejects_orders_outside_the_contract():

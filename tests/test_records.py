@@ -16,7 +16,7 @@ import orepack as op
 from orepack import ExtendedNat, ExtremalInstance, Graph, Verdict, graphs
 
 K3 = op.complete_graph(3)
-FIVE = ExtendedNat.finite(5)
+FIVE = ExtendedNat(5)
 EMB = op.Embedding((0, 1, 2))
 
 # every public record type -> the field names in order and one value each,
@@ -41,7 +41,7 @@ RECORDS = [
     (op.ProbeSummary, {
         "samples": 5, "condition_hits": 2, "violations": 1, "unknowns": 1, "violation_graphs": ["Bw"],
     }, True),
-    (Graph, {"n": 3, "adj": K3.adj, "labels": ("a", "b", "c")}, False),
+    (Graph, {"n": 3, "adj": K3.adj}, False),
     (ExtremalInstance, {
         "graph": K3, "w": 0, "claimed_ore_bound": Fraction(3), "family": "prop1", "params": {"r": 3, "n": 3},
     }, False),
@@ -52,6 +52,7 @@ RECORDS = [
 def test_record_fields_and_immutability(cls, fields, mutable):
     record = cls(*fields.values())
     assert [getattr(record, name) for name in fields] == list(fields.values())
+    assert record._key() == tuple(fields.values())
     assert cls(**fields) == record
     assert pickle.loads(pickle.dumps(record)) == record
     if cls not in (ExtendedNat, Graph):  # a number and a summary of the edges
@@ -95,14 +96,14 @@ def test_graphs_built_from_valid_rows_are_frozen():
     )
     for g in built:
         plain = Graph(g.n, g.adj)
-        assert g == plain and hash(g) == hash(plain) and g.labels is None
+        assert g == plain and hash(g) == hash(plain)
         assert pickle.loads(pickle.dumps(g)) == g
-        for name in ("n", "adj", "labels"):
+        for name in ("n", "adj"):
             with pytest.raises(AttributeError):
                 setattr(g, name, None)
             with pytest.raises(AttributeError):
                 delattr(g, name)
-        assert (g.n, g.adj, g.labels) == (plain.n, plain.adj, None)
+        assert (g.n, g.adj) == (plain.n, plain.adj)
 
 
 def test_record_defaults():
@@ -112,7 +113,6 @@ def test_record_defaults():
     assert a == op.ProbeSummary(3, 0, 0, 0, []) and a.violation_graphs is not b.violation_graphs
     with pytest.raises(TypeError):
         hash(a)  # mutable, so unhashable
-    assert Graph(3, K3.adj).labels is None
 
 
 def test_record_constructor_checks():
@@ -128,12 +128,12 @@ def test_record_constructor_checks():
     assert ExtremalInstance(prop1.graph, 0, prop1.claimed_ore_bound, "fdiamond", {}).params == {}
 
 
-def test_graph_equality_and_hash_ignore_labels():
+def test_graph_equality_and_hash_are_its_rows():
     plain = op.cycle_graph(5)
-    labelled = Graph(5, plain.adj, tuple("abcde"))
-    assert plain == labelled and hash(plain) == hash(labelled) == hash((5, plain.adj))
+    rows = Graph(5, plain.adj)
+    assert plain == rows and hash(plain) == hash(rows) == hash((5, plain.adj))
     assert plain != op.path_graph(5) and plain != (5, plain.adj)
-    assert len({plain, labelled, op.cycle_graph(5)}) == 1
+    assert len({plain, rows, op.cycle_graph(5)}) == 1
     with pytest.raises(AttributeError, match="^cannot delete field 'n'$"):
         del plain.n
     assert plain.n == 5
