@@ -13,11 +13,17 @@ instance JSON of ``verify`` by ``extremal.ExtremalInstance``. ``construct``
 names no family itself: ``extremal.FAMILIES`` gives each family's builder
 and the flags it takes, and one path requires, converts and passes them.
 
-The argparse parser is built once per process, on the first call of
-``main``, and later calls reuse it. A call takes one argparse pass: the
-verb's own subparser reads the words after the verb, and the top-level
-parser runs only to print a usage error or help (no verb first, or words
-the verb does not take). Each parse fills a fresh namespace, the verb
+Each verb's words are described once, in ``VERBS``. ``main`` reads a
+plain call against that table in one pass: every positional once, each
+option at most once by its exact option string with a value that does not
+start with '-' and converts, and every required option. Any other call
+goes to argparse, imported and built from the same table on the first
+such call and reused after: the verb's own subparser reads the words after
+the verb, and the top-level parser runs only to print a usage error or
+help (no verb first, or words the verb does not take). So help, usage
+errors, abbreviations, '--opt=value', '--' and negative numbers read as
+argparse reads them, and a plain call gets the namespace that the verb's
+subparser would return. Each call fills a fresh namespace, the verb
 functions look up what they call when they run, and help text is wrapped
 to the terminal width at the time it is printed. A file is read by
 ``os.open`` and ``os.read`` to its end, without the buffered ``open``
@@ -29,11 +35,11 @@ LF, as in text mode. A read error names the path, as ``open`` does.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+import types
 
 from . import extremal, probes
 from .graphs import (
@@ -218,83 +224,178 @@ def _budget(text: str) -> int:
     try:
         budget = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if budget < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {budget}")
-    return budget
+        message = f"invalid int value: {text!r}"
+    else:
+        if budget >= 0:
+            return budget
+        message = f"must be at least 0, got {budget}"
+    import argparse  # for its error type alone
+
+    raise argparse.ArgumentTypeError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each verb's help line, its function and its words, one (name,
+# ``add_argument`` keywords) pair a word in argparse's listing order. A name
+# starting with "--" is an option, any other a positional. ``_parsers``
+# builds argparse's parsers from this table, and ``_read_plain`` reads the
+# plain calls against it without them.
+VERBS = {
+    "params": ("compute the parameter report of a graph", cmd_params, (
+        ("graph", {"help": "graph file (graph6 or edge list), '-' for stdin"}),
+    )),
+    "pack": ("decide whether G has a perfect H-packing", cmd_pack, (
+        ("graph", {"help": "host graph G"}),
+        ("packing_graph", {"help": "packed graph H"}),
+        ("--find", {"action": "store_true", "help": "print a verified certificate"}),
+        ("--budget", {"type": _budget, "default": DEFAULT_BUDGET}),
+    )),
+    "cover": ("find a copy of H covering vertex w of G", cmd_cover, (
+        ("graph", {}),
+        ("packing_graph", {}),
+        ("w", {"type": int}),
+        ("--budget", {"type": _budget, "default": DEFAULT_BUDGET}),
+    )),
+    "construct": ("emit a named construction", cmd_construct, (
+        ("family", {"choices": list(extremal.FAMILIES)}),
+        ("--r", {"type": int}),
+        ("--n", {"type": int}),
+        ("--m", {"type": int}),
+        ("--h-order", {"dest": "h_order", "type": int}),
+        ("--t", {"type": int}),
+        ("--k", {"type": int}),
+        ("--sizes", {"help": "comma-separated class sizes"}),
+        ("--graph", {"help": "base graph for blowup"}),
+    )),
+    "verify": ("re-check a construction against an H", cmd_verify, (
+        ("instance", {"help": "instance JSON file, '-' for stdin"}),
+        ("packing_graph", {}),
+        ("--budget", {"type": _budget, "default": DEFAULT_BUDGET}),
+    )),
+    "probe": ("randomized check of a packing theorem", cmd_probe, (
+        ("--family", {"required": True, "choices": list(probes.PROBE_FAMILIES)}),
+        ("--n", {"type": int, "required": True}),
+        ("--r", {"type": int}),
+        ("--samples", {"type": int, "required": True}),
+        ("--seed", {"type": int, "default": 0}),
+        ("--budget", {"type": _budget, "default": DEFAULT_BUDGET}),
+    )),
+}
+
+
+def build_parser():
+    """The top-level argparse parser of ``orepack``."""
     return _parsers()[0]
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the subparser of each verb."""
+def _parsers():
+    """The top-level argparse parser and the subparser of each verb, built
+    from ``VERBS``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="orepack",
         description="Exact toolkit for perfect-packing parameters under "
         "Ore-type degree conditions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("params", help="compute the parameter report of a graph")
-    p.add_argument("graph", help="graph file (graph6 or edge list), '-' for stdin")
-    p.set_defaults(func=cmd_params)
-
-    p = sub.add_parser("pack", help="decide whether G has a perfect H-packing")
-    p.add_argument("graph", help="host graph G")
-    p.add_argument("packing_graph", help="packed graph H")
-    p.add_argument("--find", action="store_true", help="print a verified certificate")
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-    p.set_defaults(func=cmd_pack)
-
-    p = sub.add_parser("cover", help="find a copy of H covering vertex w of G")
-    p.add_argument("graph")
-    p.add_argument("packing_graph")
-    p.add_argument("w", type=int)
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-    p.set_defaults(func=cmd_cover)
-
-    p = sub.add_parser("construct", help="emit a named construction")
-    p.add_argument("family", choices=list(extremal.FAMILIES))
-    p.add_argument("--r", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--h-order", dest="h_order", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--sizes", help="comma-separated class sizes")
-    p.add_argument("--graph", help="base graph for blowup")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("verify", help="re-check a construction against an H")
-    p.add_argument("instance", help="instance JSON file, '-' for stdin")
-    p.add_argument("packing_graph")
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("probe", help="randomized check of a packing theorem")
-    p.add_argument("--family", required=True, choices=list(probes.PROBE_FAMILIES))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
-    p.set_defaults(func=cmd_probe)
-
+    for verb, (help_line, func, words) in VERBS.items():
+        p = sub.add_parser(verb, help=help_line)
+        for name, keywords in words:
+            p.add_argument(name, **keywords)
+        p.set_defaults(func=func)
     return parser, sub.choices
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _layout(verb: str):
+    """(positionals, flags, options, defaults, required options) of
+    ``verb``, from ``VERBS``: each positional and option as (dest,
+    converter or None, choices or None), each store_true flag as its dest,
+    the options and flags by their option strings, and the namespace of a
+    call that gives none of them."""
+    _, func, words = VERBS[verb]
+    positionals, flags, options, defaults, required = [], {}, {}, {"func": func}, set()
+    for name, keywords in words:
+        if not name.startswith("--"):
+            positionals.append((name, keywords.get("type"), keywords.get("choices")))
+            continue
+        dest = keywords.get("dest", name[2:])
+        if keywords.get("action") == "store_true":
+            flags[name] = dest
+            defaults[dest] = False
+            continue
+        options[name] = (dest, keywords.get("type"), keywords.get("choices"))
+        defaults[dest] = keywords.get("default")
+        if keywords.get("required"):
+            required.add(name)
+    return positionals, flags, options, defaults, required
+
+
+def _read_plain(verb: str, words: list[str]):
+    """The namespace that ``verb``'s subparser returns for ``words``, the
+    words after the verb, when they are in a plain form; else None, and
+    argparse reads them. A plain form gives each positional once, each
+    option or flag at most once by its exact option string, a value that
+    converts and is among the choices after each option, and every
+    required option. Its only word that starts with '-' and is not an
+    option string is '-' itself, as a positional; no option's value starts
+    with '-'."""
+    positionals, flags, options, defaults, required = _layout(verb)
+    values = dict(defaults)
+    seen = set()
+    at = 0
+    rest = iter(words)
+    for word in rest:
+        if word.startswith("-") and word != "-":
+            if word in seen:
+                return None
+            seen.add(word)
+            if word in flags:
+                values[flags[word]] = True
+                continue
+            if word not in options:
+                return None
+            dest, convert, choices = options[word]
+            word = next(rest, "-")
+            if word.startswith("-"):
+                return None
+        elif at < len(positionals):
+            dest, convert, choices = positionals[at]
+            at += 1
+        else:
+            return None
+        if convert is not None:
+            try:
+                word = convert(word)
+            except Exception:  # argparse's to report, ArgumentTypeError too
+                return None
+        if choices is not None and word not in choices:
+            return None
+        values[dest] = word
+    if at < len(positionals) or not required <= seen:
+        return None
+    return types.SimpleNamespace(**values)
+
+
+def _parse(argv: list[str]):
+    """argparse's reading of ``argv``: the verb's own subparser reads the
+    words after the verb, and the top-level parser reads argv whole only to
+    print a usage error or help (no verb first, or words the verb does not
+    take)."""
     parser, verbs = _parsers()
-    argv = sys.argv[1:] if argv is None else argv
     verb = verbs.get(argv[0]) if argv else None
     args, extra = verb.parse_known_args(argv[1:]) if verb else (None, None)
     if verb is None or extra:
-        # no verb first, or words the verb does not take: the top-level
-        # parser reads argv whole and prints its usage error or help
         args = parser.parse_args(argv)
+    return args
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_plain(argv[0], argv[1:]) if argv and argv[0] in VERBS else None
+    if args is None:
+        args = _parse(argv)
     try:
         return args.func(args)
     except (GraphFormatError, OSError, UnicodeDecodeError) as exc:

@@ -260,6 +260,7 @@ class Graph(FrozenRecord):
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        _check_order(n)
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -300,10 +301,12 @@ class Graph(FrozenRecord):
 
 
 def empty_graph(n: int) -> Graph:
+    _check_order(n)
     return Graph(n, (0,) * n)
 
 
 def complete_graph(n: int) -> Graph:
+    _check_order(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
@@ -311,18 +314,18 @@ def complete_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs at least 1 vertex")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def star_graph(leaves: int) -> Graph:
     """Star with center 0 and ``leaves`` pendant vertices."""
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return Graph.from_edges(leaves + 1, ((0, i) for i in range(1, leaves + 1)))
 
 
 def complete_multipartite(sizes: Sequence[int]) -> tuple[Graph, tuple[range, ...]]:

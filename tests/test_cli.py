@@ -975,6 +975,124 @@ def test_one_argparse_pass_matches_the_parse_through_the_top_level_parser(capsys
     assert codes[0] >= 12 and codes[2] >= 9 and codes[4] == 1
 
 
+# each verb's word groups, positionals in their order: a positional, a
+# flag, or an option and a valid value; the required ones come first
+ORACLE_WORDS = {
+    "params": (["fd.g6"],),
+    "pack": (["c4.g6"], ["k2.g6"], ["--find"], ["--budget", "7"]),
+    "cover": (["fd.g6"], ["k3.g6"], ["0"], ["--budget", "50"]),
+    "construct": (["prop2"], ["--r", "3"], ["--m", "1"], ["--h-order", "7"], ["--t", "7"], ["--n", "9"],
+                  ["--k", "2"], ["--sizes", "3,4"], ["--graph", "k3.g6"]),
+    "verify": (["inst.json"], ["k3.g6"], ["--budget", "100"]),
+    "probe": (["--family", "hajnal-szemeredi"], ["--n", "6"], ["--samples", "3"], ["--r", "3"], ["--seed", "2"],
+              ["--budget", "9"]),
+}
+ORACLE_REQUIRED = {"params": 1, "pack": 2, "cover": 3, "construct": 1, "verify": 2, "probe": 3}
+# help, '--', stdin, negative numbers, blank and bad values, unknown
+# options, '=' forms and abbreviations
+ODD_WORDS = ("-h", "--help", "--", "-", "-1", "-7", "", " 5", "x", "1.5", "nope", "--bogus", "--budget=3",
+             "--n=4", "--fin", "--bud", "--h", "--sam", "--fam", "fdiamond", "average-degree")
+
+
+def _oracle_argv(rng, verb):
+    """(plain words after ``verb``, the same words mutated): the required
+    groups and some others, options in any order among the positionals;
+    then words inserted, deleted, replaced, repeated, abbreviated or given
+    in '=' form."""
+    groups = ORACLE_WORDS[verb]
+    required = ORACLE_REQUIRED[verb]
+    chosen = list(groups[:required]) + [g for g in groups[required:] if rng.random() < 0.6]
+    positionals = [g for g in chosen if not g[0].startswith("-")]
+    options = [g for g in chosen if g[0].startswith("-")]
+    rng.shuffle(options)
+    words = []
+    while positionals or options:
+        pick = positionals if positionals and (not options or rng.random() < 0.5) else options
+        words += pick.pop(0)
+    plain = list(words)
+    for _ in range(rng.randrange(1, 4)):
+        at = rng.randrange(len(words) + 1)
+        kind = rng.randrange(6)
+        if kind == 0:
+            words.insert(at, rng.choice(ODD_WORDS))
+        elif kind == 1 and words:
+            del words[min(at, len(words) - 1)]
+        elif kind == 2 and words:
+            words[min(at, len(words) - 1)] = rng.choice(ODD_WORDS)
+        elif kind == 3:
+            words[at:at] = rng.choice(groups)
+        elif kind == 4 and at < len(words) and words[at].startswith("--"):
+            words[at] = words[at][:-1]
+        elif kind == 5 and at + 1 < len(words) and words[at].startswith("--") and words[at] != "--find":
+            words[at:at + 2] = [f"{words[at]}={words[at + 1]}"]
+    return plain, words
+
+
+def test_table_reader_matches_the_verb_subparser(capsys):
+    # whenever the table reader takes a call, its namespace is the one the
+    # verb's subparser returns, with no word left over; every plain call
+    # is taken
+    rng = random.Random(43)
+    verbs = cli._parsers()[1]
+    taken = Counter()
+    for verb in ORACLE_WORDS:
+        for _ in range(300):
+            for i, words in enumerate(_oracle_argv(rng, verb)):
+                args = cli._read_plain(verb, words)
+                taken[args is not None] += 1
+                assert args is not None or i, (verb, words)
+                if args is None:
+                    continue
+                try:
+                    expected, extra = verbs[verb].parse_known_args(list(words))
+                except SystemExit:
+                    pytest.fail(f"argparse rejects {[verb, *words]}, which the table reader takes")
+                assert (vars(args), extra) == (vars(expected), []), (verb, words)
+    capsys.readouterr()
+    assert taken[True] > 2000 and taken[False] > 800
+
+
+def test_verb_help_matches_a_fresh_process(capsys, tmp_path, monkeypatch):
+    # help is the one well-formed call that builds the parsers
+    monkeypatch.setenv("COLUMNS", "80")
+    for verb in cli.VERBS:
+        run = run_cli(capsys, verb, "-h")
+        assert run[0] == 0 and run[1].startswith(f"usage: orepack {verb} [-h]"), verb
+        assert run == _fresh_process([verb, "-h"], tmp_path, 80), verb
+
+
+def test_plain_calls_leave_argparse_unimported(tmp_path):
+    for name, g in (("c4", op.cycle_graph(4)), ("k2", op.complete_graph(2)),
+                    ("k3", op.complete_graph(3)), ("fd", op.construct_fdiamond())):
+        graph_file(tmp_path, f"{name}.g6", g)
+    (tmp_path / "inst.json").write_text(json.dumps(op.construct_prop1(3, 9).to_json_dict()))
+    calls = [
+        ["params", "fd.g6"],
+        ["pack", "c4.g6", "k2.g6", "--find"],
+        ["cover", "fd.g6", "k3.g6", "0", "--budget", "100"],
+        ["construct", "prop1", "--r", "3", "--n", "9"],
+        ["verify", "inst.json", "k3.g6"],
+        ["probe", "--family", "hajnal-szemeredi", "--n", "6", "--r", "3", "--samples", "3"],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from orepack import cli\n"
+        "def call(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            return cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            return exc.code\n"
+        f"codes = [call(argv) for argv in {calls!r}]\n"
+        "print(codes, 'argparse' in sys.modules)\n"
+        "print(call(['pack', '-h']), 'argparse' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(op.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0] False\n0 True\n"
+
+
 # (file name, text with "\n" line ends): graph6 and edge-list files, a
 # header on the graph6 line or on its own, and one-word texts that graph6
 # rejects

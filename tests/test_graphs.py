@@ -446,6 +446,31 @@ def test_constructor_and_generator_errors():
         assert str(info.value) == message
 
 
+def test_generators_check_the_order_before_building_rows():
+    # an order outside the range fails before any row is built: -1 once
+    # failed as a negative shift, and 2**14 built its rows first
+    builds = {
+        "empty_graph": op.empty_graph,
+        "complete_graph": op.complete_graph,
+        "from_edges": lambda n: Graph.from_edges(n, []),
+        "cycle_graph": op.cycle_graph,
+        "path_graph": op.path_graph,
+        "star_graph": lambda n: op.star_graph(n - 1),
+    }
+    for name, build in builds.items():
+        for n in (-1, 129, 2**14):
+            if n == -1 and name in ("cycle_graph", "path_graph"):
+                continue  # their own minimum order comes first
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"^vertex count {n} outside 0..128$"):
+                    build(n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (name, n, peak)
+
+
 def test_relabel_is_isomorphism():
     g = op.star_graph(3)
     perm = [3, 0, 1, 2]

@@ -44,3 +44,20 @@ def test_every_workload_builds_its_inputs(perfbench, tmp_path):
         written = {str(p) for p in workdir.iterdir()}
         for task in tasks:
             assert {a for a in task.argv if a.startswith(str(workdir))} <= written, name
+
+
+def test_the_cli_table_reads_every_task_as_argparse_does(perfbench, tmp_path):
+    # every benchmark task is a plain call: the CLI reads it without
+    # argparse, into the namespace the verb's subparser returns
+    lib = _lib()
+    verbs = lib.cli._parsers()[1]
+    for seed in (1, 2):
+        for name, build in perfbench.workloads.BUILDERS.items():
+            workdir = tmp_path / f"{name}-{seed}"
+            workdir.mkdir()
+            for task in build(lib, perfbench.workloads.Inputs(lib, seed, str(workdir))):
+                verb, *words = task.argv
+                args = lib.cli._read_plain(verb, words)
+                assert args is not None, task.argv
+                expected, extra = verbs[verb].parse_known_args(words)
+                assert (vars(args), extra) == (vars(expected), []), task.argv

@@ -7,11 +7,13 @@ The instances are where orepack's exact searches fall off cliffs
 each row is a name, the work it times and the answer it pins. A row that
 counts the nodes of a search, or the searches of the CE search, pins its
 answer with that count, which does not depend on the machine. One loop
-times and prints every row; the script exits 1, with one stderr line per
-row that names it and shows its answer and its pin, when a row answers
-or counts other than its pin. A packing row times building its host too; every
-other row times only its call. Times are `time.perf_counter` wall times of
-one run.
+times and prints the rows of every table, and a second one the
+fresh-process rows, which come last. The script exits 1, with one stderr
+line per row that names it and shows its answer and its pin, when a row
+answers or counts other than its pin. A packing row times building its
+host too; every other row times only its call. Times are
+`time.perf_counter` wall times of one run, but for the fresh-process
+rows.
 
 - Cliff A, the class-size profile search of `orepack params`: chi and
   the number of distinct sorted class-size profiles of the optimal
@@ -81,17 +83,29 @@ one run.
   thousands of children and the engine takes only the first of each; the
   search that `has_perfect_packing` runs after it would take 35 s on the
   first.
+- Fresh processes: one `python -m orepack` call per verb (params, pack,
+  pack --find, cover, verify, probe) on small fixtures, each row pinning
+  its exit code and a digest of its stdout and printing the median wall
+  ms of 5 runs. A run pays the interpreter's start-up, orepack's import
+  and the CLI's parse, which the in-process benchmark does not see: its
+  harness imports argparse before it times anything.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import random
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from functools import partial
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
 
 import orepack as op  # noqa: E402
 from orepack import packing, parameters  # noqa: E402
@@ -428,6 +442,49 @@ TABLES = (
 )
 
 
+# one `python -m orepack` call per verb on the fixtures that
+# `_fresh_process_rows` writes: (name, argv, pin), the pin being the exit
+# code and the first 16 hex digits of the sha256 of stdout
+FRESH_PROCESS_ROWS = (
+    ("params fdiamond", ["params", "fd.g6"], (0, "b7bae8d7c10c3d64")),
+    ("pack K3 into K_{3,4,5}", ["pack", "k345.g6", "k3.g6"], (1, "cfe72034a9f298fb")),
+    ("pack --find K3 into K_{4,4,4}", ["pack", "k444.g6", "k3.g6", "--find"], (0, "6d3e6665837d09cd")),
+    ("cover fdiamond by K3 at 0", ["cover", "fd.g6", "k3.g6", "0"], (0, "9e5846ceb8fbdf0b")),
+    ("verify prop1(3,9) vs K3", ["verify", "inst.json", "k3.g6"], (0, "e5b7a8a3c205e88a")),
+    ("probe hajnal-szemeredi n=9", ["probe", "--family", "hajnal-szemeredi", "--n", "9", "--r", "3", "--samples", "5"],
+     (0, "9852ccf7fd33fedc")),
+)
+FRESH_PROCESS_RUNS = 5
+
+
+def _fresh_process_rows(wrong: list[str]) -> None:
+    """Print the fresh-process table: each row's median wall ms over
+    FRESH_PROCESS_RUNS new processes, which pay the interpreter's start-up,
+    orepack's import and the CLI's parse; a row whose runs answer other
+    than its pin goes into ``wrong``."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    with tempfile.TemporaryDirectory() as cwd:
+        for name, g in (("fd", op.construct_fdiamond()), ("k3", op.complete_graph(3)),
+                        ("k345", op.complete_multipartite([3, 4, 5])[0]), ("k444", op.complete_multipartite([4, 4, 4])[0])):
+            with open(os.path.join(cwd, f"{name}.g6"), "w") as fh:
+                fh.write(op.to_graph6(g) + "\n")
+        with open(os.path.join(cwd, "inst.json"), "w") as fh:
+            json.dump(op.construct_prop1(3, 9).to_json_dict(), fh)
+        width = max(len(name) for name, _, _ in FRESH_PROCESS_ROWS)
+        print(f"{'fresh process':<{width}}  exit  stdout sha256        ms")
+        for name, argv, pin in FRESH_PROCESS_ROWS:
+            answers, times = set(), []
+            for _ in range(FRESH_PROCESS_RUNS):
+                start = time.perf_counter()
+                proc = subprocess.run([sys.executable, "-m", "orepack", *argv], capture_output=True, env=env, cwd=cwd)
+                times.append((time.perf_counter() - start) * 1000)
+                answers.add((proc.returncode, hashlib.sha256(proc.stdout).hexdigest()[:16]))
+            code, digest = min(answers)
+            print(f"{name:<{width}}  {code:4d}  {digest}  {statistics.median(times):8.1f}")
+            if answers != {pin}:
+                wrong.append(f"cliffs.py: fresh process {name}: answered {sorted(answers)}, pinned {pin}")
+
+
 def main() -> int:
     wrong = []
     for i, (title, columns, cells, rows) in enumerate(TABLES):
@@ -442,6 +499,8 @@ def main() -> int:
             got = answer if nodes is None else (answer, nodes)
             if got != pin:
                 wrong.append(f"cliffs.py: {title} {name}: answered {got}, pinned {pin}")
+    print()
+    _fresh_process_rows(wrong)
     for line in wrong:
         print(line, file=sys.stderr)
     return 1 if wrong else 0
