@@ -11,21 +11,20 @@ Input files are read by one reader (a path, or '-' for stdin) and decoded
 by the module that writes their format: graph text by ``graphs``, the
 instance JSON of ``verify`` by ``extremal.ExtremalInstance``. ``construct``
 names no family itself: ``extremal.FAMILIES`` gives each family's builder
-and the flags it takes, and one path requires, converts and passes them.
+and the flags it takes, which are also ``construct``'s options, and one
+path requires, converts and passes them.
 
 Each verb's words are described once, in ``VERBS``. ``main`` reads a
 plain call against that table in one pass: every positional once, each
 option at most once by its exact option string with a value that does not
 start with '-' and converts, and every required option. Any other call
-goes to argparse, imported and built from the same table on the first
-such call and reused after: the verb's own subparser reads the words after
-the verb, and the top-level parser runs only to print a usage error or
-help (no verb first, or words the verb does not take). So help, usage
+goes whole to argparse's top-level parser, imported and built from the
+same table on the first such call and reused after. So help, usage
 errors, abbreviations, '--opt=value', '--' and negative numbers read as
-argparse reads them, and a plain call gets the namespace that the verb's
-subparser would return. Each call fills a fresh namespace, the verb
-functions look up what they call when they run, and help text is wrapped
-to the terminal width at the time it is printed. A file is read by
+argparse reads them, and a plain call gets the namespace that argparse
+would return, less the verb's name. Each call fills a fresh namespace,
+the verb functions look up what they call when they run, and help text is
+wrapped to the terminal width at the time it is printed. A file is read by
 ``os.open`` and ``os.read`` to its end, without the buffered ``open``
 stack, and stdin's bytes from ``sys.stdin.buffer``; both are decoded once
 by the same codec (ASCII for graphs, UTF-8 for instances), so the same
@@ -234,11 +233,16 @@ def _budget(text: str) -> int:
     raise argparse.ArgumentTypeError(message)
 
 
+# the help line of each `construct` flag that takes text; every other
+# family flag takes an int
+_TEXT_FLAGS = {"sizes": "comma-separated class sizes", "graph": "base graph for blowup"}
+
 # Each verb's help line, its function and its words, one (name,
 # ``add_argument`` keywords) pair a word in argparse's listing order. A name
-# starting with "--" is an option, any other a positional. ``_parsers``
-# builds argparse's parsers from this table, and ``_read_plain`` reads the
-# plain calls against it without them.
+# starting with "--" is an option, any other a positional. `construct`'s
+# options are the flags of ``extremal.FAMILIES``, in order of first use.
+# ``build_parser`` builds argparse's parser from this table, and
+# ``_read_plain`` reads the plain calls against it without argparse.
 VERBS = {
     "params": ("compute the parameter report of a graph", cmd_params, (
         ("graph", {"help": "graph file (graph6 or edge list), '-' for stdin"}),
@@ -257,14 +261,9 @@ VERBS = {
     )),
     "construct": ("emit a named construction", cmd_construct, (
         ("family", {"choices": list(extremal.FAMILIES)}),
-        ("--r", {"type": int}),
-        ("--n", {"type": int}),
-        ("--m", {"type": int}),
-        ("--h-order", {"dest": "h_order", "type": int}),
-        ("--t", {"type": int}),
-        ("--k", {"type": int}),
-        ("--sizes", {"help": "comma-separated class sizes"}),
-        ("--graph", {"help": "base graph for blowup"}),
+        *((f"--{flag.replace('_', '-')}",
+           {"dest": flag, "help": _TEXT_FLAGS[flag]} if flag in _TEXT_FLAGS else {"dest": flag, "type": int})
+          for flag in dict.fromkeys(f for _, flags in extremal.FAMILIES.values() for f in flags)),
     )),
     "verify": ("re-check a construction against an H", cmd_verify, (
         ("instance", {"help": "instance JSON file, '-' for stdin"}),
@@ -282,15 +281,9 @@ VERBS = {
 }
 
 
-def build_parser():
-    """The top-level argparse parser of ``orepack``."""
-    return _parsers()[0]
-
-
 @functools.cache
-def _parsers():
-    """The top-level argparse parser and the subparser of each verb, built
-    from ``VERBS``."""
+def build_parser():
+    """The top-level argparse parser of ``orepack``, built from ``VERBS``."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -304,7 +297,7 @@ def _parsers():
         for name, keywords in words:
             p.add_argument(name, **keywords)
         p.set_defaults(func=func)
-    return parser, sub.choices
+    return parser
 
 
 @functools.cache
@@ -333,14 +326,14 @@ def _layout(verb: str):
 
 
 def _read_plain(verb: str, words: list[str]):
-    """The namespace that ``verb``'s subparser returns for ``words``, the
-    words after the verb, when they are in a plain form; else None, and
-    argparse reads them. A plain form gives each positional once, each
-    option or flag at most once by its exact option string, a value that
-    converts and is among the choices after each option, and every
-    required option. Its only word that starts with '-' and is not an
-    option string is '-' itself, as a positional; no option's value starts
-    with '-'."""
+    """The namespace that argparse returns for ``verb`` and ``words``, the
+    words after the verb, less its ``command`` entry, when they are in a
+    plain form; else None, and argparse reads them. A plain form gives each
+    positional once, each option or flag at most once by its exact option
+    string, a value that converts and is among the choices after each
+    option, and every required option. Its only word that starts with '-'
+    and is not an option string is '-' itself, as a positional; no
+    option's value starts with '-'."""
     positionals, flags, options, defaults, required = _layout(verb)
     values = dict(defaults)
     seen = set()
@@ -378,24 +371,11 @@ def _read_plain(verb: str, words: list[str]):
     return types.SimpleNamespace(**values)
 
 
-def _parse(argv: list[str]):
-    """argparse's reading of ``argv``: the verb's own subparser reads the
-    words after the verb, and the top-level parser reads argv whole only to
-    print a usage error or help (no verb first, or words the verb does not
-    take)."""
-    parser, verbs = _parsers()
-    verb = verbs.get(argv[0]) if argv else None
-    args, extra = verb.parse_known_args(argv[1:]) if verb else (None, None)
-    if verb is None or extra:
-        args = parser.parse_args(argv)
-    return args
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_plain(argv[0], argv[1:]) if argv and argv[0] in VERBS else None
     if args is None:
-        args = _parse(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphFormatError, OSError, UnicodeDecodeError) as exc:

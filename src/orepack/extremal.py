@@ -268,8 +268,10 @@ BOUNDED_FAMILIES = {
 
 # every family `orepack construct` builds -> (its builder, the flags the
 # builder takes in order): the bounded families, then bare graphs without
-# a claimed bound. A `sizes` flag is a comma-separated list, a `graph` flag
-# names a graph file; a builder that returns (graph, classes) lists them.
+# a claimed bound. The flags, in order of first use, are also `construct`'s
+# options. A `sizes` flag is a comma-separated list, a `graph` flag names a
+# graph file, any other an int; a builder that returns (graph, classes)
+# lists them.
 FAMILIES = {
     **BOUNDED_FAMILIES,
     "fdiamond": (construct_fdiamond, ()),

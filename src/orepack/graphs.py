@@ -325,6 +325,8 @@ def path_graph(n: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     """Star with center 0 and ``leaves`` pendant vertices."""
+    if leaves < 0:
+        raise ValueError("star needs at least 0 leaves")
     return Graph.from_edges(leaves + 1, ((0, i) for i in range(1, leaves + 1)))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import orepack as op
-from orepack import cli, coloring, parameters, probes
+from orepack import cli, coloring, extremal, parameters, probes
 from orepack.cli import build_parser, main
 
 from fixtures import dense_g30, pendant_triangle
@@ -661,6 +662,15 @@ def test_stdin_dash_input(capsys, monkeypatch):
     assert json.loads(out)["chi"] == 3
 
 
+def test_construct_blowup_reads_its_graph_from_stdin(capsys, monkeypatch, fdiamond_file):
+    # a '-' value is not a plain call, so argparse alone reads this one
+    assert cli._read_plain("construct", ["blowup", "--graph", "-", "--t", "2"]) is None
+    _stdin_of(monkeypatch, Path(fdiamond_file).read_bytes())
+    run = run_cli(capsys, "construct", "blowup", "--graph", "-", "--t", "2")
+    assert run[0] == 0
+    assert run == run_cli(capsys, "construct", "blowup", "--graph", fdiamond_file, "--t", "2")
+
+
 def test_stdin_bytes_decode_as_a_file_does(capsys, monkeypatch, tmp_path, fdiamond_file):
     # stdin was read as text in the locale's encoding: b"B\xc3\xa9" read
     # as a character outside graph6's range, and 0xff as '\udcff'
@@ -914,13 +924,19 @@ def test_construct_and_probe_grid_matches_pinned_digest(capsys, tmp_path, monkey
 
 def _main_before(argv):
     """``main`` as it parsed before: every call through the top-level
-    parser. The calls below raise no input error, so it keeps no handler."""
+    parser. Of ``main``'s handlers it keeps the input error's, the one
+    error the calls below raise."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except op.GraphFormatError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
 
 
-# calls that the verb's subparser answers alone: every verb, option forms
-# and abbreviations before the positionals, help, and its usage errors
+# calls whose words their verb takes: every verb, option forms and
+# abbreviations before the positionals, a negative positional, help, and
+# the verb's usage errors
 ONE_PASS = (
     ["params", "fd.g6"],
     ["pack", "c4.g6", "k2.g6"],
@@ -938,10 +954,12 @@ ONE_PASS = (
     ["cover", "fd.g6", "k3.g6", "x"],
     ["construct", "nope"],
     ["probe", "--family", "nope", "--n", "6", "--samples", "5"],
+    ["cover", "fd.g6", "k3.g6", "-1"],
+    ["construct", "hdiamond", "--k=2", "--r", "4", "--sizes", "3,4,7,7"],
+    ["probe", "--fam", "hajnal-szemeredi", "--n", "6", "--r", "3", "--samples", "5"],
 )
 
-# calls the top-level parser reads whole: no verb first, or words the
-# verb does not take
+# calls with no verb first, or with words the verb does not take
 TOP_LEVEL = (
     [],
     ["-h"],
@@ -966,13 +984,15 @@ def test_one_argparse_pass_matches_the_parse_through_the_top_level_parser(capsys
     monkeypatch.setattr(parser, "parse_args", lambda argv: top_level.append(argv) or parse_args(argv))
     codes = Counter()
     for argv in ONE_PASS + TOP_LEVEL:
+        declined = not argv or argv[0] not in cli.VERBS or cli._read_plain(argv[0], argv[1:]) is None
         top_level.clear()
         run = run_cli(capsys, *argv)
-        assert bool(top_level) == (argv in TOP_LEVEL), argv
+        # the top-level parser reads exactly the calls the table declines
+        assert top_level == ([argv] if declined else []), argv
         assert run == run_cli(capsys, *argv, run=_main_before), argv
         codes[run[0]] += 1
     # a leading '--' is a usage error or a pack call, by Python version
-    assert codes[0] >= 12 and codes[2] >= 9 and codes[4] == 1
+    assert codes[0] >= 14 and codes[2] >= 10 and codes[4] == 1
 
 
 # each verb's word groups, positionals in their order: a positional, a
@@ -1030,10 +1050,10 @@ def _oracle_argv(rng, verb):
 
 def test_table_reader_matches_the_verb_subparser(capsys):
     # whenever the table reader takes a call, its namespace is the one the
-    # verb's subparser returns, with no word left over; every plain call
-    # is taken
+    # top-level parser returns, less the verb's name, with no word left
+    # over; every plain call is taken
     rng = random.Random(43)
-    verbs = cli._parsers()[1]
+    parser = build_parser()
     taken = Counter()
     for verb in ORACLE_WORDS:
         for _ in range(300):
@@ -1044,12 +1064,43 @@ def test_table_reader_matches_the_verb_subparser(capsys):
                 if args is None:
                     continue
                 try:
-                    expected, extra = verbs[verb].parse_known_args(list(words))
+                    expected, extra = parser.parse_known_args([verb, *words])
                 except SystemExit:
                     pytest.fail(f"argparse rejects {[verb, *words]}, which the table reader takes")
+                assert vars(expected).pop("command") == verb
                 assert (vars(args), extra) == (vars(expected), []), (verb, words)
     capsys.readouterr()
     assert taken[True] > 2000 and taken[False] > 800
+
+
+# `construct`'s words written out by hand: the oracle for the options that
+# cli.VERBS derives from extremal.FAMILIES
+CONSTRUCT_WORDS = (
+    ("family", {"choices": list(extremal.FAMILIES)}),
+    ("--r", {"type": int}),
+    ("--n", {"type": int}),
+    ("--m", {"type": int}),
+    ("--h-order", {"dest": "h_order", "type": int}),
+    ("--t", {"type": int}),
+    ("--k", {"type": int}),
+    ("--sizes", {"help": "comma-separated class sizes"}),
+    ("--graph", {"help": "base graph for blowup"}),
+)
+
+
+def test_construct_options_come_from_the_family_table(capsys, monkeypatch):
+    oracle = argparse.ArgumentParser(prog="orepack construct")
+    for name, keywords in CONSTRUCT_WORDS:
+        oracle.add_argument(name, **keywords)
+    for columns in (40, 80, 120):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        for words in (["-h"], [], ["prop1", "--r"], ["nope"]):
+            expected = run_cli(capsys, *words, run=oracle.parse_args)
+            assert run_cli(capsys, "construct", *words) == expected, (columns, words)
+    options = cli._layout("construct")[2]
+    dests = [dest for dest, _, _ in options.values()]
+    assert set(dests) == {flag for _, flags in extremal.FAMILIES.values() for flag in flags}
+    assert list(options) == [name for name, _ in CONSTRUCT_WORDS[1:]]
 
 
 def test_verb_help_matches_a_fresh_process(capsys, tmp_path, monkeypatch):

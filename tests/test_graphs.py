@@ -446,6 +446,14 @@ def test_constructor_and_generator_errors():
         assert str(info.value) == message
 
 
+def test_star_graph_rejects_negative_leaf_counts():
+    # -1 once built the 0-vertex graph, and -2 failed on its order of -1
+    for leaves in (-1, -2):
+        with pytest.raises(ValueError, match="^star needs at least 0 leaves$"):
+            op.star_graph(leaves)
+    assert op.star_graph(0) == op.empty_graph(1)
+
+
 def test_generators_check_the_order_before_building_rows():
     # an order outside the range fails before any row is built: -1 once
     # failed as a negative shift, and 2**14 built its rows first
@@ -459,7 +467,7 @@ def test_generators_check_the_order_before_building_rows():
     }
     for name, build in builds.items():
         for n in (-1, 129, 2**14):
-            if n == -1 and name in ("cycle_graph", "path_graph"):
+            if n == -1 and name in ("cycle_graph", "path_graph", "star_graph"):
                 continue  # their own minimum order comes first
             tracemalloc.start()
             try:

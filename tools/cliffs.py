@@ -443,8 +443,10 @@ TABLES = (
 
 
 # one `python -m orepack` call per verb on the fixtures that
-# `_fresh_process_rows` writes: (name, argv, pin), the pin being the exit
-# code and the first 16 hex digits of the sha256 of stdout
+# `_fresh_process_rows` writes, then one usage error, which builds
+# argparse's parser: (name, argv, pin), the pin being the exit code and the
+# first 16 hex digits of the sha256 of stdout (help text is not pinned, as
+# its wrapping differs across Python versions)
 FRESH_PROCESS_ROWS = (
     ("params fdiamond", ["params", "fd.g6"], (0, "b7bae8d7c10c3d64")),
     ("pack K3 into K_{3,4,5}", ["pack", "k345.g6", "k3.g6"], (1, "cfe72034a9f298fb")),
@@ -453,6 +455,7 @@ FRESH_PROCESS_ROWS = (
     ("verify prop1(3,9) vs K3", ["verify", "inst.json", "k3.g6"], (0, "e5b7a8a3c205e88a")),
     ("probe hajnal-szemeredi n=9", ["probe", "--family", "hajnal-szemeredi", "--n", "9", "--r", "3", "--samples", "5"],
      (0, "9852ccf7fd33fedc")),
+    ("pack usage error, no H", ["pack", "c4.g6"], (2, "e3b0c44298fc1c14")),
 )
 FRESH_PROCESS_RUNS = 5
 
@@ -464,7 +467,7 @@ def _fresh_process_rows(wrong: list[str]) -> None:
     than its pin goes into ``wrong``."""
     env = dict(os.environ, PYTHONPATH=SRC)
     with tempfile.TemporaryDirectory() as cwd:
-        for name, g in (("fd", op.construct_fdiamond()), ("k3", op.complete_graph(3)),
+        for name, g in (("fd", op.construct_fdiamond()), ("k3", op.complete_graph(3)), ("c4", op.cycle_graph(4)),
                         ("k345", op.complete_multipartite([3, 4, 5])[0]), ("k444", op.complete_multipartite([4, 4, 4])[0])):
             with open(os.path.join(cwd, f"{name}.g6"), "w") as fh:
                 fh.write(op.to_graph6(g) + "\n")
