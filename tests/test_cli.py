@@ -237,10 +237,10 @@ def test_params_cap_on_colorings_counted_in_bulk_exits_4(capsys, tmp_path, monke
 
 def test_params_cap_on_a_recounted_tailless_component_exits_4(capsys, tmp_path, monkeypatch):
     # G(30,0.7)#2 has no tail and 4,102 optimal colorings: its window pass
-    # checks the first 31 and runs on to the end on the same meter, one
-    # step per coloring, so a cap of 4,101 stops it and 4,102 does not.
-    # (Before it ran on, the pass stopped at the 31st and a recount spent
-    # the 4,102 steps on a meter of its own, with the same outcomes.)
+    # visits 31 and stops, and the counting pass of tailless components
+    # spends all 4,102 on a meter of its own, one step per coloring, so a
+    # cap of 4,101 stops it and 4,102 does not. (The window pass once ran
+    # on to the end on its one meter, with the same outcomes.)
     path = graph_file(tmp_path, "dense.g6", dense_g30())
     for cap, want in ((4_101, 4), (4_102, 0)):
         monkeypatch.setattr(

@@ -586,9 +586,10 @@ def test_profile_search_matches_the_search_before_bulk_counting(monkeypatch):
     # window with caps at their coloring count and one less. At chi, the
     # lowest free vertex of class_size_profiles against checking every
     # coloring: the window's own bound depends on the order of the visits.
-    # A bulk step on a component's meter shows that the counting pass spent
-    # a tail in bulk. A component past its window gets a second meter
-    # exactly when it has a tail, so a tailless one is counted on one meter
+    # A bulk step on a component's meter shows that a counting pass spent
+    # colorings in bulk. A component gets a second meter exactly when it is
+    # past its window, whether or not it has a tail: the tail pass counts
+    # the ones with a tail (tailed), the lean pass the ones without (lean)
     bulk = []
     meters = []
 
@@ -614,7 +615,7 @@ def test_profile_search_matches_the_search_before_bulk_counting(monkeypatch):
         cases += [(g, r, (20, 50, 10**6)) for r in (chi, chi + 1)]
     tailless = _tailless_cases(random.Random(2525))
     monkeypatch.setattr(coloring, "Meter", Watched)
-    runs = counted = exhausted = recounted = kept = frees = 0
+    runs = counted = exhausted = tailed = lean = frees = 0
     for g, r, caps in cases + tailless:
         truth = None
         for cap in caps:
@@ -629,17 +630,17 @@ def test_profile_search_matches_the_search_before_bulk_counting(monkeypatch):
                 continue
             past = [sum(1 << v for v in part) for part in want[2]]
             assert (got[0], got[2]) == (want[0], past), (op.to_graph6(g), r, cap)
+            assert len(meters) == len(components(g)) + len(past), (op.to_graph6(g), r, cap)
             tails = sum(bool(coloring._tail(g.adj, comp, r)) for comp in past)
-            assert len(meters) == len(components(g)) + tails, (op.to_graph6(g), r, cap)
-            recounted += tails
-            kept += len(past) - tails
+            tailed += tails
+            lean += len(past) - tails
             counted += bool(bulk)
             if r == op.chromatic_number(g):
                 truth = truth or profiles_checking_each_coloring(g, r)
                 assert op.class_size_profiles(g, cap) == truth, (op.to_graph6(g), cap)
                 frees += 1
     assert runs >= 1_000 and counted >= 50 and exhausted >= 50 and frees >= 300
-    assert len(tailless) >= 12 and recounted >= 15 and kept >= 6
+    assert len(tailless) >= 12 and tailed >= 15 and lean >= 6
 
 
 def _neighbour_masks(g, classes):
@@ -809,27 +810,84 @@ def test_kernel_keeps_the_neighbour_masks_it_is_given():
     assert runs >= 400 and kept >= 350
 
 
-def test_tailless_component_visits_each_coloring_once_on_one_meter(monkeypatch):
+def test_lean_pass_counts_as_the_plain_kernel():
+    # the counting pass of tailless components against the plain kernel on
+    # every component of seeded graphs of up to 13 vertices, p from 0.2 to
+    # 0.8, at r = chi, chi + 1 and chi + 2: the same set of sorted class
+    # sizes, padded with zeros to r, and one meter step per coloring, spent
+    # in fewer steps than colorings on the components with many
+    rng = random.Random(4646)
+    runs = bulk = 0
+    for _ in range(300):
+        g = op.random_graph(rng.randint(1, 13), rng.uniform(0.2, 0.8), rng)
+        chi = op.chromatic_number(g)
+        for r in (chi, chi + 1, chi + 2):
+            for comp in components(g):
+                visited = []
+
+                def visit(classes):
+                    visited.append(tuple(sorted([m.bit_count() for m in classes] + [0] * (r - len(classes)))))
+                    return False
+
+                plain_color_search(g, list(iter_bits(comp)), [], r, visit)
+                meter = _StepMeter()
+                got = coloring._lean_sizes(g, comp, r, meter)
+                assert {tuple(sorted(s)) for s in got} == set(visited), (op.to_graph6(g), r, comp)
+                assert meter.nodes == len(visited), (op.to_graph6(g), r, comp)
+                runs += 1
+                bulk += len(meter.steps) < len(visited)
+    assert runs >= 1_100 and bulk >= 600
+
+
+class _StepMeter(Meter):
+    """A meter that keeps the steps of each ``spend`` call."""
+
+    __slots__ = ("steps",)
+
+    def __init__(self, limit=None):
+        super().__init__(limit)
+        self.steps = []
+
+    def spend(self, steps=1):
+        self.steps.append(steps)
+        super().spend(steps)
+
+
+def test_tailless_component_stops_its_window_and_is_counted_in_bulk(monkeypatch):
     # G(30,0.7)#2 has no tail and 4,102 optimal colorings: the window pass
-    # checks the first 31 and runs on to the end on the same meter,
-    # visiting each coloring once, and nothing counts the component again
+    # is the one colouring search, and it visits 31, checks the first 30
+    # and stops; the counting pass then spends all 4,102 on a second meter
+    # of the same cap, in bulk steps, without a colouring search of its own
     g = dense_g30()
-    seen = Counter()
+    want = op.class_size_profiles(g)[1]
+    searches = []
     meters = []
     search = coloring._color_search
 
     def tallied(h, vertices, classes, total, visit, near):
+        seen = []
+        searches.append(seen)
+
         def counted(classes):
-            seen[frozenset(classes)] += 1
+            seen.append(1)
             return visit(classes)
 
         return search(h, vertices, classes, total, counted, near)
 
+    class Watched(_StepMeter):
+        __slots__ = ()
+
+        def __init__(self, limit=None):
+            super().__init__(limit)
+            meters.append(self)
+
     monkeypatch.setattr(coloring, "_color_search", tallied)
-    monkeypatch.setattr(coloring, "Meter", lambda cap: meters.append(cap) or Meter(cap))
+    monkeypatch.setattr(coloring, "Meter", Watched)
     parts, _, unchecked = _profile_search(g, DEFAULT_ENUMERATION_CAP, 10)
-    assert sum(seen.values()) == len(seen) == 4_102 and meters == [DEFAULT_ENUMERATION_CAP]
-    assert unchecked == [g.vertex_mask] and parts == [op.class_size_profiles(g)[1]]
+    assert list(map(len, searches)) == [31]
+    assert [(m.limit, m.nodes) for m in meters] == [(DEFAULT_ENUMERATION_CAP, 31), (DEFAULT_ENUMERATION_CAP, 4_102)]
+    assert meters[0].steps == [1] * 31 and 3 * len(meters[1].steps) < 4_102
+    assert unchecked == [g.vertex_mask] and parts == [want]
 
 
 class _CountedRows(tuple):

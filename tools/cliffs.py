@@ -5,27 +5,35 @@
 The instances are where orepack's exact searches fall off cliffs
 (ROADMAP.md, Baseline). They come as tables, each a header and rows, and
 each row is a name, the work it times and the answer it pins. A row that
-counts the nodes of a search, or the searches of the CE search, pins its
-answer with that count, which does not depend on the machine. One loop
-times and prints the rows of every table, and a second one the
-fresh-process rows, which come last. The script exits 1, with one stderr
-line per row that names it and shows its answer and its pin, when a row
-answers or counts other than its pin. A packing row times building its
-host too; every other row times only its call. Times are
-`time.perf_counter` wall times of one run, but for the fresh-process
-rows.
+counts the nodes of a search, the colourings that the profile search's
+meters spend, or the searches of the CE search, pins its answer with that
+count, which does not depend on the machine. One loop times and prints
+the rows of every table, and a second one the fresh-process rows, which
+come last. The script exits 1, with one stderr line per row that names
+it and shows its answer and its pin, when a row answers or counts other
+than its pin. A packing row times building its host too; every other
+row times only its call. Times are `time.perf_counter` wall times of one
+run, but for the fresh-process rows.
 
 - Cliff A, the class-size profile search of `orepack params`: chi and
   the number of distinct sorted class-size profiles of the optimal
-  colourings, or CAP when `class_size_profiles` ends in `BudgetExhausted`.
-  G(16,0.15)#1 and G(26,0.2)#3 are drawn as the benchmark draws its
-  G(n,p)#i, from `Random(1000 n + i)`. A triangle with 12 pendant leaves
-  has 4,096 colourings, which the profile search counts in bulk from the
-  one colouring of the triangle. The last four rows have no tail: the
-  dense G(22,0.5) and G(28,0.6), drawn from `Random(2205)` and
-  `Random(2806)`, and the cycles C15 and C21. On 3C5, 4C5, C5+C7+K2 and
+  colourings, or CAP when `class_size_profiles` ends in `BudgetExhausted`,
+  and the colourings that every meter of the search spends, summed over
+  its rounds and passes. G(16,0.15)#1, G(26,0.2)#3 and G(30,0.7)#2 are
+  drawn as the benchmark draws its G(n,p)#i, from `Random(1000 n + i)`.
+  A triangle with 12 pendant leaves has 4,096 colourings, which the
+  profile search counts in bulk from the one colouring of the triangle.
+  The last five rows have no tail: the dense G(22,0.5) and G(28,0.6),
+  drawn from `Random(2205)` and `Random(2806)`, G(30,0.7)#2, the
+  costliest params input of the benchmark, and the cycles C15 and C21.
+  The window pass of each stops at colouring |C| + 1, and the counting
+  pass of tailless components counts it again, two vertices at a time,
+  so its count is its colourings plus |C| + 1: 4,133 = 4,102 + 31 on
+  G(30,0.7)#2. A pass that miscounts, or a window that runs on or runs
+  twice, changes a count. On 3C5, 4C5, C5+C7+K2 and
   16P3+C5 the clique bound that the profile search starts from is 2,
-  below chi = 3, so it searches the components again with 3 classes.
+  below chi = 3, so it searches the components again with 3 classes;
+  C7, past its window, spends 8 window visits and its 21 colourings.
 - `chromatic_number` on unions of many paths and a 5-cycle, where a
   search that backtracks across components retries every colouring of
   the paths, and on G(40,0.5) from `Random(40)`, where a search that
@@ -108,7 +116,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 sys.path.insert(0, SRC)
 
 import orepack as op  # noqa: E402
-from orepack import packing, parameters  # noqa: E402
+from orepack import coloring, packing, parameters  # noqa: E402
 from orepack.graphs import Meter  # noqa: E402
 
 
@@ -224,15 +232,31 @@ def _cut_barrier(s: int, part: int, k: int, d: int) -> op.Graph:
     return _shuffled(_minus_edges(g, d), 1)
 
 
-# the work of each row returns its answer and the search nodes it
-# expanded, or None where it counts none
+# the work of each row returns its answer and the count it pins (search
+# nodes, colourings or CE searches), or None where it counts none
 
 def _profiles(g: op.Graph):
+    """chi and the number of profiles, or CAP, and the colourings that
+    the meters of the profile search spend, summed over the meters that
+    ``coloring.Meter`` builds."""
+    meters = []
+
+    class Counted(Meter):
+        __slots__ = ()
+
+        def __init__(self, limit=None):
+            super().__init__(limit)
+            meters.append(self)
+
+    coloring.Meter = Counted
     try:
         chi, profiles, _ = op.class_size_profiles(g)
+        answer = chi, len(profiles)
     except op.BudgetExhausted:
-        return "CAP", None
-    return (chi, len(profiles)), None
+        answer = "CAP"
+    finally:
+        coloring.Meter = Meter
+    return answer, sum(m.nodes for m in meters)
 
 
 def _chi(g: op.Graph):
@@ -288,8 +312,8 @@ def _engine(parts, sizes):
     return "NO" if refuted else "YES", meter.nodes
 
 
-def _profile_cells(answer, nodes, ms):
-    return (f"{'CAP':>13}" if answer == "CAP" else "%3d  %8d" % answer) + f"  {ms:8.1f}"
+def _profile_cells(answer, colourings, ms):
+    return (f"{'CAP':>13}" if answer == "CAP" else "%3d  %8d" % answer) + f"  {colourings:10d}  {ms:8.1f}"
 
 
 def _ce_cells(answer, nodes, ms):
@@ -311,23 +335,24 @@ SEARCH_COLUMNS = "verdict      nodes        ms  us/node"
 # nodes and ms, rows); a row is (name, work, pin), and the pin is the
 # answer, with the count after it where the work counts one
 TABLES = (
-    ("instance", "chi  profiles        ms", _profile_cells, (
-        ("16K2", partial(_profiles, _copies(op.complete_graph(2), 16)), (2, 1)),
-        ("18K2", partial(_profiles, _copies(op.complete_graph(2), 18)), (2, 1)),
-        ("22K2", partial(_profiles, _copies(op.complete_graph(2), 22)), (2, 1)),
-        ("3C5", partial(_profiles, _copies(op.cycle_graph(5), 3)), (3, 3)),
-        ("4C5", partial(_profiles, _copies(op.cycle_graph(5), 4)), (3, 4)),
-        ("C5+C7+K2", partial(_profiles, _c5_c7_k2()), (3, 4)),
-        ("16P3+C5", partial(_profiles, _paths_and_c5(16)), (3, 153)),
-        ("G(16,0.15)#1 from Random(16001)", partial(_profiles, op.random_graph(16, 0.15, random.Random(16001))), (3, 11)),
-        ("G(20,0.15) from Random(20)", partial(_profiles, op.random_graph(20, 0.15, random.Random(20))), (4, 39)),
-        ("G(24,0.2) from Random(24)", partial(_profiles, op.random_graph(24, 0.2, random.Random(24))), "CAP"),
-        ("G(26,0.2)#3 from Random(26003)", partial(_profiles, op.random_graph(26, 0.2, random.Random(26003))), "CAP"),
-        ("K3 with 12 pendant leaves", partial(_profiles, _pendant_triangle(12)), (3, 13)),
-        ("G(22,0.5) from Random(2205)", partial(_profiles, op.random_graph(22, 0.5, random.Random(2205))), (6, 9)),
-        ("G(28,0.6) from Random(2806)", partial(_profiles, op.random_graph(28, 0.6, random.Random(2806))), (8, 6)),
-        ("C15", partial(_profiles, op.cycle_graph(15)), (3, 7)),
-        ("C21", partial(_profiles, op.cycle_graph(21)), (3, 12)),
+    ("instance", "chi  profiles  colourings        ms", _profile_cells, (
+        ("16K2", partial(_profiles, _copies(op.complete_graph(2), 16)), ((2, 1), 16)),
+        ("18K2", partial(_profiles, _copies(op.complete_graph(2), 18)), ((2, 1), 18)),
+        ("22K2", partial(_profiles, _copies(op.complete_graph(2), 22)), ((2, 1), 22)),
+        ("3C5", partial(_profiles, _copies(op.cycle_graph(5), 3)), ((3, 3), 15)),
+        ("4C5", partial(_profiles, _copies(op.cycle_graph(5), 4)), ((3, 4), 20)),
+        ("C5+C7+K2", partial(_profiles, _c5_c7_k2()), ((3, 4), 35)),
+        ("16P3+C5", partial(_profiles, _paths_and_c5(16)), ((3, 153), 53)),
+        ("G(16,0.15)#1 from Random(16001)", partial(_profiles, op.random_graph(16, 0.15, random.Random(16001))), ((3, 11), 1_105)),
+        ("G(20,0.15) from Random(20)", partial(_profiles, op.random_graph(20, 0.15, random.Random(20))), ((4, 39), 248_691)),
+        ("G(24,0.2) from Random(24)", partial(_profiles, op.random_graph(24, 0.2, random.Random(24))), ("CAP", 1_000_027)),
+        ("G(26,0.2)#3 from Random(26003)", partial(_profiles, op.random_graph(26, 0.2, random.Random(26003))), ("CAP", 1_000_058)),
+        ("K3 with 12 pendant leaves", partial(_profiles, _pendant_triangle(12)), ((3, 13), 4_112)),
+        ("G(22,0.5) from Random(2205)", partial(_profiles, op.random_graph(22, 0.5, random.Random(2205))), ((6, 9), 3_999)),
+        ("G(28,0.6) from Random(2806)", partial(_profiles, op.random_graph(28, 0.6, random.Random(2806))), ((8, 6), 416)),
+        ("G(30,0.7)#2 from Random(30002)", partial(_profiles, op.random_graph(30, 0.7, random.Random(30002))), ((10, 15), 4_133)),
+        ("C15", partial(_profiles, op.cycle_graph(15)), ((3, 7), 5_477)),
+        ("C21", partial(_profiles, op.cycle_graph(21)), ((3, 12), 349_547)),
     )),
     ("instance", "chi        ms", lambda chi, nodes, ms: f"{chi:3d}  {ms:8.1f}", (
         ("16P3+C5", partial(_chi, _paths_and_c5(16)), 3),
