@@ -1,12 +1,14 @@
 """Exact chromatic computations.
 
-One backtracking search, ``_color_search``, colours vertices for every
-caller: the chromatic number, the window pass, tail counting pass and
+One backtracking search colours vertices for every caller. Its node loop,
+``_walk``, is written once and ends in one of two leaves.
+``_color_search`` completes the last vertex and visits each coloring,
+for the chromatic number, the window pass, tail counting pass and
 pinned searches of the profile search, ``optimal_colorings``, and the
-colour extension search in ``parameters``; the counting pass of a
-component without a tail walks the same tree with no visit. Each node
-takes the unplaced vertex adjacent to the most classes, pinned classes
-included (the most
+colour extension search in ``parameters``. ``_lean_sizes``, the counting
+pass of a component without a tail, completes the last two vertices at
+once and keeps only the class sizes. Each node takes the unplaced vertex
+adjacent to the most classes, pinned classes included (the most
 saturated vertex: DSatur; Brélaz, "New methods to color the vertices of
 a graph", CACM 1979), and puts it into each class that misses it and
 into the next new class. New classes are interchangeable, so only the
@@ -67,14 +69,15 @@ neighbours fill at most r - 2 classes, so it always has two classes
 left; every coloring of the rest thus stands for at least 2^|T|
 colorings, where a degree of r - 1 could leave a vertex one class and
 the pass no cheaper than completing each coloring. One without a tail
-goes to ``_lean_sizes``, which walks the kernel's tree keeping only the
-class sizes and completes the last two vertices of each branch in one
-step, with no visit per coloring: on G(30,0.7)#2 (4,102 colorings, no
-tail) the profile search went from about 10.1 to 7.6 ms on a 2-vCPU
-container, where running the window pass on to the end visited each
-coloring. ``optimal_colorings`` enumerates the partitions themselves,
-canonicalized by sorting classes on their minimum vertex; the tests use
-it as the oracle for the profiles. Both count completed colorings on a
+goes to ``_lean_sizes``, which runs the same node loop with the classes
+kept as sizes and, at its leaf, completes the last two vertices of each
+branch in one step, with no visit per coloring: on G(30,0.7)#2 (4,102
+colorings, no tail) that took the profile search from about 10.1 to
+7.6 ms on a 2-vCPU container, where the window pass had run on to the
+end and visited each coloring. ``optimal_colorings`` enumerates the
+partitions themselves, canonicalized by sorting classes on their
+minimum vertex; the tests use it as the oracle for the profiles. Both
+count completed colorings on a
 ``graphs.Meter`` capped at ``DEFAULT_ENUMERATION_CAP``, one meter per
 search: per component and pass in the profile search, for all of h in
 ``optimal_colorings``. The counting passes spend the colorings they
@@ -173,6 +176,56 @@ def _color_search(
     class it opens, so a visit may read the masks of the classes it is
     shown.
 
+    The node loop ``_walk`` places every vertex but the last, and the
+    leaf ``finish`` puts that one into each class that misses it and into
+    the next new class while fewer than ``total`` are open, visiting each
+    coloring so completed."""
+    adj = h.adj
+
+    def finish(low: int) -> bool:
+        # each class that takes the last vertex completes a coloring, and
+        # its mask takes in the vertex's neighbours for the visit
+        row = adj[low.bit_length() - 1]
+        opened = len(classes)
+        for c in range(opened):
+            mask = near[c]
+            if mask & low:
+                continue
+            was = classes[c]
+            classes[c] = was | low
+            near[c] = mask | row
+            if visit(classes):
+                return True
+            near[c] = mask
+            classes[c] = was
+        if opened < total:
+            classes.append(low)
+            near.append(row)
+            if visit(classes):
+                return True
+            near.pop()
+            classes.pop()
+        return False
+
+    if not vertices:
+        return visit(classes)
+    return _walk(adj, vertices, classes, total, near, finish, 1, 0)
+
+
+def _walk(
+    adj: tuple[int, ...], vertices: int, classes: list[int], total: int, near: list[int],
+    leaf: Callable[[int], bool | None], size: int, unit: int,
+) -> bool:
+    """The node loop of the colouring search, which ``_color_search`` and
+    ``_lean_sizes`` both run on the graph with rows ``adj``. It places the
+    vertices of the mask ``vertices`` one per node, with at most ``total``
+    classes, until ``size`` or fewer are left, and hands those to
+    ``leaf``, which completes them with the classes as they stand; it
+    returns True as soon as a leaf does. ``classes`` and ``near`` are as
+    in ``_color_search``, but a class adds ``unit`` for each vertex it
+    takes, or the vertex's bit when ``unit`` is 0: the visit search keeps
+    class masks, the counting pass class sizes.
+
     Each node takes the unplaced vertex adjacent to the most classes, the
     higher degree and then the lower label on a tie, and puts it into each
     class that misses it and into the next new class while fewer than
@@ -185,36 +238,11 @@ def _color_search(
     plane. ``near`` holds the vertices adjacent to each class; a placement
     adds one to the class count of each unplaced neighbour new to its
     class by a carry up from the plane ``units``, and takes it back by a
-    borrow. The last vertex needs no counts: the node that places the one
-    before it completes it in ``finish``."""
-    adj = h.adj
+    borrow. A leaf needs no counts, so a node that hands it the rest
+    carries none."""
     units = max(total, len(classes)).bit_length() - 1
     planes = [0] * (units + 1)
     planes += _degree_planes(adj)
-
-    def finish(low: int) -> bool:
-        # each class that takes the last vertex completes a coloring, and
-        # its mask takes in the vertex's neighbours for the visit
-        row = adj[low.bit_length() - 1]
-        opened = len(classes)
-        for c in range(opened):
-            mask = near[c]
-            if mask & low:
-                continue
-            classes[c] |= low
-            near[c] = mask | row
-            if visit(classes):
-                return True
-            near[c] = mask
-            classes[c] ^= low
-        if opened < total:
-            classes.append(low)
-            near.append(row)
-            if visit(classes):
-                return True
-            near.pop()
-            classes.pop()
-        return False
 
     def place(left: int) -> bool:
         pick = left
@@ -222,12 +250,13 @@ def _color_search(
             if pick & plane:
                 pick &= plane
         low = pick & -pick
+        add = unit or low
         row = adj[low.bit_length() - 1]
         rest = left ^ low
-        if rest & (rest - 1):
+        if rest.bit_count() > size:
             child, grow = place, row & rest
         else:
-            child, grow = finish, 0
+            child, grow = leaf, 0
         opened = len(classes)
         for c in range(opened + (opened < total)):
             if c == opened:
@@ -238,7 +267,8 @@ def _color_search(
             mask = near[c]
             if mask & low:
                 continue
-            classes[c] |= low
+            was = classes[c]
+            classes[c] = was + add
             near[c] = mask | row
             bump = carry = grow & ~mask
             j = units
@@ -256,7 +286,7 @@ def _color_search(
                 bump &= ~plane
                 j -= 1
             near[c] = mask
-            classes[c] ^= low
+            classes[c] = was
         if opened < total:
             near.pop()
             classes.pop()
@@ -270,9 +300,9 @@ def _color_search(
             planes[j] = plane ^ carry
             carry &= plane
             j -= 1
-    if vertices & (vertices - 1):
+    if vertices.bit_count() > size:
         return place(vertices)
-    return finish(vertices) if vertices else visit(classes)
+    return bool(leaf(vertices))
 
 
 def chromatic_number(h: Graph) -> int:
@@ -547,24 +577,23 @@ def _lean_sizes(h: Graph, comp: int, r: int, meter: Meter) -> set[tuple[int, ...
     of the colorings of ``comp`` with at most r classes, with one step on
     ``meter`` for each coloring.
 
-    It walks the tree of ``_color_search`` with its vertex choice, counts
-    and last-class cut, but keeps only each class's neighbour mask and the
-    class sizes, packed 8 bits a class in one int key, and calls no visit.
-    With two vertices left, a node lists their completions at once: the
-    first goes into each class that misses it or into the next new class,
-    and the second into each class that then misses it or into the next
-    new class. Each completion's key goes into a set, and the node spends
-    their number on ``meter`` in one step; a component of one or two
-    vertices is completed the same way."""
+    ``_walk``, the node loop of ``_color_search``, places all but the
+    last two vertices of each branch with the classes kept as sizes, and
+    hands those two to the leaf ``pair``, which calls no visit: it packs
+    the sizes 8 bits a class into one int key and lists the completions
+    at once. The first vertex goes into each class that misses it or into
+    the next new class, and the second into each class that then misses
+    it or into the next new class. Each completion's key goes into a set,
+    and the leaf spends their number on ``meter`` in one step; a
+    component of one or two vertices goes to the leaf whole."""
     adj = h.adj
-    units = r.bit_length() - 1
-    planes = [0] * (units + 1)
-    planes += _degree_planes(adj)
     unit = [1 << 8 * c for c in range(r)]
+    sizes: list[int] = []
     near: list[int] = []
     keys: set[int] = set()
 
-    def pair(left: int, key: int) -> None:
+    def pair(left: int) -> None:
+        key = int.from_bytes(sizes, "little")
         a = left & -left
         b = left ^ a
         opened = len(near)
@@ -591,52 +620,7 @@ def _lean_sizes(h: Graph, comp: int, r: int, meter: Meter) -> set[tuple[int, ...
         keys.update(ways)
         meter.spend(len(ways))
 
-    def place(left: int, key: int) -> None:
-        pick = left
-        for plane in planes:
-            if pick & plane:
-                pick &= plane
-        low = pick & -pick
-        row = adj[low.bit_length() - 1]
-        rest = left ^ low
-        two = rest & (rest - 1)
-        if two & (two - 1):
-            child, grow = place, row & rest
-        else:
-            child, grow = pair, 0
-        opened = len(near)
-        for c in range(opened + (opened < r)):
-            if c == opened:
-                if c == r - 1 and row & reduce(and_, near, rest):
-                    return
-                near.append(0)
-            mask = near[c]
-            if mask & low:
-                continue
-            near[c] = mask | row
-            bump = carry = grow & ~mask
-            j = units
-            while carry:
-                plane = planes[j]
-                planes[j] = plane ^ carry
-                carry &= plane
-                j -= 1
-            child(rest, key + unit[c])
-            j = units
-            while bump:
-                plane = planes[j]
-                planes[j] = plane ^ bump
-                bump &= ~plane
-                j -= 1
-            near[c] = mask
-        if opened < r:
-            near.pop()
-
-    two = comp & (comp - 1)
-    if two & (two - 1):
-        place(comp, 0)
-    else:
-        pair(comp, 0)
+    _walk(adj, comp, sizes, r, near, pair, 2, 1)
     return {tuple(k.to_bytes(r, "little")) for k in keys}
 
 

@@ -697,15 +697,25 @@ def _compare_with_plain(g, cases, rng):
     return compared, stopped
 
 
+def _small_parts(mask, rng):
+    """The empty mask and a mask of one and of two random vertices of
+    ``mask``, where it has them: inputs that the search completes at its
+    entry, in its leaf alone, or in one node and its leaf."""
+    vertices = list(iter_bits(mask))
+    return [0] + [sum(1 << v for v in rng.sample(vertices, k)) for k in (1, 2) if k <= len(vertices)]
+
+
 def test_saturation_search_visits_each_coloring_once():
     # the one colouring search against the plain fixed-order kernel, with
     # no class pinned: the same multiset of colorings, each once, for class
     # counts chi - 1 to chi + 2, over the vertex set, a random vertex
-    # subset, the vertices outside a random vertex's neighbourhood and the
-    # head that a tail leaves; a visit that returns True stops the search
+    # subset, the vertices outside a random vertex's neighbourhood, the
+    # head that a tail leaves, and masks of 0, 1 and 2 vertices, drawn
+    # from a second generator; a visit that returns True stops the search
     # at that coloring
     rng = random.Random(2511)
-    compared = heads = stopped = 0
+    tiny = random.Random(2512)
+    compared = heads = stopped = small = 0
     for g in _visit_graphs(rng):
         chi = op.chromatic_number(g)
         cases = []
@@ -719,7 +729,9 @@ def test_saturation_search_visits_each_coloring_once():
         runs = _compare_with_plain(g, cases, rng)
         compared += runs[0]
         stopped += runs[1]
-    assert compared >= 1_500 and heads >= 40 and stopped >= 1_000
+        parts = _small_parts(g.vertex_mask, tiny)
+        small += _compare_with_plain(g, [(part, [], total) for part in parts for total in range(chi - 1, chi + 3)], tiny)[0]
+    assert compared >= 1_500 and heads >= 40 and stopped >= 1_000 and small >= 1_500
 
 
 def test_kernel_visits_as_without_cuts():
@@ -729,14 +741,17 @@ def test_kernel_visits_as_without_cuts():
     # coloring of N(x) pinned and the other vertices placed, as in the
     # colour extension search, at class counts chi - 1 to chi + 2, and for
     # x's class pinned twice over the rest of x's component, as in the
-    # free-vertex search; a visit that returns True stops the search at
-    # that coloring
+    # free-vertex search, each also over masks of 0, 1 and 2 of those
+    # vertices, drawn from a second generator; a visit that returns True
+    # stops the search at that coloring
     rng = random.Random(151)
-    compared = pinned_runs = twins = stopped = 0
+    tiny = random.Random(152)
+    compared = pinned_runs = twins = stopped = small = 0
     for g in _visit_graphs(rng):
         chi = op.chromatic_number(g)
         order = _by_degree(g)
         cases = []
+        smalls = []
         # a coloring of N(x) pinned, then the other vertices placed
         for x in rng.sample(range(g.n), min(2, g.n)):
             inside = [v for v in order if g.adj[x] >> v & 1]
@@ -751,15 +766,18 @@ def test_kernel_visits_as_without_cuts():
             for pinned in rng.sample(colorings, min(3, len(colorings))):
                 cases += [(outside, pinned, total) for total in range(chi - 1, chi + 3)]
                 pinned_runs += 1
+                smalls += [(part, pinned, total) for part in _small_parts(outside, tiny) for total in range(chi - 1, chi + 3)]
         # x's class and a closed twin of it pinned, as the free-vertex search does
         for x in rng.sample(range(g.n), min(2, g.n)):
             comp = next(c for c in components(g) if c >> x & 1)
             cases.append((comp ^ 1 << x, [1 << x, 1 << x], chi))
             twins += 1
+            smalls += [(part, [1 << x, 1 << x], chi) for part in _small_parts(comp ^ 1 << x, tiny)]
         runs = _compare_with_plain(g, cases, rng)
         compared += runs[0]
         stopped += runs[1]
-    assert compared >= 700 and pinned_runs >= 80 and twins >= 200 and stopped >= 400
+        small += _compare_with_plain(g, smalls, tiny)[0]
+    assert compared >= 700 and pinned_runs >= 80 and twins >= 200 and stopped >= 400 and small >= 2_000
 
 
 def test_kernel_keeps_the_neighbour_masks_it_is_given():
