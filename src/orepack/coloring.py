@@ -1,13 +1,14 @@
 """Exact chromatic computations.
 
 One backtracking search colours vertices for every caller. Its node loop,
-``_walk``, is written once and ends in one of two leaves.
-``_color_search`` completes the last vertex and visits each coloring,
-for the chromatic number, the window pass, tail counting pass and
+``_walk``, is written once and ends in one of two leaves. The one-vertex
+leaf of ``_finish`` completes the last vertex and visits each coloring:
+``_color_search`` runs it for the chromatic number, the window pass and
 pinned searches of the profile search, ``optimal_colorings``, and the
-colour extension search in ``parameters``. ``_lean_sizes``, the counting
-pass of a component without a tail, completes the last two vertices at
-once and keeps only the class sizes. Each node takes the unplaced vertex
+colour extension search in ``parameters``, and the counting pass runs it
+on a component less its tail. The two-vertex leaf of the counting pass,
+``pair``, completes the last two vertices at once with no visit and
+keeps only the class sizes. Each node takes the unplaced vertex
 adjacent to the most classes, pinned classes included (the most
 saturated vertex: DSatur; Brélaz, "New methods to color the vertices of
 a graph", CACM 1979), and puts it into each class that misses it and
@@ -58,40 +59,42 @@ decides each vertex still in question by one search with the vertex's
 class pinned twice; the packing layer runs no pinned search.
 
 The window pass stops at a component's coloring |C| + 1, and a
-component that reaches it is counted afresh on a meter of its own by
-one of two counting passes. One with a tail goes to ``_counted_sizes``,
-where each coloring of the component less its tail with r or r - 1
+component that reaches it is counted afresh on a meter of its own by the
+one counting pass, ``_counted_sizes``, which runs the node loop with the
+classes kept as sizes and ends each branch in one of the two leaves. A
+component without a tail ends in ``pair``, which lists the completions
+of the last two vertices at once: on G(30,0.7)#2 (4,102 colorings, no
+tail) that took the profile search from about 10.1 to 7.6 ms on a 2-vCPU
+container, where the window pass had run on to the end and visited each
+coloring. A component with a tail runs the loop on the rest, its head,
+and the one-vertex leaf visits each head coloring; one with r or r - 1
 classes stands for every placement of the tail at once. The tail is an
 independent set of vertices with at most r - 2 neighbours each, a
 stricter "simplify" step of Chaitin's register allocator (SIGPLAN 1982),
 which sets aside every vertex of degree below r. A tail vertex's
 neighbours fill at most r - 2 classes, so it always has two classes
-left; every coloring of the rest thus stands for at least 2^|T|
+left; every such head coloring thus stands for at least 2^|T|
 colorings, where a degree of r - 1 could leave a vertex one class and
-the pass no cheaper than completing each coloring. One without a tail
-goes to ``_lean_sizes``, which runs the same node loop with the classes
-kept as sizes and, at its leaf, completes the last two vertices of each
-branch in one step, with no visit per coloring: on G(30,0.7)#2 (4,102
-colorings, no tail) that took the profile search from about 10.1 to
-7.6 ms on a 2-vCPU container, where the window pass had run on to the
-end and visited each coloring. ``optimal_colorings`` enumerates the
-partitions themselves, canonicalized by sorting classes on their
-minimum vertex; the tests use it as the oracle for the profiles. Both
-count completed colorings on a
-``graphs.Meter`` capped at ``DEFAULT_ENUMERATION_CAP``, one meter per
-search: per component and pass in the profile search, for all of h in
-``optimal_colorings``. The counting passes spend the colorings they
-count in bulk, so the cap counts the same colorings with them as
-without. A search past the cap raises BudgetExhausted rather than return
-a truncated answer, since sigma and the class-size differences are only
-correct when the search is complete.
+the pass no cheaper than completing each coloring. A head coloring with
+fewer classes hands the tail to the loop again, ending in ``pair``.
+
+``optimal_colorings`` enumerates the partitions themselves,
+canonicalized by sorting classes on their minimum vertex; the tests use
+it as the oracle for the profiles. Both it and the profile search count
+completed colorings on a ``graphs.Meter`` capped at
+``DEFAULT_ENUMERATION_CAP``, one meter per search: per component and
+pass in the profile search, for all of h in ``optimal_colorings``. The
+counting pass spends the colorings it counts in bulk, so the cap counts
+the same colorings with it as without. A search past the cap raises
+BudgetExhausted rather than return a truncated answer, since sigma and
+the class-size differences are only correct when the search is complete.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from functools import reduce
-from operator import add, and_, or_
+from operator import add, and_
 
 from .graphs import FrozenRecord, Graph, Meter, PreconditionError, components, iter_bits
 
@@ -177,14 +180,30 @@ def _color_search(
     shown.
 
     The node loop ``_walk`` places every vertex but the last, and the
-    leaf ``finish`` puts that one into each class that misses it and into
-    the next new class while fewer than ``total`` are open, visiting each
-    coloring so completed."""
+    one-vertex leaf of ``_finish`` completes each coloring and visits it;
+    a mask of no vertices is one visit of the classes as given."""
     adj = h.adj
+    return _walk(adj, vertices, classes, total, near, _finish(adj, classes, total, near, 0, visit), 1, 0)
+
+
+def _finish(
+    adj: tuple[int, ...], classes: list[int], total: int, near: list[int],
+    unit: int, visit: Callable[[list[int]], bool],
+) -> Callable[[int], bool]:
+    """The one-vertex leaf of ``_walk`` on the lists ``classes`` and
+    ``near``: it puts the last vertex into each class that misses it and
+    into the next new class while fewer than ``total`` are open, a class
+    adding ``unit`` or the vertex's bit as in ``_walk``, and calls
+    ``visit(classes)`` on each coloring so completed, with ``near``
+    current. An empty mask leaves one coloring, the classes as they
+    stand. The leaf returns True as soon as a visit does."""
 
     def finish(low: int) -> bool:
+        if not low:
+            return visit(classes)
         # each class that takes the last vertex completes a coloring, and
-        # its mask takes in the vertex's neighbours for the visit
+        # its neighbour mask takes in the vertex's neighbours for the visit
+        add = unit or low
         row = adj[low.bit_length() - 1]
         opened = len(classes)
         for c in range(opened):
@@ -192,14 +211,14 @@ def _color_search(
             if mask & low:
                 continue
             was = classes[c]
-            classes[c] = was | low
+            classes[c] = was + add
             near[c] = mask | row
             if visit(classes):
                 return True
             near[c] = mask
             classes[c] = was
         if opened < total:
-            classes.append(low)
+            classes.append(add)
             near.append(row)
             if visit(classes):
                 return True
@@ -207,9 +226,7 @@ def _color_search(
             classes.pop()
         return False
 
-    if not vertices:
-        return visit(classes)
-    return _walk(adj, vertices, classes, total, near, finish, 1, 0)
+    return finish
 
 
 def _walk(
@@ -217,14 +234,18 @@ def _walk(
     leaf: Callable[[int], bool | None], size: int, unit: int,
 ) -> bool:
     """The node loop of the colouring search, which ``_color_search`` and
-    ``_lean_sizes`` both run on the graph with rows ``adj``. It places the
-    vertices of the mask ``vertices`` one per node, with at most ``total``
-    classes, until ``size`` or fewer are left, and hands those to
-    ``leaf``, which completes them with the classes as they stand; it
-    returns True as soon as a leaf does. ``classes`` and ``near`` are as
+    the counting pass ``_counted_sizes`` run on the graph with rows
+    ``adj``. It places the vertices of the mask ``vertices`` one per node,
+    with at most ``total`` classes, until ``size`` or fewer are left, and
+    hands those to ``leaf``, which completes them with the classes as they
+    stand; it returns True as soon as a leaf does. A mask of ``size`` or
+    fewer vertices goes to the leaf whole. ``classes`` and ``near`` are as
     in ``_color_search``, but a class adds ``unit`` for each vertex it
     takes, or the vertex's bit when ``unit`` is 0: the visit search keeps
-    class masks, the counting pass class sizes.
+    class masks, the counting pass class sizes. The leaf is the
+    one-vertex leaf of ``_finish`` (``size`` 1) in the visit search and
+    on a tailed component's head, and the counting pass's ``pair``
+    (``size`` 2) elsewhere.
 
     Each node takes the unplaced vertex adjacent to the most classes, the
     higher degree and then the lower label on a tie, and puts it into each
@@ -379,11 +400,11 @@ def class_size_profiles(
     are the ``_labelled_sums`` of the per-component sets of
     ``_profile_search``. Its window pass completes a component's first
     |C| + 1 colorings one by one, and a component with more colorings
-    than vertices is then recounted by a counting pass that spends its
-    colorings in bulk: ``_counted_sizes`` when it has a tail of low-degree
-    vertices, ``_lean_sizes`` when it has none. Raises BudgetExhausted
-    after more than ``cap`` colorings of one component, counted by the
-    window pass or by the counting pass.
+    than vertices is then recounted by the counting pass,
+    ``_counted_sizes``, which spends its colorings in bulk: two vertices
+    at a time, and a tail of low-degree vertices all at once. Raises
+    BudgetExhausted after more than ``cap`` colorings of one component,
+    counted by the window pass or by the counting pass.
 
     A vertex x is free when some optimal coloring leaves it non-adjacent
     to two of its classes, x's own class being one: N(x) then meets at
@@ -447,13 +468,10 @@ def _profile_search(
 
     The window pass visits the colorings of C one by one, checks the
     first |C| of them and stops at the next. A component that reaches it
-    is counted again on a new meter: by ``_counted_sizes``, with the
-    tail's placements spent in bulk, when it has a ``_tail``, and by
-    ``_lean_sizes``, two vertices at a time, when it has none. The
-    recount spends one step per coloring, so the cap is reached exactly
-    when it was by completing each one. A component with at most |C|
-    colorings reads no more of h than the window pass."""
-    adj = h.adj
+    is counted again on a new meter by ``_counted_sizes``, whatever its
+    ``_tail``. The recount spends one step per coloring, so the cap is
+    reached exactly when it was by completing each one. A component with
+    at most |C| colorings reads no more of h than the window pass."""
     free = h.n
 
     def collect(classes: list[int]) -> bool:
@@ -490,11 +508,7 @@ def _profile_search(
         _color_search(h, comp, [], r, collect, near)
         if meter.nodes > checked:
             unchecked.append(comp)
-            tail = _tail(adj, comp, r)
-            if tail:
-                found = _counted_sizes(h, comp, tail, r, Meter(cap))
-            else:
-                found = _lean_sizes(h, comp, r, Meter(cap))
+            found = _counted_sizes(h, comp, r, Meter(cap))
         parts.append({(0,) * (r - len(s)) + tuple(sorted(s)) for s in found})
         if not found:
             break
@@ -512,85 +526,45 @@ def _tail(adj: tuple[int, ...], comp: int, r: int) -> int:
     return tail
 
 
-def _counted_sizes(
-    h: Graph, comp: int, tail: int, r: int, meter: Meter
-) -> set[tuple[int, ...]]:
-    """The class-size tuples, in class order and some padded with zeros,
-    of the colorings of ``comp`` with at most r classes, with one step on
-    ``meter`` for each coloring.
-
-    ``_color_search`` colours the head, ``comp`` without the independent
-    ``tail``. Each tail vertex has at most r - 2 neighbours, all in the
-    head, so once all r classes are open at least two of them miss it,
-    and the tail vertices choose among those classes independently. Such
-    a head coloring therefore stands for the product of the tail vertices'
-    free-class counts, spent at once, and gives its sizes plus the
-    Minkowski sum of the tail's one-vertex increments, with sizes packed 8
-    bits per class (a class holds at most 128 vertices). The count and the
-    increments depend on the classes only through their meets with
-    N(tail), and are kept per meet. A head coloring with r - 1 classes
-    counts the same way with an empty r-th class: the tail vertices put
-    there form the one class left to open, or none. With fewer classes the
-    tail could open several, so the search places it with the head's
-    classes pinned, one coloring at a time."""
-    adj = h.adj
-    near = reduce(or_, map(adj.__getitem__, iter_bits(tail)))
-    found: set[tuple[int, ...]] = set()
-    bulk: dict[tuple[int, ...], tuple[int, set[int]]] = {}
-    pending = set()
-    # the neighbour masks of the head's classes, which the search keeps
-    # current at each visit
-    head: list[int] = []
-
-    def placed(classes: list[int]) -> bool:
-        meter.spend()
-        found.add(tuple(map(int.bit_count, classes)))
-        return False
-
-    def counted(classes: list[int]) -> bool:
-        if len(classes) < r - 1:
-            return _color_search(h, tail, list(classes), r, placed, list(head))
-        if len(classes) < r:
-            classes = classes + [0]
-        key = tuple(m & near for m in classes)
-        if key not in bulk:
-            steps, grown = 1, {0}
-            for t in iter_bits(tail):
-                ways = [1 << 8 * c for c, m in enumerate(key) if not m & adj[t]]
-                steps *= len(ways)
-                grown = {s + w for s in grown for w in ways}
-            bulk[key] = steps, grown
-        meter.spend(bulk[key][0])
-        pending.add((tuple(map(int.bit_count, classes)), key))
-        return False
-
-    _color_search(h, comp ^ tail, [], r, counted, head)
-    sums = set()
-    for sizes, key in pending:
-        base = sum(k << 8 * c for c, k in enumerate(sizes))
-        sums.update(base + s for s in bulk[key][1])
-    return found | {tuple(s >> 8 * c & 255 for c in range(r)) for s in sums}
-
-
-def _lean_sizes(h: Graph, comp: int, r: int, meter: Meter) -> set[tuple[int, ...]]:
+def _counted_sizes(h: Graph, comp: int, r: int, meter: Meter) -> set[tuple[int, ...]]:
     """The class-size tuples, in class order and padded with zeros to r,
     of the colorings of ``comp`` with at most r classes, with one step on
-    ``meter`` for each coloring.
+    ``meter`` for each coloring: the one counting pass of the profile
+    search. It runs ``_walk`` with the classes kept as sizes, packs them
+    8 bits a class into one int key (a class holds at most 128 vertices)
+    and decodes each distinct key once at the end.
 
-    ``_walk``, the node loop of ``_color_search``, places all but the
-    last two vertices of each branch with the classes kept as sizes, and
-    hands those two to the leaf ``pair``, which calls no visit: it packs
-    the sizes 8 bits a class into one int key and lists the completions
-    at once. The first vertex goes into each class that misses it or into
-    the next new class, and the second into each class that then misses
-    it or into the next new class. Each completion's key goes into a set,
-    and the leaf spends their number on ``meter`` in one step; a
-    component of one or two vertices goes to the leaf whole."""
+    A component without a ``_tail`` is walked down to its last two
+    vertices in each branch and handed to the leaf ``pair``, which calls
+    no visit: the first vertex goes into each class that misses it or
+    into the next new class, and the second into each class that then
+    misses it or into the next new class. Each completion's key goes into
+    a set, and the leaf spends their number on ``meter`` in one step; a
+    component of one or two vertices goes to the leaf whole.
+
+    A component with a tail is walked without it, down to the one-vertex
+    leaf of ``_finish``, which visits each coloring of the head. Each tail
+    vertex has at most r - 2 neighbours, all in the head, so once all r
+    classes are open at least two of them miss it, and the tail vertices
+    choose among those classes independently. Such a head coloring
+    therefore stands for the product of the tail vertices' free-class
+    counts, spent at once, and gives its sizes plus the Minkowski sum of
+    the tail's one-vertex increments. The count and the increments depend
+    on the classes only through the tail vertices each one blocks, its
+    neighbour mask meeting the tail, and are kept per such key. A head
+    coloring with r - 1 classes counts the same way with an empty r-th
+    class: the tail vertices put there form the one class left to open,
+    or none. With fewer classes the tail could open several, so the head
+    coloring hands the tail to ``_walk`` on the same lists, ending in
+    ``pair``."""
     adj = h.adj
+    tail = _tail(adj, comp, r)
     unit = [1 << 8 * c for c in range(r)]
     sizes: list[int] = []
     near: list[int] = []
     keys: set[int] = set()
+    bulk: dict[tuple[int, ...], tuple[int, set[int]]] = {}
+    pending = set()
 
     def pair(left: int) -> None:
         key = int.from_bytes(sizes, "little")
@@ -620,7 +594,29 @@ def _lean_sizes(h: Graph, comp: int, r: int, meter: Meter) -> set[tuple[int, ...
         keys.update(ways)
         meter.spend(len(ways))
 
-    _walk(adj, comp, sizes, r, near, pair, 2, 1)
+    def counted(sizes: list[int]) -> bool:
+        opened = len(sizes)
+        if opened < r - 1:
+            _walk(adj, tail, sizes, r, near, pair, 2, 1)
+            return False
+        # the tail vertices that each class blocks, an empty r-th class
+        # blocking none
+        key = tuple([mask & tail for mask in near]) + (0,) * (r - opened)
+        if key not in bulk:
+            steps, grown = 1, {0}
+            for t in iter_bits(tail):
+                ways = [u for mask, u in zip(key, unit) if not mask >> t & 1]
+                steps *= len(ways)
+                grown = {s + w for s in grown for w in ways}
+            bulk[key] = steps, grown
+        meter.spend(bulk[key][0])
+        pending.add((int.from_bytes(sizes, "little"), key))
+        return False
+
+    leaf, size = (_finish(adj, sizes, r, near, 1, counted), 1) if tail else (pair, 2)
+    _walk(adj, comp ^ tail, sizes, r, near, leaf, size, 1)
+    for base, key in pending:
+        keys.update(base + s for s in bulk[key][1])
     return {tuple(k.to_bytes(r, "little")) for k in keys}
 
 

@@ -226,6 +226,8 @@ class Graph(FrozenRecord):
 
     def __init__(self, n: int, adj: tuple[int, ...]) -> None:
         _check_order(n)
+        # a copy that the caller cannot change; a tuple is its own copy
+        adj = tuple(adj)
         if len(adj) != n:
             raise ValueError("adjacency row count does not match vertex count")
         full = (1 << n) - 1

@@ -21,7 +21,7 @@ from orepack.coloring import (
 )
 from orepack.graphs import Meter, components, iter_bits
 
-from fixtures import corpus, dense_g30, k4_minus, small_corpus
+from fixtures import corpus, dense_g30, k4_minus, pendant_triangle, small_corpus
 from oracles import (
     brute_chromatic_number,
     brute_optimal_partitions,
@@ -411,10 +411,11 @@ def test_class_size_profiles_find_chi_in_their_own_search():
 def test_class_size_profiles_cap_as_before():
     # a component past the cap at some r below chi is past it at chi too,
     # so the cap raises where it did with chi found first, with the same
-    # message: caps one below and at the count of C15 (5,461 colorings)
-    # and 3C5 (5 per component), also relabelled
+    # message: caps one below and at the count of C15 (5,461 colorings),
+    # 3C5 (5 per component) and K3 with 12 pendant leaves (4,096, all
+    # spent in one bulk step by the counting pass), also relabelled
     rng = random.Random(3839)
-    cases = [(op.cycle_graph(15), 5_461), (_copies(op.cycle_graph(5), 3), 5)]
+    cases = [(op.cycle_graph(15), 5_461), (_copies(op.cycle_graph(5), 3), 5), (pendant_triangle(12), 4_096)]
     cases += [(op.relabel(g, rng.sample(range(g.n), g.n)), count) for g, count in cases]
     for g, count in cases:
         for cap in (count - 1, count):
@@ -828,14 +829,24 @@ def test_kernel_keeps_the_neighbour_masks_it_is_given():
     assert runs >= 400 and kept >= 350
 
 
-def test_lean_pass_counts_as_the_plain_kernel():
-    # the counting pass of tailless components against the plain kernel on
-    # every component of seeded graphs of up to 13 vertices, p from 0.2 to
-    # 0.8, at r = chi, chi + 1 and chi + 2: the same set of sorted class
-    # sizes, padded with zeros to r, and one meter step per coloring, spent
-    # in fewer steps than colorings on the components with many
+def test_counting_pass_counts_as_the_plain_kernel(monkeypatch):
+    # the counting pass against the plain kernel on every component of
+    # seeded graphs of up to 13 vertices, p from 0.2 to 0.8, at r = chi,
+    # chi + 1 and chi + 2: the same set of sorted class sizes, padded with
+    # zeros to r, and one meter step per coloring, spent in fewer steps
+    # than colorings on the components with many. Both leaves are taken:
+    # components with a tail (tailed), some of whose head colorings leave
+    # the tail to a second walk (nested), and components without one
+    walks = []
+    walk = coloring._walk
+
+    def counted(*args):
+        walks.append(1)
+        return walk(*args)
+
+    monkeypatch.setattr(coloring, "_walk", counted)
     rng = random.Random(4646)
-    runs = bulk = 0
+    runs = bulk = tailed = nested = 0
     for _ in range(300):
         g = op.random_graph(rng.randint(1, 13), rng.uniform(0.2, 0.8), rng)
         chi = op.chromatic_number(g)
@@ -849,12 +860,16 @@ def test_lean_pass_counts_as_the_plain_kernel():
 
                 plain_color_search(g, list(iter_bits(comp)), [], r, visit)
                 meter = _StepMeter()
-                got = coloring._lean_sizes(g, comp, r, meter)
+                walks.clear()
+                got = coloring._counted_sizes(g, comp, r, meter)
                 assert {tuple(sorted(s)) for s in got} == set(visited), (op.to_graph6(g), r, comp)
                 assert meter.nodes == len(visited), (op.to_graph6(g), r, comp)
                 runs += 1
                 bulk += len(meter.steps) < len(visited)
+                tailed += bool(coloring._tail(g.adj, comp, r))
+                nested += len(walks) > 1
     assert runs >= 1_100 and bulk >= 600
+    assert tailed >= 900 and nested >= 650 and runs - tailed >= 200
 
 
 class _StepMeter(Meter):

@@ -58,6 +58,21 @@ def test_rejects_loops_and_asymmetry():
         Graph(3, (0b000, 0b100, 0b011))
 
 
+def test_graph_keeps_a_tuple_of_the_rows_it_is_given():
+    # rows given as a list are copied into a tuple: the graph hashes, so
+    # the packing search's cached plans take it, it equals the graph on the
+    # same rows, and a later change to the list leaves it as checked; rows
+    # given as a tuple are kept as they are
+    rows = [6, 5, 3]
+    g = Graph(3, rows)
+    assert op.has_perfect_packing(op.complete_graph(6), g).verdict == op.Verdict.YES
+    assert g == Graph(3, (6, 5, 3)) == op.complete_graph(3)
+    rows[0] = 0
+    assert g.adj == (6, 5, 3) and sorted(g.edges()) == [(0, 1), (0, 2), (1, 2)]
+    adj = (6, 5, 3)
+    assert Graph(3, adj).adj is adj
+
+
 # orders at each edge of the power-of-two row strides of the packed
 # adjacency check (8, 16, ..., 128)
 STRIDE_EDGES = (0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128)

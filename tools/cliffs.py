@@ -12,8 +12,10 @@ the rows of every table, and a second one the fresh-process rows, which
 come last. The script exits 1, with one stderr line per row that names
 it and shows its answer and its pin, when a row answers or counts other
 than its pin. A packing row times building its host too; every other
-row times only its call. Times are `time.perf_counter` wall times of one
-run, but for the fresh-process rows.
+row times only its call. Times are `time.perf_counter` wall times: the
+best of three runs for the rows of Cliff A, each run checked against the
+pin, so that the table can show a change of a few per cent on a busy
+machine, and of one run for the other in-process rows.
 
 - Cliff A, the class-size profile search of `orepack params`: chi and
   the number of distinct sorted class-size profiles of the optimal
@@ -332,10 +334,11 @@ def _search_cells(answer, nodes, ms):
 SEARCH_COLUMNS = "verdict      nodes        ms  us/node"
 
 # (title, the columns after the name, the cells of a row from its answer,
-# nodes and ms, rows); a row is (name, work, pin), and the pin is the
-# answer, with the count after it where the work counts one
+# nodes and ms, the runs whose best time a row shows, rows); a row is
+# (name, work, pin), and the pin is the answer, with the count after it
+# where the work counts one
 TABLES = (
-    ("instance", "chi  profiles  colourings        ms", _profile_cells, (
+    ("instance", "chi  profiles  colourings        ms", _profile_cells, 3, (
         ("16K2", partial(_profiles, _copies(op.complete_graph(2), 16)), ((2, 1), 16)),
         ("18K2", partial(_profiles, _copies(op.complete_graph(2), 18)), ((2, 1), 18)),
         ("22K2", partial(_profiles, _copies(op.complete_graph(2), 22)), ((2, 1), 22)),
@@ -354,13 +357,13 @@ TABLES = (
         ("C15", partial(_profiles, op.cycle_graph(15)), ((3, 7), 5_477)),
         ("C21", partial(_profiles, op.cycle_graph(21)), ((3, 12), 349_547)),
     )),
-    ("instance", "chi        ms", lambda chi, nodes, ms: f"{chi:3d}  {ms:8.1f}", (
+    ("instance", "chi        ms", lambda chi, nodes, ms: f"{chi:3d}  {ms:8.1f}", 1, (
         ("16P3+C5", partial(_chi, _paths_and_c5(16)), 3),
         ("18P3+C5", partial(_chi, _paths_and_c5(18)), 3),
         ("G(40,0.5) from Random(40)", partial(_chi, op.random_graph(40, 0.5, random.Random(40))), 8),
         ("G(50,0.8) from Random(50)", partial(_chi, op.random_graph(50, 0.8, random.Random(50))), 17),
     )),
-    ("full_report", " CE  witness        ms", _ce_cells, (
+    ("full_report", " CE  witness        ms", _ce_cells, 1, (
         ("fd*4", partial(_full_report, op.blow_up(op.construct_fdiamond(), 4)), (1, 24)),
         ("fd*5", partial(_full_report, op.blow_up(op.construct_fdiamond(), 5)), (1, 30)),
         ("K[2,3,4,5,6,7]", partial(_full_report, op.complete_multipartite([2, 3, 4, 5, 6, 7])[0]), (None, None)),
@@ -384,7 +387,7 @@ TABLES = (
         ("C5+C7+K2", partial(_full_report, _c5_c7_k2()), (0, 0)),
         ("16P3+C5", partial(_full_report, _paths_and_c5(16)), (0, 0)),
     )),
-    ("colour_extension_number", " CE  witness        ms   searches", _ce_search_cells, (
+    ("colour_extension_number", " CE  witness        ms   searches", _ce_search_cells, 1, (
         ("fdiamond", partial(_extension, op.construct_fdiamond()), ((1, 6), 1)),
         ("fd*5", partial(_extension, op.blow_up(op.construct_fdiamond(), 5)), ((1, 30), 1)),
         ("hd(5,7,[6]*7)", partial(_extension, op.construct_hdiamond(5, 7, [6] * 7)), ((5, 42), 1)),
@@ -393,7 +396,7 @@ TABLES = (
         ("G(24,0.7)#0", partial(_extension, op.random_graph(24, 0.7, random.Random(1000 * 24 + 0))), ((1, 2), 90)),
         ("G(40,0.5) from Random(40)", partial(_extension, op.random_graph(40, 0.5, random.Random(40))), ((0, 2), 20542)),
     )),
-    ("instance", SEARCH_COLUMNS, _search_cells, (
+    ("instance", SEARCH_COLUMNS, _search_cells, 1, (
         ("K3 into K13+K14", lambda: _pack(_union(13, 14), op.complete_graph(3)), ("NO", 39)),
         ("C4 into K13+K15", lambda: _pack(_union(13, 15), op.cycle_graph(4)), ("NO", 52)),
         ("C4 into K_{7,9}", lambda: _pack(_bipartite(7, 9), op.cycle_graph(4)), ("NO", 1)),
@@ -432,7 +435,7 @@ TABLES = (
             for k, nodes in zip((1, 3), counts)
         ),
     )),
-    ("Kierstead-Kostochka bound", SEARCH_COLUMNS, _search_cells, tuple(
+    ("Kierstead-Kostochka bound", SEARCH_COLUMNS, _search_cells, 1, tuple(
         (
             f"K{r}, n={r * t}, Random({seed})",
             lambda r=r, t=t, seed=seed: _pack(_kk_host(r, t, seed), op.complete_graph(r), 2 * 10**6),
@@ -441,7 +444,7 @@ TABLES = (
         for r, t, seed, nodes in ((3, 8, 1, 285), (3, 8, 2, 24), (4, 10, 1, 40), (4, 10, 2, 1_665))
     )),
     # H is K_{part-1}: K3 into K4s, K2 into triangles
-    ("cut barrier", SEARCH_COLUMNS, _search_cells, tuple(
+    ("cut barrier", SEARCH_COLUMNS, _search_cells, 1, tuple(
         (
             f"K{part - 1} into K_{s} join {k}K{part}" + f" -{d} edges" * bool(d),
             lambda s=s, part=part, k=k, d=d: _pack(_cut_barrier(s, part, k, d), op.complete_graph(part - 1), 2 * 10**6),
@@ -460,7 +463,7 @@ TABLES = (
             (6, 30, 3, 32, ("NO", 223_192)),
         )
     )),
-    ("type-count engine", "verdict      nodes        ms", lambda verdict, nodes, ms: f"{verdict:<7}  {nodes:9d}  {ms:8.1f}", (
+    ("type-count engine", "verdict      nodes        ms", lambda verdict, nodes, ms: f"{verdict:<7}  {nodes:9d}  {ms:8.1f}", 1, (
         ("K_{1,1,1,1,3} into K_{35,1,2,...,13}", partial(_engine, [1, 1, 1, 1, 3], [35, *range(1, 14)]), ("YES", 18)),
         ("K_{1,1,1,3} into K_{35,1,2,...,13}", partial(_engine, [1, 1, 1, 3], [35, *range(1, 14)]), ("YES", 21)),
     )),
@@ -515,18 +518,22 @@ def _fresh_process_rows(wrong: list[str]) -> None:
 
 def main() -> int:
     wrong = []
-    for i, (title, columns, cells, rows) in enumerate(TABLES):
+    for i, (title, columns, cells, runs, rows) in enumerate(TABLES):
         if i:
             print()
         width = max(len(title), *(len(name) for name, _, _ in rows))
         print(f"{title:<{width}}  {columns}")
         for name, work, pin in rows:
-            start = time.perf_counter()
-            answer, nodes = work()
-            print(f"{name:<{width}}  {cells(answer, nodes, (time.perf_counter() - start) * 1000)}")
-            got = answer if nodes is None else (answer, nodes)
-            if got != pin:
-                wrong.append(f"cliffs.py: {title} {name}: answered {got}, pinned {pin}")
+            best, answers = float("inf"), []
+            for _ in range(runs):
+                start = time.perf_counter()
+                answer, nodes = work()
+                best = min(best, time.perf_counter() - start)
+                answers.append(answer if nodes is None else (answer, nodes))
+            print(f"{name:<{width}}  {cells(answer, nodes, best * 1000)}")
+            bad = [got for got in answers if got != pin]
+            if bad:
+                wrong.append(f"cliffs.py: {title} {name}: answered {bad[0]}, pinned {pin}")
     print()
     _fresh_process_rows(wrong)
     for line in wrong:
