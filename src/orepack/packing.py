@@ -41,9 +41,14 @@ alone, which ``_types_refute`` answers by counting before the search
 runs; its NO for K(P) is a NO for G. It runs when G is complete
 multipartite or P has at least |H| classes, one of them above n/|H|: with
 fewer classes it would pay a profile search to find that K(P) packs, and
-at least |H| classes of at most n/|H| vertices each always pack. It reads
-the class sizes of each component's colourings from one profile search
-on H (``coloring._profile_search``), whose cap of
+at least |H| classes of at most n/|H| vertices each always pack. Before
+it colours H it reads two bounds off a greedy clique cover of H
+(``_cover_bounds``): a class of more than n/|H| times the number of
+cliques, which bounds alpha(H), is more than the copies can take, and a
+first clique on more than |P| vertices leaves H no colouring with |P|
+classes; either refutes at the root, as the count bound there would. Else
+it reads the class sizes of each component's colourings from one profile
+search on H (``coloring._profile_search``), whose cap of
 ``TYPE_ENUMERATION_CAP`` bounds each component's search on its own. A
 component of H with no colouring with |P| classes refutes at the root in
 whatever place among the components: the profile search ends there, and
@@ -77,7 +82,7 @@ from functools import lru_cache
 from itertools import accumulate, chain
 from operator import mul, or_
 
-from .coloring import _degree_planes, _profile_search, chromatic_number
+from .coloring import _clique, _degree_planes, _profile_search, chromatic_number
 from .graphs import (
     MAX_VERTICES,
     BudgetExhausted,
@@ -181,6 +186,20 @@ def _pattern_plan(h: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...
     for comp in sorted(components(h), key=lambda c: (-c.bit_count(), c & -c)):
         comp_order.extend(iter_bits(comp))
     return tuple(comp_order), tuple(tuple(iter_bits(m)) for m in h.adj)
+
+
+@lru_cache(maxsize=1)
+def _cover_bounds(h: Graph) -> tuple[int, int]:
+    """The number of cliques in a greedy clique cover of h, each the
+    ``coloring._clique`` of the vertices left, and the order of the first
+    one: an independent set meets each clique at most once, so the count
+    bounds alpha(h) from above, and the order bounds omega(h) from below.
+    It keeps the last h's, as ``_pattern_plan`` does."""
+    left = h.vertex_mask
+    cliques = [_clique(h, left)]
+    while left := left ^ cliques[-1]:
+        cliques.append(_clique(h, left))
+    return len(cliques), cliques[0].bit_count()
 
 
 def _embedder(g: Graph, h: Graph, meter: Meter, twins: Sequence[int]):
@@ -296,13 +315,19 @@ def _types_refute(sizes: Sequence[int], h: Graph, meter: Meter) -> bool:
     """True iff the complete multipartite graph with class sizes ``sizes``
     has no perfect h-packing. Raises BudgetExhausted when ``meter`` runs
     out, or when a component of h has more than ``TYPE_ENUMERATION_CAP``
-    colourings and h has one with len(sizes) classes.
+    colourings, h has one with len(sizes) classes, and neither bound of
+    ``_cover_bounds`` refutes.
 
     A copy of h there is a copy of each component of h, placed apart. A
     copy of a component is a proper colouring of it with at most
     r = len(sizes) labelled colours; its type is the vector of its class
     sizes. So a packing exists exactly when ``sizes`` is a sum of types,
-    n/|h| of them for each component. The types come from one
+    n/|h| of them for each component. A type's largest entry is at most
+    alpha of its component, so no copy puts more than alpha(h) vertices
+    into a class. A class of more than n/|h| times the bound on alpha(h)
+    of ``_cover_bounds``, or a clique of h on more than r vertices, is
+    refuted in one node before h is coloured, whatever the cap; the bound
+    below would refute it at the root. Otherwise the types come from one
     ``_profile_search`` of h with r classes, with the zeros of the padding
     dropped; components with the same types form one kind. A component
     with no coloring has no types, and the bound below then refutes at the
@@ -320,6 +345,13 @@ def _types_refute(sizes: Sequence[int], h: Graph, meter: Meter) -> bool:
     expanded spends a node on ``meter``."""
     copies = sum(sizes) // h.n
     r = len(sizes)
+    alpha, omega = _cover_bounds(h)
+    if copies and (max(sizes) > copies * alpha or omega > r):
+        # the bound at the root refutes: no copy puts more than alpha(h)
+        # vertices into one class, and a component with more than r
+        # vertices in a clique has no colouring with r classes
+        meter.spend()
+        return True
     kinds: dict[tuple[tuple[int, ...], ...], int] = {}
     try:
         parts = _profile_search(h, TYPE_ENUMERATION_CAP, r)[0]

@@ -186,6 +186,16 @@ def brute_chromatic_number(g: Graph) -> int:
     return min(len(p) for p in independent_set_partitions(g))
 
 
+def brute_independence_number(g: Graph) -> int:
+    """The order of a largest independent set of g, by trying every vertex
+    subset, largest first."""
+    for k in range(g.n, 0, -1):
+        for subset in combinations(range(g.n), k):
+            if not any(g.has_edge(u, v) for u, v in combinations(subset, 2)):
+                return k
+    return 0
+
+
 def brute_optimal_partitions(g: Graph):
     parts = independent_set_partitions(g)
     chi = min(len(p) for p in parts)

@@ -11,7 +11,9 @@ import orepack as op
 from orepack import BudgetExhausted, Embedding, PreconditionError, Verdict, coloring, packing
 from orepack.graphs import Meter
 
+from fixtures import corpus
 from oracles import (
+    brute_independence_number,
     copies_before,
     cover_search_before,
     has_perfect_matching,
@@ -618,10 +620,10 @@ def test_engine_refutes_near_multipartite_cliff_rows_at_the_root():
 
 def test_engine_refutes_at_a_component_without_colouring():
     # K4 has no 3-colouring, so the engine refutes K4 + C15 into K_{6,6,7}
-    # at its root, before C15's 5,461 colourings pass its cap; the packing
-    # search took 1,641,215 nodes to refute it. With C15 first the profile
-    # search stops at its cap, and chromatic_number then finds no
-    # 3-colouring of h, so that order refutes at the root too
+    # at its root in either order: K4's clique on 4 vertices comes first in
+    # h's clique cover, and is more than the 3 classes can colour, so the
+    # engine refutes before it colours h; the packing search took
+    # 1,641,215 nodes to refute it
     g = op.complete_multipartite([6, 6, 7])[0]
     c15, k4 = op.cycle_graph(15), op.complete_graph(4)
     for h in (op.disjoint_union(k4, c15), op.disjoint_union(c15, k4)):
@@ -654,9 +656,13 @@ def test_engine_refutes_whichever_order_the_components_come_in():
 
 
 def test_engine_asks_the_colouring_layer_each_question_once(monkeypatch):
-    # on pack-refute's hosts the profile search finishes, and the engine
-    # starts no colouring search beyond it and never asks chromatic_number;
-    # a profile search stopped at its cap asks it once
+    # on pack-refute's hosts a class holds more vertices than the copies
+    # can take, and C15 + K4 has a clique on more vertices than K_{6,6,7}
+    # has classes, so the engine refutes at its root before it colours h:
+    # it starts no colouring search and never asks chromatic_number. On the
+    # parity barriers of K_{1,...,1,3} no class is too full, the profile
+    # search finishes, and the engine starts no colouring search beyond
+    # it; a profile search stopped at its cap asks chromatic_number once
     searches = []
     search = coloring._color_search
 
@@ -671,11 +677,17 @@ def test_engine_asks_the_colouring_layer_each_question_once(monkeypatch):
     chromatic_number = packing.chromatic_number
     monkeypatch.setattr(packing, "chromatic_number", lambda h: asked.append(h) or chromatic_number(h))
     c4 = op.cycle_graph(4)
-    for sizes, h in (([3, 4, 5], K3), ([4, 4, 7], K3), ([4, 5, 6], K3), ([4, 8], c4), ([5, 7], c4)):
-        coloring._profile_search(h, packing.TYPE_ENUMERATION_CAP, len(sizes))
+    c15_k4 = op.disjoint_union(op.cycle_graph(15), op.complete_graph(4))
+    for sizes, h in (([3, 4, 5], K3), ([4, 4, 7], K3), ([4, 5, 6], K3), ([4, 8], c4), ([5, 7], c4), ([6, 6, 7], c15_k4)):
+        meter = Meter()
+        assert packing._types_refute(sizes, h, meter) is True and meter.nodes == 1
+        assert searches == [] and asked == []
+    for r, t in ((3, 10), (4, 12)):
+        h = op.complete_multipartite([1] * (r - 1) + [3])[0]
+        coloring._profile_search(h, packing.TYPE_ENUMERATION_CAP, r)
         alone = searches[:]
         del searches[:]
-        packing._types_refute(sizes, h, Meter())
+        assert packing._types_refute([t + 1, t - 1] + [t] * (r - 2), h, Meter()) is True
         assert searches == alone and alone and asked == []
         del searches[:]
     w5 = op.Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
@@ -683,6 +695,87 @@ def test_engine_asks_the_colouring_layer_each_question_once(monkeypatch):
     meter = Meter()
     assert packing._types_refute([7, 7, 7], h, meter) is True
     assert meter.nodes == 1 and asked == [h]
+
+
+def test_cover_bounds_bracket_alpha_and_omega():
+    # the greedy clique cover has at least alpha(h) cliques, and its first
+    # clique at most omega(h) vertices, which is alpha of the complement
+    rng = random.Random(5011)
+    graphs = list(corpus().values())
+    graphs += [op.random_graph(rng.randint(1, 10), rng.uniform(0.1, 0.9), rng) for _ in range(60)]
+    for g in graphs:
+        alpha, omega = packing._cover_bounds(g)
+        assert alpha >= brute_independence_number(g) and omega <= brute_independence_number(op.complement(g))
+    for g in [op.complete_graph(r) for r in range(2, 7)] + [op.cycle_graph(4), op.star_graph(3)]:
+        assert packing._cover_bounds(g) == (brute_independence_number(g), brute_independence_number(op.complement(g)))
+
+
+def _engine_outcome(sizes, h):
+    """What ``_types_refute`` answers, or BudgetExhausted, with its nodes."""
+    meter = Meter()
+    try:
+        return packing._types_refute(sizes, h, meter), meter.nodes
+    except BudgetExhausted:
+        return BudgetExhausted, meter.nodes
+
+
+def test_root_bound_changes_no_answer_and_no_count(monkeypatch):
+    # when a class holds more than alpha(h) vertices per copy, or h has a
+    # clique on more than r vertices, the engine refutes before it colours
+    # h; its bound at the root refutes there too, so switched off (a cover
+    # that bounds nothing) the engine gives the same answer in the same
+    # nodes. A component past the cap used to end the engine: those pairs
+    # are refuted at the root now
+    rng = random.Random(5003)
+    pairs = []
+    while len(pairs) < 400:
+        h = op.random_graph(rng.randint(2, 19), rng.uniform(0.2, 0.9), rng)
+        if rng.random() < 0.3:
+            h = op.disjoint_union(h, op.random_graph(rng.randint(1, 5), rng.uniform(0.3, 1.0), rng))
+        r, n = rng.randint(2, 6), rng.randint(1, 4) * h.n
+        if n >= r:
+            cuts = sorted(rng.sample(range(1, n), r - 1))
+            pairs.append(([b - a for a, b in zip([0, *cuts], [*cuts, n])], h))
+    profiled = []
+    profile_search = packing._profile_search
+    monkeypatch.setattr(packing, "_profile_search", lambda *args: profiled.append(args) or profile_search(*args))
+    with_bound = []
+    fired = 0
+    for sizes, h in pairs:
+        profiled.clear()
+        with_bound.append(_engine_outcome(sizes, h))
+        fired += not profiled
+    monkeypatch.setattr(packing, "_cover_bounds", lambda h: (h.n, 0))
+    capped = 0
+    for (sizes, h), got in zip(pairs, with_bound):
+        alone = _engine_outcome(sizes, h)
+        if alone == (BudgetExhausted, 0) and got == (True, 1):
+            capped += 1
+        else:
+            assert got == alone, (sizes, op.to_graph6(h))
+    assert fired >= 200 and capped >= 5
+
+
+def test_engine_refutes_a_class_too_big_for_the_copies_past_its_cap(monkeypatch):
+    # C13 has 1,365 colourings with at most 3 classes, past the engine's
+    # cap, and the engine used to leave these hosts to the search, which
+    # took 1,885 nodes on K_{8,3,2} and 86,580 on K_{15,6,5}. A copy of
+    # C13 puts at most alpha(C13) = 6 vertices into a class; the engine's
+    # clique cover of C13 has 7 cliques, and a class of 8, 9 or 15 holds
+    # more than 7 per copy, so the engine refutes at the root
+    c13 = op.cycle_graph(13)
+    assert brute_independence_number(c13) == 6
+    hosts = [op.complete_multipartite(sizes)[0] for sizes in ([8, 3, 2], [9, 2, 2], [15, 6, 5])]
+    for g in hosts:
+        res = op.has_perfect_packing(g, c13)
+        assert (res.verdict, res.nodes) == (Verdict.NO, 1)
+    _without_engine(monkeypatch)
+    for g in hosts:
+        assert op.has_perfect_packing(g, c13).verdict is Verdict.NO
+    # on 13 vertices the one copy is the packing; naive_has_perfect_packing
+    # would try the 13! orderings of its one block, and the plain
+    # embedding search finds no copy of C13 in K_{9,2,2}
+    assert next(copies_before(hosts[1], c13), None) is None
 
 
 def test_engine_skips_hosts_whose_classes_all_fit(monkeypatch):

@@ -67,14 +67,22 @@ machine, and of one run for the other in-process rows.
   barriers of K_{1,...,1,3} (r = 2..6 classes), K4 + C15 and C15 + K4
   into K_{6,6,7}, W5 + C15 and C15 + W5 into K_{7,7,7} (W5 the 5-wheel,
   with no 3-colouring and no clique on 4 vertices; a budget of 2*10^6
-  nodes), and the covering
+  nodes), C13 into K_{8,3,2} and K_{15,6,5}, and the covering
   refutation that `orepack verify` runs for prop2(3,1,7,7) against
-  fdiamond. The engine's profile search ends at K4 or W5 when it comes
-  first; when C15 comes first, its 5,461 colourings stop the search at
-  its cap, and `chromatic_number` then finds no 3-colouring of H. So
-  each refutes at its root in 1 node in either order, and the rows pin
-  that count. Cliff C: five of those hosts (the K4, K5 and K6 space barriers
-  and K3 into K_{3^5,12} and K_{3^6,15}) with 1 or 3 edges deleted. They
+  fdiamond. The engine refutes K4 + C15 and C15 + K4 before it colours
+  H: K4, the first clique of H's greedy clique cover
+  (`packing._cover_bounds`), is more than 3 classes can colour. W5 has
+  no clique on 4 vertices, so the engine's profile search ends at W5
+  when it comes first; when C15 comes first, its 5,461 colourings stop
+  the search at its cap, and `chromatic_number` then finds no
+  3-colouring of H. So each refutes at its root in 1 node in either
+  order, and the rows pin that count. C13 has 1,365 colourings with 3
+  classes, past the cap, but its clique cover has 7 cliques, so a copy
+  puts at most 7 vertices into a class, and the class of 8 or 15 is too
+  full for the one or two copies: the engine refutes before it colours
+  H, where the search took 1,885 and 86,580 nodes. Cliff C: five of
+  those hosts (the K4, K5 and K6 space barriers and K3 into K_{3^5,12}
+  and K_{3^6,15}) with 1 or 3 edges deleted. They
   are no longer complete multipartite, but the type-count engine still
   refutes those that keep at least |H| open-twin classes.
 - Cliff D, YES hosts at the Kierstead-Kostochka bound: the K_r space
@@ -420,6 +428,8 @@ TABLES = (
         ("C15+K4 into K_{6,6,7}", lambda: _pack(op.complete_multipartite([6, 6, 7])[0], op.disjoint_union(op.cycle_graph(15), op.complete_graph(4))), ("NO", 1)),
         ("W5+C15 into K_{7,7,7}", lambda: _pack(op.complete_multipartite([7, 7, 7])[0], op.disjoint_union(_wheel(5), op.cycle_graph(15)), 2 * 10**6), ("NO", 1)),
         ("C15+W5 into K_{7,7,7}", lambda: _pack(op.complete_multipartite([7, 7, 7])[0], op.disjoint_union(op.cycle_graph(15), _wheel(5)), 2 * 10**6), ("NO", 1)),
+        ("C13 into K_{8,3,2}", lambda: _pack(op.complete_multipartite([8, 3, 2])[0], op.cycle_graph(13)), ("NO", 1)),
+        ("C13 into K_{15,6,5}", lambda: _pack(op.complete_multipartite([15, 6, 5])[0], op.cycle_graph(13)), ("NO", 1)),
         ("verify prop2(3,1,7,7) vs fdiamond", _verify_prop2, ("NO", 19)),
         # Cliff C: Cliff B hosts that are refuted at the root, each with k
         # edges deleted
