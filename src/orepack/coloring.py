@@ -1,14 +1,14 @@
 """Exact chromatic computations.
 
 One backtracking search colours vertices for every caller. Its node loop,
-``_walk``, is written once and ends in one of two leaves. The one-vertex
-leaf of ``_finish`` completes the last vertex and visits each coloring:
-``_color_search`` runs it for the chromatic number, the window pass and
-pinned searches of the profile search, ``optimal_colorings``, and the
-colour extension search in ``parameters``, and the counting pass runs it
-on a component less its tail. The two-vertex leaf of the counting pass,
-``pair``, completes the last two vertices at once with no visit and
-keeps only the class sizes. Each node takes the unplaced vertex
+``_walk``, is written once and places every vertex, the last one too,
+and its leaf at the empty mask takes each coloring so completed:
+``_color_search`` visits them for the chromatic number, the window pass
+and pinned searches of the profile search, ``optimal_colorings``, and
+the colour extension search in ``parameters``, and the counting pass
+takes them on a component less its tail. The counting pass's other
+leaf, ``pair``, completes the last two vertices at once with no visit
+and keeps only the class sizes. Each node takes the unplaced vertex
 adjacent to the most classes, pinned classes included (the most
 saturated vertex: DSatur; Brélaz, "New methods to color the vertices of
 a graph", CACM 1979), and puts it into each class that misses it and
@@ -58,25 +58,24 @@ they complete (the window pass), and past them ``class_size_profiles``
 decides each vertex still in question by one search with the vertex's
 class pinned twice; the packing layer runs no pinned search.
 
-The window pass stops at a component's coloring |C| + 1, and a
-component that reaches it is counted afresh on a meter of its own by the
-one counting pass, ``_counted_sizes``, which runs the node loop with the
-classes kept as sizes and ends each branch in one of the two leaves. A
-component without a tail ends in ``pair``, which lists the completions
-of the last two vertices at once: on G(30,0.7)#2 (4,102 colorings, no
-tail) that took the profile search from about 10.1 to 7.6 ms on a 2-vCPU
-container, where the window pass had run on to the end and visited each
-coloring. A component with a tail runs the loop on the rest, its head,
-and the one-vertex leaf visits each head coloring; one with r or r - 1
-classes stands for every placement of the tail at once. The tail is an
-independent set of vertices with at most r - 2 neighbours each, a
-stricter "simplify" step of Chaitin's register allocator (SIGPLAN 1982),
-which sets aside every vertex of degree below r. A tail vertex's
-neighbours fill at most r - 2 classes, so it always has two classes
-left; every such head coloring thus stands for at least 2^|T|
-colorings, where a degree of r - 1 could leave a vertex one class and
-the pass no cheaper than completing each coloring. A head coloring with
-fewer classes hands the tail to the loop again, ending in ``pair``.
+The window pass stops at a component's coloring |C| + 1, and a component
+that reaches it is counted afresh on a meter of its own by the one
+counting pass, ``_counted_sizes``, which runs the node loop with the
+classes kept as sizes. A component without a tail ends in ``pair``,
+which lists the completions of the last two vertices at once: on
+G(30,0.7)#2 (4,102 colorings, no tail) that took the profile search from
+about 10.1 to 7.6 ms on a 2-vCPU container, where the window pass had
+run on to the end and visited each coloring. A component with a tail
+runs the loop on the rest, its head, down to the empty mask, and each
+head coloring with r or r - 1 classes stands for every placement of the
+tail at once. The tail is an independent set of vertices with at most
+r - 2 neighbours each, a stricter "simplify" step of Chaitin's register
+allocator (SIGPLAN 1982), which sets aside every vertex of degree below
+r. A tail vertex's neighbours fill at most r - 2 classes, so it always
+has two classes left; every such head coloring thus stands for at least
+2^|T| colorings, where a degree of r - 1 could leave a vertex one class
+and the pass no cheaper than completing each coloring. A head coloring
+with fewer classes hands the tail to the loop again, ending in ``pair``.
 
 ``optimal_colorings`` enumerates the partitions themselves,
 canonicalized by sorting classes on their minimum vertex; the tests use
@@ -179,54 +178,10 @@ def _color_search(
     class it opens, so a visit may read the masks of the classes it is
     shown.
 
-    The node loop ``_walk`` places every vertex but the last, and the
-    one-vertex leaf of ``_finish`` completes each coloring and visits it;
-    a mask of no vertices is one visit of the classes as given."""
-    adj = h.adj
-    return _walk(adj, vertices, classes, total, near, _finish(adj, classes, total, near, 0, visit), 1, 0)
-
-
-def _finish(
-    adj: tuple[int, ...], classes: list[int], total: int, near: list[int],
-    unit: int, visit: Callable[[list[int]], bool],
-) -> Callable[[int], bool]:
-    """The one-vertex leaf of ``_walk`` on the lists ``classes`` and
-    ``near``: it puts the last vertex into each class that misses it and
-    into the next new class while fewer than ``total`` are open, a class
-    adding ``unit`` or the vertex's bit as in ``_walk``, and calls
-    ``visit(classes)`` on each coloring so completed, with ``near``
-    current. An empty mask leaves one coloring, the classes as they
-    stand. The leaf returns True as soon as a visit does."""
-
-    def finish(low: int) -> bool:
-        if not low:
-            return visit(classes)
-        # each class that takes the last vertex completes a coloring, and
-        # its neighbour mask takes in the vertex's neighbours for the visit
-        add = unit or low
-        row = adj[low.bit_length() - 1]
-        opened = len(classes)
-        for c in range(opened):
-            mask = near[c]
-            if mask & low:
-                continue
-            was = classes[c]
-            classes[c] = was + add
-            near[c] = mask | row
-            if visit(classes):
-                return True
-            near[c] = mask
-            classes[c] = was
-        if opened < total:
-            classes.append(add)
-            near.append(row)
-            if visit(classes):
-                return True
-            near.pop()
-            classes.pop()
-        return False
-
-    return finish
+    The node loop ``_walk`` places every vertex, and its leaf, at the
+    empty mask, visits each coloring so completed; a mask of no vertices
+    is one visit of the classes as given."""
+    return _walk(h.adj, vertices, classes, total, near, lambda _: visit(classes), 0, 0)
 
 
 def _walk(
@@ -242,10 +197,10 @@ def _walk(
     fewer vertices goes to the leaf whole. ``classes`` and ``near`` are as
     in ``_color_search``, but a class adds ``unit`` for each vertex it
     takes, or the vertex's bit when ``unit`` is 0: the visit search keeps
-    class masks, the counting pass class sizes. The leaf is the
-    one-vertex leaf of ``_finish`` (``size`` 1) in the visit search and
-    on a tailed component's head, and the counting pass's ``pair``
-    (``size`` 2) elsewhere.
+    class masks, the counting pass class sizes. ``size`` is 0 in the
+    visit search and on a tailed component's head, so the loop places
+    every vertex and the leaf takes each coloring at the empty mask, and
+    2 for the counting pass's ``pair`` elsewhere.
 
     Each node takes the unplaced vertex adjacent to the most classes, the
     higher degree and then the lower label on a tie, and puts it into each
@@ -260,16 +215,17 @@ def _walk(
     adds one to the class count of each unplaced neighbour new to its
     class by a carry up from the plane ``units``, and takes it back by a
     borrow. A leaf needs no counts, so a node that hands it the rest
-    carries none."""
+    carries none, and a node with one vertex left reads no plane."""
     units = max(total, len(classes)).bit_length() - 1
     planes = [0] * (units + 1)
     planes += _degree_planes(adj)
 
     def place(left: int) -> bool:
         pick = left
-        for plane in planes:
-            if pick & plane:
-                pick &= plane
+        if pick & (pick - 1):
+            for plane in planes:
+                if pick & plane:
+                    pick &= plane
         low = pick & -pick
         add = unit or low
         row = adj[low.bit_length() - 1]
@@ -281,7 +237,7 @@ def _walk(
         opened = len(classes)
         for c in range(opened + (opened < total)):
             if c == opened:
-                if c == total - 1 and row & reduce(and_, near, rest):
+                if c == total - 1 and rest and row & reduce(and_, near, rest):
                     return False
                 classes.append(0)
                 near.append(0)
@@ -542,8 +498,8 @@ def _counted_sizes(h: Graph, comp: int, r: int, meter: Meter) -> set[tuple[int, 
     a set, and the leaf spends their number on ``meter`` in one step; a
     component of one or two vertices goes to the leaf whole.
 
-    A component with a tail is walked without it, down to the one-vertex
-    leaf of ``_finish``, which visits each coloring of the head. Each tail
+    A component with a tail is walked without it down to the empty mask,
+    where the leaf ``counted`` takes each coloring of the head. Each tail
     vertex has at most r - 2 neighbours, all in the head, so once all r
     classes are open at least two of them miss it, and the tail vertices
     choose among those classes independently. Such a head coloring
@@ -594,7 +550,7 @@ def _counted_sizes(h: Graph, comp: int, r: int, meter: Meter) -> set[tuple[int, 
         keys.update(ways)
         meter.spend(len(ways))
 
-    def counted(sizes: list[int]) -> bool:
+    def counted(_: int) -> bool:
         opened = len(sizes)
         if opened < r - 1:
             _walk(adj, tail, sizes, r, near, pair, 2, 1)
@@ -613,7 +569,7 @@ def _counted_sizes(h: Graph, comp: int, r: int, meter: Meter) -> set[tuple[int, 
         pending.add((int.from_bytes(sizes, "little"), key))
         return False
 
-    leaf, size = (_finish(adj, sizes, r, near, 1, counted), 1) if tail else (pair, 2)
+    leaf, size = (counted, 0) if tail else (pair, 2)
     _walk(adj, comp ^ tail, sizes, r, near, leaf, size, 1)
     for base, key in pending:
         keys.update(base + s for s in bulk[key][1])

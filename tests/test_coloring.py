@@ -675,35 +675,62 @@ def _visit_graphs(rng):
     return graphs + [_with_pendants(rng) for _ in range(30)]
 
 
-def _compare_with_plain(g, cases, rng):
+def _compare_with_plain(g, cases, rng, digest):
     """Check each (part, pinned, total) of ``cases`` against the plain
     fixed-order kernel: the same multiset of colorings, each once, and a
     visit that returns True stops the search at that coloring. Searches
-    past 3,000 colorings are left out. Returns how many cases were
-    compared and how many were stopped."""
+    past 3,000 colorings are left out. The kernel's visits and answers go
+    to ``digest`` in order. Returns how many cases were compared and how
+    many were stopped."""
     compared = stopped = 0
+    kernel = _digested(digest)
     for part, pinned, total in cases:
         done, want = _partitions_visited(plain_color_search, g, list(iter_bits(part)), pinned, total, stop_at=3_001)
         if done:
             continue
         assert set(want.values()) <= {1}
-        got = _partitions_visited(_kernel, g, part, pinned, total)
+        got = _partitions_visited(kernel, g, part, pinned, total)
         assert got == (False, want), (op.to_graph6(g), part, pinned, total)
         compared += 1
         if want:
             k = rng.randint(1, len(want))
-            done, seen = _partitions_visited(_kernel, g, part, pinned, total, stop_at=k)
+            done, seen = _partitions_visited(kernel, g, part, pinned, total, stop_at=k)
             assert done and set(seen.values()) == {1} and len(seen) == k and seen.keys() <= want.keys()
             stopped += 1
     return compared, stopped
 
 
+def _digested(digest):
+    """``_kernel`` feeding ``digest`` each coloring it visits, as the list
+    of class masks, in visit order, and then its answer: the multisets
+    that the visit tests compare leave the order free, the digest pins it."""
+
+    def search(g, vertices, classes, total, visit):
+        def seen(classes):
+            digest.update(b"%r\n" % classes)
+            return visit(classes)
+
+        done = _kernel(g, vertices, classes, total, seen)
+        digest.update(b"stop\n" if done else b"end\n")
+        return done
+
+    return search
+
+
 def _small_parts(mask, rng):
     """The empty mask and a mask of one and of two random vertices of
     ``mask``, where it has them: inputs that the search completes at its
-    entry, in its leaf alone, or in one node and its leaf."""
+    entry, in one node, or in two."""
     vertices = list(iter_bits(mask))
     return [0] + [sum(1 << v for v in rng.sample(vertices, k)) for k in (1, 2) if k <= len(vertices)]
+
+
+# sha256 over the colorings that the one colouring search visits, in
+# order, and its answers (``_digested``), on the cases of the two visit
+# tests below: no output reads the order, so only these digests show a
+# change to the search that reorders its visits
+VISIT_ORDER_DIGEST = "d79bc80d62f7ae8b103b90b879951cad45b5bac2d710fd48ea23609318e0d9d6"
+PINNED_VISIT_ORDER_DIGEST = "5e81cef7693dd602be96e0cf0b0da70166834df1940a96e1b8d42aaa1c2a7dc2"
 
 
 def test_saturation_search_visits_each_coloring_once():
@@ -713,10 +740,11 @@ def test_saturation_search_visits_each_coloring_once():
     # subset, the vertices outside a random vertex's neighbourhood, the
     # head that a tail leaves, and masks of 0, 1 and 2 vertices, drawn
     # from a second generator; a visit that returns True stops the search
-    # at that coloring
+    # at that coloring, and the visits, in order, match a pinned digest
     rng = random.Random(2511)
     tiny = random.Random(2512)
     compared = heads = stopped = small = 0
+    digest = hashlib.sha256()
     for g in _visit_graphs(rng):
         chi = op.chromatic_number(g)
         cases = []
@@ -727,12 +755,13 @@ def test_saturation_search_visits_each_coloring_once():
             if tail:
                 cases.append((g.vertex_mask ^ tail, [], total))
                 heads += 1
-        runs = _compare_with_plain(g, cases, rng)
+        runs = _compare_with_plain(g, cases, rng, digest)
         compared += runs[0]
         stopped += runs[1]
         parts = _small_parts(g.vertex_mask, tiny)
-        small += _compare_with_plain(g, [(part, [], total) for part in parts for total in range(chi - 1, chi + 3)], tiny)[0]
+        small += _compare_with_plain(g, [(part, [], total) for part in parts for total in range(chi - 1, chi + 3)], tiny, digest)[0]
     assert compared >= 1_500 and heads >= 40 and stopped >= 1_000 and small >= 1_500
+    assert digest.hexdigest() == VISIT_ORDER_DIGEST
 
 
 def test_kernel_visits_as_without_cuts():
@@ -744,10 +773,12 @@ def test_kernel_visits_as_without_cuts():
     # x's class pinned twice over the rest of x's component, as in the
     # free-vertex search, each also over masks of 0, 1 and 2 of those
     # vertices, drawn from a second generator; a visit that returns True
-    # stops the search at that coloring
+    # stops the search at that coloring, and the visits, in order, match a
+    # pinned digest
     rng = random.Random(151)
     tiny = random.Random(152)
     compared = pinned_runs = twins = stopped = small = 0
+    digest = hashlib.sha256()
     for g in _visit_graphs(rng):
         chi = op.chromatic_number(g)
         order = _by_degree(g)
@@ -774,11 +805,12 @@ def test_kernel_visits_as_without_cuts():
             cases.append((comp ^ 1 << x, [1 << x, 1 << x], chi))
             twins += 1
             smalls += [(part, [1 << x, 1 << x], chi) for part in _small_parts(comp ^ 1 << x, tiny)]
-        runs = _compare_with_plain(g, cases, rng)
+        runs = _compare_with_plain(g, cases, rng, digest)
         compared += runs[0]
         stopped += runs[1]
-        small += _compare_with_plain(g, smalls, tiny)[0]
+        small += _compare_with_plain(g, smalls, tiny, digest)[0]
     assert compared >= 700 and pinned_runs >= 80 and twins >= 200 and stopped >= 400 and small >= 2_000
+    assert digest.hexdigest() == PINNED_VISIT_ORDER_DIGEST
 
 
 def test_kernel_keeps_the_neighbour_masks_it_is_given():
@@ -829,6 +861,11 @@ def test_kernel_keeps_the_neighbour_masks_it_is_given():
     assert runs >= 400 and kept >= 350
 
 
+# sha256 over the meter steps of each counting pass of the test below,
+# in order, which follow the order of the pass's leaves
+COUNT_STEPS_DIGEST = "73c12e2fbbe6fe46b76d231eb27f631baeab98ef9a5b5168e6e9a8931fbe8348"
+
+
 def test_counting_pass_counts_as_the_plain_kernel(monkeypatch):
     # the counting pass against the plain kernel on every component of
     # seeded graphs of up to 13 vertices, p from 0.2 to 0.8, at r = chi,
@@ -836,7 +873,8 @@ def test_counting_pass_counts_as_the_plain_kernel(monkeypatch):
     # zeros to r, and one meter step per coloring, spent in fewer steps
     # than colorings on the components with many. Both leaves are taken:
     # components with a tail (tailed), some of whose head colorings leave
-    # the tail to a second walk (nested), and components without one
+    # the tail to a second walk (nested), and components without one; the
+    # steps of every pass, in order, match a pinned digest
     walks = []
     walk = coloring._walk
 
@@ -847,6 +885,7 @@ def test_counting_pass_counts_as_the_plain_kernel(monkeypatch):
     monkeypatch.setattr(coloring, "_walk", counted)
     rng = random.Random(4646)
     runs = bulk = tailed = nested = 0
+    digest = hashlib.sha256()
     for _ in range(300):
         g = op.random_graph(rng.randint(1, 13), rng.uniform(0.2, 0.8), rng)
         chi = op.chromatic_number(g)
@@ -864,12 +903,14 @@ def test_counting_pass_counts_as_the_plain_kernel(monkeypatch):
                 got = coloring._counted_sizes(g, comp, r, meter)
                 assert {tuple(sorted(s)) for s in got} == set(visited), (op.to_graph6(g), r, comp)
                 assert meter.nodes == len(visited), (op.to_graph6(g), r, comp)
+                digest.update(b"%r\n" % meter.steps)
                 runs += 1
                 bulk += len(meter.steps) < len(visited)
                 tailed += bool(coloring._tail(g.adj, comp, r))
                 nested += len(walks) > 1
     assert runs >= 1_100 and bulk >= 600
     assert tailed >= 900 and nested >= 650 and runs - tailed >= 200
+    assert digest.hexdigest() == COUNT_STEPS_DIGEST
 
 
 class _StepMeter(Meter):
